@@ -149,8 +149,8 @@ def bench_ops(query: str, stream: Stream) -> dict:
     try:
         run = run_timed(build_engine(query, "rpai"), stream)
         # Full snapshot rather than run.ops: the run delta starts after
-        # engine construction, which is exactly when the adaptive
-        # backend records its ``backend.*`` selection counters.
+        # engine construction and would miss the counters that fire
+        # there (``codegen.*``).
         snap = obs.snapshot()
     finally:
         obs.disable()

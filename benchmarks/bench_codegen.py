@@ -3,7 +3,7 @@
 Runs every registry query under the ``rpai`` strategy twice over the
 same stream: once with per-query trigger codegen enabled (the default;
 the planner/registry pipeline installs specialized ``on_event`` /
-``on_batch`` / ``on_frame`` triggers per (query, backend) pair) and
+``on_batch`` / ``on_frame`` triggers per query) and
 once with ``REPRO_CODEGEN=0`` semantics (the interpreted triggers).
 Every registry query compiles — the generic engines to loop-specialized
 triggers, the hand-written ones to recompiled bodies over bound
@@ -18,7 +18,7 @@ globals.  Three things are recorded per query:
 * **Counter identity** — one untimed instrumented pass per mode; every
   ``repro.obs`` counter except the ``codegen.*`` family itself must
   match exactly.  Compiled triggers are a *constant-factor* change:
-  identical rotations, probes, migrations and shift counts, less
+  identical rotations, probes and shift counts, less
   interpreter overhead per event.  A counter that moves means the
   generated trigger does different algorithmic work — that is a
   correctness bug, not a speedup.

@@ -18,13 +18,6 @@ lose to the interpreted ones on any registry query at batch size 1,
 and their results and obs counters must match exactly.  Skip with
 ``--skip-codegen-gate``.
 
-The run also executes the backend-selection gate
-(``benchmarks/bench_backends.py --gate``): the cost model's chosen
-aggregate-index backend must compute bit-identical results/counters to
-the forced reference tree on every registry query, and must place
-within tolerance of the best measured candidate on the
-pluggable-substrate queries.  Skip with ``--skip-backends-gate``.
-
 The run also measures write-ahead-log overhead (same engine and stream
 with WAL off / WAL on / WAL on + fsync, through
 :class:`repro.engine.supervision.DurableEngine`) and gates that the
@@ -53,9 +46,8 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_compare.py [--full]
         [--baseline PATH] [--out PATH] [--tolerance T] [--rescue R]
         [--wal-gate-factor F] [--skip-wal-gate] [--skip-codegen-gate]
-        [--skip-backends-gate] [--sharding-baseline PATH]
-        [--skip-transport-gate] [--serving-baseline PATH]
-        [--skip-serving-gate]
+        [--sharding-baseline PATH] [--skip-transport-gate]
+        [--serving-baseline PATH] [--skip-serving-gate]
 """
 
 from __future__ import annotations
@@ -68,7 +60,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
-from bench_backends import main as run_backends  # noqa: E402
 from bench_batching import main as run_batching  # noqa: E402
 from bench_codegen import main as run_codegen  # noqa: E402
 
@@ -186,11 +177,6 @@ def main(argv: list[str] | None = None) -> int:
         help="skip the compiled-vs-interpreted trigger gate",
     )
     parser.add_argument(
-        "--skip-backends-gate",
-        action="store_true",
-        help="skip the cost-model backend-selection gate",
-    )
-    parser.add_argument(
         "--sharding-baseline",
         type=Path,
         default=REPO_ROOT / "BENCH_sharding.json",
@@ -259,19 +245,6 @@ def main(argv: list[str] | None = None) -> int:
         print()
         print("[bench-compare] trigger-codegen gate (compiled vs interpreted):")
         codegen_ok = run_codegen(codegen_args) == 0
-
-    backends_ok = True
-    if not args.skip_backends_gate:
-        backends_args = [
-            "--gate",
-            "--out",
-            str(args.out.with_name("BENCH_backends.candidate.json")),
-        ]
-        if not args.full:
-            backends_args.append("--smoke")
-        print()
-        print("[bench-compare] backend-selection gate (model pick vs measured):")
-        backends_ok = run_backends(backends_args) == 0
 
     wal_ok = True
     if not args.skip_wal_gate:
@@ -352,7 +325,6 @@ def main(argv: list[str] | None = None) -> int:
     return 0 if (
         report.ok
         and codegen_ok
-        and backends_ok
         and wal_ok
         and transport_ok
         and serving_ok

@@ -9,10 +9,10 @@ Commands:
     Parse a query and print the planner's verdict.
 ``codegen <query> [--engine E]``
     Print the specialized trigger source the code generator emits for
-    the (query, backend) pair, or the reason the engine runs
-    interpreted.  ``repro run``/``repro stats``/``repro chaos``/
-    ``repro bench-shard`` accept ``--no-codegen`` to force the
-    interpreted triggers for A/B comparisons.
+    the query, or the reason the engine runs interpreted.  ``repro run``/
+    ``repro stats``/``repro chaos``/``repro bench-shard`` accept
+    ``--no-codegen`` to force the interpreted triggers for A/B
+    comparisons.
 ``run <query> [--engine E] [--events N] [--seed S] [--shards K] [--workers N]
              [--wal-dir D] [--max-respawns R] [--fsync]``
     Stream a synthetic workload through an engine and report result,
@@ -48,13 +48,7 @@ Commands:
     plus the derived metrics — e.g. the Section 3.2.4 per-negative-shift
     violation bound.  ``--selfcheck`` additionally runs the structure
     invariant checks after every mutation.  The header reports the
-    chosen aggregate-index backend (with its cost-model op-mix label
-    and migration count) and the auto-tuned batch size; ``--backend``
-    forces a substrate instead of the model's pick.
-``calibrate [--out PATH] [--smoke]``
-    Fit the per-backend per-op cost curves from the deterministic
-    calibration micro-benchmark and write the model JSON that
-    ``choose_backend`` ranks candidates with.
+    live aggregate-index class and the default batch size.
 ``bench-diff <baseline.json> <candidate.json> [--tolerance T] [--json]``
     Compare two ``bench_batching`` reports and exit non-zero on
     regression — the CI perf gate.  Scale-independent speedup ratios
@@ -88,7 +82,7 @@ from repro.bench.reporting import format_table
 from repro.bench.runner import run_timed
 from repro.engine.registry import STRATEGIES, build_engine
 from repro.query.parser import parse_query
-from repro.query.planner import asymptotic_cost, classify
+from repro.query.planner import AUTO_BATCH_SIZE, asymptotic_cost, classify
 from repro.storage.stream import Stream
 from repro.workloads import (
     OrderBookConfig,
@@ -177,7 +171,7 @@ def cmd_codegen(args: argparse.Namespace) -> int:
             engine = build_engine(name, args.engine)
             key = getattr(engine, "_codegen_key", None)
             if key is not None:
-                trigger, detail = "compiled", f"backend {key[-1]!r}"
+                trigger, detail = "compiled", f"{key[0]} emitter"
             else:
                 trigger = "n/a"
                 detail = "no specialized-trigger emitter for this engine class"
@@ -197,7 +191,7 @@ def cmd_codegen(args: argparse.Namespace) -> int:
         print("trigger  : interpreted")
         print("reason   : no specialized-trigger emitter for this engine class")
         return 0
-    print(f"trigger  : compiled (cache key backend {key[-1]!r})")
+    print(f"trigger  : compiled ({key[0]} emitter)")
     print()
     if args.flavor == "all":
         print(source)
@@ -237,43 +231,25 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_backend_flag(args: argparse.Namespace) -> None:
-    # The override travels through the environment so sharded executors
-    # (which rebuild engines inside worker processes) inherit it too.
-    backend = getattr(args, "backend", None)
-    if backend:
-        os.environ["REPRO_BACKEND"] = backend
-
-
 def _auto_batch(query: str, strategy: str, *, sharded: bool) -> tuple[int, str]:
     """Default batch size when ``--batch-size`` is not given.
 
-    For the rpai engines the size is derived from the cost model (the
-    probe/update cost ratio of the chosen backend); other strategies
-    and unclassifiable queries keep the legacy defaults.
+    The rpai engines take the per-strategy constant
+    (:data:`~repro.query.planner.AUTO_BATCH_SIZE`); sharded runs floor
+    it at 256 — the measured break-even of the shared-memory frame
+    transport (BENCH_sharding.json).  Other strategies keep the legacy
+    defaults.
     """
-    fallback = (500 if sharded else 1, "")
     if strategy != "rpai":
-        return fallback
-    try:
-        from repro.core.costmodel import auto_batch_size
-        from repro.query.planner import choose_backend, classify, plan_profile
-        from repro.workloads.queries import get_query
-
-        plan = classify(get_query(query.upper()).ast)
-        choice = choose_backend(plan)
-        profile, _ = plan_profile(plan)
-        batch = auto_batch_size(profile, choice.backend, sharded=sharded)
-        return batch, " (auto)"
-    except Exception:
-        return fallback
+        return (500 if sharded else 1, "")
+    batch = AUTO_BATCH_SIZE[classify(get_query(query.upper()).ast).strategy]
+    return (max(batch, 256) if sharded else batch), " (auto)"
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     from repro.engine.registry import build_sharded_engine
 
     _apply_codegen_flag(args)
-    _apply_backend_flag(args)
     stream = _default_stream(args.query, args.events, args.seed)
     workers = max(0, args.workers)
     shards = args.shards if args.shards is not None else (workers or 1)
@@ -303,8 +279,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         batch_note = ""
     else:
         # Sharded runs ship per-shard chunks (amortizing one pipe round
-        # trip per chunk); the cost model sizes the chunk from the
-        # chosen backend's probe/update cost ratio.
+        # trip per chunk).
         batch_size, batch_note = _auto_batch(
             args.query, args.engine, sharded=bool(shards > 1 or workers)
         )
@@ -458,7 +433,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     from repro.engine.aggr_index import describe_backends
 
     _apply_codegen_flag(args)
-    _apply_backend_flag(args)
     stream = _default_stream(args.query, args.events, args.seed)
     if args.batch_size is not None:
         batch_size = args.batch_size
@@ -470,8 +444,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if args.selfcheck:
         obs.enable_selfcheck()
     try:
-        # Build under the enabled sink: backend selection counters
-        # (``backend.*``) fire at engine construction time.
         engine = build_engine(args.query, args.engine)
         run = run_timed(engine, stream, batch_size=batch_size)
         snap = obs.snapshot()
@@ -479,11 +451,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         obs.disable()
         obs.disable_selfcheck()
     derived = obs.derived_metrics(snap, events=run.events)
-    # Read the mode after the run: a guarded deopt mid-stream moves a
-    # compiled engine to "deopted".
     trigger_mode = engine.trigger_mode
-    # Read the backend after the run too: migrations and adaptive
-    # re-decisions happen mid-stream.
     backend = describe_backends(engine)
     if args.json:
         payload = {
@@ -540,29 +508,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
         if rotations is not None and run.events > 0:
             rows.append(["log2(events)", round(math.log2(max(run.events, 2)), 2)])
         print(format_table(["derived metric", "value"], rows))
-    return 0
-
-
-def cmd_calibrate(args: argparse.Namespace) -> int:
-    from repro.core.costmodel import calibrate, default_model_path
-
-    out = args.out if args.out is not None else default_model_path()
-    sizes = (256, 1024) if args.smoke else (256, 1024, 4096, 16384)
-    print(f"calibrating {len(sizes)} sizes per backend -> {out}")
-    model = calibrate(sizes=sizes, out=out)
-    rows = []
-    for backend in sorted(model.table["backends"]):
-        ops = model.table["backends"][backend]
-        for op in sorted(ops):
-            curve = ops[op]
-            rows.append([
-                backend,
-                op,
-                curve["shape"],
-                round(curve["c0"], 3),
-                round(curve["c1"], 4),
-            ])
-    print(format_table(["backend", "op", "shape", "c0 (us)", "c1 (us)"], rows))
     return 0
 
 
@@ -764,14 +709,8 @@ def main(argv: list[str] | None = None) -> int:
         "--batch-size",
         type=int,
         default=None,
-        help="events per trigger chunk (default: cost-model auto-tune "
+        help="events per trigger chunk (default: per-strategy constant "
         "for rpai; 1 unsharded / 500 sharded otherwise)",
-    )
-    p_run.add_argument(
-        "--backend",
-        default=None,
-        help="force the aggregate-index backend spec (e.g. rpai, paimap, "
-        "adaptive:fenwick->rpai) instead of the cost model's pick",
     )
     p_run.add_argument(
         "--wal-dir",
@@ -844,14 +783,8 @@ def main(argv: list[str] | None = None) -> int:
         "--batch-size",
         type=int,
         default=None,
-        help="events per trigger chunk (default: cost-model auto-tune "
+        help="events per trigger chunk (default: per-strategy constant "
         "for rpai, 1 otherwise)",
-    )
-    p_stats.add_argument(
-        "--backend",
-        default=None,
-        help="force the aggregate-index backend spec (e.g. rpai, paimap, "
-        "adaptive:fenwick->rpai) instead of the cost model's pick",
     )
     p_stats.add_argument(
         "--selfcheck",
@@ -863,23 +796,6 @@ def main(argv: list[str] | None = None) -> int:
         "--no-codegen",
         action="store_true",
         help="run the interpreted triggers instead of the compiled ones",
-    )
-
-    p_calibrate = sub.add_parser(
-        "calibrate",
-        help="fit the backend cost model from a calibration micro-benchmark",
-    )
-    p_calibrate.add_argument(
-        "--out",
-        type=Path,
-        default=None,
-        help="write the fitted model JSON here "
-        "(default: benchmarks/results/costmodel.json)",
-    )
-    p_calibrate.add_argument(
-        "--smoke",
-        action="store_true",
-        help="fewer calibration sizes (fast, CI-friendly, noisier fit)",
     )
 
     p_diff = sub.add_parser(
@@ -994,7 +910,6 @@ def main(argv: list[str] | None = None) -> int:
         "recover": cmd_recover,
         "chaos": cmd_chaos,
         "stats": cmd_stats,
-        "calibrate": cmd_calibrate,
         "bench-diff": cmd_bench_diff,
         "bench-shard": cmd_bench_shard,
         "serve": cmd_serve,

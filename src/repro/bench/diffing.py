@@ -40,15 +40,6 @@ regression.  The ``differential_ok`` flag (sharded result equals the
 serial reference) is scale- and core-independent, so it flipping from
 true to false fails unconditionally.
 
-**Backend-selection reports** (``BENCH_backends.json``: runs keyed by
-``backend`` spec) are recognized per-workload too.  The pick-placement
-ratios (``model_vs_best``, ``speedup_vs_default``) are shape metrics
-and gate like the batching speedups; per-backend throughput gates on
-equal scales only; and the top-level ``identity`` section — the
-model-chosen backend computing bit-for-bit what the forced reference
-tree computes — is deterministic and fails unconditionally on a flip
-from true to false.
-
 Sharding reports also carry a top-level ``transport`` section: per
 query, the bytes-per-event of the retired pickled-event-list pipe
 transport versus the columnar frame bytes the shm rings ship, and the
@@ -145,88 +136,6 @@ def _is_sharding_entry(entry: dict) -> bool:
     """Sharding-shape workload entry: runs keyed by worker count."""
     runs = entry.get("runs", [])
     return bool(runs) and "workers" in runs[0]
-
-
-def _is_backends_entry(entry: dict) -> bool:
-    """Backend-selection-shape workload entry (``BENCH_backends.json``):
-    runs keyed by backend spec."""
-    runs = entry.get("runs", [])
-    return bool(runs) and "backend" in runs[0]
-
-
-def _backends_entry_checks(
-    report: DiffReport, name: str, base_entry: dict, cand_entry: dict
-) -> None:
-    """Diff one backend-selection workload.
-
-    ``model_vs_best`` (the pick's throughput as a fraction of the best
-    measured candidate) and ``speedup_vs_default`` (the pick vs the
-    pre-selection default) are scale-independent shape metrics and gate
-    with the usual tolerance band; a ``model_vs_best`` of 1.0 — the
-    pick *is* the best — always passes via the rescue floor.  Absolute
-    per-backend throughput gates only on equal scales."""
-    _ratio_check(
-        report,
-        name,
-        "model_vs_best",
-        base_entry["model_vs_best"],
-        cand_entry["model_vs_best"],
-    )
-    _ratio_check(
-        report,
-        name,
-        "speedup_vs_default",
-        base_entry["speedup_vs_default"],
-        cand_entry["speedup_vs_default"],
-    )
-    if base_entry.get("chosen") != cand_entry.get("chosen"):
-        # An informational row, not a failure: the model re-ranking
-        # under new calibration constants is expected behavior as long
-        # as the pick's placement (gated above) holds up.
-        report.checks.append(
-            Check(
-                name,
-                "chosen_backend",
-                base_entry.get("chosen"),
-                cand_entry.get("chosen"),
-                "skip",
-                "model pick changed — placement still gated",
-            )
-        )
-    if not report.scales_match:
-        report.checks.append(
-            Check(
-                name,
-                "events_per_second",
-                None,
-                None,
-                "skip",
-                "scale mismatch — absolute throughput not comparable",
-            )
-        )
-        return
-    cand_runs = {run["backend"]: run for run in cand_entry.get("runs", [])}
-    for run in base_entry.get("runs", []):
-        cand_run = cand_runs.get(run["backend"])
-        if cand_run is None:
-            report.checks.append(
-                Check(
-                    name,
-                    f"runs[{run['backend']}]",
-                    True,
-                    False,
-                    "fail",
-                    "backend candidate missing",
-                )
-            )
-            continue
-        _throughput_check(
-            report,
-            name,
-            f"events_per_second[{run['backend']}]",
-            run["events_per_second"],
-            cand_run["events_per_second"],
-        )
 
 
 def _sharding_entry_checks(
@@ -499,9 +408,6 @@ def compare_reports(
                 ),
             )
             continue
-        if _is_backends_entry(base_entry) or _is_backends_entry(cand_entry):
-            _backends_entry_checks(report, name, base_entry, cand_entry)
-            continue
         base_runs = _runs_by_batch(base_entry)
         cand_runs = _runs_by_batch(cand_entry)
         for batch_size, base_run in sorted(base_runs.items()):
@@ -577,37 +483,6 @@ def compare_reports(
                 if met
                 else "columnar frames no longer beat pickled event lists "
                 "by the gate factor",
-            )
-        )
-
-    # Backend-identity entries from BENCH_backends.json: the
-    # model-chosen backend must compute exactly what the forced
-    # reference tree computes.  That is deterministic — no cores, no
-    # clock — so a flip from true to false fails at any scale.
-    cand_identity = candidate.get("identity", {})
-    for name, base_entry in baseline.get("identity", {}).items():
-        if not base_entry.get("identity_ok", False):
-            continue
-        cand_entry = cand_identity.get(name)
-        if cand_entry is None:
-            report.checks.append(
-                Check(
-                    name, "backend_identity", True, False, "fail",
-                    "identity entry missing",
-                )
-            )
-            continue
-        held = bool(cand_entry.get("identity_ok"))
-        report.checks.append(
-            Check(
-                name,
-                "backend_identity",
-                True,
-                held,
-                "pass" if held else "fail",
-                ""
-                if held
-                else "model-chosen backend no longer matches forced rpai",
             )
         )
 

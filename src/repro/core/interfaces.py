@@ -25,7 +25,6 @@ implementation           get/put     get_sum     shift_keys
 :class:`TreeMap`         O(log n)    O(log n)    O(n)
 :class:`RPAITree`        O(log n)    O(log n)    O(log n) [*]
 :class:`FenwickTree`     O(1) am.    O(log U)    O(U)
-:class:`AdaptiveIndex`   delegates   delegates   migrates [†]
 =======================  ==========  ==========  ============
 
 [*] positive offsets always; negative offsets are O(log n) in the
@@ -35,11 +34,6 @@ repaired (worst case ``v = n``, matching the paper's O(n log n) bound).
 Fenwick point updates are amortized O(1) because BIT maintenance is
 deferred to the next prefix read (lazy pending queue); an interleaved
 add/get_sum pattern pays the usual O(log U) per update at drain time.
-
-[†] :class:`~repro.core.adaptive.AdaptiveIndex` starts on the Fenwick
-backend for prune-zeros roles and migrates once (O(n) bulk load) to an
-RPAI tree on the first non-dense key or ``shift_keys`` call, after
-which every operation has the RPAITree cost.
 
 All three implementations additionally expose a ``bulk_load`` class
 method that builds an index from key-sorted ``(key, value)`` pairs in

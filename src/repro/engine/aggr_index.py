@@ -18,18 +18,14 @@ Section 2→3 progression and powers the ablation benchmark:
 * :class:`~repro.trees.treemap.TreeMap` — O(log n) ``get_sum`` but O(n)
   ``shift_keys`` (the Section 3.1 intermediate);
 * :class:`~repro.core.rpai.RPAITree` — O(log n) everything (the full
-  RPAI engine);
-* :class:`~repro.core.adaptive.AdaptiveIndex` — a self-tuning wrapper
-  over the five-substrate candidate set (dense positional fast paths
-  with guarded sparse fallback and periodic cost-model re-decisions).
+  RPAI engine).
 
-When no ``index_cls`` is forced, the backend is picked by
-:func:`~repro.query.planner.choose_backend`, which ranks the candidate
-substrates {PAIMap, Fenwick, RPAITree, RPAIBTree, SegmentTree} against
-the fitted cost model (:mod:`repro.core.costmodel`) for the plan's
-predicted op mix — e.g. a point-probe equality role gets the raw dict,
-a prefix-probe one the adaptive dense wrapper, range roles the
-relative-key tree that shifts in O(log n).
+When no ``index_cls`` is passed, the class is picked by the static rule
+:func:`~repro.query.planner.choose_backend`: the dict for a point role
+probed by a point lookup, the relative-key tree for everything else.
+Any class conforming to
+:class:`~repro.core.interfaces.AggregateIndex` can be substituted (the
+conformance suite runs the §6 comparators through these engines).
 
 Precondition inherited from the paper's setting: the inner aggregate's
 per-tuple contributions are strictly positive (volumes, quantities,
@@ -223,9 +219,8 @@ def _restore_index_engine(engine, state: dict) -> None:
     if "quarantine" in state:
         engine._quarantine = state["quarantine"]
     # Compiled triggers are instance attributes and never pickle (the
-    # state dicts above are pure data); re-specialize only after the
-    # restored aggr_index is in place, so the compile-time backend
-    # branch reflects the restored index's live backend.
+    # state dicts above are pure data); re-specialize against the
+    # restored structures.
     from repro.query import codegen
 
     codegen.maybe_specialize(engine)
@@ -930,16 +925,11 @@ def build_single_index_engine(
             RPAI_INEQUALITY (use the registry for the other strategies).
     """
     plan = classify(query)
+    if index_cls is None:
+        index_cls = choose_backend(plan)
     if plan.strategy is Strategy.PAI_EQUALITY:
-        if index_cls is None:
-            # Rank the candidate substrates against the cost model for
-            # the plan's op mix (equality-θ plans never shift keys, so
-            # the whole candidate set is in play).
-            index_cls = choose_backend(plan).factory()
         return PointIndexEngine(plan, index_cls, name=name)
     if plan.strategy is Strategy.RPAI_INEQUALITY:
-        if index_cls is None:
-            index_cls = choose_backend(plan).factory()
         if query.group_by:
             return GroupedRangeIndexEngine(plan, index_cls, name=name)
         return RangeIndexEngine(plan, index_cls, name=name)
@@ -950,54 +940,28 @@ def build_single_index_engine(
 
 def _describe_index(index: Any) -> str:
     """Human-readable backend identity of one live aggregate index."""
-    from repro.core.adaptive import BACKEND_CLASSES, AdaptiveIndex
-
-    if isinstance(index, AdaptiveIndex):
-        count = index.migrations
-        noun = "migration" if count == 1 else "migrations"
-        return f"adaptive/{index.backend_name} ({count} {noun})"
-    for name, cls in BACKEND_CLASSES.items():
-        if type(index) is cls:
-            return name
-    return type(index).__name__.lower()
+    return "rpai" if type(index) is RPAITree else type(index).__name__.lower()
 
 
 def describe_backends(engine: Any) -> str | None:
     """One-line backend report for ``repro stats``.
 
-    Returns e.g. ``"paimap (model: point-heavy)"`` or
-    ``"adaptive/fenwick (1 migration) (model: prefix-heavy)"`` for the
-    single-index and conjunctive engines, ``None`` for engines whose
-    substrates are hand-specialized (their triggers hard-code them).
+    Returns the live index class name — ``"paimap"``, ``"rpai"``,
+    ``"rpai x12 groups"`` — for the single-index and conjunctive
+    engines, ``None`` for engines whose substrates are hand-specialized
+    (their triggers hard-code them).
     """
-    from repro.query.planner import plan_profile
-
-    plan = getattr(engine, "_plan", None)
-    label = None
-    if isinstance(plan, QueryPlan):
-        try:
-            label = plan_profile(plan)[1]
-        except Exception:
-            label = None
-
     if hasattr(engine, "aggr_index"):
-        desc = _describe_index(engine.aggr_index)
-    elif hasattr(engine, "group_indexes"):
+        return _describe_index(engine.aggr_index)
+    if hasattr(engine, "group_indexes"):
         indexes = list(engine.group_indexes.values())
         probe = indexes[0] if indexes else engine._index_cls(prune_zeros=True)
-        desc = f"{_describe_index(probe)} x{len(indexes)} groups"
-    elif hasattr(engine, "_sides"):  # ConjunctiveIndexEngine
-        sides = getattr(engine, "_sides", {})
+        return f"{_describe_index(probe)} x{len(indexes)} groups"
+    if hasattr(engine, "_sides"):  # ConjunctiveIndexEngine
         descs = {
             _describe_index(side.indexes[0])
-            for side in sides.values()
-            if getattr(side, "indexes", None)
+            for side in engine._sides.values()
+            if side.indexes
         }
-        if not descs:
-            return None
-        desc = ", ".join(sorted(descs))
-    else:
-        return None
-    if label:
-        return f"{desc} (model: {label})"
-    return desc
+        return ", ".join(sorted(descs)) or None
+    return None

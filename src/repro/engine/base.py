@@ -191,11 +191,10 @@ class IncrementalEngine(abc.ABC):
     name: str = "engine"
 
     #: how this engine's triggers execute: ``"interpreted"`` (the class
-    #: methods below), ``"compiled"`` (specialized instance triggers
-    #: installed by :mod:`repro.query.codegen`), or ``"deopted"``
-    #: (compiled triggers dropped after a compile-time assumption broke,
-    #: e.g. the adaptive index backend migrated).  The class default is
-    #: shadowed by an instance attribute when codegen installs/deopts.
+    #: methods below) or ``"compiled"`` (specialized instance triggers
+    #: installed by :mod:`repro.query.codegen`).  The class default is
+    #: shadowed by an instance attribute while compiled triggers are
+    #: installed.
     trigger_mode: str = "interpreted"
 
     #: optional input-validation boundary (see :class:`Quarantine`);

@@ -49,7 +49,6 @@ from repro.query.ast import (
     SubqueryExpr,
     walk_expr,
 )
-from repro.core.adaptive import AdaptiveIndex
 from repro.storage.stream import Event
 from repro.trees.treemap import TreeMap
 
@@ -284,16 +283,12 @@ class _CorrelatedSubquery:
             )
 
         # Bound maps: f-value -> accumulated (sum, count) of inner arg.
-        # SUM/COUNT/AVG only ever probe them with get/get_sum/suffix_sum
-        # (never shift_keys), so the adaptive Fenwick-first backend
-        # applies; MIN/MAX walk key order (min_key/successor/...) on
-        # every probe, which the ordered TreeMap serves in O(log n).
-        if self.func in {"MIN", "MAX"}:
-            self.bound_sum: Any = TreeMap(prune_zeros=True)
-            self.bound_count: Any = TreeMap(prune_zeros=True)
-        else:
-            self.bound_sum = AdaptiveIndex(prune_zeros=True)
-            self.bound_count = AdaptiveIndex(prune_zeros=True)
+        # SUM/COUNT/AVG probe them with get/get_sum/suffix_sum; MIN/MAX
+        # walk key order (min_key/successor/...) on every probe.  Neither
+        # ever shifts keys, so the plain ordered TreeMap serves both in
+        # O(log n).
+        self.bound_sum = TreeMap(prune_zeros=True)
+        self.bound_count = TreeMap(prune_zeros=True)
         # Free maps: g-value -> current subquery aggregate components,
         # plus a refcount of live outer groups using each g-value.
         self.free_sum: dict[Any, float] = {}

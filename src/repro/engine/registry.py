@@ -20,7 +20,6 @@ interpreted.
 
 from __future__ import annotations
 
-import os
 from typing import Callable
 
 from repro.engine.aggr_index import build_single_index_engine
@@ -42,6 +41,7 @@ from repro.engine.naive import NaiveEngine
 from repro.engine.queries.nq import NQ1RpaiEngine, NQ2RpaiEngine
 from repro.engine.queries.psp import PSPRpaiEngine
 from repro.engine.queries.tpch import Q17RpaiEngine, Q18RpaiEngine
+from repro.query.planner import choose_backend, classify
 from repro.workloads.queries import get_query
 
 __all__ = [
@@ -66,21 +66,14 @@ def _naive_factory(name: str) -> EngineFactory:
 
 
 def _compiled_index_factory(name: str) -> EngineFactory:
-    def build(backend: str | None = None) -> IncrementalEngine:
-        index_cls = None
-        if backend is not None:
-            from repro.core.backends import BackendFactory
-
-            index_cls = BackendFactory(backend)
-        return build_single_index_engine(get_query(name).ast, index_cls)
+    def build() -> IncrementalEngine:
+        return build_single_index_engine(get_query(name).ast)
 
     return build
 
 
 def _general_factory(name: str) -> EngineFactory:
-    def build(backend: str | None = None) -> IncrementalEngine:
-        # The general algorithm owns its delta-tree substrates; a
-        # backend override does not apply.
+    def build() -> IncrementalEngine:
         engine = GeneralAlgorithmEngine(get_query(name).ast)
         engine.name = "rpai"  # GA is part of "our" system in the paper
         return engine
@@ -89,25 +82,9 @@ def _general_factory(name: str) -> EngineFactory:
 
 
 def _conjunctive_factory(name: str) -> EngineFactory:
-    def build(backend: str | None = None) -> IncrementalEngine:
-        from repro.query.planner import choose_backend, classify
-
+    def build() -> IncrementalEngine:
         plan = classify(get_query(name).ast)
-        if backend is not None:
-            from repro.core.backends import BackendFactory
-
-            index_cls = BackendFactory(backend)
-        else:
-            index_cls = choose_backend(plan).factory()
-        return ConjunctiveIndexEngine(plan, index_cls)
-
-    return build
-
-
-def _specialized_factory(cls: type) -> EngineFactory:
-    def build(backend: str | None = None) -> IncrementalEngine:
-        # Hand-specialized triggers hard-code their substrates.
-        return cls()
+        return ConjunctiveIndexEngine(plan, choose_backend(plan))
 
     return build
 
@@ -133,33 +110,23 @@ _RPAI: dict[str, EngineFactory] = {
     "SQ2": _general_factory("SQ2"),
     "MST": _conjunctive_factory("MST"),
     # Specialized triggers (multi-level nesting / TPC-H):
-    "PSP": _specialized_factory(PSPRpaiEngine),
-    "NQ1": _specialized_factory(NQ1RpaiEngine),
-    "NQ2": _specialized_factory(NQ2RpaiEngine),
-    "Q17": _specialized_factory(Q17RpaiEngine),
-    "Q18": _specialized_factory(Q18RpaiEngine),
+    "PSP": PSPRpaiEngine,
+    "NQ1": NQ1RpaiEngine,
+    "NQ2": NQ2RpaiEngine,
+    "Q17": Q17RpaiEngine,
+    "Q18": Q18RpaiEngine,
 }
 
 
-def build_engine(
-    query_name: str, strategy: str, *, backend: str | None = None
-) -> IncrementalEngine:
+def build_engine(query_name: str, strategy: str) -> IncrementalEngine:
     """Instantiate an engine for ``query_name`` under ``strategy``.
 
     Args:
         query_name: one of the benchmark query names (see
             :func:`repro.workloads.query_names`).
         strategy: ``"recompute"``, ``"dbtoaster"`` or ``"rpai"``.
-        backend: optional backend spec (see
-            :class:`~repro.core.backends.BackendFactory`) forcing the
-            aggregate-index substrate of the ``rpai`` engines instead
-            of the cost model's pick.  Defaults to the
-            ``REPRO_BACKEND`` environment variable; engines with
-            hand-specialized substrates ignore it.
     """
     name = query_name.upper()
-    if backend is None:
-        backend = os.environ.get("REPRO_BACKEND") or None
     if strategy == "recompute":
         return _naive_factory(name)()
     if strategy == "dbtoaster":
@@ -169,11 +136,11 @@ def build_engine(
             raise KeyError(f"no DBToaster baseline for {name!r}") from None
     if strategy == "rpai":
         try:
-            engine = _RPAI[name](backend)
+            engine = _RPAI[name]()
         except KeyError:
             raise KeyError(f"no RPAI engine for {name!r}") from None
         # Codegen stage of the pipeline: swap the interpreted triggers
-        # for per-(query, backend) compiled ones.  Every registry engine
+        # for per-query compiled ones.  Every registry engine
         # now has an emitter — the generic engines get loop-specialized
         # triggers, the hand-written ones get their trigger bodies
         # recompiled against bound globals.

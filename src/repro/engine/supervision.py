@@ -100,7 +100,9 @@ def _supervised_worker_main(
       under duplication);
     * ``restore`` replaces the engine with an unpickled snapshot (or a
       fresh build) and replays the shipped WAL tail (columnar frames or
-      legacy event lists);
+      legacy event lists); a snapshot this code cannot unpickle is
+      answered with ``unloadable`` and the parent re-sends the restore
+      with no snapshot and the whole log;
     * ``snapshot`` replies with the engine pickled at the current
       sequence — the parent stamps and stores it;
     * ``kill_specs`` (fault injection) hard-exit the process once the
@@ -141,10 +143,14 @@ def _supervised_worker_main(
                 conn.send(("ok", ("applied", seq)))
             elif tag == "restore":
                 snapshot_payload, tail, head_seq = message[1], message[2], message[3]
-                if snapshot_payload is not None:
-                    engine = pickle.loads(snapshot_payload)
-                else:
+                if snapshot_payload is None:
                     engine = build_engine(query_name, strategy)
+                else:
+                    restored = _load_snapshot(snapshot_payload)
+                    if restored is None:
+                        conn.send(("ok", ("unloadable", head_seq)))
+                        continue
+                    engine = restored
                 for _seq, logged in tail:
                     apply_events(engine, logged)
                 last_seq = head_seq
@@ -168,6 +174,23 @@ def _supervised_worker_main(
     conn.close()
 
 
+def _load_snapshot(payload: bytes) -> IncrementalEngine | None:
+    """Unpickle a CRC-valid snapshot; ``None`` when this code cannot.
+
+    Snapshots are pickles of live engines with no format stamp, so one
+    written by other code (a class or module since removed, a changed
+    state layout) passes its CRC and then fails inside ``pickle.loads``
+    with whatever the missing piece raises — hence the broad catch.
+    The log is never compacted, so callers treat it like a corrupt
+    snapshot: rebuild from the factory and replay from seq 0."""
+    try:
+        return pickle.loads(payload)
+    except Exception:
+        if _SINK.enabled:
+            _SINK.inc("wal.snapshot_unloadable")
+        return None
+
+
 def _recover_engine(
     wal: WriteAheadLog, factory: Callable[[], IncrementalEngine]
 ) -> tuple[IncrementalEngine, dict]:
@@ -177,20 +200,19 @@ def _recover_engine(
     truncated the WAL *behind* a snapshot invalidates the snapshot too,
     or replay and live sequence numbering would diverge)."""
     snap = wal.load_latest_snapshot(max_seq=wal.seq)
-    if snap is None:
-        engine, start = factory(), 0
-    else:
-        start = snap[0]
-        engine = pickle.loads(snap[1])
+    engine = None if snap is None else _load_snapshot(snap[1])
+    snapshot_seq = None if engine is None else snap[0]
+    if engine is None:
+        engine = factory()
     replayed = 0
-    for _seq, logged in wal.replay(start_seq=start):
+    for _seq, logged in wal.replay(start_seq=snapshot_seq or 0):
         apply_events(engine, logged)
         replayed += 1
     if _SINK.enabled:
         _SINK.inc("wal.recoveries")
         _SINK.observe("wal.records_replayed", replayed)
     stats = {
-        "snapshot_seq": start if snap is not None else None,
+        "snapshot_seq": snapshot_seq,
         "records_replayed": replayed,
         "head_seq": wal.seq,
     }
@@ -287,7 +309,14 @@ class SupervisedExecutor(MultiprocessShardedExecutor):
             start, payload = snap
         tail = list(wal.replay(start_seq=start))
         self._connections[index].send(("restore", payload, tail, wal.seq))
-        self._recv_ok(index)
+        if self._recv_ok(index)[0] == "unloadable":
+            # Snapshot written by other code (see _load_snapshot): the
+            # worker's own count stays in the worker, so count here.
+            if _SINK.enabled:
+                _SINK.inc("wal.snapshot_unloadable")
+            tail = list(wal.replay())
+            self._connections[index].send(("restore", None, tail, wal.seq))
+            self._recv_ok(index)
         if _SINK.enabled:
             _SINK.inc("wal.recoveries")
             _SINK.observe("wal.records_replayed", len(tail))

@@ -60,17 +60,6 @@ Counter naming convention (``<structure or layer>.<operation>``):
 ``segment.grows``                       segment-tree universe doublings
 ``segment.shift_rebuilds``              segment-tree collect-and-replay shifts
 ``btree.shift_rebuilds``                RPAIBTree rightmost-path rebuild merges
-``backend.<name>_selected``             adaptive indexes starting on <name>
-                                        (``fenwick``, ``rpai``, ...)
-``backend.migrations``                  adaptive runtime backend migrations
-``backend.migration.<reason>``          migrations by cause (``non_dense_key``,
-                                        ``shift_keys`` or ``redecision``)
-``backend.decision.checks``             periodic cost-model re-decisions run
-``backend.decision.hold``               re-decisions that kept the backend
-                                        (hysteresis or already cheapest)
-``backend.decision.migrate``            re-decisions that switched backends
-``backend.<name>_grows``                dense-universe doubling events, by
-                                        live backend
 ``engine.events/.batches/.results``     trigger calls / batch calls / refreshes
 ``engine.quarantined``                  schema-violating events diverted by the
                                         validation boundary
@@ -79,6 +68,8 @@ Counter naming convention (``<structure or layer>.<operation>``):
 ``wal.recoveries``                      snapshot+tail-replay recoveries
 ``wal.tail_truncated``                  torn/corrupt WAL tails healed on open
 ``wal.snapshot_corrupt``                snapshot files skipped on bad CRC
+``wal.snapshot_unloadable``             CRC-valid snapshots this code could not
+                                        unpickle (rebuilt from the full log)
 ``supervisor.worker_failures``          shard-worker deaths/timeouts detected
 ``supervisor.respawns``                 workers respawned and restored
 ``supervisor.degraded``                 falls back to the serial executor after
@@ -114,13 +105,10 @@ Counter naming convention (``<structure or layer>.<operation>``):
 ``serve.tenant_restarts``               tenants recovered from their WAL
 ``selfcheck.validations``               invariant walks performed
 ``codegen.cache_hits/.cache_misses``    specialized-trigger source served from
-                                        / compiled past the (query, backend)
-                                        cache
+                                        / compiled past the per-query cache
 ``codegen.installed``                   compiled triggers bound onto engines
 ``codegen.unsupported``                 engines with no emitter left
                                         interpreted (counted no-op)
-``codegen.deopts``                      compiled triggers torn down at runtime
-``codegen.deopt.<reason>``              deopts by cause (``backend_migrated``)
 ======================================  =======================================
 
 Value distributions (count/total/min/max, via :meth:`ObsSink.observe`):

@@ -1,27 +1,19 @@
-"""Per-query trigger codegen: compile (query, backend) pairs to
-specialized Python triggers.
+"""Per-query trigger codegen: compile each query to specialized Python
+triggers.
 
 The interpreted engines pay a per-event tax that has nothing to do with
 the index kernels PR 3 made fast: closure chains compiled from the AST
 (`_compile_row_expr`), dict-dispatched comparators (``operator.le``
-behind ``_COMPARATORS``), aggregate dispatch on ``func`` strings, and —
-for the adaptive backend — a dense-key re-check inside every
-``AdaptiveIndex.add``.  DBToaster's lesson (PAPERS.md) is that an IVM
-system earns its constant factors by *compiling* each query's trigger;
-this module does exactly that for **every registry engine**:
+behind ``_COMPARATORS``) and aggregate dispatch on ``func`` strings.
+DBToaster's lesson (PAPERS.md) is that an IVM system earns its constant
+factors by *compiling* each query's trigger; this module does exactly
+that for **every registry engine**:
 
 * predicate tests become plain comparisons (``_k <= _g``),
 * bound-variable extractors become direct row indexing (``_row['A']``),
 * aggregate dispatch is monomorphized (a SUM scalar is ``.total``),
-* the :class:`~repro.core.adaptive.AdaptiveIndex` backend branch is
-  resolved at compile time: dense-int keys hit the Fenwick array
-  directly, anything else falls through to the interpreted
-  ``AdaptiveIndex.add`` (which migrates with its usual counters) and
-  the trigger **deopts** back to the interpreted class methods at the
-  end of the invocation (see :func:`repro.query.codegen_runtime.deopt`),
 * the grouped engine's per-group loop hoists the group-key extraction
-  and shift prologue and monomorphizes the index dispatch per backend
-  flavor (the dense variants deopt if *any* group migrates),
+  and shift prologue,
 * the conjunctive engine's per-relation factor-sum recombination is
   unrolled across the decomposition's terms at compile time,
 * the hand-specialized engines (PSP, NQ1, NQ2, Q17, Q18) get their
@@ -29,15 +21,17 @@ this module does exactly that for **every registry engine**:
   bound methods* pre-bound as globals (Q18 additionally inlines and
   branch-specializes its refresh helper),
 * compiled point/range/grouped engines get a generated columnar
-  ``on_frame`` netting path (bail-before-mutate, same deopt guard) —
-  the hand-written frame overrides are gone.
+  ``on_frame`` netting path (bail-before-mutate) — the hand-written
+  frame overrides are gone.
 
 Generated source is ``compile()``'d once and cached per
-``(engine class, query AST, backend)`` key — the AST nodes are frozen
-dataclasses, so the key is hashable and exact.  Installation binds the
-compiled functions as *instance* attributes (``engine.on_event`` /
-``engine.on_batch``); the class-level interpreted triggers remain
-untouched and serve as the deopt target.  The generated bodies
+``(engine class, query AST)`` key — the AST nodes are frozen
+dataclasses, so the key is hashable and exact; the source never
+depends on the aggregate-index class, which the engine holds as a
+plain attribute.  Installation binds the compiled functions as
+*instance* attributes (``engine.on_event`` / ``engine.on_batch``); the
+class-level interpreted triggers remain untouched (``--no-codegen`` and
+:func:`uninstall` fall back to them).  The generated bodies
 replicate the interpreted triggers' operation order and obs-counter
 sites bit-for-bit: the differential suite asserts identical result
 traces *and* identical rotation/probe counters, and the chaos/sharding
@@ -58,7 +52,6 @@ import time
 import types
 from typing import Any, Callable
 
-from repro.core.adaptive import MAX_DENSE_KEY, AdaptiveIndex
 from repro.engine.aggr_index import (
     GroupedRangeIndexEngine,
     PointIndexEngine,
@@ -82,7 +75,6 @@ from repro.query.ast import (
     SubqueryExpr,
     walk_expr,
 )
-from repro.query.planner import codegen_key
 
 __all__ = [
     "codegen_enabled",
@@ -253,63 +245,6 @@ def _probe_src(op: str, index: str, probe: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive dense (Fenwick / segment) fast path
-# ---------------------------------------------------------------------------
-
-# Flavors that monomorphize the AdaptiveIndex dense fast path.  Both
-# dense substrates share the contract the emitted code relies on:
-# ``.add(int_key, delta)`` on in-universe keys, ``.capacity``, and the
-# wrapper's ``_ensure_capacity`` growth hook.
-_DENSE_FLAVORS = frozenset({"fenwick", "segment"})
-
-_DENSE_PROLOGUE = ["_dense = _ai._dense", "_fw = _ai._backend"]
-
-
-def _emit_index_add(
-    lines: list[str], indent: str, flavor: str, key: str, delta: str
-) -> None:
-    """One ``aggr_index.add(key, delta)``.
-
-    The dense flavors resolve the AdaptiveIndex backend branch at
-    compile time: plain in-range ints hit the dense array directly
-    (the common case for equality-correlation keys); anything else
-    falls through to the full ``AdaptiveIndex.add`` — which handles
-    bools, int-valued floats, migration and re-decisions with
-    identical counters — and refreshes the hoisted backend locals.
-    ``key`` must be a local name (it is evaluated more than once).
-    """
-    if flavor in _DENSE_FLAVORS:
-        lines.append(
-            f"{indent}if _dense and type({key}) is int "
-            f"and 0 <= {key} < {MAX_DENSE_KEY}:"
-        )
-        lines.append(f"{indent}    if {key} >= _fw.capacity:")
-        lines.append(f"{indent}        _ai._ensure_capacity({key})")
-        lines.append(f"{indent}    _fw.add({key}, {delta})")
-        lines.append(f"{indent}else:")
-        lines.append(f"{indent}    _ai.add({key}, {delta})")
-        lines.append(f"{indent}    _dense = _ai._dense")
-        lines.append(f"{indent}    _fw = _ai._backend")
-    else:
-        lines.append(f"{indent}_ai.add({key}, {delta})")
-
-
-def _emit_deopt_check(lines: list[str], indent: str, flavor: str) -> None:
-    if flavor in _DENSE_FLAVORS:
-        lines.append(f"{indent}if not _ai._dense:")
-        lines.append(f"{indent}    _deopt(self, 'backend_migrated')")
-
-
-def _backend_flavor(index: Any) -> str:
-    if isinstance(index, AdaptiveIndex):
-        # Monomorphize on the *live* backend: dense flavors get the
-        # inline fast path; a sparse adaptive compiles through the
-        # wrapper (re-decisions may swap sparse substrates behind it).
-        return index._name if index._dense else f"adaptive-{index._name}"
-    return type(index).__name__.lower()
-
-
-# ---------------------------------------------------------------------------
 # Generated columnar on_frame (the netting fast path over ColumnBlocks)
 # ---------------------------------------------------------------------------
 
@@ -386,7 +321,7 @@ def _emit_frame_scan(
 
 
 def _point_key(engine: PointIndexEngine) -> tuple:
-    return ("point",) + codegen_key(engine._plan, _backend_flavor(engine.aggr_index))
+    return ("point", engine._plan.query)
 
 
 def _point_emit(engine: PointIndexEngine) -> str:
@@ -394,8 +329,6 @@ def _point_emit(engine: PointIndexEngine) -> str:
     spec = engine.spec
     alias = query.relations[0].alias
     relation = engine.relation
-    flavor = _backend_flavor(engine.aggr_index)
-    fenwick = flavor in _DENSE_FLAVORS
     infos = _scalar_infos(engine._fixed._scalars)
 
     cols = engine._group_cols
@@ -419,9 +352,9 @@ def _point_emit(engine: PointIndexEngine) -> str:
         lines.append(f"{indent}_new_rhs = _old_rhs + _ird")
         lines.append(f"{indent}_new_res = _old_res + _res")
         lines.append(f"{indent}if _old_res != 0:")
-        _emit_index_add(lines, indent + "    ", flavor, "_old_rhs", "-_old_res")
+        lines.append(f"{indent}    _ai.add(_old_rhs, -_old_res)")
         lines.append(f"{indent}if _new_res != 0:")
-        _emit_index_add(lines, indent + "    ", flavor, "_new_rhs", "_new_res")
+        lines.append(f"{indent}    _ai.add(_new_rhs, _new_res)")
         lines.append(f"{indent}_bm.add(_group, _ird)")
         lines.append(f"{indent}_rm.add(_group, _res)")
 
@@ -450,11 +383,7 @@ def _point_emit(engine: PointIndexEngine) -> str:
     lines.append(f"        _res = ({res_src}) * _w")
     lines.append("        _bm = self.bound_map")
     lines.append("        _rm = self.res_map")
-    if fenwick:
-        for stmt in _DENSE_PROLOGUE:
-            lines.append(f"        {stmt}")
     apply_body(lines, "        ")
-    _emit_deopt_check(lines, "        ", flavor)
     result_tail(lines)
     lines.append("")
 
@@ -487,14 +416,10 @@ def _point_emit(engine: PointIndexEngine) -> str:
     lines.append("    _ai = self.aggr_index")
     lines.append("    _bm = self.bound_map")
     lines.append("    _rm = self.res_map")
-    if fenwick:
-        for stmt in _DENSE_PROLOGUE:
-            lines.append(f"    {stmt}")
     lines.append("    for _group, (_ird, _res) in _net.items():")
     lines.append("        if _ird == 0 and _res == 0:")
     lines.append("            continue")
     apply_body(lines, "        ")
-    _emit_deopt_check(lines, "    ", flavor)
     result_tail(lines)
     lines.append("")
 
@@ -526,14 +451,10 @@ def _point_emit(engine: PointIndexEngine) -> str:
     lines.append("    _ai = self.aggr_index")
     lines.append("    _bm = self.bound_map")
     lines.append("    _rm = self.res_map")
-    if fenwick:
-        for stmt in _DENSE_PROLOGUE:
-            lines.append(f"    {stmt}")
     lines.append("    for _group, (_ird, _res) in _net.items():")
     lines.append("        if _ird == 0 and _res == 0:")
     lines.append("            continue")
     apply_body(lines, "        ")
-    _emit_deopt_check(lines, "    ", flavor)
     result_tail(lines)
     return "\n".join(lines) + "\n"
 
@@ -551,7 +472,7 @@ def _point_bind(engine: PointIndexEngine) -> dict[str, Any]:
 
 
 def _range_key(engine: RangeIndexEngine) -> tuple:
-    return ("range",) + codegen_key(engine._plan, _backend_flavor(engine.aggr_index))
+    return ("range", engine._plan.query)
 
 
 def _range_emit(engine: RangeIndexEngine) -> str:
@@ -699,28 +620,11 @@ def _range_bind(engine: RangeIndexEngine) -> dict[str, Any]:
 # emitter generates that loop instead of a fixed operation sequence:
 # group-key extraction and the shift boundary are hoisted out of it
 # (computed once per coalesced key), the inclusive/strict inner-θ branch
-# and the key sign are resolved at compile time, and the per-group index
-# dispatch is monomorphized on the engine's index class — the dense
-# flavors inline the dense add per group index, with an end-of-invocation
-# guard that deopts when any group's index migrated mid-loop.
-
-
-def _grouped_flavor(engine: GroupedRangeIndexEngine) -> str:
-    # The flavor is decided off a probe instance (group_indexes may be
-    # empty at specialize time): all groups share one factory, so one
-    # instance tells us the family and its dense/sparse split.
-    live = list(engine.group_indexes.values())
-    probe = live[0] if live else engine._index_cls(prune_zeros=True)
-    if isinstance(probe, AdaptiveIndex):
-        migrated = next((ix for ix in live if not ix._dense), None)
-        if migrated is not None:
-            return f"adaptive-{migrated._name}"
-        return probe._name if probe._dense else f"adaptive-{probe._name}"
-    return type(probe).__name__.lower()
+# and the key sign are resolved at compile time.
 
 
 def _grouped_key(engine: GroupedRangeIndexEngine) -> tuple:
-    return ("grouped",) + codegen_key(engine._plan, _grouped_flavor(engine))
+    return ("grouped", engine._plan.query)
 
 
 def _grouped_emit(engine: GroupedRangeIndexEngine) -> str:
@@ -728,8 +632,6 @@ def _grouped_emit(engine: GroupedRangeIndexEngine) -> str:
     spec = engine.spec
     alias = query.relations[0].alias
     relation = engine.relation
-    flavor = _grouped_flavor(engine)
-    fenwick = flavor in _DENSE_FLAVORS
     infos = _scalar_infos(engine._fixed._scalars)
 
     col = repr(engine._key_col)
@@ -781,23 +683,9 @@ def _grouped_emit(engine: GroupedRangeIndexEngine) -> str:
         lines.append(f"{indent}_idx = _gi.get({gkey})")
         lines.append(f"{indent}if _idx is None:")
         lines.append(f"{indent}    _idx = _gi[{gkey}] = _mkindex(prune_zeros=True)")
-        if fenwick:
-            lines.append(f"{indent}_ai = _idx")
-            for stmt in _DENSE_PROLOGUE:
-                lines.append(f"{indent}{stmt}")
-            _emit_index_add(lines, indent, flavor, "_new", res)
-        else:
-            lines.append(f"{indent}_idx.add(_new, {res})")
+        lines.append(f"{indent}_idx.add(_new, {res})")
         lines.append(f"{indent}if not len(_idx):")
         lines.append(f"{indent}    del _gi[{gkey}]")
-
-    def deopt_check(lines: list[str]) -> None:
-        if fenwick:
-            lines.append(
-                "    if any(not _gx._dense for _gx in "
-                "self.group_indexes.values()):"
-            )
-            lines.append("        _deopt(self, 'backend_migrated')")
 
     def result_tail(lines: list[str]) -> None:
         # Inlined grouped result(): the fixed probe is hoisted out of
@@ -835,7 +723,6 @@ def _grouped_emit(engine: GroupedRangeIndexEngine) -> str:
     shift_prologue(lines, "        ")
     lines.append("        if _res != 0:")
     group_add(lines, "            ", "_gkey", "_res")
-    deopt_check(lines)
     result_tail(lines)
     lines.append("")
 
@@ -876,7 +763,6 @@ def _grouped_emit(engine: GroupedRangeIndexEngine) -> str:
     lines.append("            if _res == 0:")
     lines.append("                continue")
     group_add(lines, "            ", "_gkey", "_res")
-    deopt_check(lines)
     result_tail(lines)
     lines.append("")
 
@@ -915,7 +801,6 @@ def _grouped_emit(engine: GroupedRangeIndexEngine) -> str:
     lines.append("            if _res == 0:")
     lines.append("                continue")
     group_add(lines, "            ", "_gkey", "_res")
-    deopt_check(lines)
     result_tail(lines)
     return "\n".join(lines) + "\n"
 
@@ -1026,7 +911,7 @@ def _ga_statics(engine: GeneralAlgorithmEngine):
 
 
 def _ga_key(engine: GeneralAlgorithmEngine) -> tuple:
-    return ("general", engine.query, "ga")
+    return ("general", engine.query)
 
 
 def _ga_emit(engine: GeneralAlgorithmEngine) -> str:
@@ -1192,9 +1077,7 @@ def _ga_bind(engine: GeneralAlgorithmEngine) -> dict[str, Any]:
 
 
 def _conj_key(engine: ConjunctiveIndexEngine) -> tuple:
-    return ("conjunctive",) + codegen_key(
-        engine._plan, engine._index_cls_arg.__name__.lower()
-    )
+    return ("conjunctive", engine._plan.query)
 
 
 def _conj_emit(engine: ConjunctiveIndexEngine) -> str:
@@ -1823,9 +1706,9 @@ def specialize(engine) -> bool:
     Returns True when compiled triggers were installed; False (with the
     ``codegen.unsupported`` counter bumped) when the engine class or
     query shape has no emitter.  Installation is idempotent: the
-    compiled code object is cached per (engine class, query, backend)
-    key, so further engines of the same shape only pay a dict lookup
-    and an ``exec`` of the cached code object.
+    compiled code object is cached per (engine class, query) key, so
+    further engines of the same shape only pay a dict lookup and an
+    ``exec`` of the cached code object.
     """
     emitters = _EMITTERS.get(type(engine))
     if emitters is None:
@@ -1855,14 +1738,14 @@ def specialize(engine) -> bool:
             if _SINK.enabled:
                 _SINK.inc("codegen.unsupported")
             return False
-        code = compile(source, f"<codegen:{key[0]}:{key[-1]}>", "exec")
+        code = compile(source, f"<codegen:{type(engine).__name__}>", "exec")
         entry = _CACHE[key] = _Entry(key, source, code)
         if _SINK.enabled:
             _SINK.observe("codegen.compile_seconds", time.perf_counter() - start)
     else:
         if _SINK.enabled:
             _SINK.inc("codegen.cache_hits")
-    namespace: dict[str, Any] = {"_S": _SINK, "_deopt": _rt.deopt}
+    namespace: dict[str, Any] = {"_S": _SINK}
     namespace.update(bind_fn(engine))
     exec(entry.code, namespace)
     # Install every trigger the emitter defined (on_event always; the

@@ -2,21 +2,16 @@
 
 Generated trigger source never contains logic of its own beyond the
 specialized trigger body; the pieces that must exist *outside* any one
-compiled function — the trigger-mode constants, the deoptimization
-escape hatch the generated code jumps to when a compile-time assumption
-breaks, and the uninstall helper — live here so both the code generator
-and the generated code can import them without cycles.
+compiled function — the trigger-mode constants, the uninstall helper
+and the pickling helper — live here so both the code generator and the
+engines can import them without cycles.
 """
 
 from __future__ import annotations
 
-from repro.obs import SINK as _SINK
-
 __all__ = [
     "INTERPRETED",
     "COMPILED",
-    "DEOPTED",
-    "deopt",
     "uninstall",
     "picklable_state",
 ]
@@ -24,7 +19,6 @@ __all__ = [
 #: Trigger modes reported by ``IncrementalEngine.trigger_mode``.
 INTERPRETED = "interpreted"
 COMPILED = "compiled"
-DEOPTED = "deopted"
 
 _TRIGGER_ATTRS = ("on_event", "on_batch", "on_frame")
 
@@ -45,25 +39,6 @@ def picklable_state(engine) -> dict:
         for key, value in engine.__dict__.items()
         if key not in _STATE_SKIP
     }
-
-
-def deopt(engine, reason: str) -> None:
-    """Guarded deoptimization: drop the compiled instance triggers so
-    every *subsequent* call falls back to the interpreted class methods.
-
-    Generated triggers call this at the **end** of an invocation, after
-    all mutations: the compiled fast path's slow branch runs the full
-    interpreted operation (e.g. ``AdaptiveIndex.add`` with its internal
-    migration), so the invocation that detected the broken assumption
-    has already completed correctly and nothing needs unwinding.
-    """
-    engine_dict = engine.__dict__
-    for attr in _TRIGGER_ATTRS:
-        engine_dict.pop(attr, None)
-    engine.trigger_mode = DEOPTED
-    if _SINK.enabled:
-        _SINK.inc("codegen.deopts")
-        _SINK.inc(f"codegen.deopt.{reason}")
 
 
 def uninstall(engine) -> None:

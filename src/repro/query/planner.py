@@ -31,6 +31,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from repro.core.pai_map import PAIMap
+from repro.core.rpai import RPAITree
 from repro.errors import UnsupportedQueryError
 from repro.query.analysis import (
     extract_pred_values,
@@ -57,8 +59,8 @@ __all__ = [
     "IndexSpec",
     "classify",
     "asymptotic_cost",
-    "preferred_backend",
-    "codegen_key",
+    "choose_backend",
+    "AUTO_BATCH_SIZE",
 ]
 
 
@@ -455,141 +457,45 @@ def asymptotic_cost(plan: QueryPlan) -> str:
     return _COSTS[plan.strategy]
 
 
-def preferred_backend(plan: QueryPlan) -> str:
-    """Which aggregate-index backend the plan's shape permits.
+def choose_backend(plan: QueryPlan) -> type:
+    """The aggregate-index class for ``plan`` — the paper's static rule.
 
-    ``"adaptive"`` — the plan never shifts aggregate-index keys
-    (equality-θ correlation: every update is a point move), so the
-    engine can start on the dense Fenwick backend and fall back to an
-    RPAI tree only if the data forces it
-    (:class:`~repro.core.adaptive.AdaptiveIndex`).
+    * :class:`~repro.core.pai_map.PAIMap` when the correlation is an
+      equality *and* the outer comparison is too (Section 2.1.3): every
+      update is a point move and the result a point probe, both O(1) on
+      the dict.
+    * :class:`~repro.core.rpai.RPAITree` for every other role
+      (Section 3): O(log n) ``shift_keys`` and ``get_sum``.
 
-    ``"rpai"`` — ``shift_keys`` is on the hot path (inequality-θ), or
-    the strategy manages its own structures; the relative-key tree is
-    the only backend that shifts in O(log n).
+    Range roles (inequality-θ, conjunctive, grouped) cannot use anything
+    but a relative-key tree: the positional backends (Fenwick, segment
+    tree) shift in O(U) over a *bounded* universe that RPAI's unbounded
+    relative keys escape immediately, and the dict shifts in O(n) — both
+    structurally unable to keep the engine's O(log n) per-update bound.
+    A point role probed by prefix sum stays on the tree because the
+    dict's ``get_sum`` is O(n).  The measurements behind fixing the
+    rule (no dense backend and no B-tree wins any role) are in
+    ``docs/rpai_internals.md`` §14.
     """
-    if plan.strategy is Strategy.PAI_EQUALITY:
-        return "adaptive"
-    return "rpai"
-
-
-@dataclass(frozen=True)
-class BackendChoice:
-    """Result of :func:`choose_backend`.
-
-    Attributes:
-        spec: backend spec string for
-            :class:`~repro.core.backends.BackendFactory` — either a raw
-            backend name or ``"adaptive:<dense>-><sparse>"``.
-        backend: the model name of the backend the role *starts* on
-            (for adaptive specs, the dense member).
-        label: the op-mix label the ranking used (``"point-heavy"``,
-            ``"prefix-heavy"``, ``"shift-heavy"``, ``"mixed"``).
-        ranking: ``(predicted µs/event, name)`` cheapest-first over the
-            candidates considered.
-    """
-
-    spec: str
-    backend: str
-    label: str
-    ranking: tuple[tuple[float, str], ...]
-
-    def factory(self):
-        from repro.core.backends import BackendFactory
-
-        return BackendFactory(self.spec)
-
-
-def plan_profile(plan: QueryPlan) -> tuple[dict[str, float], str]:
-    """The plan's static per-event op mix ``(profile, label)``.
-
-    Weights are ops per event on the aggregate index: an equality-θ
-    point engine does two point moves (retract + re-insert of the
-    group's aggregate) and one result probe, whose kind depends on the
-    outer comparison (``=`` probes with a point get, an inequality with
-    a prefix sum).  Inequality-θ range engines do one ``shift_keys``,
-    one point add and one prefix probe per event.  ``n`` is a nominal
-    live-entry count for the curves; rankings are insensitive to it
-    within an order of magnitude (the runtime re-decision uses the
-    real one).
-    """
-    if plan.strategy is Strategy.PAI_EQUALITY:
-        spec = plan.index_specs[0] if plan.index_specs else None
-        if spec is not None and spec.outer_op in _EQ_OPS:
-            return {"n": 512, "add": 2.0, "get": 1.0}, "point-heavy"
-        return {"n": 512, "add": 2.0, "get_sum": 1.0}, "prefix-heavy"
-    if plan.strategy in (
-        Strategy.RPAI_INEQUALITY,
-        Strategy.RPAI_CONJUNCTIVE,
-        Strategy.RPAI_GROUPED,
+    if (
+        plan.strategy is Strategy.PAI_EQUALITY
+        and plan.index_specs[0].outer_op in _EQ_OPS
     ):
-        return {"n": 512, "add": 1.0, "shift_keys": 1.0, "get_sum": 1.0}, "shift-heavy"
-    return {"n": 512, "add": 1.0, "get_sum": 1.0}, "mixed"
+        return PAIMap
+    return RPAITree
 
 
-def choose_backend(plan: QueryPlan, profile: dict[str, float] | None = None, *, model=None) -> BackendChoice:
-    """Rank the candidate backends for ``plan``'s op mix and pick one.
-
-    The successor of :func:`preferred_backend`: instead of the
-    hard-coded two-way rule, every aggregate-index role is priced
-    against the fitted cost model (:mod:`repro.core.costmodel`).
-
-    Candidate sets per role shape:
-
-    * **Point roles** (equality-θ — never shift): all five substrates.
-      If a dense positional backend (Fenwick/segment) wins, it is
-      wrapped in :class:`~repro.core.adaptive.AdaptiveIndex` with the
-      best sparse backend as its guard fallback, because point-role
-      keys are *aggregate values* and may turn out fractional or
-      huge; a sparse winner (e.g. the dict for point-probe roles) is
-      used raw — it handles every key, so no guard is needed.
-    * **Range roles** (inequality-θ and conjunctive — ``shift_keys``
-      on the hot path): only the relative-key trees
-      {``rpai``, ``rpai_btree``}.  The positional backends shift in
-      O(U) over a *bounded* universe that RPAI's unbounded relative
-      keys escape immediately, and the dict shifts in O(n) — not
-      priced out by the model but structurally unable to keep the
-      engine's O(log n) per-update bound, so they are excluded a
-      priori.
-    * Every other strategy manages its own structures → ``"rpai"``.
-    """
-    from repro.core import costmodel
-
-    model = model or costmodel.get_model()
-    default_profile, label = plan_profile(plan)
-    if profile is None:
-        profile = default_profile
-    if plan.strategy is Strategy.PAI_EQUALITY:
-        ranking = tuple(model.rank(profile, costmodel.CANDIDATE_BACKENDS))
-        winner = ranking[0][1]
-        sparse_rank = [name for _, name in ranking if name in ("rpai", "rpai_btree", "paimap")]
-        if winner in ("fenwick", "segment"):
-            spec = f"adaptive:{winner}->{sparse_rank[0]}"
-        else:
-            spec = winner
-        return BackendChoice(spec=spec, backend=winner, label=label, ranking=ranking)
-    if plan.strategy in (
-        Strategy.RPAI_INEQUALITY,
-        Strategy.RPAI_CONJUNCTIVE,
-        Strategy.RPAI_GROUPED,
-    ):
-        ranking = tuple(model.rank(profile, ("rpai", "rpai_btree")))
-        winner = ranking[0][1]
-        return BackendChoice(spec=winner, backend=winner, label=label, ranking=ranking)
-    return BackendChoice(spec="rpai", backend="rpai", label=label, ranking=())
-
-
-def codegen_key(plan: QueryPlan, backend: str) -> tuple:
-    """Cache key of a specialized trigger for ``plan`` on ``backend``.
-
-    The key pins everything the generated source depends on: the
-    strategy (which engine shape the emitter targets), the full query
-    AST (frozen dataclasses — predicates, extractors, and, through the
-    relation references, the schema roles), and the live backend flavor
-    (the :class:`~repro.core.adaptive.AdaptiveIndex` branch is resolved
-    at compile time, so a Fenwick-resident index and a migrated one
-    compile to different triggers).  Two engines over the same
-    (query, backend) pair therefore share one compiled code object —
-    shard replicas hit the cache built by the template engine.
-    """
-    return (plan.strategy.value, plan.query, backend)
+#: Batch size ``repro run``/``repro stats`` use when ``--batch-size`` is
+#: absent.  Batching amortizes the per-invocation result probe and
+#: dispatch while per-event index work stays constant, so the cheaper a
+#: strategy's update is relative to its probe, the larger the batch
+#: that pays: O(1) point moves take 64, O(log n) range shifts take 8.
+AUTO_BATCH_SIZE = {
+    Strategy.UNCORRELATED: 32,
+    Strategy.PAI_EQUALITY: 64,
+    Strategy.RPAI_INEQUALITY: 8,
+    Strategy.RPAI_CONJUNCTIVE: 8,
+    Strategy.RPAI_GROUPED: 8,
+    Strategy.GENERAL: 32,
+    Strategy.GENERAL_NESTED: 32,
+}

@@ -1,27 +1,20 @@
 """Fenwick tree (Binary Indexed Tree) over a dense integer key universe.
 
-Historically this module was only a related-work comparator (paper
-Section 6): Fenwick trees [Fenwick 1994] answer prefix-sum queries in
-O(log U) over a universe of keys ``0..capacity-1`` but have **no
-support for shifting key ranges** — moving the keys of all entries
-above a pivot requires rebuilding, which is exactly the gap RPAI trees
-fill.  The ablation benchmark (``benchmarks/bench_rpai_ops.py``)
-quantifies this.
+A related-work comparator (paper Section 6), not a runtime candidate:
+Fenwick trees [Fenwick 1994] answer prefix-sum queries in O(log U) over
+a universe of keys ``0..capacity-1`` but have **no support for shifting
+key ranges** — moving the keys of all entries above a pivot requires
+rebuilding, which is exactly the gap RPAI trees fill.  The ablation
+benchmark (``benchmarks/bench_rpai_ops.py``) quantifies this.
 
-It is now also a real index backend: for dense-integer-key roles that
-never call ``shift_keys`` (equality-θ aggregate indexes, PAI-map-style
-bound maps), a flat-array BIT beats a pointer-chasing tree on every
-constant factor — no node allocations, no rotations, O(log U) loops
-over a list.  :class:`~repro.core.adaptive.AdaptiveIndex` selects it
-for those roles and migrates to an RPAI tree the first time a
-non-dense key or a ``shift_keys`` shows up.  To serve as a backend it
-implements the full :class:`~repro.core.interfaces.AggregateIndex`
-protocol with prune-zeros semantics (a zero value *is* absence — the
-only mode the engines use), grows its universe by doubling, and
-supports the order/search helpers the engines probe
+So that the comparison runs through the same engines and conformance
+suite as the real backends, it implements the full
+:class:`~repro.core.interfaces.AggregateIndex` protocol with
+prune-zeros semantics (a zero value *is* absence — the only mode the
+engines use), grows its universe by doubling, and supports the
+order/search helpers the engines probe
 (``first_key_with_prefix_above`` runs in O(log U) via binary lifting;
-``successor``/``predecessor``/``min_key``/``max_key`` are O(U) scans,
-acceptable because no hot path uses them on this backend).
+``successor``/``predecessor``/``min_key``/``max_key`` are O(U) scans).
 
 The BIT itself is maintained **lazily**: ``add`` updates the point-value
 array (O(1)) and appends the delta to a pending queue; prefix-sum reads
@@ -51,9 +44,8 @@ class FenwickTree:
         prune_zeros: accepted for :class:`AggregateIndex` parity.  A
             Fenwick tree cannot represent an explicit zero-valued entry
             distinctly from an absent key, so zero always means absent
-            regardless of this flag; the adaptive selector only picks
-            this backend for prune-zeros roles, where the semantics
-            coincide.
+            regardless of this flag; under prune-zeros roles (the only
+            mode the engines use) the semantics coincide.
     """
 
     __slots__ = ("_tree", "_values", "_pending", "_total", "_nnz", "capacity", "prune_zeros")
@@ -139,8 +131,7 @@ class FenwickTree:
 
     def grow(self, min_capacity: int) -> None:
         """Extend the key universe to at least ``min_capacity`` by
-        doubling, rebuilding the BIT in O(new capacity).  Amortized O(1)
-        per insert when driven by the adaptive backend."""
+        doubling, rebuilding the BIT in O(new capacity)."""
         capacity = self.capacity
         while capacity < min_capacity:
             capacity *= 2
@@ -233,8 +224,7 @@ class FenwickTree:
     def shift_keys(self, key: int, delta: int, *, inclusive: bool = False) -> None:
         """O(capacity): Fenwick trees cannot shift keys structurally, so
         this literally rebuilds — included to make the comparison in the
-        ablation benchmark honest.  (The adaptive backend migrates to an
-        RPAI tree *before* ever calling this.)"""
+        ablation benchmark honest."""
         start = key if inclusive else key + 1
         moved: dict[int, float] = {}
         for k in range(max(start, 0), self.capacity):

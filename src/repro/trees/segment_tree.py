@@ -1,14 +1,15 @@
-"""Segment tree over a dense integer key universe — a full index backend.
+"""Segment tree over a dense integer key universe.
 
-Historically this module was only a related-work comparator (paper
-Section 6): segment trees [de Berg et al. 2008] support range-sum
-queries in O(log U) but, like Fenwick trees, index positions in a fixed
-universe and cannot shift the keys themselves.
+A related-work comparator (paper Section 6), not a runtime candidate:
+segment trees [de Berg et al. 2008] support range-sum queries in
+O(log U) but, like Fenwick trees, index positions in a fixed universe
+and cannot shift the keys themselves.
 
-It is now also a real :class:`~repro.core.interfaces.AggregateIndex`
-backend, one of the five candidates the cost model ranks (see
-``core/costmodel.py``).  Compared to the Fenwick backend it trades a
-lazier update path for an O(1) point read and an eager O(log U) add:
+It implements the full :class:`~repro.core.interfaces.AggregateIndex`
+protocol so the comparison runs through the same engines and
+conformance suite as the real backends.  Compared to the Fenwick
+comparator it trades a lazier update path for an O(1) point read and
+an eager O(log U) add:
 
 * ``add`` walks leaf-to-root (O(log U), no pending queue), so prefix
   reads never pay a flush;
@@ -18,8 +19,7 @@ lazier update path for an O(1) point read and an eager O(log U) add:
 
 Like Fenwick it has prune-zeros semantics baked in (a zero value *is*
 absence — the only mode the engines use), grows its universe by
-doubling, and serves the order/search helpers with O(U) scans (no hot
-path uses them on this backend).  Out-of-universe keys — negative or
+doubling, and serves the order/search helpers with O(U) scans.  Out-of-universe keys — negative or
 non-integer — raise the typed :class:`~repro.errors.KeyUniverseError`
 instead of a bare ``IndexError``; keys at or above the current capacity
 are *not* errors, they trigger :meth:`grow`.
@@ -105,9 +105,8 @@ class SegmentTree:
     def _check_key(self, key: int) -> int:
         """Validate ``key`` as a universe index, growing if needed."""
         if type(key) is not int:
-            # Integer-valued floats (3.0) are accepted the way the
-            # adaptive wrapper normalizes them; anything else is out of
-            # the universe by construction.
+            # Integer-valued floats (3.0) are accepted; anything else is
+            # out of the universe by construction.
             if isinstance(key, float) and key.is_integer():
                 key = int(key)
             elif isinstance(key, int):  # bool
@@ -222,8 +221,8 @@ class SegmentTree:
 
     def get_sum(self, key: float, *, inclusive: bool = True) -> float:
         """Sum of values with keys ``<= key`` (``< key`` if exclusive);
-        O(log capacity).  Fractional keys floor the way the adaptive
-        wrapper does: no integer lies in ``(floor(key), key]``."""
+        O(log capacity).  Fractional keys floor: no integer lies in
+        ``(floor(key), key]``."""
         if type(key) is not int:
             key = int(key // 1)
         upper = key if inclusive else key - 1
@@ -240,9 +239,8 @@ class SegmentTree:
     def shift_keys(self, key: int, delta: int, *, inclusive: bool = False) -> None:
         """O(capacity): like the Fenwick backend, a positional structure
         cannot shift keys structurally, so this literally moves every
-        affected entry — included to make the cost-model comparison
-        honest.  (The adaptive wrapper migrates to a relative-key tree
-        *before* ever calling this.)"""
+        affected entry — included to make the ablation comparison
+        honest."""
         start = key if inclusive else key + 1
         size = self._size
         tree = self._tree

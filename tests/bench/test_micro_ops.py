@@ -12,7 +12,6 @@ import random
 
 import pytest
 
-from repro.core.adaptive import AdaptiveIndex
 from repro.core.rpai import RPAITree
 from repro.trees.fenwick import FenwickTree
 from repro.trees.rpai_btree import RPAIBTree
@@ -39,7 +38,6 @@ BACKENDS = {
     # Headroom over max(KEYS) + shift amplitude so the dense universe
     # never doubles mid-measurement.
     "segment": lambda: SegmentTree(4_096, prune_zeros=True),
-    "adaptive": lambda: AdaptiveIndex(prune_zeros=True),
 }
 
 

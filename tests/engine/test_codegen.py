@@ -5,7 +5,7 @@ The contract (docs/rpai_internals.md §12): a compiled trigger is a
 compiled engine must be **bit-identical** to the interpreted one at
 every event, every batch boundary, under invariant self-checks, under
 sharding (serial and multiprocess), through pickling into workers,
-under a seeded chaos plan, and after a guarded deopt.  Any divergence,
+and under a seeded chaos plan.  Any divergence,
 including in the obs counters outside the ``codegen.*`` family itself,
 is a correctness bug in the emitter, not noise.
 """
@@ -20,7 +20,6 @@ import pytest
 from repro import obs
 from repro.engine.registry import build_engine, build_sharded_engine
 from repro.query import codegen
-from repro.storage.stream import Event, Stream
 
 from tests.engine.test_differential import CASES
 from tests.engine.test_sharding import stream_for
@@ -45,9 +44,9 @@ def _restore_codegen_state():
         os.environ["REPRO_CODEGEN"] = prior_env
 
 
-def build(name: str, *, compiled: bool, backend: str | None = None):
+def build(name: str, *, compiled: bool):
     codegen.set_codegen(compiled)
-    return build_engine(name, "rpai", backend=backend)
+    return build_engine(name, "rpai")
 
 
 class TestDifferential:
@@ -204,59 +203,9 @@ class TestCache:
         assert codegen.generated_source(build("VWAP", compiled=False)) is None
 
 
-class TestDeopt:
-    # EQ's aggregate index is keyed by the per-group RHS sums (SUM(B)
-    # per A).  Forced onto the adaptive fenwick->rpai pair, it starts
-    # dense; an unmatched delete drives one group's sum negative — a
-    # key the dense universe cannot hold — migrating the backend to
-    # RPAI mid-stream.  (The cost model's default pick for EQ is the
-    # plain PAIMap, which never migrates, so the pair is forced here.)
-    ADAPTIVE = "adaptive:fenwick->rpai"
-    MIGRATOR = Event("R", {"A": 77, "B": 5}, -1)
-
-    def test_backend_migration_deopts_and_stays_correct(self):
-        """The compiled trigger must apply the migrating event
-        correctly, tear itself down at the end of the invocation, and
-        keep producing the interpreted trace afterwards."""
-        prefix = list(CASES["EQ"]())
-        suffix = [Event("R", {"A": 17, "B": 2}, +1),
-                  Event("R", {"A": 17, "B": 2}, -1),
-                  Event("R", {"A": 77, "B": 5}, +1)]
-        events = prefix + [self.MIGRATOR] + prefix[: len(prefix) // 2] + suffix
-
-        reference = build(
-            "EQ", compiled=False, backend=self.ADAPTIVE
-        ).results_trace(Stream(events))
-        engine = build("EQ", compiled=True, backend=self.ADAPTIVE)
-        assert engine.trigger_mode == "compiled"
-        obs.enable()
-        obs.reset()
-        try:
-            trace = [engine.on_event(event) for event in events]
-            counters = obs.snapshot()["counters"]
-        finally:
-            obs.disable()
-        assert trace == reference
-        assert engine.trigger_mode == "deopted"
-        assert counters.get("codegen.deopts") == 1
-        assert counters.get("codegen.deopt.backend_migrated") == 1
-        assert counters.get("backend.migrations") == 1
-
-    def test_batched_migration_deopts_and_stays_correct(self):
-        events = list(CASES["EQ"]())
-        events.insert(len(events) // 2, self.MIGRATOR)
-        stream = Stream(events)
-        reference = build(
-            "EQ", compiled=False, backend=self.ADAPTIVE
-        ).batched_results_trace(stream, 16)
-        engine = build("EQ", compiled=True, backend=self.ADAPTIVE)
-        assert engine.batched_results_trace(stream, 16) == reference
-        assert engine.trigger_mode == "deopted"
-
-
 class TestGroupedCompiled:
-    """The grouped loop emitter: per-group dispatch, mid-stream backend
-    migration inside the group loop, generated frame netting, sharding."""
+    """The grouped loop emitter: per-group dispatch, generated frame
+    netting, sharding."""
 
     def _stream(self, count=160, seed=33):
         from tests.conftest import random_bid_stream
@@ -266,14 +215,12 @@ class TestGroupedCompiled:
             delete_probability=0.3, seed=seed,
         )
 
-    def _build(self, index_cls=None):
+    def _build(self):
         from repro.engine.aggr_index import build_single_index_engine
         from repro.query.parser import parse_query
         from tests.engine.test_sharding import GROUPED_VWAP
 
-        return build_single_index_engine(
-            parse_query(GROUPED_VWAP), index_cls=index_cls
-        )
+        return build_single_index_engine(parse_query(GROUPED_VWAP))
 
     def test_compiled_trace_matches_interpreted(self):
         stream = self._stream()
@@ -283,33 +230,6 @@ class TestGroupedCompiled:
         assert codegen.specialize(engine)
         assert engine.trigger_mode == "compiled"
         assert engine.results_trace(stream) == reference
-
-    def test_backend_migration_in_group_loop_deopts(self):
-        """With AdaptiveIndex group indexes the first range shift
-        migrates a group's backend mid-loop: the compiled fenwick-flavor
-        trigger must finish the invocation correctly, deopt at its end,
-        and track the interpreted trace afterwards."""
-        from repro.core.adaptive import AdaptiveIndex
-
-        events = list(self._stream(count=120, seed=41))
-        reference = self._build(index_cls=AdaptiveIndex)
-        ref_trace = [reference.on_event(event) for event in events]
-
-        engine = self._build(index_cls=AdaptiveIndex)
-        codegen.set_codegen(True)
-        assert codegen.specialize(engine)
-        assert engine._codegen_key[-1] == "fenwick"
-        obs.enable()
-        obs.reset()
-        try:
-            trace = [engine.on_event(event) for event in events]
-            counters = obs.snapshot()["counters"]
-        finally:
-            obs.disable()
-        assert trace == ref_trace
-        assert engine.trigger_mode == "deopted"
-        assert counters.get("codegen.deopts") == 1
-        assert counters.get("codegen.deopt.backend_migrated") == 1
 
     def test_generated_frame_path_matches_event_path(self):
         from repro.storage.colbatch import ColumnarFrame

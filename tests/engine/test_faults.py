@@ -17,7 +17,10 @@ method keeps spawn cost low.
 
 from __future__ import annotations
 
+import pickle
 import random
+import sys
+import types
 
 import pytest
 
@@ -35,6 +38,7 @@ from repro.faults import (
     KillSpec,
 )
 from repro.storage.stream import Event, Stream
+from repro.storage.wal import WriteAheadLog
 from repro.workloads import TPCHConfig, generate_tpch, get_query
 
 from tests.conftest import random_bid_stream
@@ -391,6 +395,87 @@ class TestDurableEngine:
         with recovered:
             assert recovered.recovered_records == 4
             assert recovered.result() == expected
+
+
+def plant_unloadable_snapshot(directory) -> None:
+    """Write, at the log head of the WAL under ``directory``, a
+    CRC-valid snapshot that pickles a class whose module no longer
+    exists — what a snapshot taken before a class was deleted looks
+    like to the code that deleted it."""
+    module = types.ModuleType("repro_removed_since_snapshot")
+    exec("class Gone:\n    pass", module.__dict__)
+    sys.modules[module.__name__] = module
+    try:
+        payload = pickle.dumps(module.Gone())
+    finally:
+        del sys.modules[module.__name__]
+    with pytest.raises(ModuleNotFoundError):
+        pickle.loads(payload)
+    with WriteAheadLog(directory) as wal:
+        wal.snapshot(payload)
+
+
+class TestUnloadableSnapshot:
+    """A snapshot that passes its CRC but no longer unpickles is skipped
+    like a corrupt one: rebuild from the factory, replay the whole log."""
+
+    def test_recover_result_replays_from_zero(self, tmp_path):
+        stream = stream_for("SQ1")
+        expected = clean_result("SQ1", stream)
+        with DurableEngine(
+            build_engine("SQ1", "rpai"), tmp_path, snapshot_every=3
+        ) as durable:
+            for batch in stream.batches(32):
+                durable.on_batch(batch)
+        plant_unloadable_snapshot(tmp_path)
+        obs.enable()
+        obs.reset()
+        try:
+            recovered, stats = recover_result("SQ1", "rpai", tmp_path)
+            counters = obs.snapshot()["counters"]
+        finally:
+            obs.disable()
+        assert recovered == expected
+        assert counters["wal.snapshot_unloadable"] == 1
+        shard = stats["per_shard"][0]
+        assert shard["snapshot_seq"] is None
+        assert shard["records_replayed"] == shard["head_seq"]
+
+    def test_worker_restore_replays_from_zero(self, tmp_path):
+        """Same fallback on the supervised path, where the snapshot is
+        unpickled inside the worker and the log lives in the parent."""
+        stream = stream_for("VWAP")
+        expected = clean_result("VWAP", stream)
+        batches = list(stream.batches(32))
+        wal_dir = tmp_path / "wal"
+        first = build_sharded_engine(
+            "VWAP", "rpai", shards=2, workers=2, plan_stream=stream,
+            wal_dir=wal_dir, snapshot_every=3,
+        )
+        try:
+            for batch in batches[: len(batches) // 2]:
+                first.on_batch(batch)
+        finally:
+            first.close()
+        plant_unloadable_snapshot(wal_dir / "shard-0")
+        obs.enable()
+        obs.reset()
+        try:
+            second = build_sharded_engine(
+                "VWAP", "rpai", shards=2, workers=2, plan_stream=stream,
+                wal_dir=wal_dir, snapshot_every=3,
+            )
+            try:
+                for batch in batches[len(batches) // 2 :]:
+                    result = second.on_batch(batch)
+            finally:
+                second.close()
+            counters = obs.snapshot()["counters"]
+        finally:
+            obs.disable()
+        assert result == expected
+        assert counters["wal.snapshot_unloadable"] == 1
+        assert counters.get("supervisor.worker_failures", 0) == 0
 
 
 class TestQuarantine:

@@ -1,9 +1,16 @@
 """Registry and engine-interface contract tests."""
 
+import pickle
+
 import pytest
 
+from repro.__main__ import _default_stream
+from repro.core.interfaces import AggregateIndex
+from repro.core.pai_map import PAIMap
+from repro.core.rpai import RPAITree
 from repro.engine.base import IncrementalEngine
 from repro.engine.registry import STRATEGIES, available_strategies, build_engine
+from repro.trees.treemap import TreeMap
 from repro.workloads import query_names
 
 from tests.conftest import random_bid_stream
@@ -37,6 +44,51 @@ class TestRegistry:
             build_engine("UNKNOWN", "rpai")
         with pytest.raises(KeyError):
             build_engine("VWAP", "mystery")
+
+
+def aggregate_index_classes(root) -> set[type]:
+    """Classes of every :class:`AggregateIndex` instance reachable from
+    ``root`` through attributes, slots and builtin containers."""
+    found: set[type] = set()
+    seen: set[int] = set()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (str, bytes, int, float, type)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, AggregateIndex):
+            found.add(type(obj))  # its nodes are the index's own business
+        elif isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        else:
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            for cls in type(obj).__mro__:
+                for slot in getattr(cls, "__slots__", ()):
+                    if hasattr(obj, slot):
+                        stack.append(getattr(obj, slot))
+    return found
+
+
+class TestTwoBackends:
+    """The static backend rule, as an invariant of the registry: no rpai
+    engine holds an aggregate index that is not one of the two runtime
+    backends (or the plain ordered map used for bound maps), and every
+    one runs compiled triggers — before and after a snapshot restore."""
+
+    RUNTIME_INDEXES = {PAIMap, RPAITree, TreeMap}
+
+    @pytest.mark.parametrize("name", query_names())
+    def test_only_runtime_indexes_and_compiled_triggers(self, name):
+        engine = build_engine(name, "rpai")
+        for event in _default_stream(name, 500, seed=3):
+            engine.on_event(event)
+        for live in (engine, pickle.loads(pickle.dumps(engine))):
+            assert aggregate_index_classes(live) <= self.RUNTIME_INDEXES
+            assert live.trigger_mode == "compiled"
 
 
 class TestEngineInterface:

@@ -107,11 +107,10 @@ def test_stats_reports_backend_and_auto_batch(capsys):
 
     assert main(["stats", "EQ", "--events", "150", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    # No --batch-size given: the cost model picked one and said so.
+    # No --batch-size given: the per-strategy default applies and says so.
     assert payload["batch_auto"] is True
-    assert payload["batch_size"] >= 1
-    assert payload["backend"], "stats must name the live backend"
-    assert "model:" in payload["backend"]
+    assert payload["batch_size"] == 64
+    assert payload["backend"] == "paimap"
 
 
 def test_stats_explicit_batch_size_disables_auto(capsys):
@@ -125,43 +124,10 @@ def test_stats_explicit_batch_size_disables_auto(capsys):
     assert payload["batch_size"] == 7
 
 
-def test_run_backend_flag_forces_substrate(capsys):
-    import os
-
-    # The flag travels via the environment so worker processes inherit
-    # it; pop it afterwards so it cannot leak into later tests.
-    os.environ.pop("REPRO_BACKEND", None)
-    try:
-        assert main(
-            ["run", "EQ", "--events", "150", "--backend", "rpai_btree"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "rpaibtree" in out.replace("_", "")
-    finally:
-        os.environ.pop("REPRO_BACKEND", None)
-
-
 def test_run_reports_auto_batch_note(capsys):
     assert main(["run", "EQ", "--events", "150"]) == 0
+    assert "batch    : 64 (auto)" in capsys.readouterr().out
+    assert main(["run", "VWAP", "--events", "150"]) == 0
     out = capsys.readouterr().out
-    assert "batch    :" in out
-    assert "(auto)" in out
-
-
-def test_calibrate_smoke_writes_model(tmp_path, capsys):
-    import json
-
-    out_path = tmp_path / "costmodel.json"
-    assert main(["calibrate", "--smoke", "--out", str(out_path)]) == 0
-    table = json.loads(out_path.read_text())
-    assert table["source"] == "calibrated"
-    assert set(table["backends"]) == {
-        "paimap", "fenwick", "segment", "rpai", "rpai_btree",
-    }
-    printed = capsys.readouterr().out
-    assert "backend" in printed and "shape" in printed
-    # calibrate() installs the fit process-wide; later tests must see
-    # the default chain again.
-    from repro.core.costmodel import set_model
-
-    set_model(None)
+    assert "batch    : 8 (auto)" in out
+    assert "backend  : rpai\n" in out

@@ -1,11 +1,14 @@
-"""Conformance suite: every selectable backend against the oracle.
+"""Conformance suite: every aggregate-index class against the oracle.
 
-The cost-model planner (:func:`repro.query.planner.choose_backend`) may
-hand any of the five :data:`~repro.core.adaptive.BACKEND_CLASSES` to an
-engine, so every one of them must expose identical observable behavior
-on the :class:`~repro.core.interfaces.AggregateIndex` protocol — same
-items, same prefix sums, same order helpers, same pickle round-trip.
-This is the differential contract the per-structure suites assume; the
+The engines take their index as a plain class (``index_cls``): the two
+runtime backends :func:`repro.query.planner.choose_backend` picks
+(PAIMap, RPAITree) and the paper's §6 / §3.2.5 comparators (Fenwick,
+segment tree, RPAI B-tree) substituted through
+``build_single_index_engine(query, index_cls=...)``.  Every one of them
+must expose identical observable behavior on the
+:class:`~repro.core.interfaces.AggregateIndex` protocol — same items,
+same prefix sums, same order helpers, same pickle round-trip.  This is
+the differential contract the per-structure suites assume; the
 per-structure suites then cover each backend's own edge cases (growth
 boundaries, rotation paths, node splits).
 
@@ -16,18 +19,45 @@ Two op-stream families:
   identically, and
 * a *sparse-only* stream (negative/float keys, downward shifts) for the
   backends that accept an arbitrary ordered universe.
+
+The last section runs the engines themselves on each class: an engine
+is correct on any conforming ``AggregateIndex``.
 """
 
 from __future__ import annotations
 
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.adaptive import BACKEND_CLASSES, SPARSE_BACKENDS
+from repro.core.pai_map import PAIMap
 from repro.core.reference_index import ReferenceIndex
+from repro.core.rpai import RPAITree
+from repro.engine.aggr_index import build_single_index_engine
+from repro.engine.naive import NaiveEngine
+from repro.errors import KeyUniverseError
+from repro.query.parser import parse_query
+from repro.storage.schema import WORKLOAD_SCHEMAS
+from repro.storage.stream import Event, Stream
+from repro.trees import FenwickTree, RPAIBTree, SegmentTree
+from repro.workloads import get_query
+
+from tests.conftest import random_bid_stream
+
+BACKEND_CLASSES = {
+    "paimap": PAIMap,
+    "fenwick": FenwickTree,
+    "segment": SegmentTree,
+    "rpai": RPAITree,
+    "rpai_btree": RPAIBTree,
+}
+#: Accept any ordered key; the other two index a dense int universe.
+SPARSE_BACKENDS = ("paimap", "rpai", "rpai_btree")
+#: Shift a key range in O(log n) — the only classes a range role can use.
+NATIVE_SHIFT_BACKENDS = ("rpai", "rpai_btree")
 
 # Universal stream: keys any backend accepts.  Shifts move keys up only
 # (a downward shift may push a key below zero, out of the dense
@@ -165,3 +195,82 @@ class TestSparseConformance:
             apply_op(index, op)
             apply_op(oracle, op)
         assert_same_observable_state(index, oracle, probe)
+
+
+# -- engines on every conforming class ----------------------------------------
+
+# EQ's shape with an integer fixed side: the registry EQ probes with
+# ``0.5 * SUM(B)``, and a raw FenwickTree indexes a list with its key,
+# so it can only be probed with ints.
+EQ_INT_PROBE = parse_query(
+    """
+    SELECT SUM(r.A * r.B) FROM R r
+    WHERE (SELECT COUNT(*) FROM R r1)
+        = (SELECT SUM(r2.B) FROM R r2 WHERE r2.A = r.A)
+    """
+)
+
+
+def r_stream(count: int, seed: int, *, b_min: int) -> Stream:
+    """Random insert/delete ``R(A, B)`` stream with ``B >= b_min``.
+    Aggregate keys are per-``A`` sums of ``B``: ``b_min=1`` keeps them
+    non-negative ints well inside the dense universe, a negative
+    ``b_min`` drives some of them below zero.
+    """
+    rng = random.Random(seed)
+    events: list[Event] = []
+    live: list[dict] = []
+    while len(events) < count:
+        if live and rng.random() < 0.3:
+            events.append(Event("R", live.pop(rng.randrange(len(live))), -1))
+        else:
+            row = {"A": rng.randint(1, 12), "B": rng.randint(b_min, 9)}
+            live.append(row)
+            events.append(Event("R", row, +1))
+    return Stream(events)
+
+
+def naive_trace(ast, stream):
+    return NaiveEngine(ast, WORKLOAD_SCHEMAS).results_trace(stream)
+
+
+class TestEnginesOnAnyConformingIndex:
+    @pytest.mark.parametrize("backend", SPARSE_BACKENDS)
+    def test_point_engine_on_sparse_classes(self, backend):
+        ast = get_query("EQ").ast
+        stream = r_stream(300, seed=5, b_min=-9)
+        engine = build_single_index_engine(ast, index_cls=BACKEND_CLASSES[backend])
+        assert type(engine.aggr_index) is BACKEND_CLASSES[backend]
+        assert engine.results_trace(stream) == naive_trace(ast, stream)
+
+    @pytest.mark.parametrize("backend", ("fenwick", "segment"))
+    def test_point_engine_on_dense_classes_inside_universe(self, backend):
+        stream = r_stream(300, seed=6, b_min=1)
+        engine = build_single_index_engine(
+            EQ_INT_PROBE, index_cls=BACKEND_CLASSES[backend]
+        )
+        assert type(engine.aggr_index) is BACKEND_CLASSES[backend]
+        assert engine.results_trace(stream) == naive_trace(EQ_INT_PROBE, stream)
+
+    @pytest.mark.parametrize(
+        "backend, error",
+        # SegmentTree raises the typed error; FenwickTree predates it
+        # and raises the bare IndexError that KeyUniverseError subclasses.
+        [("segment", KeyUniverseError), ("fenwick", IndexError)],
+    )
+    def test_dense_classes_reject_keys_outside_universe(self, backend, error):
+        """No guard wrapper sits between engine and index any more: a
+        negative group sum is a negative index key."""
+        engine = build_single_index_engine(
+            EQ_INT_PROBE, index_cls=BACKEND_CLASSES[backend]
+        )
+        with pytest.raises(error):
+            engine.on_event(Event("R", {"A": 1, "B": -3}, +1))
+
+    @pytest.mark.parametrize("backend", NATIVE_SHIFT_BACKENDS)
+    def test_range_engine_on_native_shift_trees(self, backend):
+        ast = get_query("VWAP").ast
+        stream = random_bid_stream(250, seed=7)
+        engine = build_single_index_engine(ast, index_cls=BACKEND_CLASSES[backend])
+        assert type(engine.aggr_index) is BACKEND_CLASSES[backend]
+        assert engine.results_trace(stream) == naive_trace(ast, stream)

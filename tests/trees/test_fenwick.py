@@ -1,5 +1,4 @@
-"""Tests for the Fenwick tree: related-work comparator (Section 6) and
-dense-key backend for the adaptive index."""
+"""Tests for the Fenwick tree, the related-work comparator (Section 6)."""
 
 import pytest
 from hypothesis import given, settings

@@ -2,15 +2,14 @@
 exposes: ``successor``, ``predecessor`` and
 ``first_key_with_prefix_above``.
 
-Parametrized over all four backends (RPAITree, TreeMap, FenwickTree,
-AdaptiveIndex) and over both construction paths (repeated ``add`` vs
+Parametrized over three backends (RPAITree, TreeMap, FenwickTree)
+and over both construction paths (repeated ``add`` vs
 ``bulk_load``), because the iterative hot-path rewrite and the Fenwick
 promotion gave each backend its own implementation of these walks.
 """
 
 import pytest
 
-from repro.core.adaptive import AdaptiveIndex
 from repro.core.rpai import RPAITree
 from repro.trees.fenwick import FenwickTree
 from repro.trees.treemap import TreeMap
@@ -37,7 +36,7 @@ def _build_bulk(backend):
     return backend.bulk_load(ENTRIES, prune_zeros=True)
 
 
-BACKENDS = [RPAITree, TreeMap, FenwickTree, AdaptiveIndex]
+BACKENDS = [RPAITree, TreeMap, FenwickTree]
 BUILDERS = [_build_add, _build_bulk]
 
 
