@@ -105,13 +105,13 @@ def _measure_flavor(query: str, stream, *, batch_size: int, frames: bool,
 def _drain_node_pools() -> None:
     """The tree node freelists are process-global: whichever counter
     pass runs second would see the first pass's pooled nodes as hits.
-    Clearing both pools makes the freelist counters a pure function of
-    the pass itself."""
-    from repro.core import rpai
+    Clearing the pools (one per RPAI column count, one for TreeMap)
+    makes the freelist counters a pure function of the pass itself."""
+    from repro.core._rpai_kernel import POOLS
     from repro.trees import treemap
 
-    treemap._POOL.clear()
-    rpai._POOL.clear()
+    for pool in (treemap._POOL, *POOLS.values()):
+        pool.clear()
 
 
 def _counter_pass(query: str, stream, *, compiled: bool) -> tuple[object, dict]:

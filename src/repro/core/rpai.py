@@ -20,6 +20,19 @@ Each node additionally maintains:
     stored key changes; they are used to detect BST violations after a
     negative shift.
 
+Columns: a tree built with ``columns=k`` maps each key to *k* values
+and keeps k subtree sums per node (``value``/``sum``, ``value1``/
+``sum1``, ...) under one relative key, one pair of offsets and one
+height.  Algorithm 4 maintains one aggregate index per "required sum"
+of a relation; those indexes hold the same keys at every instant and
+receive the same shifts, so they are the columns of one tree: one
+``shift_keys``, one ``add(key, d0, .., dk-1)`` and one ``get_sum``
+(returning all k prefix sums) per update, whatever k is.  The code that
+touches payload slots is generated per width from one template
+(:mod:`repro.core._rpai_kernel`); everything else lives in this module
+and is shared.  At k = 1 every operation takes and returns plain
+scalars.
+
 Balancing: the paper balances with Left-Leaning Red-Black trees and
 notes the scheme is interchangeable ("the same principles would apply
 to B-trees as well", Section 3.2.5).  This implementation balances with
@@ -33,13 +46,13 @@ mutation runs as an iterative loop over an explicit parent stack —
 no per-level Python frames or tuple returns.  ``put``/``add`` on an
 existing key take an in-place fast path (adjust the value and bump
 subtree sums along the stack; structure, heights and offsets are
-untouched); inserts stop full rebalancing at the first level whose
-height stabilizes and finish with O(1)-per-level sum/offset patches;
-``shift_keys`` walks its single root-to-frontier path iteratively and,
-for positive offsets, patches only the affected-side offsets on the way
-back up.  Spliced-out nodes are pooled in a bounded free list.  The
-recursive subtree helpers (``_put``/``_delete``) survive only for the
-rare Algorithm 2 violation repairs, which operate on detached subtrees.
+untouched).  Inserts, deletes and negative shifts all unwind by one
+rule: full rebalancing only while the structure below is still changing
+(until a level keeps its height; from the first BST violation up), then
+O(1)-per-level sum/offset patches.  Spliced-out nodes are pooled in a
+bounded free list.  The recursive subtree helpers (``_put``/``_delete``)
+survive only for the rare Algorithm 2 violation repairs, which operate
+on detached subtrees.
 
 Complexities (n = number of entries):
 
@@ -55,176 +68,17 @@ Complexities (n = number of entries):
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+import re
+from typing import Any, Iterable, Iterator
 
+from repro.core._rpai_kernel import compile_kernel
 from repro.obs import SELFCHECK as _SELF
 from repro.obs import SINK as _SINK
 from repro.trees._avl import height as _height
-from repro.trees._avl import make_avl_ops
 
 __all__ = ["RPAITree", "RPAINode"]
 
-
-class RPAINode:
-    """A single tree node.  All fields are package-internal.
-
-    Attributes:
-        key: key relative to the parent's actual key (the root's key is
-            relative to zero, i.e. absolute).
-        value: the stored partial aggregate.
-        sum: sum of ``value`` over this subtree.
-        min_off: (minimum actual key in subtree) - (this node's actual key).
-        max_off: (maximum actual key in subtree) - (this node's actual key).
-        height: AVL height (leaf = 1).
-    """
-
-    __slots__ = ("key", "value", "sum", "min_off", "max_off", "height", "left", "right")
-
-    def __init__(self, key: float, value: float) -> None:
-        self.key = key
-        self.value = value
-        self.sum = value
-        self.min_off: float = 0
-        self.max_off: float = 0
-        self.height = 1
-        self.left: RPAINode | None = None
-        self.right: RPAINode | None = None
-
-
-def _update(node: RPAINode) -> None:
-    """Recompute the derived fields of ``node`` from its children.
-
-    Children must already be up to date.  ``min_off``/``max_off`` are
-    offsets from the node's own actual key, so they depend only on the
-    children's stored (relative) keys and offsets.
-    """
-    left, right = node.left, node.right
-    height = 1
-    total = node.value
-    if left is not None:
-        if left.height >= height:
-            height = left.height + 1
-        total += left.sum
-    if right is not None:
-        if right.height >= height:
-            height = right.height + 1
-        total += right.sum
-    node.height = height
-    node.sum = total
-    node.min_off = left.key + left.min_off if left is not None else 0
-    node.max_off = right.key + right.max_off if right is not None else 0
-
-
-_rotate_left, _rotate_right, _rebalance = make_avl_ops(
-    _update, relative=True, rotation_counter="rpai.rotations"
-)
-
-# Bounded pool of spliced-out nodes, shared by every RPAITree in the
-# process.  Order-book workloads delete and reinsert price levels
-# constantly; recycling node objects avoids an allocator round-trip
-# (and slot re-zeroing) per churned entry.
-_POOL: list[RPAINode] = []
-_POOL_MAX = 4096
-
-
-def _new_node(key: float, value: float) -> RPAINode:
-    if _POOL:
-        if _SINK.enabled:
-            _SINK.inc("rpai.freelist.hits")
-        node = _POOL.pop()
-        node.key = key
-        node.value = value
-        node.sum = value
-        node.min_off = 0
-        node.max_off = 0
-        node.height = 1
-        return node
-    if _SINK.enabled:
-        _SINK.inc("rpai.freelist.misses")
-    return RPAINode(key, value)
-
-
-def _free_node(node: RPAINode) -> None:
-    if len(_POOL) < _POOL_MAX:
-        node.left = None
-        node.right = None
-        _POOL.append(node)
-        if _SINK.enabled:
-            _SINK.observe("rpai.freelist.depth", len(_POOL))
-
-
-def _balance_any(node: RPAINode | None) -> RPAINode | None:
-    """Restore the AVL property at ``node`` when its children are valid
-    AVL trees of *arbitrary* height difference.
-
-    Negative ``shift_keys`` repairs (Algorithm 2's ``fixTree``) can
-    change a subtree's height by more than one, so the single-step
-    rebalance used by put/delete is not sufficient on the way
-    back up.  This is the classical AVL concatenation repair: rotate the
-    heavy side up and recursively re-balance the demoted child; the
-    height gap shrinks at every level, so the cost is
-    O(gap * log n).
-    """
-    if node is None:
-        return None
-    _update(node)
-    while True:
-        left_h = _height(node.left)
-        right_h = _height(node.right)
-        if left_h - right_h > 1:
-            left = node.left
-            assert left is not None
-            if _height(left.right) > _height(left.left):
-                node.left = _rotate_left(left)
-            node = _rotate_right(node)
-            node.right = _balance_any(node.right)
-            _update(node)
-        elif right_h - left_h > 1:
-            right = node.right
-            assert right is not None
-            if _height(right.left) > _height(right.right):
-                node.right = _rotate_right(right)
-            node = _rotate_left(node)
-            node.left = _balance_any(node.left)
-            _update(node)
-        else:
-            return node
-
-
-def _min_entry(node: RPAINode) -> tuple[float, float]:
-    """(key, value) of the minimum entry of ``node``'s subtree; the key
-    is expressed relative to ``node``'s parent frame."""
-    rel = node.key
-    while node.left is not None:
-        node = node.left
-        rel += node.key
-    return rel, node.value
-
-
-def _max_entry(node: RPAINode) -> tuple[float, float]:
-    """(key, value) of the maximum entry, key relative to the parent frame."""
-    rel = node.key
-    while node.right is not None:
-        node = node.right
-        rel += node.key
-    return rel, node.value
-
-
-def _build_relative(
-    items: list[tuple[float, float]], lo: int, hi: int, parent_actual: float
-) -> RPAINode | None:
-    """Midpoint-recursive build of a relative-key subtree over
-    ``items[lo:hi]``; ``parent_actual`` is the actual key of the frame
-    the subtree root's stored key must be expressed in."""
-    if lo >= hi:
-        return None
-    mid = (lo + hi) // 2
-    key, value = items[mid]
-    node = RPAINode(key - parent_actual, value)
-    node.left = _build_relative(items, lo, mid, key)
-    node.right = _build_relative(items, mid + 1, hi, key)
-    _update(node)
-    return node
+_MISSING = object()
 
 
 class RPAITree:
@@ -235,9 +89,16 @@ class RPAITree:
     ``shift_keys`` on top of the usual ordered-map operations.
 
     Args:
+        columns: how many values each key carries.  With ``columns=1``
+            (the default) values and sums are scalars; with more,
+            ``put``/``add`` take one argument per column and ``get``,
+            ``get_sum``, ``total_sum``, ``suffix_sum``, ``delete`` and
+            ``pop`` return k-tuples.  ``RPAITree(columns=k)`` is an
+            instance of ``RPAITree`` for every k.
         prune_zeros: when True, an :meth:`add` that brings an entry's
-            value to exactly 0 removes the entry.  The query engines
-            enable this so the index size tracks live aggregate groups.
+            value to exactly 0 — in every column — removes the entry.
+            The query engines enable this so the index size tracks live
+            aggregate groups.
 
     Example:
         >>> t = RPAITree()
@@ -248,84 +109,82 @@ class RPAITree:
         >>> t.shift_keys(15, 100)   # shift keys > 15 up by 100
         >>> sorted(k for k, _ in t.items())
         [10, 120, 140, 160]
+        >>> pairs = RPAITree(columns=2)
+        >>> pairs.add(10, 3, 1)
+        >>> pairs.add(20, 5, 1)
+        >>> pairs.get_sum(20)
+        (8, 2)
     """
 
     __slots__ = ("_root", "_size", "prune_zeros")
 
-    def __init__(self, *, prune_zeros: bool = False) -> None:
-        self._root: RPAINode | None = None
+    #: number of value columns per key (a class attribute: each width is
+    #: its own subclass, see :func:`_width_class`)
+    columns = 1
+
+    def __new__(cls, *, columns: int = 1, prune_zeros: bool = False) -> "RPAITree":
+        if cls is RPAITree and columns != 1:
+            cls = _width_class(columns)
+        return object.__new__(cls)
+
+    def __init__(self, *, columns: int = 1, prune_zeros: bool = False) -> None:
+        self._root: Any = None
         self._size = 0
         self.prune_zeros = prune_zeros
 
     @classmethod
     def bulk_load(
         cls,
-        sorted_items: Iterable[tuple[float, float]],
+        sorted_items: Iterable[tuple],
         *,
+        columns: int = 1,
         prune_zeros: bool = False,
     ) -> "RPAITree":
-        """Build a tree from ``(key, value)`` pairs sorted by key, in O(n).
+        """Build a tree from ``(key, value, ...)`` rows sorted by key, in O(n).
 
         The midpoint-recursive construction yields a height-balanced
         tree (sibling heights differ by at most one, so it is a valid
         AVL tree) and every node's key is stored directly in its
         parent's frame — no shifting or rebalancing ever runs, versus
-        the O(n log n) of n repeated :meth:`put` calls.  Zero values are
-        skipped when ``prune_zeros`` is set, mirroring what the
-        per-entry path would have pruned.
+        the O(n log n) of n repeated :meth:`put` calls.  Rows that are
+        zero in every column are skipped when ``prune_zeros`` is set,
+        mirroring what the per-entry path would have pruned.
 
         Raises:
             ValueError: when keys are not strictly increasing.
         """
-        tree = cls(prune_zeros=prune_zeros)
-        items = [(k, v) for k, v in sorted_items if not (prune_zeros and v == 0)]
-        for i in range(1, len(items)):
-            if items[i - 1][0] >= items[i][0]:
-                raise ValueError(
-                    f"bulk_load requires strictly increasing keys, got "
-                    f"{items[i - 1][0]!r} before {items[i][0]!r}"
-                )
-        tree._root = _build_relative(items, 0, len(items), 0)
-        tree._size = len(items)
+        tree = cls(columns=columns, prune_zeros=prune_zeros)
+        tree._load_sorted(sorted_items)
         if _SELF.enabled:
             tree.check_invariants()
         return tree
 
     # -- basic map operations -------------------------------------------------
+    # get / put / add are width-specific (repro.core._rpai_kernel).
 
-    def get(self, key: float, default: float = 0.0) -> float:
-        """Return the value stored at ``key``, or ``default``."""
-        node = self._root
-        remaining = key
-        while node is not None:
-            if remaining == node.key:
-                return node.value
-            remaining -= node.key
-            node = node.left if remaining < 0 else node.right
-        return default
-
-    def put(self, key: float, value: float) -> None:
-        """Insert ``key`` with ``value``, overwriting any existing entry."""
-        if _SINK.enabled:
-            _SINK.inc("rpai.put")
-        self._put_root(key, value, replace=True)
-        if _SELF.enabled:
-            self.check_invariants()
-
-    def add(self, key: float, delta: float) -> None:
-        """Add ``delta`` to the value at ``key`` (inserting if absent)."""
-        if _SINK.enabled:
-            _SINK.inc("rpai.add")
-        self._put_root(key, delta, replace=False)
-        if _SELF.enabled:
-            self.check_invariants()
-
-    def delete(self, key: float) -> float:
+    def delete(self, key: float) -> Any:
         """Remove ``key`` and return its value; raises KeyError if absent."""
         if _SINK.enabled:
             _SINK.inc("rpai.delete")
+        value = self._remove(key)
+        if value is _MISSING:
+            raise KeyError(key)
+        return value
+
+    def pop(self, key: float, default: Any = None) -> Any:
+        """Like :meth:`delete` but returns ``default`` instead of raising."""
+        value = self._remove(key)
+        if value is _MISSING:
+            return default
+        if _SINK.enabled:
+            _SINK.inc("rpai.delete")
+        return value
+
+    def _remove(self, key: float) -> Any:
+        """One descent: splice ``key`` out via the stack the search
+        built; ``_MISSING`` when it is absent."""
         node = self._root
-        stack: list[RPAINode] = []
+        stack: list = []
         dirs: list[bool] = []
         remaining = key
         while node is not None and remaining != node.key:
@@ -338,51 +197,14 @@ class RPAITree:
                 dirs.append(True)
                 node = node.right
         if node is None:
-            raise KeyError(key)
+            return _MISSING
         value = self._splice(stack, dirs, node)
         if _SELF.enabled:
             self.check_invariants()
         return value
 
-    def pop(self, key: float, default: float | None = None) -> float | None:
-        """Like :meth:`delete` but returns ``default`` instead of raising."""
-        if key in self:
-            return self.delete(key)
-        return default
-
     # -- aggregate operations -------------------------------------------------
-
-    def get_sum(self, key: float, *, inclusive: bool = True) -> float:
-        """Sum of values over entries with key ``<= key`` (or ``< key``).
-
-        This is the paper's ``getSum`` (Figure 3): descend the tree and
-        absorb whole left subtrees (via their stored sums) whenever the
-        current node qualifies.
-        """
-        if _SINK.enabled:
-            _SINK.inc("rpai.get_sum")
-        total: float = 0
-        node = self._root
-        remaining = key
-        while node is not None:
-            qualifies = node.key <= remaining if inclusive else node.key < remaining
-            remaining -= node.key
-            if qualifies:
-                total += node.value
-                if node.left is not None:
-                    total += node.left.sum
-                node = node.right
-            else:
-                node = node.left
-        return total
-
-    def total_sum(self) -> float:
-        """Sum of all values, in O(1)."""
-        return self._root.sum if self._root is not None else 0
-
-    def suffix_sum(self, key: float, *, inclusive: bool = False) -> float:
-        """Sum of values over entries with key ``> key`` (or ``>= key``)."""
-        return self.total_sum() - self.get_sum(key, inclusive=not inclusive)
+    # get_sum / total_sum / suffix_sum are width-specific.
 
     def shift_keys(self, key: float, delta: float, *, inclusive: bool = False) -> None:
         """Shift every key ``> key`` (``>= key`` if ``inclusive``) by ``delta``.
@@ -421,17 +243,25 @@ class RPAITree:
 
     def min_key(self) -> float:
         """Smallest actual key; raises KeyError when empty."""
-        if self._root is None:
+        node = self._root
+        if node is None:
             raise KeyError("empty index")
-        rel, _ = _min_entry(self._root)
-        return rel
+        actual = node.key
+        while node.left is not None:
+            node = node.left
+            actual += node.key
+        return actual
 
     def max_key(self) -> float:
         """Largest actual key; raises KeyError when empty."""
-        if self._root is None:
+        node = self._root
+        if node is None:
             raise KeyError("empty index")
-        rel, _ = _max_entry(self._root)
-        return rel
+        actual = node.key
+        while node.right is not None:
+            node = node.right
+            actual += node.key
+        return actual
 
     def successor(self, key: float) -> float | None:
         """Smallest key strictly greater than ``key`` (None if none)."""
@@ -466,7 +296,7 @@ class RPAITree:
         return best
 
     def first_key_with_prefix_above(self, threshold: float) -> float | None:
-        """Smallest key ``k`` such that ``get_sum(k) > threshold``.
+        """Smallest key ``k`` such that column 0's ``get_sum(k) > threshold``.
 
         Used by the multi-level-nesting engines (NQ1/NQ2) to locate the
         eligibility boundary of a cumulative-volume predicate in
@@ -500,7 +330,8 @@ class RPAITree:
         lo_inclusive: bool = False,
         hi_inclusive: bool = True,
     ) -> Iterator[tuple[float, float]]:
-        """Iterate ``(key, value)`` with key in the interval, ascending.
+        """Iterate ``(key, value)`` (column 0) with key in the interval,
+        ascending.
 
         O(log n + m) for m reported entries.
         """
@@ -508,9 +339,9 @@ class RPAITree:
 
     # -- iteration / dunder ----------------------------------------------------
 
-    def items(self) -> Iterator[tuple[float, float]]:
-        """All ``(actual_key, value)`` pairs in increasing key order."""
-        stack: list[tuple[RPAINode, float]] = []
+    def _walk(self) -> Iterator[tuple[float, Any]]:
+        """In-order ``(actual_key, node)`` pairs."""
+        stack: list[tuple[Any, float]] = []
         node = self._root
         acc: float = 0
         while stack or node is not None:
@@ -519,13 +350,22 @@ class RPAITree:
                 stack.append((node, acc))
                 node = node.left
             node, actual = stack.pop()
-            yield (actual, node.value)
+            yield (actual, node)
             acc = actual
             node = node.right
 
+    def items(self) -> Iterator[tuple[float, float]]:
+        """All ``(actual_key, value)`` pairs in increasing key order.
+
+        On a multi-column tree this is the column-0 view, so the pairs
+        always feed a one-column ``bulk_load``/``add``; :meth:`rows`
+        yields every column."""
+        for actual, node in self._walk():
+            yield (actual, node.value)
+
     def keys(self) -> Iterator[float]:
-        for k, _ in self.items():
-            yield k
+        for actual, _ in self._walk():
+            yield actual
 
     def values(self) -> Iterator[float]:
         for _, v in self.items():
@@ -552,7 +392,9 @@ class RPAITree:
         return False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        entries = ", ".join(f"{k}: {v}" for k, v in self.items())
+        entries = ", ".join(
+            f"{row[0]}: {row[1] if self.columns == 1 else row[1:]}" for row in self.rows()
+        )
         return f"RPAITree({{{entries}}})"
 
     def height(self) -> int:
@@ -560,10 +402,10 @@ class RPAITree:
         return _height(self._root)
 
     # -- internals --------------------------------------------------------------
+    # _put_root / _splice / _shift_root and the fixTree helpers are
+    # width-specific.
 
-    def _attach(
-        self, stack: list[RPAINode], dirs: list[bool], i: int, node: RPAINode | None
-    ) -> None:
+    def _attach(self, stack: list, dirs: list[bool], i: int, node: Any) -> None:
         """Reattach the (possibly new) root of the subtree at stack
         level ``i`` to its parent (or as the tree root for i == 0).
         Stored keys are frame-relative, so a rotation at level ``i``
@@ -577,347 +419,9 @@ class RPAITree:
             else:
                 parent.left = node
 
-    def _put_root(self, key: float, value: float, *, replace: bool) -> None:
-        """Iterative insert/merge of ``(key, value)``, prune-aware.
-
-        Existing keys take the fast path: set/merge the value in place
-        and bump the subtree sums along the parent stack.  The structure
-        — and with it every height and min/max offset — is unchanged, so
-        no rebalancing or offset work happens at all.  A value landing
-        on exactly 0 under ``prune_zeros`` splices the node out via the
-        already-built stack instead.
-
-        New keys attach a leaf and unwind with full rebalancing only
-        until the subtree height stabilizes (AVL insert performs at most
-        one rotation, which restores the pre-insert height); the
-        remaining ancestors need just a sum increment plus a refresh of
-        the one offset facing the descent side.
-        """
-        node = self._root
-        prune = self.prune_zeros
-        if node is None:
-            if prune and value == 0:
-                return
-            self._root = _new_node(key, value)
-            self._size = 1
-            return
-        stack: list[RPAINode] = []
-        dirs: list[bool] = []
-        remaining = key
-        while True:
-            if remaining == node.key:
-                new = value if replace else node.value + value
-                if prune and new == 0:
-                    self._splice(stack, dirs, node)
-                    return
-                delta = new - node.value
-                node.value = new
-                if delta:
-                    node.sum += delta
-                    for ancestor in stack:
-                        ancestor.sum += delta
-                return
-            remaining -= node.key
-            stack.append(node)
-            if remaining < 0:
-                dirs.append(False)
-                child = node.left
-            else:
-                dirs.append(True)
-                child = node.right
-            if child is None:
-                break
-            node = child
-        if prune and value == 0:
-            return
-        leaf = _new_node(remaining, value)
-        self._size += 1
-        if dirs[-1]:
-            node.right = leaf
-        else:
-            node.left = leaf
-        i = len(stack) - 1
-        while i >= 0:
-            current = stack[i]
-            old_height = current.height
-            balanced = _rebalance(current)
-            if balanced is not current:
-                self._attach(stack, dirs, i, balanced)
-                i -= 1
-                break
-            if balanced.height == old_height:
-                i -= 1
-                break
-            i -= 1
-        # Light phase: heights are stable above, but subtree sums grow by
-        # the inserted value and the offset facing the descent side must
-        # track the (possibly rotated) child's new stored key.
-        while i >= 0:
-            current = stack[i]
-            current.sum += value
-            if dirs[i]:
-                child = current.right
-                current.max_off = child.key + child.max_off
-            else:
-                child = current.left
-                current.min_off = child.key + child.min_off
-            i -= 1
-
-    def _splice(self, stack: list[RPAINode], dirs: list[bool], node: RPAINode) -> float:
-        """Remove ``node`` (found at the bottom of ``stack``) and
-        rebalance the path; returns the removed value.
-
-        The two-children case walks on to the in-order successor,
-        splices it out, and moves its entry into ``node`` — which shifts
-        ``node``'s stored key by the successor's relative offset, so
-        both children are re-based to keep their actual keys fixed
-        before that level rebalances.
-        """
-        value = node.value
-        if node.left is not None and node.right is not None:
-            target_index = len(stack)
-            stack.append(node)
-            dirs.append(True)
-            successor = node.right
-            rel = successor.key  # successor's actual key, in node's frame
-            while successor.left is not None:
-                stack.append(successor)
-                dirs.append(False)
-                successor = successor.left
-                rel += successor.key
-            replacement = successor.right
-            if replacement is not None:
-                replacement.key += successor.key
-            parent = stack[-1]
-            if dirs[-1]:
-                parent.right = replacement
-            else:
-                parent.left = replacement
-            node.value = successor.value
-            _free_node(successor)
-            self._size -= 1
-            for i in range(len(stack) - 1, -1, -1):
-                current = stack[i]
-                if i == target_index:
-                    current.key += rel
-                    if current.left is not None:
-                        current.left.key -= rel
-                    if current.right is not None:
-                        current.right.key -= rel
-                balanced = _rebalance(current)
-                if balanced is not current:
-                    self._attach(stack, dirs, i, balanced)
-        else:
-            replacement = node.right if node.left is None else node.left
-            if replacement is not None:
-                replacement.key += node.key
-            if stack:
-                parent = stack[-1]
-                if dirs[-1]:
-                    parent.right = replacement
-                else:
-                    parent.left = replacement
-            else:
-                self._root = replacement
-            _free_node(node)
-            self._size -= 1
-            for i in range(len(stack) - 1, -1, -1):
-                current = stack[i]
-                balanced = _rebalance(current)
-                if balanced is not current:
-                    self._attach(stack, dirs, i, balanced)
-        return value
-
-    def _shift_root(self, key: float, delta: float, inclusive: bool) -> None:
-        """Algorithm 1 / 2 as one iterative pass.
-
-        The descent is single-path: a qualifying node shifts (itself and
-        implicitly its whole right subtree) and recurses only into its
-        left subtree; a non-qualifying node recurses only right.  For
-        ``delta > 0`` (Algorithm 1) the structure, sums and heights are
-        untouched, so the unwind just patches stored keys and the one
-        offset facing the visited child.  For ``delta < 0`` (Algorithm
-        2) the unwind re-derives each level's fields, checks the min/max
-        offsets for BST violations, and runs the fixTree extraction +
-        height repair where needed.
-        """
-        node = self._root
-        if node is None:
-            return
-        stack: list[RPAINode] = []
-        quals: list[bool] = []
-        dirs: list[bool] = []
-        remaining = key
-        while node is not None:
-            qualifies = node.key >= remaining if inclusive else node.key > remaining
-            remaining -= node.key
-            stack.append(node)
-            quals.append(qualifies)
-            dirs.append(not qualifies)
-            node = node.left if qualifies else node.right
-        if delta > 0:
-            for i in range(len(stack) - 1, -1, -1):
-                current = stack[i]
-                if quals[i]:
-                    current.key += delta
-                    left = current.left
-                    if left is not None:
-                        left.key -= delta
-                        current.min_off = left.key + left.min_off
-                else:
-                    right = current.right
-                    if right is not None:
-                        current.max_off = right.key + right.max_off
-            return
-        for i in range(len(stack) - 1, -1, -1):
-            current = stack[i]
-            if quals[i]:
-                current.key += delta
-                if current.left is not None:
-                    current.left.key -= delta
-                _update(current)
-                if (
-                    current.left is not None
-                    and current.left.key + current.left.max_off >= 0
-                ):
-                    fixed = self._fix_from_left(current)
-                else:
-                    fixed = current
-            else:
-                _update(current)
-                if (
-                    current.right is not None
-                    and current.right.key + current.right.min_off <= 0
-                ):
-                    fixed = self._fix_from_right(current)
-                else:
-                    fixed = current
-            self._attach(stack, dirs, i, _balance_any(fixed))
-
-    def _put(
-        self, node: RPAINode | None, key: float, value: float, *, replace: bool
-    ) -> RPAINode:
-        """Recursive insert/merge into a *detached* subtree; ``key`` is
-        expressed in the subtree root's parent frame.  Used only by the
-        fixTree repair path — the public mutations are iterative."""
-        if node is None:
-            self._size += 1
-            return _new_node(key, value)
-        if key == node.key:
-            node.value = value if replace else node.value + value
-            _update(node)
-            return node
-        if key < node.key:
-            node.left = self._put(node.left, key - node.key, value, replace=replace)
-        else:
-            node.right = self._put(node.right, key - node.key, value, replace=replace)
-        return _rebalance(node)
-
-    def _delete(self, node: RPAINode | None, key: float) -> tuple[RPAINode | None, float]:
-        """Recursive removal from a *detached* subtree (parent-frame
-        ``key``); returns the new subtree root and the removed value.
-        Used only by the fixTree repair path."""
-        if node is None:
-            raise KeyError(key)
-        if key < node.key:
-            node.left, value = self._delete(node.left, key - node.key)
-        elif key > node.key:
-            node.right, value = self._delete(node.right, key - node.key)
-        else:
-            value = node.value
-            if node.left is None:
-                self._size -= 1
-                replacement = node.right
-                if replacement is not None:
-                    replacement.key += node.key
-                _free_node(node)
-                return replacement, value
-            if node.right is None:
-                self._size -= 1
-                replacement = node.left
-                replacement.key += node.key
-                _free_node(node)
-                return replacement, value
-            # Two children: replace with the in-order successor.  The
-            # node's stored key moves by the successor's offset, so both
-            # children are re-based to keep their actual keys fixed.
-            successor_rel, successor_value = _min_entry(node.right)
-            node.right, _ = self._delete(node.right, successor_rel)
-            node.value = successor_value
-            node.key += successor_rel
-            if node.left is not None:
-                node.left.key -= successor_rel
-            if node.right is not None:
-                node.right.key -= successor_rel
-        return _rebalance(node), value
-
-    def _fix_from_left(self, node: RPAINode) -> "RPAINode | None":
-        """Restore the BST property when the left subtree contains keys
-        ``>=`` the node's key (paper's ``fixTreeFromLeft``).
-
-        Rather than detaching the whole left subtree, only the violating
-        entries are extracted (largest first) and re-inserted, so the
-        cost is O(v log n) for v violators.  Re-insertion uses merge
-        semantics: an entry landing exactly on an existing key adds its
-        value, which realises the Section 3.2.4 duplicate-collapse.
-        """
-        violators: list[tuple[float, float]] = []
-        while node.left is not None and node.left.key + node.left.max_off >= 0:
-            rel, value = _max_entry(node.left)  # rel is in node's frame, >= 0
-            node.left, _ = self._delete(node.left, rel)
-            violators.append((rel + node.key, value))  # parent-frame key
-        if _SINK.enabled:
-            _SINK.inc("rpai.fix_tree")
-            _SINK.inc("rpai.violations", len(violators))
-        _update(node)
-        result = _balance_any(node)
-        for key, value in violators:
-            result = self._reinsert(result, key, value)
-        return result
-
-    def _fix_from_right(self, node: RPAINode) -> "RPAINode | None":
-        """Mirror image of :meth:`_fix_from_left` for right-side
-        violations (keys ``<=`` the node's key in the right subtree)."""
-        violators: list[tuple[float, float]] = []
-        while node.right is not None and node.right.key + node.right.min_off <= 0:
-            rel, value = _min_entry(node.right)  # rel is in node's frame, <= 0
-            node.right, _ = self._delete(node.right, rel)
-            violators.append((rel + node.key, value))  # parent-frame key
-        if _SINK.enabled:
-            _SINK.inc("rpai.fix_tree")
-            _SINK.inc("rpai.violations", len(violators))
-        _update(node)
-        result = _balance_any(node)
-        for key, value in violators:
-            result = self._reinsert(result, key, value)
-        return result
-
-    def _reinsert(self, node: "RPAINode | None", key: float, value: float) -> RPAINode | None:
-        """Merge an extracted violator back into the subtree rooted at
-        ``node`` (``key`` in the parent frame).  Honors ``prune_zeros``:
-        a merge that cancels an existing entry deletes it instead."""
-        if self.prune_zeros:
-            existing = self._subtree_get(node, key)
-            if existing is not None and existing + value == 0:
-                new_node, _ = self._delete(node, key)
-                return new_node
-            if existing is None and value == 0:
-                return node
-        return self._put(node, key, value, replace=False)
-
-    @staticmethod
-    def _subtree_get(node: RPAINode | None, key: float) -> float | None:
-        remaining = key
-        while node is not None:
-            if remaining == node.key:
-                return node.value
-            remaining -= node.key
-            node = node.left if remaining < 0 else node.right
-        return None
-
     def _range(
         self,
-        node: RPAINode | None,
+        node: Any,
         acc: float,
         lo: float,
         hi: float,
@@ -950,42 +454,65 @@ class RPAITree:
         """Walk the whole tree verifying every structural invariant.
 
         Raises AssertionError on: broken BST order over *actual* keys,
-        stale heights, AVL imbalance, wrong subtree sums, or wrong
-        min/max offsets.  O(n); used heavily by the property tests.
+        stale heights, AVL imbalance, wrong subtree sums (any column),
+        or wrong min/max offsets — i.e. every node's derived fields
+        equal a from-scratch recomputation.  O(n); used heavily by the
+        property tests.
         """
         if _SINK.enabled:
             _SINK.inc("selfcheck.validations")
         size = self._validate(self._root, 0, None, None)
         assert size == self._size, f"size mismatch: counted {size}, stored {self._size}"
 
-    def _validate(
-        self,
-        node: RPAINode | None,
-        acc: float,
-        lo: float | None,
-        hi: float | None,
-    ) -> int:
-        if node is None:
-            return 0
-        actual = acc + node.key
-        assert lo is None or actual > lo, f"BST violation: {actual} <= {lo}"
-        assert hi is None or actual < hi, f"BST violation: {actual} >= {hi}"
-        left_size = self._validate(node.left, actual, lo, actual)
-        right_size = self._validate(node.right, actual, actual, hi)
-        expected_height = 1 + max(_height(node.left), _height(node.right))
-        assert node.height == expected_height, "stale height"
-        balance = _height(node.left) - _height(node.right)
-        assert -1 <= balance <= 1, f"AVL imbalance {balance} at key {actual}"
-        expected_sum = node.value
-        expected_min: float = 0
-        expected_max: float = 0
-        if node.left is not None:
-            expected_sum += node.left.sum
-            expected_min = node.left.key + node.left.min_off
-        if node.right is not None:
-            expected_sum += node.right.sum
-            expected_max = node.right.key + node.right.max_off
-        assert node.sum == expected_sum, f"sum mismatch at key {actual}"
-        assert node.min_off == expected_min, f"min_off mismatch at key {actual}"
-        assert node.max_off == expected_max, f"max_off mismatch at key {actual}"
-        return left_size + right_size + 1
+
+# ---------------------------------------------------------------------------
+# Widths
+# ---------------------------------------------------------------------------
+# RPAITree itself is the one-column tree; RPAITree2, RPAITree3, ... are
+# subclasses that differ only in the payload-touching methods grafted on
+# below.  Classes and their node types are created on first use and are
+# reachable as module attributes, which is all pickle needs to restore a
+# tree of any width by reference.
+
+_WIDTH_NAME = re.compile(r"RPAI(Tree|Node)([2-9]|[1-9][0-9])")
+
+
+def _graft(cls: type, columns: int) -> type:
+    """Compile the kernel for ``columns`` and install its methods on
+    ``cls``; returns the node class."""
+    kernel = compile_kernel(columns)
+    for name, member in vars(kernel["METHODS"]).items():
+        if not name.startswith("__"):
+            setattr(cls, name, member)
+    node = kernel["Node"]
+    node.__module__ = __name__
+    node.__name__ = node.__qualname__ = f"RPAINode{columns if columns > 1 else ''}"
+    return node
+
+
+def _width_class(columns: int) -> type:
+    """The ``RPAITree`` subclass with ``columns`` value columns."""
+    if columns == 1:
+        return RPAITree
+    if not isinstance(columns, int) or columns < 1:
+        raise ValueError(f"columns must be a positive integer, got {columns!r}")
+    name = f"RPAITree{columns}"
+    cls = globals().get(name)
+    if cls is None:
+        cls = type(name, (RPAITree,), {"__slots__": (), "columns": columns,
+                                       "__module__": __name__})
+        node = _graft(cls, columns)
+        globals()[name] = cls
+        globals()[node.__name__] = node
+    return cls
+
+
+def __getattr__(name: str) -> Any:
+    match = _WIDTH_NAME.fullmatch(name)
+    if match is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _width_class(int(match[2]))
+    return globals()[name]
+
+
+RPAINode = _graft(RPAITree, 1)

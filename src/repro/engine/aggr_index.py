@@ -542,29 +542,27 @@ class RangeIndexEngine(IncrementalEngine):
         """Figure 2c trigger for a (possibly coalesced) delta at ``key``."""
         if _SINK.enabled:
             _SINK.inc("engine.range_applies")
-        old_vol_at_key = self.bound_map.get(key, 0)
-        prefix_excl = self.bound_map.get_sum(key, inclusive=False)
+        # 1. Update the bound map; its one descent also yields the
+        #    group's old volume and the volume of strictly lower keys.
+        old_vol_at_key, prefix_excl = self.bound_map.fetch_add(key, volume)
 
         if self._inclusive_inner:
             # rhs(g) includes the group's own key.  Affected groups are
             # g >= key; their old rhs exceeds prefix_excl because the
             # group at `key` (if live) carries positive own volume.
-            boundary, inclusive = prefix_excl, False
-            group_old_rhs = prefix_excl + old_vol_at_key
-            group_new_rhs = group_old_rhs + volume
+            inclusive = False
+            group_new_rhs = prefix_excl + old_vol_at_key + volume
         else:
             # Strict '<': the group at `key` is NOT affected; its rhs is
-            # exactly prefix_excl.  When the group does not exist yet
-            # (old volume 0) the shift must include keys equal to the
-            # boundary (see DESIGN.md tie analysis).
-            boundary, inclusive = prefix_excl, old_vol_at_key == 0
-            group_old_rhs = prefix_excl
-            group_new_rhs = prefix_excl  # own insert does not change it
+            # exactly prefix_excl (its own insert does not change it).
+            # When the group does not exist yet (old volume 0) the shift
+            # must include keys equal to the boundary (see DESIGN.md tie
+            # analysis).
+            inclusive = old_vol_at_key == 0
+            group_new_rhs = prefix_excl
 
-        # 1. Shift the affected range of aggregate keys (Figure 2c).
-        self.aggr_index.shift_keys(boundary, volume, inclusive=inclusive)
-        # 2. Update the bound maps.
-        self.bound_map.add(key, volume)
+        # 2. Shift the affected range of aggregate keys (Figure 2c).
+        self.aggr_index.shift_keys(prefix_excl, volume, inclusive=inclusive)
         # 3. Place the new tuple's own contribution at its group's
         #    (post-shift) aggregate key.
         if res_delta != 0:
@@ -797,18 +795,16 @@ class GroupedRangeIndexEngine(IncrementalEngine):
         if _SINK.enabled:
             _SINK.inc("engine.grouped_applies")
             _SINK.observe("engine.grouped_fanout", len(self.group_indexes))
-        old_at_key = self.bound_map.get(key, 0)
-        prefix_excl = self.bound_map.get_sum(key, inclusive=False)
+        old_at_key, prefix_excl = self.bound_map.fetch_add(key, volume)
         if self._inclusive_inner:
-            boundary, inclusive = prefix_excl, False
+            inclusive = False
             group_new = prefix_excl + old_at_key + volume
         else:
-            boundary, inclusive = prefix_excl, old_at_key == 0
+            inclusive = old_at_key == 0
             group_new = prefix_excl
 
         for index in self.group_indexes.values():
-            index.shift_keys(boundary, volume, inclusive=inclusive)
-        self.bound_map.add(key, volume)
+            index.shift_keys(prefix_excl, volume, inclusive=inclusive)
 
         for gkey, res_delta in per_group.items():
             if res_delta == 0:
@@ -940,16 +936,18 @@ def build_single_index_engine(
 
 def _describe_index(index: Any) -> str:
     """Human-readable backend identity of one live aggregate index."""
-    return "rpai" if type(index) is RPAITree else type(index).__name__.lower()
+    if isinstance(index, RPAITree):
+        return "rpai" if index.columns == 1 else f"rpai ({index.columns} columns)"
+    return type(index).__name__.lower()
 
 
 def describe_backends(engine: Any) -> str | None:
     """One-line backend report for ``repro stats``.
 
     Returns the live index class name — ``"paimap"``, ``"rpai"``,
-    ``"rpai x12 groups"`` — for the single-index and conjunctive
-    engines, ``None`` for engines whose substrates are hand-specialized
-    (their triggers hard-code them).
+    ``"rpai (2 columns)"``, ``"rpai x12 groups"`` — for the single-index
+    and conjunctive engines, ``None`` for engines whose substrates are
+    hand-specialized (their triggers hard-code them).
     """
     if hasattr(engine, "aggr_index"):
         return _describe_index(engine.aggr_index)
@@ -958,10 +956,6 @@ def describe_backends(engine: Any) -> str | None:
         probe = indexes[0] if indexes else engine._index_cls(prune_zeros=True)
         return f"{_describe_index(probe)} x{len(indexes)} groups"
     if hasattr(engine, "_sides"):  # ConjunctiveIndexEngine
-        descs = {
-            _describe_index(side.indexes[0])
-            for side in engine._sides.values()
-            if side.indexes
-        }
+        descs = {_describe_index(side.index) for side in engine._sides.values()}
         return ", ".join(sorted(descs)) or None
     return None

@@ -15,9 +15,10 @@ Algorithm 4's ``for reqSum in requiredSums(Q, Ri)`` loop::
 
 The constructor symbolically decomposes the result expression into such
 terms (sums/differences of products of single-relation factors), builds
-one :class:`~repro.engine.queries.common.ShiftedSide` per relation with
-one parallel aggregate index per required sum, and the trigger is one
-range shift + point updates per event — O(log n).
+one :class:`~repro.engine.queries.common.ShiftedSide` per relation whose
+aggregate index carries one column per required sum (the distinct
+factors, then the count), and the trigger is one range shift + one
+point update per event — O(log n), whatever the number of sums.
 
 The hand-written :class:`~repro.engine.queries.mst.MSTRpaiEngine` is
 the specialized instance of this engine for MST; the tests check they
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-from repro.core.rpai import RPAITree
 from repro.engine.base import IncrementalEngine, Result
 from repro.engine.general import (
     _compile_row_expr,
@@ -118,14 +118,13 @@ class ConjunctiveIndexEngine(IncrementalEngine):
 
     name = "rpai"
 
-    def __init__(self, plan: QueryPlan, index_cls: type = RPAITree) -> None:
+    def __init__(self, plan: QueryPlan) -> None:
         if plan.strategy is not Strategy.RPAI_CONJUNCTIVE:
             raise UnsupportedQueryError(
                 f"ConjunctiveIndexEngine needs an RPAI_CONJUNCTIVE plan, "
                 f"got {plan.strategy}"
             )
         self._plan = plan
-        self._index_cls_arg = index_cls
         query = plan.query
         alias_to_name = query.alias_to_name()
 
@@ -158,8 +157,8 @@ class ConjunctiveIndexEngine(IncrementalEngine):
             self._term_plan.append((coef, plan_entry))
 
         # Per relation: a ShiftedSide keyed by the correlation attribute
-        # with one index per factor + one for the count, plus the fixed
-        # probe side and compiled row functions.
+        # whose index has one column per factor + one for the count,
+        # plus the fixed probe side and compiled row functions.
         self._sides: dict[str, ShiftedSide] = {}
         self._specs: dict[str, Any] = {}
         self._inner_args: dict[str, Any] = {}
@@ -183,9 +182,7 @@ class ConjunctiveIndexEngine(IncrementalEngine):
                     "correlated predicate must compare the same attribute"
                 )
             required = len(self._factor_exprs[alias]) + 1  # + count
-            self._sides[alias] = ShiftedSide(
-                spec.inner_op, required_sums=required, index_cls=index_cls
-            )
+            self._sides[alias] = ShiftedSide(spec.inner_op, columns=required)
             self._specs[alias] = spec
             inner_alias = spec.inner_col.relation
             self._inner_args[alias] = (
@@ -225,7 +222,6 @@ class ConjunctiveIndexEngine(IncrementalEngine):
         """Compiled closures are rebuilt from the plan on restore."""
         state = {
             "plan": self._plan,
-            "index_cls": self._index_cls_arg,
             "sides": self._sides,
             "scalars": {sub: sc.aggregate for sub, sc in self._scalars.items()},
         }
@@ -234,7 +230,7 @@ class ConjunctiveIndexEngine(IncrementalEngine):
         return state
 
     def __setstate__(self, state: dict) -> None:
-        self.__init__(state["plan"], state["index_cls"])  # type: ignore[misc]
+        self.__init__(state["plan"])  # type: ignore[misc]
         self._sides = state["sides"]
         for sub, aggregate in state["scalars"].items():
             self._scalars[sub].aggregate = aggregate
@@ -249,14 +245,14 @@ class ConjunctiveIndexEngine(IncrementalEngine):
     # -- trigger ------------------------------------------------------------------
 
     def _event_deltas(self, alias: str, row: Row, x: int) -> tuple[float, float, list[float]]:
-        """(correlation attribute, inner delta, per-index result deltas)
+        """(correlation attribute, inner delta, per-column result deltas)
         of one tuple for one relation side."""
         spec = self._specs[alias]
         attr = row[spec.outer_col.column]
         inner_fn = self._inner_args[alias]
         weight = (inner_fn(row) if inner_fn is not None else 1) * x
         deltas = [fn(row) * x for fn in self._factor_fns[alias]]
-        deltas.append(x)  # the count index
+        deltas.append(x)  # the count column
         return attr, weight, deltas
 
     def on_event(self, event) -> Result:
@@ -303,17 +299,12 @@ class ConjunctiveIndexEngine(IncrementalEngine):
         return self.result()
 
     def result(self) -> Result:
-        # Per relation, the qualifying aggregate per required sum.
-        qualifying: dict[str, list[float]] = {}
+        # Per relation, the qualifying aggregate per required sum: one
+        # probe returns every column.
+        qualifying: dict[str, tuple] = {}
         for alias, side in self._sides.items():
-            spec = self._specs[alias]
             probe = self._fixed[alias]({})
-            count_index = len(self._factor_fns[alias])
-            sums = [
-                side.qualifying(spec.outer_op, probe, which=i)
-                for i in range(count_index + 1)
-            ]
-            qualifying[alias] = sums
+            qualifying[alias] = side.qualifying(self._specs[alias].outer_op, probe)
         total = 0.0
         for coef, plan_entry in self._term_plan:
             product = coef

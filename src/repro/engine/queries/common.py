@@ -2,10 +2,12 @@
 
 :class:`ShiftedSide` packages the Figure 2c trigger for one relation:
 an ordered bound map (attribute -> inner-aggregate contributions) plus
-any number of *parallel* aggregate indexes keyed by the correlated
-subquery's value — one per "required sum" exactly as Algorithm 4's
-``for reqSum in requiredSums(Q, Ri)`` loop.  MST needs two required
-sums per side (Σ price and count); VWAP needs one.
+one aggregate index keyed by the correlated subquery's value, with one
+*column* per "required sum" of Algorithm 4's ``for reqSum in
+requiredSums(Q, Ri)`` loop.  The required sums of one relation are
+indexed by the same keys and move by the same shifts, so they share a
+tree: MST carries two columns per side (Σ price and count), a
+COUNT-only conjunctive query one.
 
 The attribute ordering is normalized so the subquery value is always an
 *inclusive or strict prefix sum* in stored-key order ('>' / '>='
@@ -14,23 +16,25 @@ correlations store negated keys).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro.core.rpai import RPAITree
-from repro.errors import UnsupportedQueryError
+from repro.errors import EngineStateError, UnsupportedQueryError
 from repro.trees.treemap import TreeMap
 
 __all__ = ["ShiftedSide", "probe_index"]
 
 
-def probe_index(index, op: str, probe: float) -> float:
-    """Sum of ``index`` values over keys ``k`` satisfying ``probe op k``."""
+def probe_index(index, op: str, probe: float, zero: Any = 0) -> Any:
+    """Sum of ``index`` values over keys ``k`` satisfying ``probe op k``
+    (per column, as a tuple, on a multi-column index — ``zero`` is then
+    the all-zeros row an ``=`` probe returns for an absent key)."""
     if op == "=":
-        return index.get(probe, 0)
+        return index.get(probe, zero)
     if op == "<":
-        return index.total_sum() - index.get_sum(probe, inclusive=True)
+        return index.suffix_sum(probe, inclusive=False)
     if op == "<=":
-        return index.total_sum() - index.get_sum(probe, inclusive=False)
+        return index.suffix_sum(probe, inclusive=True)
     if op == ">":
         return index.get_sum(probe, inclusive=False)
     if op == ">=":
@@ -39,23 +43,16 @@ def probe_index(index, op: str, probe: float) -> float:
 
 
 class ShiftedSide:
-    """One relation's aggregate indexes under an inequality correlation.
+    """One relation's aggregate index under an inequality correlation.
 
     Args:
         inner_op: θ of the correlated predicate ``x.attr θ outer.attr``
             (one of ``<  <=  >  >=``).
-        required_sums: how many parallel aggregate indexes to maintain
-            (each ``apply`` call passes one result delta per index).
-        index_cls: aggregate-index implementation (RPAITree by default;
-            PAIMap/TreeMap for the ablation variants).
+        columns: how many required sums the index carries (each
+            ``apply`` call passes one result delta per column).
     """
 
-    def __init__(
-        self,
-        inner_op: str,
-        required_sums: int = 1,
-        index_cls: type = RPAITree,
-    ) -> None:
+    def __init__(self, inner_op: str, columns: int = 1) -> None:
         if inner_op in {">", ">="}:
             self.key_sign = -1
             inner_op = "<" if inner_op == ">" else "<="
@@ -67,36 +64,43 @@ class ShiftedSide:
             )
         self.inclusive = inner_op == "<="
         self.bound_map = TreeMap(prune_zeros=True)
-        self.indexes = [index_cls(prune_zeros=True) for _ in range(required_sums)]
+        self.index = RPAITree(columns=columns, prune_zeros=True)
         self.total_weight: float = 0  # running Σ of inner contributions
+
+    def __setstate__(self, state: dict) -> None:
+        if "index" not in state:
+            # Written before the required sums became columns of one
+            # index (one tree per sum under ``indexes``): refuse, so the
+            # snapshot loader rebuilds from the log instead.
+            raise EngineStateError(
+                "ShiftedSide state predates the multi-column index layout"
+            )
+        self.__dict__.update(state)
 
     def apply(self, attr: float, weight: float, res_deltas: Sequence[float]) -> None:
         """Process one tuple: ``attr`` is the correlation attribute,
         ``weight`` the signed inner-aggregate contribution (± volume),
-        ``res_deltas`` the signed result contributions, one per index.
+        ``res_deltas`` the signed result contributions, one per column.
 
-        This is Figure 2c generalized: one range shift + one point
-        update per parallel index, one bound-map update.
+        This is Figure 2c with k required sums: one bound-map walk, one
+        range shift and one point update, whatever k is.
         """
         key = self.key_sign * attr
-        old_at_key = self.bound_map.get(key, 0)
-        prefix_excl = self.bound_map.get_sum(key, inclusive=False)
-
+        old_at_key, prefix_excl = self.bound_map.fetch_add(key, weight)
         if self.inclusive:
-            boundary, boundary_inclusive = prefix_excl, False
+            self.index.shift_keys(prefix_excl, weight, inclusive=False)
             group_new = prefix_excl + old_at_key + weight
         else:
-            boundary, boundary_inclusive = prefix_excl, old_at_key == 0
+            self.index.shift_keys(prefix_excl, weight, inclusive=old_at_key == 0)
             group_new = prefix_excl
-
-        for index, delta in zip(self.indexes, res_deltas):
-            index.shift_keys(boundary, weight, inclusive=boundary_inclusive)
-            if delta != 0:
-                index.add(group_new, delta)
-        self.bound_map.add(key, weight)
+        if any(res_deltas):
+            self.index.add(group_new, *res_deltas)
         self.total_weight += weight
 
-    def qualifying(self, op: str, probe: float, which: int = 0) -> float:
-        """Sum of index ``which`` over groups whose subquery value ``k``
+    def qualifying(self, op: str, probe: float) -> tuple:
+        """Per-column sums over groups whose subquery value ``k``
         satisfies ``probe op k``."""
-        return probe_index(self.indexes[which], op, probe)
+        columns = self.index.columns
+        if columns == 1:
+            return (probe_index(self.index, op, probe),)
+        return probe_index(self.index, op, probe, (0,) * columns)

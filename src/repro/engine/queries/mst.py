@@ -10,20 +10,19 @@ MST is the multi-relation conjunctive form of Section 4.3::
 
 Four nested aggregates, two correlated — one per relation, each
 correlated only on its own relation's columns, so each side gets its
-own aggregate indexes (Algorithm 4's multi-relation form).  Because the
+own aggregate index (Algorithm 4's multi-relation form).  Because the
 result is a SUM over a cross join of a *linear* expression, it
 decomposes over the qualifying sets A and B::
 
     Σ_{a∈A, b∈B} (a.price - b.price) = |B|·Σ_A price - |A|·Σ_B price
 
-so each side maintains two parallel aggregate indexes — Σ price and
-count — the "required sums" of Algorithm 4.  Every update is one range
-shift + point updates: O(log n).
+so each side's index carries two columns — Σ price and count — the
+"required sums" of Algorithm 4.  Every update is one range shift + one
+point update, every result two prefix-sum probes: O(log n).
 """
 
 from __future__ import annotations
 
-from repro.core.rpai import RPAITree
 from repro.engine.base import IncrementalEngine, Result
 from repro.engine.queries.common import ShiftedSide
 from repro.storage.stream import Event
@@ -36,12 +35,12 @@ class MSTRpaiEngine(IncrementalEngine):
 
     name = "rpai"
 
-    def __init__(self, index_cls: type = RPAITree) -> None:
+    def __init__(self) -> None:
         # Correlation: x.price > outer.price, SUM(volume); required
         # sums per side: Σ price and count of qualifying tuples.
         self.sides = {
-            "asks": ShiftedSide(">", required_sums=2, index_cls=index_cls),
-            "bids": ShiftedSide(">", required_sums=2, index_cls=index_cls),
+            "asks": ShiftedSide(">", columns=2),
+            "bids": ShiftedSide(">", columns=2),
         }
 
     def on_event(self, event: Event) -> Result:
@@ -55,10 +54,6 @@ class MSTRpaiEngine(IncrementalEngine):
     def result(self) -> Result:
         asks, bids = self.sides["asks"], self.sides["bids"]
         # Outer predicates: 0.25 * total_volume > subquery value.
-        ask_probe = 0.25 * asks.total_weight
-        bid_probe = 0.25 * bids.total_weight
-        ask_sum = asks.qualifying(">", ask_probe, which=0)
-        ask_count = asks.qualifying(">", ask_probe, which=1)
-        bid_sum = bids.qualifying(">", bid_probe, which=0)
-        bid_count = bids.qualifying(">", bid_probe, which=1)
+        ask_sum, ask_count = asks.qualifying(">", 0.25 * asks.total_weight)
+        bid_sum, bid_count = bids.qualifying(">", 0.25 * bids.total_weight)
         return bid_count * ask_sum - ask_count * bid_sum

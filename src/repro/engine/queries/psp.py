@@ -8,44 +8,51 @@ PSP joins bids and asks on column-vs-moving-threshold predicates::
 
 The nested aggregates are *uncorrelated*, but every update moves both
 thresholds, so the qualifying sets change globally.  Per side we keep
-an ordered index keyed by the join column (volume) with two required
-sums (Σ price, count); the result is two suffix-sum probes per side —
-keys never shift, so the augmented TreeMap's O(log n) ``get_sum``
-suffices (this is the PSP row of Table 1: ours O(log n), DBToaster
-O(n)).
+one ordered index keyed by the join column (volume) whose two columns
+are the required sums (Σ price, count); the result is one suffix-sum
+probe per side, which returns both — O(log n) per update (this is the
+PSP row of Table 1: ours O(log n), DBToaster O(n)).  Keys never shift
+here; the index is an RPAI tree for its columns, not for ``shift_keys``.
 """
 
 from __future__ import annotations
 
+from repro.core.rpai import RPAITree
 from repro.engine.base import IncrementalEngine, Result
-from repro.trees.treemap import TreeMap
+from repro.errors import EngineStateError
 from repro.storage.stream import Event
 
 __all__ = ["PSPRpaiEngine"]
 
 
 class _ColumnSide:
-    """Ordered (Σ price, count) indexes keyed by volume for one side."""
+    """One side's (Σ price, count) index keyed by volume."""
 
-    __slots__ = ("price_sum", "count", "total_volume")
+    __slots__ = ("index", "total_volume")
 
     def __init__(self) -> None:
-        self.price_sum = TreeMap(prune_zeros=True)
-        self.count = TreeMap(prune_zeros=True)
+        self.index = RPAITree(columns=2, prune_zeros=True)
         self.total_volume: float = 0
 
+    def __setstate__(self, state: tuple) -> None:
+        slots = state[1]
+        if "index" not in slots:
+            # Written when Σ price and count were two maps
+            # (``price_sum``/``count``): refuse, so the snapshot loader
+            # rebuilds from the log instead.
+            raise EngineStateError(
+                "_ColumnSide state predates the two-column index layout"
+            )
+        for name, value in slots.items():
+            setattr(self, name, value)
+
     def apply(self, volume: float, price: float, x: int) -> None:
-        self.price_sum.add(volume, x * price)
-        self.count.add(volume, x)
+        self.index.add(volume, x * price, x)
         self.total_volume += x * volume
 
     def qualifying(self) -> tuple[float, float]:
         """(Σ price, count) over tuples with volume > 0.0001 * total."""
-        threshold = 0.0001 * self.total_volume
-        return (
-            self.price_sum.suffix_sum(threshold, inclusive=False),
-            self.count.suffix_sum(threshold, inclusive=False),
-        )
+        return self.index.suffix_sum(0.0001 * self.total_volume, inclusive=False)
 
 
 class PSPRpaiEngine(IncrementalEngine):

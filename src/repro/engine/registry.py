@@ -41,7 +41,7 @@ from repro.engine.naive import NaiveEngine
 from repro.engine.queries.nq import NQ1RpaiEngine, NQ2RpaiEngine
 from repro.engine.queries.psp import PSPRpaiEngine
 from repro.engine.queries.tpch import Q17RpaiEngine, Q18RpaiEngine
-from repro.query.planner import choose_backend, classify
+from repro.query.planner import classify
 from repro.workloads.queries import get_query
 
 __all__ = [
@@ -83,8 +83,7 @@ def _general_factory(name: str) -> EngineFactory:
 
 def _conjunctive_factory(name: str) -> EngineFactory:
     def build() -> IncrementalEngine:
-        plan = classify(get_query(name).ast)
-        return ConjunctiveIndexEngine(plan, choose_backend(plan))
+        return ConjunctiveIndexEngine(classify(get_query(name).ast))
 
     return build
 

@@ -244,6 +244,19 @@ def _probe_src(op: str, index: str, probe: str) -> str:
     raise UnsupportedTriggerError(f"unsupported probe operator {op!r}")
 
 
+def _column_probe_src(op: str, index: str, probe: str, columns: int) -> str:
+    """Monomorphized ``probe_index`` (repro.engine.queries.common) on a
+    ``columns``-wide RPAI tree: one call yields every column's sum."""
+    if op == "=":
+        zero = "0" if columns == 1 else repr((0,) * columns)
+        return f"{index}.get({probe}, {zero})"
+    if op in ("<", "<="):
+        return f"{index}.suffix_sum({probe}, inclusive={op == '<='})"
+    if op in (">", ">="):
+        return f"{index}.get_sum({probe}, inclusive={op == '>='})"
+    raise UnsupportedTriggerError(f"unsupported probe operator {op!r}")
+
+
 # ---------------------------------------------------------------------------
 # Generated columnar on_frame (the netting fast path over ColumnBlocks)
 # ---------------------------------------------------------------------------
@@ -497,18 +510,15 @@ def _range_emit(engine: RangeIndexEngine) -> str:
         # strict inner-θ branch resolved at compile time.
         lines.append(f"{indent}if _S.enabled:")
         lines.append(f"{indent}    _S.inc('engine.range_applies')")
-        lines.append(f"{indent}_old = _bm.get(_key, 0)")
-        lines.append(f"{indent}_pfx = _bm.get_sum(_key, inclusive=False)")
+        lines.append(f"{indent}_old, _pfx = _bm.fetch_add(_key, _vol)")
         if inclusive_inner:
             lines.append(f"{indent}_ai.shift_keys(_pfx, _vol, inclusive=False)")
-            lines.append(f"{indent}_bm.add(_key, _vol)")
             lines.append(f"{indent}if _res != 0:")
             lines.append(f"{indent}    _ai.add(_pfx + _old + _vol, _res)")
         else:
             lines.append(
                 f"{indent}_ai.shift_keys(_pfx, _vol, inclusive=_old == 0)"
             )
-            lines.append(f"{indent}_bm.add(_key, _vol)")
             lines.append(f"{indent}if _res != 0:")
             lines.append(f"{indent}    _ai.add(_pfx, _res)")
 
@@ -656,15 +666,15 @@ def _grouped_emit(engine: GroupedRangeIndexEngine) -> str:
 
     def shift_prologue(lines: list[str], indent: str) -> None:
         # Mirrors GroupedRangeIndexEngine._apply_key up to the per-group
-        # result placement: counters, boundary from the shared bound
-        # map, the same range shift fanned over every live group index.
+        # result placement: counters, the shared bound map's update and
+        # boundary, the same range shift fanned over every live group
+        # index.
         lines.append(f"{indent}if _S.enabled:")
         lines.append(f"{indent}    _S.inc('engine.grouped_applies')")
         lines.append(
             f"{indent}    _S.observe('engine.grouped_fanout', len(_gi))"
         )
-        lines.append(f"{indent}_old = _bm.get(_key, 0)")
-        lines.append(f"{indent}_pfx = _bm.get_sum(_key, inclusive=False)")
+        lines.append(f"{indent}_old, _pfx = _bm.fetch_add(_key, _vol)")
         if inclusive_inner:
             lines.append(f"{indent}_new = _pfx + _old + _vol")
             lines.append(f"{indent}for _idx in _gi.values():")
@@ -674,7 +684,6 @@ def _grouped_emit(engine: GroupedRangeIndexEngine) -> str:
             lines.append(f"{indent}_inc = _old == 0")
             lines.append(f"{indent}for _idx in _gi.values():")
             lines.append(f"{indent}    _idx.shift_keys(_pfx, _vol, inclusive=_inc)")
-        lines.append(f"{indent}_bm.add(_key, _vol)")
 
     def group_add(lines: list[str], indent: str, gkey: str, res: str) -> None:
         # One group's net result contribution at the post-shift key,
@@ -1066,12 +1075,12 @@ def _ga_bind(engine: GeneralAlgorithmEngine) -> dict[str, Any]:
 # ConjunctiveIndexEngine (RPAI_CONJUNCTIVE — MST)
 # ---------------------------------------------------------------------------
 # Algorithm 4's per-relation factor-sum recombination is unrolled at
-# compile time: each relation side's ShiftedSide.apply becomes a fixed
-# sequence of shift/add pairs over its statically known index count
-# (key sign and inclusive/strict resolved per side), and the result
-# expression's term × factor-sum products are emitted as one flat
-# arithmetic expression in term order.  Side objects, bound maps and
-# the parallel indexes are bound as globals at install time — the
+# compile time: each relation side's ShiftedSide.apply becomes one
+# bound-map update, one shift and one add over its statically known
+# column count (key sign and inclusive/strict resolved per side), and
+# the result expression's term × factor-sum products are emitted as one
+# flat arithmetic expression in term order.  Side objects, bound maps
+# and the column indexes are bound as globals at install time — the
 # restore path rebuilds the sides before re-specializing, so the
 # bindings always reference the live structures.
 
@@ -1114,38 +1123,30 @@ def _conj_emit(engine: ConjunctiveIndexEngine) -> str:
         lines: list[str], indent: str, info: _SideInfo,
         wgt: str, deltas: list[str],
     ) -> None:
-        # ShiftedSide.apply with the per-index zip unrolled; same
-        # operation order (all shifts interleaved with their adds, then
-        # the bound-map update and the weight total).
+        # ShiftedSide.apply, same operation order: the bound-map update
+        # (whose descent yields the boundary), one range shift, one
+        # point update carrying every column's delta, the weight total.
         k = info.k
         lines.append(f"{indent}_key = -_att" if info.key_sign == -1
                      else f"{indent}_key = _att")
-        lines.append(f"{indent}_old = _s{k}_bm.get(_key, 0)")
-        lines.append(f"{indent}_pfx = _s{k}_bm.get_sum(_key, inclusive=False)")
+        lines.append(f"{indent}_old, _pfx = _s{k}_bm.fetch_add(_key, {wgt})")
         if info.inclusive:
-            lines.append(f"{indent}_new = _pfx + _old + {wgt}")
-            for j, delta in enumerate(deltas):
-                lines.append(
-                    f"{indent}_s{k}_i{j}.shift_keys(_pfx, {wgt}, inclusive=False)"
-                )
-                lines.append(f"{indent}if {delta} != 0:")
-                lines.append(f"{indent}    _s{k}_i{j}.add(_new, {delta})")
+            lines.append(f"{indent}_s{k}_ix.shift_keys(_pfx, {wgt}, inclusive=False)")
+            new = f"_pfx + _old + {wgt}"
         else:
-            lines.append(f"{indent}_binc = _old == 0")
-            for j, delta in enumerate(deltas):
-                lines.append(
-                    f"{indent}_s{k}_i{j}.shift_keys(_pfx, {wgt}, inclusive=_binc)"
-                )
-                lines.append(f"{indent}if {delta} != 0:")
-                lines.append(f"{indent}    _s{k}_i{j}.add(_pfx, {delta})")
-        lines.append(f"{indent}_s{k}_bm.add(_key, {wgt})")
+            lines.append(
+                f"{indent}_s{k}_ix.shift_keys(_pfx, {wgt}, inclusive=_old == 0)"
+            )
+            new = "_pfx"
+        lines.append(f"{indent}if {' or '.join(f'{d} != 0' for d in deltas)}:")
+        lines.append(f"{indent}    _s{k}_ix.add({new}, {', '.join(deltas)})")
         lines.append(f"{indent}_s{k}.total_weight += {wgt}")
 
     def result_tail(lines: list[str]) -> None:
-        # Inlined result(): every side's qualifying sums are computed
-        # (term usage notwithstanding, matching the interpreted probe
-        # order), then the decomposed terms recombine as one flat
-        # expression per term.
+        # Inlined result(): one probe per side returns every column's
+        # qualifying sum (term usage notwithstanding, matching the
+        # interpreted probe order), then the decomposed terms recombine
+        # as one flat expression per term.
         lines.append("    if _S.enabled:")
         lines.append("        _S.inc('engine.results')")
         for alias in aliases:
@@ -1153,9 +1154,11 @@ def _conj_emit(engine: ConjunctiveIndexEngine) -> str:
             k = info.k
             fixed_src = _emit_fixed_expr(info.spec.fixed_expr, infos)
             lines.append(f"    _p{k} = {fixed_src}")
-            for j in range(info.count_index + 1):
-                probe = _probe_src(info.spec.outer_op, f"_s{k}_i{j}", f"_p{k}")
-                lines.append(f"    _q{k}_{j} = {probe}")
+            targets = ", ".join(f"_q{k}_{j}" for j in range(info.count_index + 1))
+            probe = _column_probe_src(
+                info.spec.outer_op, f"_s{k}_ix", f"_p{k}", info.count_index + 1
+            )
+            lines.append(f"    {targets} = {probe}")
         lines.append("    _t = 0.0")
         for coef, plan_entry in engine._term_plan:
             factors = [repr(coef)]
@@ -1260,8 +1263,7 @@ def _conj_bind(engine: ConjunctiveIndexEngine) -> dict[str, Any]:
     for k, side in enumerate(engine._sides.values()):
         bindings[f"_s{k}"] = side
         bindings[f"_s{k}_bm"] = side.bound_map
-        for j, index in enumerate(side.indexes):
-            bindings[f"_s{k}_i{j}"] = index
+        bindings[f"_s{k}_ix"] = side.index
     return bindings
 
 
@@ -1292,24 +1294,18 @@ def on_event(self, event):
         _row = event.row
         _x = event.weight
         _v = _row['volume']
-        _bids_ps_add(_v, _x * _row['price'])
-        _bids_ct_add(_v, _x)
+        _bids_add(_v, _x * _row['price'], _x)
         _bids.total_volume += _x * _v
     elif _rel == 'asks':
         _row = event.row
         _x = event.weight
         _v = _row['volume']
-        _asks_ps_add(_v, _x * _row['price'])
-        _asks_ct_add(_v, _x)
+        _asks_add(_v, _x * _row['price'], _x)
         _asks.total_volume += _x * _v
     if _S.enabled:
         _S.inc('engine.results')
-    _at = 0.0001 * _asks.total_volume
-    _ask_sum = _asks_ps_suffix(_at)
-    _ask_count = _asks_ct_suffix(_at)
-    _bt = 0.0001 * _bids.total_volume
-    _bid_sum = _bids_ps_suffix(_bt)
-    _bid_count = _bids_ct_suffix(_bt)
+    _ask_sum, _ask_count = _asks_suffix(0.0001 * _asks.total_volume)
+    _bid_sum, _bid_count = _bids_suffix(0.0001 * _bids.total_volume)
     return _bid_count * _ask_sum - _ask_count * _bid_sum
 """
 
@@ -1328,14 +1324,10 @@ def _psp_bind(engine: PSPRpaiEngine) -> dict[str, Any]:
     return {
         "_bids": bids,
         "_asks": asks,
-        "_bids_ps_add": bids.price_sum.add,
-        "_bids_ct_add": bids.count.add,
-        "_asks_ps_add": asks.price_sum.add,
-        "_asks_ct_add": asks.count.add,
-        "_bids_ps_suffix": bids.price_sum.suffix_sum,
-        "_bids_ct_suffix": bids.count.suffix_sum,
-        "_asks_ps_suffix": asks.price_sum.suffix_sum,
-        "_asks_ct_suffix": asks.count.suffix_sum,
+        "_bids_add": bids.index.add,
+        "_asks_add": asks.index.add,
+        "_bids_suffix": bids.index.suffix_sum,
+        "_asks_suffix": asks.index.suffix_sum,
     }
 
 

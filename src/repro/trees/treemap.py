@@ -16,9 +16,11 @@ Hot-path engineering (see docs/rpai_internals.md): all mutations run as
 iterative loops over an explicit parent stack instead of recursive
 descent; ``put``/``add`` on an existing key take an in-place fast path
 that adjusts the value and the subtree sums along the stack without any
-rebalancing; inserts stop rebalancing at the first level whose height
-stabilizes (one-rotation AVL guarantee) and finish with O(1)-per-level
-sum increments; spliced-out nodes are pooled in a bounded free list.
+rebalancing; inserts and deletes stop rebalancing at the first level
+that keeps its height and finish with O(1)-per-level sum adjustments;
+``fetch_add`` returns the old value and the exclusive prefix sum from
+the same descent that applies the delta (the range triggers' bound-map
+step); spliced-out nodes are pooled in a bounded free list.
 The AVL rotation/rebalance machinery itself is shared with the RPAI
 tree via :mod:`repro.trees._avl`.
 """
@@ -33,6 +35,8 @@ from repro.trees._avl import height as _height
 from repro.trees._avl import make_avl_ops
 
 __all__ = ["TreeMap"]
+
+_MISSING = object()
 
 
 class _Node:
@@ -178,9 +182,76 @@ class TreeMap:
         if _SELF.enabled:
             self.check_invariants()
 
+    def fetch_add(self, key: float, delta: float) -> tuple[float, float]:
+        """:meth:`add`, returning what the descent passes on its way:
+        ``(old value at key, sum of values over keys < key)`` — i.e.
+        ``get(key, 0)`` and ``get_sum(key, inclusive=False)`` as they
+        were *before* the delta, for the price of the add alone."""
+        if _SINK.enabled:
+            _SINK.inc("treemap.add")
+        node = self._root
+        prefix: float = 0
+        if node is None:
+            if not (self.prune_zeros and delta == 0):
+                self._root = _new_node(key, delta)
+                self._size = 1
+            return 0, prefix
+        stack: list[_Node] = []
+        dirs: list[bool] = []
+        while True:
+            if key == node.key:
+                left = node.left
+                if left is not None:
+                    prefix += left.sum
+                old = node.value
+                if self.prune_zeros and old + delta == 0:
+                    self._splice(stack, dirs, node)
+                elif delta:
+                    node.value = old + delta
+                    node.sum += delta
+                    for ancestor in stack:
+                        ancestor.sum += delta
+                break
+            stack.append(node)
+            if key < node.key:
+                dirs.append(False)
+                child = node.left
+            else:
+                dirs.append(True)
+                prefix += node.value
+                child = node.left
+                if child is not None:
+                    prefix += child.sum
+                child = node.right
+            if child is None:
+                old = 0
+                if not (self.prune_zeros and delta == 0):
+                    self._insert_leaf(stack, dirs, key, delta)
+                break
+            node = child
+        if _SELF.enabled:
+            self.check_invariants()
+        return old, prefix
+
     def delete(self, key: float) -> float:
         if _SINK.enabled:
             _SINK.inc("treemap.delete")
+        value = self._remove(key)
+        if value is _MISSING:
+            raise KeyError(key)
+        return value
+
+    def pop(self, key: float, default: float | None = None) -> float | None:
+        value = self._remove(key)
+        if value is _MISSING:
+            return default
+        if _SINK.enabled:
+            _SINK.inc("treemap.delete")
+        return value
+
+    def _remove(self, key: float):
+        """One descent: splice ``key`` out via the stack the search
+        built; ``_MISSING`` when it is absent."""
         node = self._root
         stack: list[_Node] = []
         dirs: list[bool] = []
@@ -193,16 +264,11 @@ class TreeMap:
                 dirs.append(True)
                 node = node.right
         if node is None:
-            raise KeyError(key)
+            return _MISSING
         value = self._splice(stack, dirs, node)
         if _SELF.enabled:
             self.check_invariants()
         return value
-
-    def pop(self, key: float, default: float | None = None) -> float | None:
-        if key in self:
-            return self.delete(key)
-        return default
 
     # -- aggregate operations -------------------------------------------------
 
@@ -438,15 +504,19 @@ class TreeMap:
             node = child
         if prune and value == 0:
             return
+        self._insert_leaf(stack, dirs, key, value)
+
+    def _insert_leaf(self, stack: list[_Node], dirs: list[bool], key: float, value: float) -> None:
+        """Attach a new leaf under ``stack[-1]`` and unwind: full
+        rebalance until a level keeps its height (AVL insert needs at
+        most one rotation, after which every ancestor keeps its
+        pre-insert height), then sums-only increments."""
         leaf = _new_node(key, value)
         self._size += 1
         if dirs[-1]:
-            node.right = leaf
+            stack[-1].right = leaf
         else:
-            node.left = leaf
-        # Unwind: full rebalance until the height stabilizes (AVL insert
-        # needs at most one rotation, after which every ancestor keeps
-        # its pre-insert height), then sums-only increments.
+            stack[-1].left = leaf
         i = len(stack) - 1
         while i >= 0:
             current = stack[i]
@@ -454,57 +524,66 @@ class TreeMap:
             balanced = _rebalance(current)
             if balanced is not current:
                 self._attach(stack, dirs, i, balanced)
-                i -= 1
-                break
-            if balanced.height == old_height:
-                i -= 1
-                break
             i -= 1
+            if balanced.height == old_height:
+                break
         while i >= 0:
             stack[i].sum += value
             i -= 1
 
     def _splice(self, stack: list[_Node], dirs: list[bool], node: _Node) -> float:
-        """Remove ``node`` (found at the bottom of ``stack``) and
-        rebalance the path; returns the removed value."""
+        """Remove ``node`` (found at the bottom of ``stack``) and repair
+        the path; returns the removed value.
+
+        The unwind rebalances only until a level keeps its height — no
+        ancestor's height or balance can change after that — and the
+        rest just lose the removed value from their sums.  In the
+        two-children case the levels below ``node`` lose the in-order
+        successor's value (it moved up into ``node``); from ``node`` up
+        they lose ``node``'s own.
+        """
         value = node.value
+        target = -1
         if node.left is not None and node.right is not None:
-            # Two children: copy the in-order successor's entry into
-            # ``node``, then splice the successor out of the right
-            # subtree (it has no left child by construction).
+            target = len(stack)
             stack.append(node)
             dirs.append(True)
-            successor = node.right
-            while successor.left is not None:
-                stack.append(successor)
+            doomed = node.right
+            while doomed.left is not None:
+                stack.append(doomed)
                 dirs.append(False)
-                successor = successor.left
-            node.key = successor.key
-            node.value = successor.value
-            replacement = successor.right
+                doomed = doomed.left
+            replacement = doomed.right
+            gone = doomed.value
+            node.key = doomed.key
+            node.value = gone
+        else:
+            doomed = node
+            replacement = node.right if node.left is None else node.left
+            gone = value
+        if stack:
             parent = stack[-1]
             if dirs[-1]:
                 parent.right = replacement
             else:
                 parent.left = replacement
-            _free_node(successor)
         else:
-            replacement = node.right if node.left is None else node.left
-            if stack:
-                parent = stack[-1]
-                if dirs[-1]:
-                    parent.right = replacement
-                else:
-                    parent.left = replacement
-            else:
-                self._root = replacement
-            _free_node(node)
+            self._root = replacement
+        _free_node(doomed)
         self._size -= 1
-        for i in range(len(stack) - 1, -1, -1):
+        i = len(stack) - 1
+        while i >= 0:
             current = stack[i]
+            old_height = current.height
             balanced = _rebalance(current)
             if balanced is not current:
                 self._attach(stack, dirs, i, balanced)
+            i -= 1
+            if balanced.height == old_height:
+                break
+        while i >= 0:
+            stack[i].sum -= gone if i > target else value
+            i -= 1
         return value
 
     def _range(

@@ -99,11 +99,11 @@ class TestDifferential:
             # The tree node freelists are process-global: whatever the
             # first pass leaves pooled would turn into hits for the
             # second, skewing the freelist counters.  Equalize.
-            from repro.core import rpai
+            from repro.core._rpai_kernel import POOLS
             from repro.trees import treemap
 
-            treemap._POOL.clear()
-            rpai._POOL.clear()
+            for pool in (treemap._POOL, *POOLS.values()):
+                pool.clear()
 
         def counters(compiled: bool) -> dict:
             drain_node_pools()

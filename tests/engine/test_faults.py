@@ -25,10 +25,13 @@ import types
 import pytest
 
 from repro import obs
+from repro.core.rpai import RPAITree
 from repro.engine.base import Quarantine
+from repro.engine.queries.common import ShiftedSide
+from repro.engine.queries.psp import _ColumnSide
 from repro.engine.registry import attach_validation, build_engine, build_sharded_engine
 from repro.engine.supervision import DurableEngine, recover_result
-from repro.errors import QuarantineOverflowError, ShardWorkerError
+from repro.errors import EngineStateError, QuarantineOverflowError, ShardWorkerError
 from repro.faults import (
     BadEventSpec,
     CorruptSnapshotSpec,
@@ -39,7 +42,14 @@ from repro.faults import (
 )
 from repro.storage.stream import Event, Stream
 from repro.storage.wal import WriteAheadLog
-from repro.workloads import TPCHConfig, generate_tpch, get_query
+from repro.trees.treemap import TreeMap
+from repro.workloads import (
+    OrderBookConfig,
+    TPCHConfig,
+    generate_order_book,
+    generate_tpch,
+    get_query,
+)
 
 from tests.conftest import random_bid_stream
 
@@ -415,9 +425,91 @@ def plant_unloadable_snapshot(directory) -> None:
         wal.snapshot(payload)
 
 
+def stale_conjunctive_sides(engine) -> None:
+    """Re-lay a conjunctive engine's sides the way they were before the
+    required sums became the columns of one index: each ``ShiftedSide``
+    holds ``indexes == [one tree per sum]`` and no ``index``."""
+    for alias, side in engine._sides.items():
+        state = dict(side.__dict__)
+        index = state.pop("index")
+        rows = list(index.rows())
+        state["indexes"] = [
+            RPAITree.bulk_load([(row[0], row[1 + j]) for row in rows], prune_zeros=True)
+            for j in range(index.columns)
+        ]
+        stale = object.__new__(ShiftedSide)
+        stale.__dict__.update(state)
+        engine._sides[alias] = stale
+
+
+class _StaleColumnSide:
+    """Pickles as a PSP ``_ColumnSide`` whose slots are the previous
+    layout's (``price_sum``/``count`` maps instead of ``index``)."""
+
+    def __init__(self, side) -> None:
+        rows = list(side.index.rows())
+        self.slots = {
+            "price_sum": TreeMap.bulk_load([(k, p) for k, p, _ in rows], prune_zeros=True),
+            "count": TreeMap.bulk_load([(k, c) for k, _, c in rows], prune_zeros=True),
+            "total_volume": side.total_volume,
+        }
+
+    def __reduce__(self):
+        return (object.__new__, (_ColumnSide,), (None, self.slots))
+
+
+def stale_psp_sides(engine) -> None:
+    engine.sides = {name: _StaleColumnSide(side) for name, side in engine.sides.items()}
+
+
+def plant_stale_layout_snapshot(directory, engine, make_stale) -> None:
+    """Write, at the log head of the WAL under ``directory``, a snapshot
+    of ``engine`` in the previous state layout.  Every class in it still
+    exists, so it unpickles cleanly unless the side refuses the shape."""
+    make_stale(engine)
+    payload = pickle.dumps(engine)
+    with pytest.raises(EngineStateError):
+        pickle.loads(payload)
+    with WriteAheadLog(directory) as wal:
+        wal.snapshot(payload)
+
+
 class TestUnloadableSnapshot:
     """A snapshot that passes its CRC but no longer unpickles is skipped
     like a corrupt one: rebuild from the factory, replay the whole log."""
+
+    @pytest.mark.parametrize(
+        "query, make_stale", [("MST", stale_conjunctive_sides), ("PSP", stale_psp_sides)]
+    )
+    def test_stale_state_layout_falls_back_to_the_log(self, tmp_path, query, make_stale):
+        """A snapshot whose classes all still exist but whose state has
+        the previous layout must not be half-restored (the re-specialized
+        trigger would bind attributes that are no longer there): the
+        side refuses it with a typed error and recovery replays."""
+        stream = Stream(list(generate_order_book(OrderBookConfig(
+            events=350, price_levels=30, volume_max=9, seed=17, delete_ratio=0.3,
+        ))))
+        expected = clean_result(query, stream)
+        assert expected != 0
+        with DurableEngine(
+            build_engine(query, "rpai"), tmp_path, snapshot_every=3
+        ) as durable:
+            for batch in stream.batches(32):
+                durable.on_batch(batch)
+            live = durable.engine
+        plant_stale_layout_snapshot(tmp_path, live, make_stale)
+        obs.enable()
+        obs.reset()
+        try:
+            recovered, stats = recover_result(query, "rpai", tmp_path)
+            counters = obs.snapshot()["counters"]
+        finally:
+            obs.disable()
+        assert recovered == expected
+        assert counters["wal.snapshot_unloadable"] == 1
+        shard = stats["per_shard"][0]
+        assert shard["snapshot_seq"] is None
+        assert shard["records_replayed"] == shard["head_seq"]
 
     def test_recover_result_replays_from_zero(self, tmp_path):
         stream = stream_for("SQ1")

@@ -46,10 +46,10 @@ class TestRegistry:
             build_engine("VWAP", "mystery")
 
 
-def aggregate_index_classes(root) -> set[type]:
-    """Classes of every :class:`AggregateIndex` instance reachable from
-    ``root`` through attributes, slots and builtin containers."""
-    found: set[type] = set()
+def aggregate_indexes(root) -> list:
+    """Every :class:`AggregateIndex` instance reachable from ``root``
+    through attributes, slots and builtin containers."""
+    found: list = []
     seen: set[int] = set()
     stack = [root]
     while stack:
@@ -58,7 +58,7 @@ def aggregate_index_classes(root) -> set[type]:
             continue
         seen.add(id(obj))
         if isinstance(obj, AggregateIndex):
-            found.add(type(obj))  # its nodes are the index's own business
+            found.append(obj)  # its nodes are the index's own business
         elif isinstance(obj, dict):
             stack.extend(obj.keys())
             stack.extend(obj.values())
@@ -79,7 +79,7 @@ class TestTwoBackends:
     backends (or the plain ordered map used for bound maps), and every
     one runs compiled triggers — before and after a snapshot restore."""
 
-    RUNTIME_INDEXES = {PAIMap, RPAITree, TreeMap}
+    RUNTIME_INDEXES = (PAIMap, RPAITree, TreeMap)
 
     @pytest.mark.parametrize("name", query_names())
     def test_only_runtime_indexes_and_compiled_triggers(self, name):
@@ -87,8 +87,21 @@ class TestTwoBackends:
         for event in _default_stream(name, 500, seed=3):
             engine.on_event(event)
         for live in (engine, pickle.loads(pickle.dumps(engine))):
-            assert aggregate_index_classes(live) <= self.RUNTIME_INDEXES
+            # isinstance, not type(): a k-column tree is an RPAITree.
+            for index in aggregate_indexes(live):
+                assert isinstance(index, self.RUNTIME_INDEXES), type(index)
             assert live.trigger_mode == "compiled"
+
+    def test_mst_holds_one_tree_per_side(self):
+        """Algorithm 4's required sums (Σ price, count) are the columns
+        of one index per relation, not one index each."""
+        engine = build_engine("MST", "rpai")
+        for event in _default_stream("MST", 500, seed=3):
+            engine.on_event(event)
+        for live in (engine, pickle.loads(pickle.dumps(engine))):
+            trees = [i for i in aggregate_indexes(live) if isinstance(i, RPAITree)]
+            assert len(trees) == 2
+            assert [tree.columns for tree in trees] == [2, 2]
 
 
 class TestEngineInterface:

@@ -20,30 +20,39 @@ class TestShiftedSide:
             ShiftedSide("=")
 
     def test_le_prefix_semantics(self):
-        side = ShiftedSide("<=", required_sums=1)
+        side = ShiftedSide("<=", columns=1)
         # tuples: price 10 vol 5, price 20 vol 5
         side.apply(10, 5, (100,))
         side.apply(20, 5, (200,))
         # group rhs values: 10->5, 20->10
-        assert sorted(side.indexes[0].items()) == [(5, 100), (10, 200)]
+        assert sorted(side.index.items()) == [(5, 100), (10, 200)]
         # deletion of the price-10 tuple shifts 20's rhs down to 5
         side.apply(10, -5, (-100,))
-        assert list(side.indexes[0].items()) == [(5, 200)]
+        assert list(side.index.items()) == [(5, 200)]
         assert side.total_weight == 5
+        assert side.qualifying(">=", 5) == (200,)
+        assert side.qualifying("=", 7) == (0,)
 
     def test_gt_suffix_semantics(self):
-        side = ShiftedSide(">", required_sums=1)
+        side = ShiftedSide(">", columns=1)
         side.apply(10, 5, (100,))
         side.apply(20, 5, (200,))
         # rhs(g) = volume at prices > g: rhs(10)=5, rhs(20)=0
-        assert sorted(side.indexes[0].items()) == [(0, 200), (5, 100)]
+        assert sorted(side.index.items()) == [(0, 200), (5, 100)]
 
-    def test_parallel_indexes_shift_together(self):
-        side = ShiftedSide("<=", required_sums=2)
+    def test_columns_shift_together(self):
+        side = ShiftedSide("<=", columns=2)
         side.apply(10, 5, (100, 1))
         side.apply(20, 5, (200, 1))
-        assert sorted(side.indexes[0].items()) == [(5, 100), (10, 200)]
-        assert sorted(side.indexes[1].items()) == [(5, 1), (10, 1)]
+        assert list(side.index.rows()) == [(5, 100, 1), (10, 200, 1)]
+        assert side.qualifying(">", 10) == (100, 1)
+        assert side.qualifying("<=", 5) == (300, 2)
+        assert side.qualifying("=", 7) == (0, 0)
+        # a row stays while any column is non-zero, and goes when all are
+        side.apply(20, 0, (-200, 0))
+        assert list(side.index.rows()) == [(5, 100, 1), (10, 0, 1)]
+        side.apply(20, 0, (0, -1))
+        assert list(side.index.rows()) == [(5, 100, 1)]
 
     def test_probe_index_operators(self):
         index = RPAITree()

@@ -124,6 +124,13 @@ def test_stats_explicit_batch_size_disables_auto(capsys):
     assert payload["batch_size"] == 7
 
 
+def test_stats_reports_column_count_of_a_conjunctive_index(capsys):
+    import json
+
+    assert main(["stats", "MST", "--events", "150", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["backend"] == "rpai (2 columns)"
+
+
 def test_run_reports_auto_batch_note(capsys):
     assert main(["run", "EQ", "--events", "150"]) == 0
     assert "batch    : 64 (auto)" in capsys.readouterr().out

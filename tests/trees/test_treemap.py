@@ -157,3 +157,55 @@ class TestProperties:
         assert tree.get_sum(probe) == oracle.get_sum(probe)
         assert tree.successor(probe) == oracle.successor(probe)
         assert tree.predecessor(probe) == oracle.predecessor(probe)
+
+
+class TestFetchAdd:
+    """``fetch_add`` ≡ ``get`` + ``get_sum(inclusive=False)`` + ``add``,
+    from the add's own descent."""
+
+    def three_walks(self, tree, key, delta):
+        before = (tree.get(key, 0), tree.get_sum(key, inclusive=False))
+        tree.add(key, delta)
+        return before
+
+    def test_existing_key(self):
+        tree = build([(10, 1), (20, 2), (30, 4)])
+        assert tree.fetch_add(20, 5) == (2, 1)
+        assert tree.get(20) == 7
+        assert tree.get_sum(30) == 12
+
+    def test_new_key(self):
+        tree = build([(10, 1), (20, 2), (30, 4)])
+        assert tree.fetch_add(25, 8) == (0, 3)
+        assert list(tree.items()) == [(10, 1), (20, 2), (25, 8), (30, 4)]
+        tree.check_invariants()
+        assert tree.fetch_add(5, 1) == (0, 0)
+        assert tree.fetch_add(99, 1) == (0, 16)
+
+    def test_empty_map(self):
+        tree = TreeMap(prune_zeros=True)
+        assert tree.fetch_add(7, 0) == (0, 0)
+        assert len(tree) == 0
+        assert tree.fetch_add(7, 3) == (0, 0)
+        assert tree.get(7) == 3
+
+    def test_delta_that_prunes_the_key(self):
+        tree = TreeMap(prune_zeros=True)
+        for key, value in [(10, 1), (20, 2), (30, 4)]:
+            tree.put(key, value)
+        assert tree.fetch_add(20, -2) == (2, 1)
+        assert list(tree.items()) == [(10, 1), (30, 4)]
+        tree.check_invariants()
+
+    @given(
+        ops=st.lists(st.tuples(KEYS, st.integers(min_value=-3, max_value=3)), max_size=80),
+        prune=st.booleans(),
+    )
+    @settings(max_examples=250, deadline=None)
+    def test_matches_three_walks(self, ops, prune):
+        fused = TreeMap(prune_zeros=prune)
+        plain = TreeMap(prune_zeros=prune)
+        for key, delta in ops:
+            assert fused.fetch_add(key, delta) == self.three_walks(plain, key, delta)
+            fused.check_invariants()
+            assert list(fused.items()) == list(plain.items())
