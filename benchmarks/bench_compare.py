@@ -7,16 +7,10 @@ report against the committed ``BENCH_batching.json`` with
 :mod:`repro.bench.diffing` and exits non-zero on regression.
 
 Because the committed artifact is produced at full scale and the CI run
-at smoke scale, only scale-independent ratios (batching speedups,
-warm-start speedup, the Section 3.2.4 violation bound) gate by default;
-absolute events/second gates too when the scales match (``--full`` on
-the same class of machine).
-
-The run also executes the trigger-codegen gate
-(``benchmarks/bench_codegen.py --gate``): compiled triggers must not
-lose to the interpreted ones on any registry query at batch size 1,
-and their results and obs counters must match exactly.  Skip with
-``--skip-codegen-gate``.
+at smoke scale, only scale-independent ratios (batching speedups, the
+Section 3.2.4 violation bound) gate by default; absolute events/second
+and the warm-start speedup gate too when the scales match (``--full``
+on the same class of machine).
 
 The run also measures write-ahead-log overhead (same engine and stream
 with WAL off / WAL on / WAL on + fsync, through
@@ -45,7 +39,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_compare.py [--full]
         [--baseline PATH] [--out PATH] [--tolerance T] [--rescue R]
-        [--wal-gate-factor F] [--skip-wal-gate] [--skip-codegen-gate]
+        [--wal-gate-factor F] [--skip-wal-gate]
         [--sharding-baseline PATH] [--skip-transport-gate]
         [--serving-baseline PATH] [--skip-serving-gate]
 """
@@ -61,7 +55,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 from bench_batching import main as run_batching  # noqa: E402
-from bench_codegen import main as run_codegen  # noqa: E402
 
 from repro.bench.diffing import compare_reports, format_diff, load_report  # noqa: E402
 
@@ -172,11 +165,6 @@ def main(argv: list[str] | None = None) -> int:
         help="skip the WAL-overhead measurement and gate",
     )
     parser.add_argument(
-        "--skip-codegen-gate",
-        action="store_true",
-        help="skip the compiled-vs-interpreted trigger gate",
-    )
-    parser.add_argument(
         "--sharding-baseline",
         type=Path,
         default=REPO_ROOT / "BENCH_sharding.json",
@@ -232,19 +220,6 @@ def main(argv: list[str] | None = None) -> int:
             "gated — rerun with --full on a comparable machine for absolute "
             "events/second gating"
         )
-
-    codegen_ok = True
-    if not args.skip_codegen_gate:
-        codegen_args = [
-            "--gate",
-            "--out",
-            str(args.out.with_name("BENCH_codegen.candidate.json")),
-        ]
-        if not args.full:
-            codegen_args.append("--smoke")
-        print()
-        print("[bench-compare] trigger-codegen gate (compiled vs interpreted):")
-        codegen_ok = run_codegen(codegen_args) == 0
 
     wal_ok = True
     if not args.skip_wal_gate:
@@ -324,7 +299,6 @@ def main(argv: list[str] | None = None) -> int:
 
     return 0 if (
         report.ok
-        and codegen_ok
         and wal_ok
         and transport_ok
         and serving_ok

@@ -159,6 +159,12 @@ def _source_section(source: str, trigger: str) -> str | None:
     return "\n".join(lines[start:end]).rstrip() + "\n"
 
 
+#: ``repro codegen`` detail for engines :func:`codegen.specialize`
+#: declines: the five hand-written per-query classes are their own
+#: single definition (the DBToaster/naive baselines likewise).
+_NO_EMITTER = "hand-written trigger (no emitter)"
+
+
 def cmd_codegen(args: argparse.Namespace) -> int:
     from repro.query import codegen
 
@@ -170,12 +176,8 @@ def cmd_codegen(args: argparse.Namespace) -> int:
         for name in query_names():
             engine = build_engine(name, args.engine)
             key = getattr(engine, "_codegen_key", None)
-            if key is not None:
-                trigger, detail = "compiled", f"{key[0]} emitter"
-            else:
-                trigger = "n/a"
-                detail = "no specialized-trigger emitter for this engine class"
-            rows.append([name, type(engine).__name__, trigger, detail])
+            detail = _NO_EMITTER if key is None else f"{key[0]} emitter"
+            rows.append([name, type(engine).__name__, engine.trigger_mode, detail])
         print(format_table(["query", "engine", "trigger", "detail"], rows))
         return 0
     name = args.query.upper()
@@ -186,12 +188,11 @@ def cmd_codegen(args: argparse.Namespace) -> int:
     source = codegen.generated_source(engine)
     print(f"query    : {name}")
     print(f"engine   : {type(engine).__name__} ({engine.name})")
-    key = getattr(engine, "_codegen_key", None)
     if source is None:
-        print("trigger  : interpreted")
-        print("reason   : no specialized-trigger emitter for this engine class")
+        print(f"trigger  : {engine.trigger_mode}")
+        print(f"reason   : {_NO_EMITTER}")
         return 0
-    print(f"trigger  : compiled ({key[0]} emitter)")
+    print(f"trigger  : compiled ({engine._codegen_key[0]} emitter)")
     print()
     if args.flavor == "all":
         print(source)

@@ -1,13 +1,11 @@
 """Execution engines: naive, DBToaster-style, general algorithm, RPAI."""
 
 from repro.engine.aggr_index import (
-    GroupedRangeIndexEngine,
-    PointIndexEngine,
-    RangeIndexEngine,
+    AggregateIndexEngine,
     build_single_index_engine,
+    decompose_product_sum,
 )
 from repro.engine.base import IncrementalEngine, Result
-from repro.engine.conjunctive import ConjunctiveIndexEngine, decompose_product_sum
 from repro.engine.general import GeneralAlgorithmEngine
 from repro.engine.naive import NaiveEngine, evaluate_query
 from repro.engine.registry import (
@@ -30,11 +28,8 @@ __all__ = [
     "NaiveEngine",
     "evaluate_query",
     "GeneralAlgorithmEngine",
-    "PointIndexEngine",
-    "RangeIndexEngine",
-    "GroupedRangeIndexEngine",
+    "AggregateIndexEngine",
     "build_single_index_engine",
-    "ConjunctiveIndexEngine",
     "decompose_product_sum",
     "build_engine",
     "build_sharded_engine",

@@ -32,7 +32,7 @@ nested re-evaluation loops.
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping
 
 from repro.errors import UnsupportedQueryError
 from repro.engine.base import IncrementalEngine, Result
@@ -46,23 +46,25 @@ from repro.query.ast import (
     Comparison,
     Const,
     Expr,
-    SubqueryExpr,
     walk_expr,
 )
+from repro.query.rowexpr import (
+    RowFn,
+    UncorrelatedScalar,
+    compile_predicate_side,
+    compile_row_expr,
+    peel_constant_scale,
+)
+
+# Snapshots written before the scalar accumulator moved to rowexpr
+# pickle it under this module's name.
+from repro.query.rowexpr import MaintainedAggregate as _MaintainedAggregate  # noqa: E402,F401
 from repro.storage.stream import Event
 from repro.trees.treemap import TreeMap
 
 __all__ = ["GeneralAlgorithmEngine"]
 
 Row = Mapping[str, Any]
-RowFn = Callable[[Row], Any]
-
-_ARITH_FN = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-}
 
 _COMPARATORS = {
     "=": operator.eq,
@@ -72,150 +74,6 @@ _COMPARATORS = {
     ">": operator.gt,
     ">=": operator.ge,
 }
-
-
-def _compile_row_expr(expr: Expr, alias: str) -> RowFn:
-    """Compile an expression over a single row (columns of ``alias``
-    only) into a Python closure."""
-    if isinstance(expr, Const):
-        value = expr.value
-        return lambda row: value
-    if isinstance(expr, ColumnRef):
-        if expr.relation != alias:
-            raise UnsupportedQueryError(
-                f"expected a column of {alias!r}, got {expr}"
-            )
-        column = expr.column
-        return lambda row: row[column]
-    if isinstance(expr, Arith):
-        left = _compile_row_expr(expr.left, alias)
-        right = _compile_row_expr(expr.right, alias)
-        fn = _ARITH_FN[expr.op]
-        return lambda row: fn(left(row), right(row))
-    raise UnsupportedQueryError(f"cannot compile row expression {expr!r}")
-
-
-def _compile_col_expr(expr: Expr, alias: str) -> Callable[[Any], list]:
-    """Columnar counterpart of :func:`_compile_row_expr`: compile the
-    same expression into a function of a
-    :class:`~repro.storage.colbatch.ColumnBlock` returning the per-row
-    value list.  Element ``i`` performs exactly the arithmetic the row
-    closure performs on row ``i`` (same operators, same order), so the
-    columnar fast paths stay bit-identical to the event path."""
-    if isinstance(expr, Const):
-        value = expr.value
-        return lambda block: [value] * len(block)
-    if isinstance(expr, ColumnRef):
-        if expr.relation != alias:
-            raise UnsupportedQueryError(
-                f"expected a column of {alias!r}, got {expr}"
-            )
-        column = expr.column
-        return lambda block: block.column(column)
-    if isinstance(expr, Arith):
-        left = _compile_col_expr(expr.left, alias)
-        right = _compile_col_expr(expr.right, alias)
-        fn = _ARITH_FN[expr.op]
-        return lambda block: [
-            fn(a, b) for a, b in zip(left(block), right(block))
-        ]
-    raise UnsupportedQueryError(f"cannot compile column expression {expr!r}")
-
-
-def _peel_constant_scale(expr: Expr) -> tuple[float, Expr]:
-    """Strip ``c *`` / ``* c`` / ``/ c`` wrappers around an aggregate."""
-    scale = 1.0
-    while isinstance(expr, Arith):
-        if expr.op == "*" and isinstance(expr.left, Const):
-            scale *= expr.left.value  # type: ignore[arg-type]
-            expr = expr.right
-        elif expr.op == "*" and isinstance(expr.right, Const):
-            scale *= expr.right.value  # type: ignore[arg-type]
-            expr = expr.left
-        elif expr.op == "/" and isinstance(expr.right, Const):
-            scale /= expr.right.value  # type: ignore[arg-type]
-            expr = expr.left
-        else:
-            break
-    return scale, expr
-
-
-class _MaintainedAggregate:
-    """SUM/COUNT/AVG accumulator over (value, weight) deltas."""
-
-    __slots__ = ("func", "total", "count")
-
-    def __init__(self, func: str) -> None:
-        if func not in {"SUM", "COUNT", "AVG"}:
-            raise UnsupportedQueryError(
-                f"the general algorithm requires streamable aggregates, "
-                f"got {func}"
-            )
-        self.func = func
-        self.total: float = 0
-        self.count: int = 0
-
-    def update(self, value: float, weight: int) -> None:
-        self.total += value * weight
-        self.count += weight
-
-    def value(self) -> float:
-        if self.func == "SUM":
-            return self.total
-        if self.func == "COUNT":
-            return self.count
-        return self.total / self.count if self.count else 0
-
-
-class _UncorrelatedScalar:
-    """A predicate-free uncorrelated subquery maintained as a scalar.
-
-    SUM/COUNT/AVG are streamable accumulators; MIN/MAX use the Section
-    4.2.5 ordered-multiset view, which supports deletions too.
-    """
-
-    def __init__(self, query: AggrQuery, alias: str) -> None:
-        call = query.select[0].expr
-        if not isinstance(call, AggrCall):
-            raise UnsupportedQueryError(
-                "uncorrelated subquery select must be a bare aggregate for "
-                "the general algorithm"
-            )
-        if call.func in {"MIN", "MAX"}:
-            from repro.core.minmax import MinMaxView
-
-            self.aggregate: Any = MinMaxView(call.func)
-        else:
-            self.aggregate = _MaintainedAggregate(call.func)
-        self.arg = (
-            _compile_row_expr(call.arg, alias) if call.arg is not None else None
-        )
-        self.arg_col = (
-            _compile_col_expr(call.arg, alias) if call.arg is not None else None
-        )
-
-    def on_row(self, row: Row, weight: int) -> None:
-        value = self.arg(row) if self.arg is not None else 1
-        self.aggregate.update(value, weight)
-
-    def column_values(self, block: Any) -> list | None:
-        """Per-row arg values for a :class:`ColumnBlock` (pure — no
-        state change; ``None`` means the count-style constant 1)."""
-        return None if self.arg_col is None else self.arg_col(block)
-
-    def apply_columns(self, values: list | None, weights: Sequence[int]) -> None:
-        """Fold precomputed :meth:`column_values` into the accumulator
-        in row order — exactly the per-event :meth:`on_row` sequence."""
-        update = self.aggregate.update
-        if values is None:
-            for weight in weights:
-                update(1, weight)
-        else:
-            for value, weight in zip(values, weights):
-                update(value, weight)
-
-    def value(self) -> float:
-        return self.aggregate.value()
 
 
 class _CorrelatedSubquery:
@@ -247,7 +105,7 @@ class _CorrelatedSubquery:
         inner_alias = query.relations[0].alias
         self.relation = query.relations[0].name
         self.inner_arg = (
-            _compile_row_expr(call.arg, inner_alias) if call.arg is not None else None
+            compile_row_expr(call.arg, inner_alias) if call.arg is not None else None
         )
         # Correlated MIN/MAX: the paper limits these to insertion-only
         # streams (Section 4.2.5), but when the aggregate's argument IS
@@ -274,8 +132,8 @@ class _CorrelatedSubquery:
         f_expr, theta, g_expr = self._split_predicate(pred, inner_alias, outer_alias)
         self.theta = theta
         self._compare = _COMPARATORS[theta]
-        self.inner_key = _compile_row_expr(f_expr, inner_alias)
-        self.outer_key = _compile_row_expr(g_expr, outer_alias)
+        self.inner_key = compile_row_expr(f_expr, inner_alias)
+        self.outer_key = compile_row_expr(g_expr, outer_alias)
         if self.func in {"MIN", "MAX"} and call.arg != f_expr:
             raise UnsupportedQueryError(
                 "correlated MIN/MAX supported only when the aggregate "
@@ -416,37 +274,6 @@ class _CorrelatedSubquery:
         raise UnsupportedQueryError(f"unsupported θ {theta!r}")
 
 
-def _compile_predicate_side(
-    expr: Expr,
-    outer_alias: str,
-    scalars: dict[AggrQuery, _UncorrelatedScalar],
-    correlated: dict[AggrQuery, _CorrelatedSubquery],
-) -> RowFn:
-    """Compile one side of an outer predicate to a closure over the
-    representative outer row (reads free maps and scalars directly)."""
-    if isinstance(expr, Const):
-        value = expr.value
-        return lambda row: value
-    if isinstance(expr, ColumnRef):
-        if expr.relation != outer_alias:
-            raise UnsupportedQueryError(f"unexpected alias in {expr}")
-        column = expr.column
-        return lambda row: row[column]
-    if isinstance(expr, Arith):
-        left = _compile_predicate_side(expr.left, outer_alias, scalars, correlated)
-        right = _compile_predicate_side(expr.right, outer_alias, scalars, correlated)
-        fn = _ARITH_FN[expr.op]
-        return lambda row: fn(left(row), right(row))
-    if isinstance(expr, SubqueryExpr):
-        if expr.query in correlated:
-            sub = correlated[expr.query]
-            outer_key = sub.outer_key
-            return lambda row: sub.value(outer_key(row))
-        scalar = scalars[expr.query]
-        return lambda row: scalar.value()
-    raise UnsupportedQueryError(f"unsupported predicate operand {expr!r}")
-
-
 class GeneralAlgorithmEngine(IncrementalEngine):
     """Section 4.2's general algorithm, compiled from the AST.
 
@@ -471,12 +298,12 @@ class GeneralAlgorithmEngine(IncrementalEngine):
         # Result aggregate: a single streamable AggrCall (optionally
         # scaled by constant arithmetic).
         select = query.select[0].expr
-        self._result_scale, call = _peel_constant_scale(select)
+        self._result_scale, call = peel_constant_scale(select)
         if not isinstance(call, AggrCall):
             raise UnsupportedQueryError(f"unsupported select {select}")
         self._result_func = call.func
         self._result_arg = (
-            _compile_row_expr(call.arg, self.alias) if call.arg is not None else None
+            compile_row_expr(call.arg, self.alias) if call.arg is not None else None
         )
         if self._result_func not in {"SUM", "COUNT", "AVG"}:
             raise UnsupportedQueryError(
@@ -484,7 +311,7 @@ class GeneralAlgorithmEngine(IncrementalEngine):
             )
 
         # Classify every nested subquery in the predicates.
-        self._scalars: dict[AggrQuery, _UncorrelatedScalar] = {}
+        self._scalars: dict[AggrQuery, UncorrelatedScalar] = {}
         self._correlated: dict[AggrQuery, _CorrelatedSubquery] = {}
         for sub in query.subqueries():
             if len(sub.relations) != 1 or sub.group_by or sub.having is not None:
@@ -503,7 +330,7 @@ class GeneralAlgorithmEngine(IncrementalEngine):
                         "uncorrelated subqueries with predicates are not "
                         "supported by the general algorithm engine"
                     )
-                self._scalars[sub] = _UncorrelatedScalar(sub, sub.relations[0].alias)
+                self._scalars[sub] = UncorrelatedScalar(sub, sub.relations[0].alias)
 
         # Compile the outer predicates into closure pairs.
         self._predicates: list[tuple[RowFn, Callable, RowFn]] = []
@@ -514,11 +341,11 @@ class GeneralAlgorithmEngine(IncrementalEngine):
                 )
             self._predicates.append(
                 (
-                    _compile_predicate_side(
+                    compile_predicate_side(
                         conjunct.left, self.alias, self._scalars, self._correlated
                     ),
                     _COMPARATORS[conjunct.op],
-                    _compile_predicate_side(
+                    compile_predicate_side(
                         conjunct.right, self.alias, self._scalars, self._correlated
                     ),
                 )

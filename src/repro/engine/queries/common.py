@@ -1,58 +1,149 @@
-"""Shared machinery for the specialized per-query RPAI engines.
+"""The per-relation *sides* of Algorithm 4 (paper Section 4.3).
 
-:class:`ShiftedSide` packages the Figure 2c trigger for one relation:
-an ordered bound map (attribute -> inner-aggregate contributions) plus
-one aggregate index keyed by the correlated subquery's value, with one
-*column* per "required sum" of Algorithm 4's ``for reqSum in
-requiredSums(Q, Ri)`` loop.  The required sums of one relation are
-indexed by the same keys and move by the same shifts, so they share a
-tree: MST carries two columns per side (Σ price and count), a
-COUNT-only conjunctive query one.
+``AggrQ(f, R1..Rn, v1 θ q_R1 AND … AND vn θ q_Rn)`` keeps, for each
+relation ``Ri``, an aggregate index keyed by the value of the
+correlated subquery ``q_Ri`` and carrying one *column* per "required
+sum" of ``for reqSum in requiredSums(Q, Ri)`` — the required sums of
+one relation are indexed by the same keys and move by the same shifts,
+so they share a tree.  How a tuple moves those keys depends on the
+correlation's θ:
 
-The attribute ordering is normalized so the subquery value is always an
-*inclusive or strict prefix sum* in stored-key order ('>' / '>='
-correlations store negated keys).
+* :class:`PointSide` — θ is ``=`` (Example 2.1 / Figure 1c): the tuple
+  changes the subquery value of exactly one correlation group, so that
+  group's result value moves from its old key to its new one.
+* :class:`ShiftedSide` — θ is an inequality (Example 2.2 / Figure 2c):
+  the subquery values are prefix sums in attribute order, so the tuple
+  shifts one contiguous *range* of keys.  With ``GROUP BY`` the same
+  shift fans out over one index per group.
+
+:class:`~repro.engine.aggr_index.AggregateIndexEngine` builds its sides
+from the planner's output; the hand-derived
+:class:`~repro.engine.queries.mst.MSTRpaiEngine` uses
+:class:`ShiftedSide` directly.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
+from repro.core.pai_map import PAIMap
 from repro.core.rpai import RPAITree
 from repro.errors import EngineStateError, UnsupportedQueryError
+from repro.obs import SINK as _SINK
 from repro.trees.treemap import TreeMap
 
-__all__ = ["ShiftedSide", "probe_index"]
+__all__ = ["PointSide", "ShiftedSide", "probe_index"]
+
+#: ``{GROUP BY key: result deltas, one per column}`` — ungrouped sides
+#: use the single key ``None``.
+Placements = Mapping[Any, Sequence[float]]
 
 
-def probe_index(index, op: str, probe: float, zero: Any = 0) -> Any:
+def probe_index(index, op: str, probe: float, columns: int = 1) -> Any:
     """Sum of ``index`` values over keys ``k`` satisfying ``probe op k``
-    (per column, as a tuple, on a multi-column index — ``zero`` is then
-    the all-zeros row an ``=`` probe returns for an absent key)."""
+    — a scalar on a single-column index (any
+    :class:`~repro.core.interfaces.AggregateIndex`), a tuple with one
+    sum per column on a ``columns``-wide RPAI tree."""
+    if _SINK.enabled:
+        _SINK.inc("engine.result_probes")
     if op == "=":
-        return index.get(probe, zero)
-    if op == "<":
-        return index.suffix_sum(probe, inclusive=False)
-    if op == "<=":
-        return index.suffix_sum(probe, inclusive=True)
-    if op == ">":
-        return index.get_sum(probe, inclusive=False)
-    if op == ">=":
-        return index.get_sum(probe, inclusive=True)
+        return index.get(probe, 0 if columns == 1 else (0,) * columns)
+    if op in (">", ">="):
+        return index.get_sum(probe, inclusive=op == ">=")
+    if op in ("<", "<="):
+        if columns == 1:
+            return index.total_sum() - index.get_sum(probe, inclusive=op == "<")
+        return index.suffix_sum(probe, inclusive=op == "<=")
     raise UnsupportedQueryError(f"unsupported probe operator {op!r}")
+
+
+class PointSide:
+    """One relation's aggregate index under an equality correlation.
+
+    Single-column: ``index_cls`` is any conforming
+    :class:`~repro.core.interfaces.AggregateIndex` (the dict when the
+    result probe is a point lookup too, see
+    :func:`~repro.query.planner.choose_backend`).
+    """
+
+    grouped = False
+
+    def __init__(self, index_cls: type = PAIMap) -> None:
+        self._index_cls = index_cls
+        # map3 in Figure 1c: correlation group -> subquery value (rhs).
+        self.bound_map = PAIMap(prune_zeros=True)
+        # map1: correlation group -> result aggregate of the group.
+        self.res_map = PAIMap(prune_zeros=True)
+        # aggrMap: rhs -> sum of result aggregates of the groups at it.
+        self.index = index_cls(prune_zeros=True)
+
+    def indexes(self) -> list:
+        return [self.index]
+
+    def apply(self, group: Any, weight: float, placements: Placements) -> None:
+        """Move ``group``'s result value from its old aggregate key to
+        its new one (Figure 1c lines 16-18)."""
+        if _SINK.enabled:
+            _SINK.inc("engine.point_applies")
+        (res_delta,) = placements[None]
+        old_rhs = self.bound_map.get(group, 0)
+        old_res = self.res_map.get(group, 0)
+        new_res = old_res + res_delta
+        if old_res != 0:
+            self.index.add(old_rhs, -old_res)
+        if new_res != 0:
+            self.index.add(old_rhs + weight, new_res)
+        self.bound_map.add(group, weight)
+        self.res_map.add(group, res_delta)
+
+    def load(self, net: Mapping[Any, tuple[float, Placements]]) -> None:
+        """Bulk-load a fresh side from per-group net deltas."""
+        groups = sorted(net)
+        self.bound_map = PAIMap.bulk_load(
+            ((g, net[g][0]) for g in groups), prune_zeros=True
+        )
+        self.res_map = PAIMap.bulk_load(
+            ((g, net[g][1][None][0]) for g in groups), prune_zeros=True
+        )
+        by_rhs: dict[float, float] = {}
+        for group in groups:
+            rhs, placements = net[group]
+            res = placements[None][0]
+            if res != 0:
+                by_rhs[rhs] = by_rhs.get(rhs, 0) + res
+        self.index = self._index_cls.bulk_load(sorted(by_rhs.items()), prune_zeros=True)
+
+    def qualifying(self, op: str, probe: float) -> dict[Any, tuple]:
+        return {None: (probe_index(self.index, op, probe),)}
 
 
 class ShiftedSide:
     """One relation's aggregate index under an inequality correlation.
 
+    The attribute ordering is normalized so the subquery value is always
+    an *inclusive or strict prefix sum* in stored-key order ('>' / '>='
+    correlations store negated keys).
+
     Args:
         inner_op: θ of the correlated predicate ``x.attr θ outer.attr``
             (one of ``<  <=  >  >=``).
         columns: how many required sums the index carries (each
-            ``apply`` call passes one result delta per column).
+            placement passes one result delta per column).
+        index_cls: the aggregate-index class of a single-column side
+            (the §6 comparators plug in here); wider sides need the
+            multi-column :class:`~repro.core.rpai.RPAITree`.
+        grouped: keep one index per ``GROUP BY`` key, created on first
+            use and dropped when empty, instead of the one index under
+            key ``None``.
     """
 
-    def __init__(self, inner_op: str, columns: int = 1) -> None:
+    def __init__(
+        self,
+        inner_op: str,
+        columns: int = 1,
+        index_cls: type = RPAITree,
+        grouped: bool = False,
+    ) -> None:
         if inner_op in {">", ">="}:
             self.key_sign = -1
             inner_op = "<" if inner_op == ">" else "<="
@@ -63,44 +154,122 @@ class ShiftedSide:
                 f"ShiftedSide requires an inequality correlation, got {inner_op!r}"
             )
         self.inclusive = inner_op == "<="
+        self.columns = columns
+        self.grouped = grouped
+        self._index_cls = index_cls
+        # map3 in Figure 2c: stored key -> inner-aggregate contributions.
         self.bound_map = TreeMap(prune_zeros=True)
-        self.index = RPAITree(columns=columns, prune_zeros=True)
-        self.total_weight: float = 0  # running Σ of inner contributions
+        # GROUP BY key -> aggrIndex: subquery value -> required sums of
+        # the tuples currently at it.
+        self.group_indexes: dict[Any, Any] = {} if grouped else {None: self._new_index()}
 
     def __setstate__(self, state: dict) -> None:
-        if "index" not in state:
-            # Written before the required sums became columns of one
-            # index (one tree per sum under ``indexes``): refuse, so the
+        if "group_indexes" not in state:
+            # Written when a side held ``index`` (or, earlier, one tree
+            # per required sum under ``indexes``): refuse, so the
             # snapshot loader rebuilds from the log instead.
-            raise EngineStateError(
-                "ShiftedSide state predates the multi-column index layout"
-            )
+            raise EngineStateError("ShiftedSide state predates the per-group index layout")
         self.__dict__.update(state)
 
-    def apply(self, attr: float, weight: float, res_deltas: Sequence[float]) -> None:
-        """Process one tuple: ``attr`` is the correlation attribute,
-        ``weight`` the signed inner-aggregate contribution (± volume),
-        ``res_deltas`` the signed result contributions, one per column.
+    def _new_index(self, rows: Any = None) -> Any:
+        """An empty index, or one bulk-loaded from key-sorted rows."""
+        options: dict = {"prune_zeros": True}
+        if self.columns != 1:
+            options["columns"] = self.columns
+        if rows is None:
+            return self._index_cls(**options)
+        return self._index_cls.bulk_load(rows, **options)
 
-        This is Figure 2c with k required sums: one bound-map walk, one
-        range shift and one point update, whatever k is.
+    @property
+    def index(self) -> Any:
+        """The one index of an ungrouped side."""
+        return self.group_indexes[None]
+
+    def indexes(self) -> list:
+        return list(self.group_indexes.values())
+
+    def apply(self, attr: float, weight: float, placements: Placements) -> None:
+        """Process the tuples at correlation attribute ``attr``:
+        ``weight`` is their signed inner-aggregate contribution
+        (± volume), ``placements`` their signed result contributions.
+
+        This is Figure 2c with k required sums and G groups: one
+        bound-map walk, then per live index one range shift, then one
+        point update per placement.
         """
+        group_indexes = self.group_indexes
+        if _SINK.enabled:
+            _SINK.inc("engine.range_applies")
+            if self.grouped:
+                _SINK.observe("engine.grouped_fanout", len(group_indexes))
         key = self.key_sign * attr
+        # The add's one descent also yields the volume already at the
+        # key and the volume of strictly lower keys.
         old_at_key, prefix_excl = self.bound_map.fetch_add(key, weight)
         if self.inclusive:
-            self.index.shift_keys(prefix_excl, weight, inclusive=False)
+            # rhs(g) includes the group's own key.  Affected groups are
+            # g >= key; their old rhs exceeds prefix_excl because the
+            # group at `key` (if live) carries positive own volume.
+            inclusive = False
             group_new = prefix_excl + old_at_key + weight
         else:
-            self.index.shift_keys(prefix_excl, weight, inclusive=old_at_key == 0)
+            # Strict '<': the group at `key` is NOT affected; its rhs is
+            # exactly prefix_excl.  When the group does not exist yet
+            # (old volume 0) the shift must include keys equal to the
+            # boundary (see DESIGN.md tie analysis).
+            inclusive = old_at_key == 0
             group_new = prefix_excl
-        if any(res_deltas):
-            self.index.add(group_new, *res_deltas)
-        self.total_weight += weight
+        for index in group_indexes.values():
+            index.shift_keys(prefix_excl, weight, inclusive=inclusive)
+        for group, deltas in placements.items():
+            if not any(deltas):
+                continue
+            index = group_indexes.get(group)
+            if index is None:
+                index = group_indexes[group] = self._new_index()
+            index.add(group_new, *deltas)
+            if self.grouped and not len(index):
+                del group_indexes[group]
 
-    def qualifying(self, op: str, probe: float) -> tuple:
-        """Per-column sums over groups whose subquery value ``k``
-        satisfies ``probe op k``."""
-        columns = self.index.columns
-        if columns == 1:
-            return (probe_index(self.index, op, probe),)
-        return probe_index(self.index, op, probe, (0,) * columns)
+    def load(self, net: Mapping[float, tuple[float, Placements]]) -> None:
+        """Bulk-load a fresh side from per-attribute net deltas: a
+        running prefix sum yields every tuple's aggregate key (its
+        subquery value), so the bound map and the indexes build in O(n)
+        after one sort — no shifts ever run."""
+        sign = self.key_sign
+        weights: list[tuple[float, float]] = []
+        rows: dict[Any, dict[float, list[float]]] = {}
+        # A float, so bulk-loaded aggregate keys are floats: CPython's
+        # relative-key arithmetic measures ~8 % faster on them than on
+        # ints (key types never reach a result).
+        prefix = 0.0
+        for attr in sorted(net, key=lambda a: sign * a):
+            weight, placements = net[attr]
+            weights.append((sign * attr, weight))
+            rhs = prefix + weight if self.inclusive else prefix
+            prefix += weight
+            for group, deltas in placements.items():
+                if not any(deltas):
+                    continue
+                by_rhs = rows.setdefault(group, {})
+                held = by_rhs.get(rhs)
+                if held is None:
+                    by_rhs[rhs] = list(deltas)
+                else:
+                    for j, delta in enumerate(deltas):
+                        held[j] += delta
+        self.bound_map = TreeMap.bulk_load(weights, prune_zeros=True)
+        for group, by_rhs in rows.items():
+            index = self._new_index(sorted((rhs, *sums) for rhs, sums in by_rhs.items()))
+            if len(index) or not self.grouped:
+                self.group_indexes[group] = index
+
+    def qualifying(self, op: str, probe: float) -> dict[Any, tuple]:
+        """Per group, the per-column sums over tuples whose subquery
+        value ``k`` satisfies ``probe op k``."""
+        columns = self.columns
+        out = {}
+        for group, index in self.group_indexes.items():
+            sums = probe_index(index, op, probe, columns)
+            out[group] = (sums,) if columns == 1 else sums
+        return out

@@ -48,12 +48,13 @@ class MSTRpaiEngine(IncrementalEngine):
         if side is not None:
             row, x = event.row, event.weight
             price, volume = row["price"], row["volume"]
-            side.apply(price, x * volume, (x * price, x))
+            side.apply(price, x * volume, {None: (x * price, x)})
         return self.result()
 
     def result(self) -> Result:
-        asks, bids = self.sides["asks"], self.sides["bids"]
         # Outer predicates: 0.25 * total_volume > subquery value.
-        ask_sum, ask_count = asks.qualifying(">", 0.25 * asks.total_weight)
-        bid_sum, bid_count = bids.qualifying(">", 0.25 * bids.total_weight)
+        (ask_sum, ask_count), (bid_sum, bid_count) = (
+            side.qualifying(">", 0.25 * side.bound_map.total_sum())[None]
+            for side in (self.sides["asks"], self.sides["bids"])
+        )
         return bid_count * ask_sum - ask_count * bid_sum

@@ -71,28 +71,12 @@ class NQ1RpaiEngine(IncrementalEngine):
         self.res_map: dict[int, float] = {}  # price -> Σ price·volume
         self.aggr = RPAITree(prune_zeros=True)  # rhs·M + price -> group res
 
-    # -- helpers ---------------------------------------------------------------
-
     def _boundary(self) -> int | None:
         """p*: smallest price whose cumulative volume exceeds total/4
         (None iff the book is empty)."""
         if self.total == 0:
             return None
         return self.price_vol.first_key_with_prefix_above(self.total / 4)
-
-    def _group_key(self, price: int) -> int:
-        """Composite aggregate-index key of the group at ``price`` under
-        the *current* view."""
-        return self.elig_vol.get_sum(price) * _M + price
-
-    def _apply_view_delta(self, price: int, delta: float) -> None:
-        """Feed one eligible-view delta through the outer VWAP machinery:
-        groups at prices >= ``price`` shift by ``delta`` (composite)."""
-        if delta == 0:
-            return
-        boundary = self.elig_vol.get_sum(price, inclusive=False) * _M + (price - 1)
-        self.aggr.shift_keys(boundary, delta * _M)
-        self.elig_vol.add(price, delta)
 
     # -- trigger ------------------------------------------------------------------
 
@@ -101,6 +85,10 @@ class NQ1RpaiEngine(IncrementalEngine):
             return self.result()
         row, x = event.row, event.weight
         price, volume = row["price"], row["volume"]
+        price_vol, elig_vol, aggr = self.price_vol, self.elig_vol, self.aggr
+        # Composite aggregate-index key of the group at price p under the
+        # *current* view: elig_sum(p) * M + p.
+        elig_sum = elig_vol.get_sum
 
         star_old = self._boundary()
 
@@ -108,10 +96,10 @@ class NQ1RpaiEngine(IncrementalEngine):
         #    rhs both change non-uniformly).
         old_res = self.res_map.get(price, 0)
         if old_res != 0:
-            self.aggr.add(self._group_key(price), -old_res)
+            aggr.add(elig_sum(price) * _M + price, -old_res)
 
         # 2. Apply the tuple to the base view.
-        self.price_vol.add(price, x * volume)
+        price_vol.add(price, x * volume)
         self.total += x * volume
         new_res = old_res + x * price * volume
         if new_res:
@@ -121,21 +109,27 @@ class NQ1RpaiEngine(IncrementalEngine):
 
         # 3. Delta the eligible view: candidates are the tuple's price
         #    plus every price whose eligibility toggled when the
-        #    boundary moved.
+        #    boundary moved.  Each view delta drives the outer VWAP
+        #    machinery once: groups at prices >= p shift by the delta
+        #    (composite).
         star_new = self._boundary()
         candidates: dict[int, None] = {price: None}
         if star_old is not None and star_new is not None and star_old != star_new:
             lo, hi = min(star_old, star_new), max(star_old, star_new)
-            for p, _v in self.price_vol.range_items(lo, hi, lo_inclusive=True, hi_inclusive=False):
+            for p, _v in price_vol.range_items(lo, hi, lo_inclusive=True, hi_inclusive=False):
                 candidates[int(p)] = None
         for p in sorted(candidates):
             eligible = star_new is not None and p >= star_new
-            target = self.price_vol.get(p, 0) if eligible else 0
-            self._apply_view_delta(p, target - self.elig_vol.get(p, 0))
+            target = price_vol.get(p, 0) if eligible else 0
+            delta = target - elig_vol.get(p, 0)
+            if delta == 0:
+                continue
+            aggr.shift_keys(elig_sum(p, inclusive=False) * _M + (p - 1), delta * _M)
+            elig_vol.add(p, delta)
 
         # 4. Re-attach the tuple's group at its new composite key.
         if new_res != 0:
-            self.aggr.add(self._group_key(price), new_res)
+            aggr.add(elig_sum(price) * _M + price, new_res)
         return self.result()
 
     def result(self) -> Result:
@@ -143,17 +137,6 @@ class NQ1RpaiEngine(IncrementalEngine):
         lhs = 0.75 * self.total
         floor_key = math.floor(lhs) * _M + (_M - 1)
         return self.aggr.total_sum() - self.aggr.get_sum(floor_key)
-
-    def __getstate__(self) -> dict:
-        from repro.query import codegen_runtime
-
-        return codegen_runtime.picklable_state(self)
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        from repro.query import codegen
-
-        codegen.maybe_specialize(self)
 
 
 class NQ2RpaiEngine(IncrementalEngine):
@@ -199,14 +182,3 @@ class NQ2RpaiEngine(IncrementalEngine):
 
     def result(self) -> Result:
         return self._result
-
-    def __getstate__(self) -> dict:
-        from repro.query import codegen_runtime
-
-        return codegen_runtime.picklable_state(self)
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        from repro.query import codegen
-
-        codegen.maybe_specialize(self)

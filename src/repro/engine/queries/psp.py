@@ -46,14 +46,6 @@ class _ColumnSide:
         for name, value in slots.items():
             setattr(self, name, value)
 
-    def apply(self, volume: float, price: float, x: int) -> None:
-        self.index.add(volume, x * price, x)
-        self.total_volume += x * volume
-
-    def qualifying(self) -> tuple[float, float]:
-        """(Σ price, count) over tuples with volume > 0.0001 * total."""
-        return self.index.suffix_sum(0.0001 * self.total_volume, inclusive=False)
-
 
 class PSPRpaiEngine(IncrementalEngine):
     """O(log n)-per-update PSP via column-keyed ordered indexes."""
@@ -66,23 +58,16 @@ class PSPRpaiEngine(IncrementalEngine):
     def on_event(self, event: Event) -> Result:
         side = self.sides.get(event.relation)
         if side is not None:
-            row = event.row
-            side.apply(row["volume"], row["price"], event.weight)
+            row, x = event.row, event.weight
+            volume = row["volume"]
+            side.index.add(volume, x * row["price"], x)
+            side.total_volume += x * volume
         return self.result()
 
     def result(self) -> Result:
-        ask_sum, ask_count = self.sides["asks"].qualifying()
-        bid_sum, bid_count = self.sides["bids"].qualifying()
+        # Per side (Σ price, count) over tuples with volume > 0.0001 * total.
+        asks, bids = self.sides["asks"], self.sides["bids"]
+        ask_sum, ask_count = asks.index.suffix_sum(0.0001 * asks.total_volume)
+        bid_sum, bid_count = bids.index.suffix_sum(0.0001 * bids.total_volume)
         # SUM(a.price - b.price) over qualifying pairs.
         return bid_count * ask_sum - ask_count * bid_sum
-
-    def __getstate__(self) -> dict:
-        from repro.query import codegen_runtime
-
-        return codegen_runtime.picklable_state(self)
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        from repro.query import codegen
-
-        codegen.maybe_specialize(self)

@@ -42,17 +42,6 @@ class _PartGroup:
         self.quantity_sum: float = 0
         self.count: int = 0
 
-    def update(self, quantity: int, price_delta: float, x: int) -> None:
-        value = self.domain.get(quantity, 0) + price_delta
-        if value:
-            self.domain[quantity] = value
-        else:
-            self.domain.pop(quantity, None)
-        self.quantity_sum += x * quantity
-        self.count += x
-        if self.tree is not None:
-            self.tree.add(quantity, price_delta)
-
     def ensure_tree(self) -> None:
         if self.tree is None:
             tree = TreeMap(prune_zeros=True)
@@ -89,18 +78,37 @@ class Q17RpaiEngine(IncrementalEngine):
         self._qualifying: set[int] = set()
         self._total: float = 0  # Σ of qualifying parts' contributions
 
-    def _group(self, partkey: int) -> _PartGroup:
-        group = self._groups.get(partkey)
-        if group is None:
-            group = self._groups[partkey] = _PartGroup()
-        return group
-
     def on_event(self, event: Event) -> Result:
         row, x = event.row, event.weight
-        if event.relation == "part":
+        relation = event.relation
+        if relation == "lineitem":
+            partkey = row["partkey"]
+            group = self._groups.get(partkey)
+            if group is None:
+                group = self._groups[partkey] = _PartGroup()
+            tracked = partkey in self._qualifying
+            if tracked:
+                self._total -= group.contribution()
+            quantity = row["quantity"]
+            price_delta = x * row["extendedprice"]
+            domain = group.domain
+            value = domain.get(quantity, 0) + price_delta
+            if value:
+                domain[quantity] = value
+            else:
+                domain.pop(quantity, None)
+            group.quantity_sum += x * quantity
+            group.count += x
+            if group.tree is not None:
+                group.tree.add(quantity, price_delta)
+            if tracked:
+                self._total += group.contribution()
+        elif relation == "part":
             if row["brand"] == self.brand and row["container"] == self.container:
                 partkey = row["partkey"]
-                group = self._group(partkey)
+                group = self._groups.get(partkey)
+                if group is None:
+                    group = self._groups[partkey] = _PartGroup()
                 if x == 1:
                     self._qualifying.add(partkey)
                     group.ensure_tree()
@@ -109,30 +117,10 @@ class Q17RpaiEngine(IncrementalEngine):
                     self._qualifying.discard(partkey)
                     self._total -= group.contribution()
                     group.drop_tree()
-        elif event.relation == "lineitem":
-            partkey = row["partkey"]
-            group = self._group(partkey)
-            tracked = partkey in self._qualifying
-            if tracked:
-                self._total -= group.contribution()
-            group.update(row["quantity"], x * row["extendedprice"], x)
-            if tracked:
-                self._total += group.contribution()
         return self.result()
 
     def result(self) -> Result:
         return self._total / 7.0
-
-    def __getstate__(self) -> dict:
-        from repro.query import codegen_runtime
-
-        return codegen_runtime.picklable_state(self)
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        from repro.query import codegen
-
-        codegen.maybe_specialize(self)
 
     # -- sharded execution: equality correlation on partkey --
     # Both relations carry partkey, so hash partitioning puts every
@@ -187,24 +175,38 @@ class Q18RpaiEngine(IncrementalEngine):
 
     def on_event(self, event: Event) -> Result:
         row, x = event.row, event.weight
-        if event.relation == "lineitem":
+        relation = event.relation
+        if relation == "lineitem":
             orderkey = row["orderkey"]
-            self._order_quantity[orderkey] = (
-                self._order_quantity.get(orderkey, 0) + x * row["quantity"]
-            )
-            if self._order_quantity[orderkey] == 0:
-                del self._order_quantity[orderkey]
-            self._refresh_order(orderkey)
-        elif event.relation == "orders":
+            order_quantity = self._order_quantity
+            quantity = order_quantity.get(orderkey, 0) + x * row["quantity"]
+            if quantity:
+                order_quantity[orderkey] = quantity
+            else:
+                order_quantity.pop(orderkey, None)
+            self._retract(orderkey)
+            # _refresh_order with the quantity already in hand.
+            if quantity > self.threshold:
+                custkey = self._order_customer.get(orderkey)
+                if custkey is not None and custkey in self._customers:
+                    self._activate(orderkey, custkey, quantity)
+        elif relation == "orders":
             orderkey, custkey = row["orderkey"], row["custkey"]
+            self._retract(orderkey)
             if x == 1:
                 self._order_customer[orderkey] = custkey
                 self._customer_orders.setdefault(custkey, set()).add(orderkey)
+                # _refresh_order with the customer already in hand; a
+                # deleted order has no customer, so only the retraction
+                # above applies to it.
+                if custkey in self._customers:
+                    quantity = self._order_quantity.get(orderkey, 0)
+                    if quantity > self.threshold:
+                        self._activate(orderkey, custkey, quantity)
             else:
                 self._order_customer.pop(orderkey, None)
                 self._customer_orders.get(custkey, set()).discard(orderkey)
-            self._refresh_order(orderkey)
-        elif event.relation == "customer":
+        elif relation == "customer":
             custkey = row["custkey"]
             if x == 1:
                 self._customers.add(custkey)
@@ -214,8 +216,8 @@ class Q18RpaiEngine(IncrementalEngine):
                 self._refresh_order(orderkey)
         return self.result()
 
-    def _refresh_order(self, orderkey: int) -> None:
-        """Reconcile one order's contribution with the result dict."""
+    def _retract(self, orderkey: int) -> None:
+        """Take one order's contribution out of the result dict."""
         previous = self._active.pop(orderkey, None)
         if previous is not None:
             custkey, amount = previous
@@ -224,6 +226,14 @@ class Q18RpaiEngine(IncrementalEngine):
                 self._result[custkey] = remaining
             else:
                 del self._result[custkey]
+
+    def _activate(self, orderkey: int, custkey: int, quantity: float) -> None:
+        self._active[orderkey] = (custkey, quantity)
+        self._result[custkey] = self._result.get(custkey, 0) + quantity
+
+    def _refresh_order(self, orderkey: int) -> None:
+        """Reconcile one order's contribution with the result dict."""
+        self._retract(orderkey)
         quantity = self._order_quantity.get(orderkey, 0)
         custkey = self._order_customer.get(orderkey)
         if (
@@ -231,22 +241,10 @@ class Q18RpaiEngine(IncrementalEngine):
             and custkey is not None
             and custkey in self._customers
         ):
-            self._active[orderkey] = (custkey, quantity)
-            self._result[custkey] = self._result.get(custkey, 0) + quantity
+            self._activate(orderkey, custkey, quantity)
 
     def result(self) -> Result:
         return dict(self._result)
-
-    def __getstate__(self) -> dict:
-        from repro.query import codegen_runtime
-
-        return codegen_runtime.picklable_state(self)
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        from repro.query import codegen
-
-        codegen.maybe_specialize(self)
 
     # -- sharded execution: hash on orderkey, broadcast customers --
     # Lineitems and orders join on orderkey, so partitioning both by

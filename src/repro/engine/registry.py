@@ -8,14 +8,13 @@ benchmark query can be run under three execution strategies —
   (Sections 2.1.2/2.2.2),
 * ``"rpai"`` — our fully incremental engines (Sections 2.1.3/2.2.3, 4).
 
-For queries whose shape the generic compilers cover (EQ, VWAP via the
-planner; SQ1/SQ2 via the general algorithm; MST via the conjunctive
-decomposition) the ``rpai`` engine is *compiled from the AST*; the
-remaining queries (PSP, NQ1, NQ2, Q17, Q18) use the specialized
-trigger implementations, exactly as the paper's prototype generates
-specialized triggers per query.  In both cases the codegen stage then
-installs per-query compiled triggers, so no registry query runs
-interpreted.
+For queries whose shape the generic compilers cover (EQ, VWAP and MST
+via the planner and the one aggregate-index engine; SQ1/SQ2 via the
+general algorithm) the ``rpai`` engine is *compiled from the AST* and
+the codegen stage then installs per-query compiled triggers; the
+remaining queries (PSP, NQ1, NQ2, Q17, Q18) use hand-written trigger
+classes, exactly as the paper's prototype generates specialized
+triggers per query.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.engine.aggr_index import build_single_index_engine
-from repro.engine.conjunctive import ConjunctiveIndexEngine
 from repro.engine.base import IncrementalEngine
 from repro.engine.dbtoaster.finance import (
     EQDbtEngine,
@@ -41,7 +39,6 @@ from repro.engine.naive import NaiveEngine
 from repro.engine.queries.nq import NQ1RpaiEngine, NQ2RpaiEngine
 from repro.engine.queries.psp import PSPRpaiEngine
 from repro.engine.queries.tpch import Q17RpaiEngine, Q18RpaiEngine
-from repro.query.planner import classify
 from repro.workloads.queries import get_query
 
 __all__ = [
@@ -81,13 +78,6 @@ def _general_factory(name: str) -> EngineFactory:
     return build
 
 
-def _conjunctive_factory(name: str) -> EngineFactory:
-    def build() -> IncrementalEngine:
-        return ConjunctiveIndexEngine(classify(get_query(name).ast))
-
-    return build
-
-
 _DBT: dict[str, EngineFactory] = {
     "EQ": EQDbtEngine,
     "VWAP": VWAPDbtEngine,
@@ -105,9 +95,9 @@ _RPAI: dict[str, EngineFactory] = {
     # Compiled from the AST by the planner + generic engines:
     "EQ": _compiled_index_factory("EQ"),
     "VWAP": _compiled_index_factory("VWAP"),
+    "MST": _compiled_index_factory("MST"),
     "SQ1": _general_factory("SQ1"),
     "SQ2": _general_factory("SQ2"),
-    "MST": _conjunctive_factory("MST"),
     # Specialized triggers (multi-level nesting / TPC-H):
     "PSP": PSPRpaiEngine,
     "NQ1": NQ1RpaiEngine,
@@ -138,11 +128,9 @@ def build_engine(query_name: str, strategy: str) -> IncrementalEngine:
             engine = _RPAI[name]()
         except KeyError:
             raise KeyError(f"no RPAI engine for {name!r}") from None
-        # Codegen stage of the pipeline: swap the interpreted triggers
-        # for per-query compiled ones.  Every registry engine
-        # now has an emitter — the generic engines get loop-specialized
-        # triggers, the hand-written ones get their trigger bodies
-        # recompiled against bound globals.
+        # Codegen stage of the pipeline: swap the generic engines'
+        # interpreted triggers for per-query compiled ones (the
+        # hand-written classes have no emitter and stay as they are).
         from repro.query import codegen
 
         codegen.maybe_specialize(engine)

@@ -123,15 +123,17 @@ class TestTriggerModes:
 
     One cell per (query, trigger mode): the same fixed event stream
     driven through ``on_event``.  Localizes which *query's* generated
-    trigger moved when the ``bench_codegen.py`` macro gate trips, the
-    same way the index cells above localize structure regressions.
+    trigger moved when the layered report's ``engine.codegen_speedup``
+    does, the same way the index cells above localize structure
+    regressions.
     """
 
     EVENTS = 300
-    # EQ/VWAP/SQ1 cover the point, range and general-algorithm
-    # emitters; MST covers the conjunctive loop emitter (the grouped
-    # emitter has its own cell below — grouped queries are built
-    # directly, not through the registry).
+    # EQ/VWAP/MST cover the aggregate-index emitter's point-move and
+    # range-shift fragments (one side and two), SQ1 the
+    # general-algorithm emitter; the grouped fan-out fragment has its
+    # own cell below — grouped queries are built directly, not through
+    # the registry.
     QUERIES = ("EQ", "VWAP", "SQ1", "MST")
 
     @staticmethod
@@ -174,7 +176,7 @@ class TestTriggerModes:
         _bench(benchmark, run, setup=setup)
 
     def test_grouped_on_event(self, benchmark, compiled):
-        """The grouped loop emitter's cell: a GROUP BY query has no
+        """The grouped fan-out fragment's cell: a GROUP BY query has no
         registry entry, so the engine is built straight from its SQL."""
         from repro.engine.aggr_index import build_single_index_engine
         from repro.query import codegen

@@ -1,0 +1,181 @@
+"""The one aggregate-index engine across its four plan shapes.
+
+EQ (one point side), VWAP (one shifted side), grouped VWAP (one shifted
+side fanned over GROUP BY keys) and MST (two two-column shifted sides)
+all run through :class:`~repro.engine.aggr_index.AggregateIndexEngine`
+and the one emitter.  Every shape × trigger flavor (per event, batched,
+columnar frames) × trigger mode (compiled, ``set_codegen(False)``) must
+be bit-identical to the naive engine, before and after a pickle
+round-trip mid-stream; and what only one of the replaced classes had —
+bulk-load ``warm_start``, the generated ``on_frame`` — must hold for
+all four.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.engine.aggr_index import AggregateIndexEngine, build_single_index_engine
+from repro.engine.naive import NaiveEngine
+from repro.errors import EngineStateError
+from repro.query import codegen
+from repro.query.parser import parse_query
+from repro.storage import schema as schemas
+from repro.storage.colbatch import ColumnarFrame
+from repro.storage.stream import Event, Stream
+from repro.workloads import get_query
+
+from tests.conftest import random_bid_stream
+from tests.engine.test_columns import FLAVORS, book, drive
+from tests.engine.test_sharding import GROUPED_VWAP
+
+MODES = pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "interpreted"])
+
+
+def bids(count: int, seed: int) -> list:
+    """Few price levels and many retractions: keys empty out, shifted
+    aggregate keys collide, groups come and go."""
+    return list(random_bid_stream(
+        count, price_levels=12, volume_max=9, delete_probability=0.3, seed=seed
+    ))
+
+
+def pairs(count: int, seed: int) -> list:
+    """EQ's relation as two groups with few live rows and small sums, so
+    that one group's sum equals half the total (EQ's predicate) at some
+    chunk boundaries."""
+    rng = random.Random(seed)
+    events, live = [], []
+    while len(events) < count:
+        if live and rng.random() < 0.45:
+            events.append(Event("R", live.pop(rng.randrange(len(live))), -1))
+        else:
+            live.append({"A": rng.randint(1, 2), "B": rng.randint(1, 2)})
+            events.append(Event("R", live[-1], +1))
+    return events
+
+
+#: shape -> (query AST, naive schema map, event list factory)
+SHAPES = {
+    "EQ": (get_query("EQ").ast, get_query("EQ").schema_map(), pairs),
+    "VWAP": (get_query("VWAP").ast, get_query("VWAP").schema_map(), bids),
+    "grouped": (parse_query(GROUPED_VWAP), {"bids": schemas.BIDS}, bids),
+    "MST": (get_query("MST").ast, get_query("MST").schema_map(), book),
+}
+SHAPE = pytest.mark.parametrize("shape", SHAPES)
+
+
+@pytest.fixture(autouse=True)
+def _restore_codegen_state():
+    prior = codegen.codegen_enabled()
+    yield
+    codegen.set_codegen(prior)
+
+
+def build(shape: str, compiled: bool) -> AggregateIndexEngine:
+    codegen.set_codegen(compiled)
+    engine = build_single_index_engine(SHAPES[shape][0])
+    codegen.maybe_specialize(engine)
+    assert engine.trigger_mode == ("compiled" if compiled else "interpreted")
+    return engine
+
+
+def naive_trace(shape: str, events: list) -> list:
+    query, schema_map, _ = SHAPES[shape]
+    return drive(NaiveEngine(query, schema_map), events, "event")
+
+
+def identical(left, right) -> bool:
+    """Same types, same values, same group keys — ``1 == 1.0`` is not
+    identity."""
+    if isinstance(left, list):
+        return len(left) == len(right) and all(map(identical, left, right))
+    if isinstance(left, dict):
+        return left.keys() == right.keys() and all(
+            identical(value, right[key]) for key, value in left.items()
+        )
+    return type(left) is type(right) and left == right
+
+
+class TestAgainstNaive:
+    @SHAPE
+    @MODES
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_bit_identical_with_a_restore_mid_stream(self, shape, compiled, flavor):
+        events = SHAPES[shape][2](160, 81)
+        expected = naive_trace(shape, events)
+        assert any(expected), "the stream must exercise a non-empty result"
+        assert drive(build(shape, compiled), events, flavor) == expected
+        assert drive(build(shape, compiled), events, flavor, restore_at=4) == expected
+
+
+class TestModesAgree:
+    @SHAPE
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_compiled_equals_interpreted_to_the_type(self, shape, flavor):
+        events = SHAPES[shape][2](160, 82)
+        compiled = drive(build(shape, True), events, flavor, restore_at=3)
+        interpreted = drive(build(shape, False), events, flavor, restore_at=3)
+        assert identical(compiled, interpreted)
+
+
+class TestWarmStart:
+    @SHAPE
+    @MODES
+    def test_bulk_load_equals_replay(self, shape, compiled):
+        events = SHAPES[shape][2](200, 83)
+        head, tail = events[:120], events[120:]
+        replayed = build(shape, compiled)
+        for event in head:
+            replayed.on_event(event)
+        loaded = build(shape, compiled)
+        assert identical(loaded.warm_start(Stream(head)), replayed.result())
+        assert identical(drive(loaded, tail, "event"), drive(replayed, tail, "event"))
+
+    @SHAPE
+    @MODES
+    def test_refuses_an_engine_that_has_seen_events(self, shape, compiled):
+        events = SHAPES[shape][2](40, 84)
+        engine = build(shape, compiled)
+        engine.on_batch(events[:20])
+        with pytest.raises(EngineStateError):
+            engine.warm_start(Stream(events[20:]))
+
+    def test_mst_bulk_load_builds_both_sides_without_a_shift(self):
+        from repro import obs
+
+        events = book(200, 85)
+        obs.enable()
+        obs.reset()
+        try:
+            engine = build("MST", True)
+            engine.warm_start(Stream(events))
+            counters = obs.snapshot()["counters"]
+        finally:
+            obs.disable()
+            obs.reset()
+        assert not any(name.startswith("rpai.shift_keys") for name in counters)
+        assert all(len(side.index) for side in engine.sides)
+
+
+class TestFrames:
+    @SHAPE
+    def test_generated_frame_path_equals_batch_of_the_decoded_frame(self, shape):
+        events = SHAPES[shape][2](192, 86)
+        by_frame, by_batch = build(shape, True), build(shape, True)
+        assert "def on_frame(" in codegen.generated_source(by_frame)
+        for start in range(0, len(events), 24):
+            frame = ColumnarFrame.from_events(events[start : start + 24])
+            assert not frame.fallback
+            assert identical(by_frame.on_frame(frame), by_batch.on_batch(frame.events()))
+
+    def test_frame_with_fallback_rows_takes_the_batch_path(self):
+        events = book(48, 87)
+        ragged = dict(events[5].row, note="not in the block layout")
+        events[5] = Event(events[5].relation, ragged, events[5].weight)
+        frame = ColumnarFrame.from_events(events)
+        assert frame.fallback
+        by_frame, by_batch = build("MST", True), build("MST", True)
+        assert identical(by_frame.on_frame(frame), by_batch.on_batch(events))

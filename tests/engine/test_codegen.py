@@ -25,9 +25,29 @@ from tests.engine.test_differential import CASES
 from tests.engine.test_sharding import stream_for
 
 ALL_QUERIES = sorted(CASES)
-# Every registry query has an emitter: the generic engines get
-# loop-specialized triggers, the hand-written ones recompiled bodies.
-COMPILED = tuple(ALL_QUERIES)
+# The engines built from a plan have an emitter; the hand-written
+# trigger classes are their own single definition.
+COMPILED = ("EQ", "MST", "SQ1", "SQ2", "VWAP")
+HANDWRITTEN = tuple(name for name in ALL_QUERIES if name not in COMPILED)
+FLAVORS = ("event", "batch", "frame")
+
+
+def drive(engine, events: list, flavor: str, chunk: int = 24):
+    """Feed ``events`` the ``flavor`` way; returns the final result."""
+    from repro.storage.colbatch import ColumnarFrame
+
+    result = engine.result()
+    if flavor == "event":
+        for event in events:
+            result = engine.on_event(event)
+        return result
+    for start in range(0, len(events), chunk):
+        piece = events[start : start + chunk]
+        if flavor == "batch":
+            result = engine.on_batch(piece)
+        else:
+            result = engine.on_frame(ColumnarFrame.from_events(piece))
+    return result
 
 
 @pytest.fixture(autouse=True)
@@ -52,7 +72,7 @@ def build(name: str, *, compiled: bool):
 class TestDifferential:
     """compiled trace == interpreted trace, bit for bit."""
 
-    @pytest.mark.parametrize("name", ALL_QUERIES)
+    @pytest.mark.parametrize("name", COMPILED)
     def test_per_event_trace_identical(self, name):
         stream = CASES[name]()
         reference = build(name, compiled=False).results_trace(stream)
@@ -60,7 +80,7 @@ class TestDifferential:
         assert engine.trigger_mode == "compiled"
         assert engine.results_trace(stream) == reference
 
-    @pytest.mark.parametrize("name", ALL_QUERIES)
+    @pytest.mark.parametrize("name", COMPILED)
     @pytest.mark.parametrize("batch_size", (3, 32))
     def test_batched_trace_identical(self, name, batch_size):
         stream = CASES[name]()
@@ -88,12 +108,14 @@ class TestDifferential:
             obs.disable_selfcheck()
 
     @pytest.mark.parametrize("name", COMPILED)
-    def test_counters_identical(self, name):
-        """One instrumented pass per mode: every counter outside the
-        ``codegen.*`` family (rotations, probes, migrations, shifts)
-        must match exactly — the specialization may not change what
-        algorithmic work happens, only how fast Python executes it."""
-        stream = CASES[name]()
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_counters_identical(self, name, flavor):
+        """One instrumented pass per mode, in every trigger flavor:
+        every counter outside the ``codegen.*`` family (batches, batch
+        sizes, rotations, probes, shifts) must match exactly — the
+        specialization may not change what algorithmic work happens,
+        only how fast Python executes it."""
+        events = list(CASES[name]())
 
         def drain_node_pools():
             # The tree node freelists are process-global: whatever the
@@ -110,18 +132,27 @@ class TestDifferential:
             obs.enable()
             obs.reset()
             try:
-                engine = build(name, compiled=compiled)
-                engine.process(stream)
-                snap = obs.snapshot()["counters"]
+                drive(build(name, compiled=compiled), events, flavor)
+                snap = obs.snapshot()
             finally:
                 obs.disable()
-            return {
+            kept = {
                 key: value
-                for key, value in snap.items()
+                for key, value in snap["counters"].items()
                 if not key.startswith("codegen.")
             }
+            kept.update(
+                (key, stat["count"])
+                for key, stat in snap["stats"].items()
+                if key.startswith("engine.")
+            )
+            return kept
 
-        assert counters(True) == counters(False)
+        compiled = counters(True)
+        assert compiled == counters(False)
+        if flavor != "event":
+            assert compiled["engine.batches"] == -(-len(events) // 24)
+            assert compiled["engine.batch_size"] == compiled["engine.batches"]
 
 
 class TestCache:
@@ -163,9 +194,8 @@ class TestCache:
             codegen.clear_cache()
 
     def test_engines_without_emitter_are_counted_not_crashed(self):
-        # Every *registry* rpai engine compiles now; classes outside the
-        # emitter table (e.g. the DBToaster baselines) are still counted
-        # as unsupported rather than crashing.
+        # Classes outside the emitter table (e.g. the DBToaster
+        # baselines) are counted as unsupported rather than crashing.
         codegen.set_codegen(True)
         engine = build_engine("MST", "dbtoaster")
         obs.enable()
@@ -178,22 +208,34 @@ class TestCache:
         assert engine.trigger_mode == "interpreted"
         assert counters.get("codegen.unsupported") == 1
 
-    def test_no_registry_engine_reports_unsupported(self):
-        """`codegen_unsupported_reason` is gone: with codegen on, every
-        registry build compiles and never bumps the negative counter."""
+    def test_handwritten_engines_have_no_emitter(self):
+        """The five hand-written trigger classes are their own single
+        definition: ``specialize`` declines them, they keep the class
+        default trigger mode and carry no codegen bookkeeping."""
         codegen.clear_cache()
         obs.enable()
         obs.reset()
         try:
             for name in ALL_QUERIES:
                 engine = build(name, compiled=True)
-                assert engine.trigger_mode == "compiled", name
-                assert not hasattr(engine, "codegen_unsupported_reason"), name
+                expected = "compiled" if name in COMPILED else "interpreted"
+                assert engine.trigger_mode == expected, name
+                if name in HANDWRITTEN:
+                    assert codegen.specialize(engine) is False
+                    assert "trigger_mode" not in vars(engine)
+                    assert codegen.generated_source(engine) is None
             counters = obs.snapshot()["counters"]
         finally:
             obs.disable()
-        assert counters.get("codegen.unsupported") is None
-        assert counters.get("codegen.installed") == len(ALL_QUERIES)
+        # once from the registry's maybe_specialize, once called directly
+        assert counters.get("codegen.unsupported") == 2 * len(HANDWRITTEN)
+        assert counters.get("codegen.installed") == len(COMPILED)
+
+    def test_emitter_table_has_two_entries(self):
+        from repro.engine.aggr_index import AggregateIndexEngine
+        from repro.engine.general import GeneralAlgorithmEngine
+
+        assert set(codegen._EMITTERS) == {AggregateIndexEngine, GeneralAlgorithmEngine}
 
     def test_generated_source_roundtrip(self):
         engine = build("VWAP", compiled=True)
@@ -204,8 +246,8 @@ class TestCache:
 
 
 class TestGroupedCompiled:
-    """The grouped loop emitter: per-group dispatch, generated frame
-    netting, sharding."""
+    """The grouped fan-out fragment: per-group dispatch, generated
+    frame netting, sharding."""
 
     def _stream(self, count=160, seed=33):
         from tests.conftest import random_bid_stream
@@ -269,7 +311,7 @@ class TestGroupedCompiled:
 
 
 class TestPickleAndSharding:
-    @pytest.mark.parametrize("name", COMPILED)
+    @pytest.mark.parametrize("name", ALL_QUERIES)
     def test_pickle_roundtrip_reinstalls_compiled_trigger(self, name):
         events = list(CASES[name]())
         half = len(events) // 2
@@ -281,7 +323,8 @@ class TestPickleAndSharding:
             engine.on_event(event)
             reference.on_event(event)
         restored = pickle.loads(pickle.dumps(engine))
-        assert restored.trigger_mode == "compiled"
+        assert restored.trigger_mode == engine.trigger_mode
+        assert (restored.trigger_mode == "compiled") == (name in COMPILED)
         for event in events[half:]:
             assert restored.on_event(event) == reference.on_event(event)
 
@@ -355,11 +398,24 @@ class TestCLI:
         from repro.__main__ import main
 
         assert main(["codegen"]) == 0
+        rows = {
+            line.split()[0]: line for line in capsys.readouterr().out.splitlines()
+            if line.split() and line.split()[0] in ALL_QUERIES
+        }
+        assert set(rows) == set(ALL_QUERIES)
+        for name in COMPILED:
+            assert "compiled" in rows[name]
+        for name in HANDWRITTEN:
+            assert "interpreted" in rows[name]
+            assert "hand-written trigger (no emitter)" in rows[name]
+
+    def test_codegen_subcommand_handwritten_query(self, capsys):
+        from repro.__main__ import main
+
+        assert main(["codegen", "PSP"]) == 0
         out = capsys.readouterr().out
-        for name in ALL_QUERIES:
-            assert name in out
-        assert "compiled" in out
-        assert "interpreted" not in out  # no registry query left behind
+        assert "trigger  : interpreted" in out
+        assert "hand-written trigger (no emitter)" in out
 
     def test_codegen_flavor_dumps_frame_source(self, capsys):
         from repro.__main__ import main

@@ -13,7 +13,7 @@ import pytest
 
 from repro import obs
 from repro.core.rpai import RPAITree
-from repro.engine.conjunctive import ConjunctiveIndexEngine
+from repro.engine.aggr_index import AggregateIndexEngine
 from repro.engine.naive import NaiveEngine
 from repro.engine.queries.mst import MSTRpaiEngine
 from repro.engine.registry import build_engine
@@ -27,10 +27,12 @@ from repro.workloads import OrderBookConfig, generate_order_book, get_query
 FLAVORS = ("event", "batch", "frame")
 CHUNK = 16
 
-#: MST's predicates under a result with two distinct factors per side:
-#: required sums Σ price, Σ volume and the count, i.e. three columns.
+#: MST's predicates under a result with two distinct factors per side
+#: plus MST's own count-weighted terms: required sums Σ price, Σ volume
+#: and the count, i.e. three columns.
 THREE_SUMS_SQL = """
-    SELECT SUM(a.price * b.volume - a.volume * b.price) FROM asks a, bids b
+    SELECT SUM(a.price * b.volume - a.volume * b.price + a.price - b.price)
+    FROM asks a, bids b
     WHERE 0.25 * (SELECT SUM(a1.volume) FROM asks a1)
             > (SELECT SUM(a2.volume) FROM asks a2 WHERE a2.price > a.price)
       AND 0.25 * (SELECT SUM(b1.volume) FROM bids b1)
@@ -86,8 +88,11 @@ def registry_engine(name: str, compiled: bool):
 
 
 class TestAgainstNaive:
-    @pytest.mark.parametrize("name", ["MST", "PSP"])
-    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "interpreted"])
+    # PSP is a hand-written trigger class: no emitter, one mode.
+    @pytest.mark.parametrize(
+        "name, compiled", [("MST", True), ("MST", False), ("PSP", False)],
+        ids=["MST-compiled", "MST-interpreted", "PSP"],
+    )
     @pytest.mark.parametrize("flavor", FLAVORS)
     def test_registry_engine_matches_naive(self, name, compiled, flavor):
         events = book(96, seed=71)
@@ -110,25 +115,33 @@ class TestHandwrittenAgainstCompiler:
         events = book(800, seed=73, price_levels=40)
         expected = drive(MSTRpaiEngine(), events, "event")
         generic = registry_engine("MST", compiled)
-        assert isinstance(generic, ConjunctiveIndexEngine)
+        assert isinstance(generic, AggregateIndexEngine)
         assert drive(generic, events, flavor, restore_at=20) == expected
 
 
 class TestThreeRequiredSums:
     """k = 3 from a real plan, not only from the structure tests."""
 
-    def build(self, compiled: bool) -> ConjunctiveIndexEngine:
+    def build(self, compiled: bool) -> AggregateIndexEngine:
         codegen.set_codegen(compiled)
-        engine = ConjunctiveIndexEngine(classify(parse_query(THREE_SUMS_SQL)))
+        engine = AggregateIndexEngine(classify(parse_query(THREE_SUMS_SQL)))
         codegen.maybe_specialize(engine)
         assert engine.trigger_mode == ("compiled" if compiled else "interpreted")
         return engine
 
     def test_each_side_holds_one_three_column_tree(self):
         engine = self.build(compiled=True)
-        for side in engine._sides.values():
+        for side in engine.sides:
             assert isinstance(side.index, RPAITree)
             assert side.index.columns == 3
+
+    def test_count_column_only_when_a_term_uses_it(self):
+        """Without the count-weighted terms no term multiplies by |Q|,
+        so each side carries its two factor columns and no count."""
+        sql = THREE_SUMS_SQL.replace(" + a.price - b.price", "")
+        engine = AggregateIndexEngine(classify(parse_query(sql)))
+        assert [side.index.columns for side in engine.sides] == [2, 2]
+        assert not any(plan.counted for plan in engine.layout.sides)
 
     @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "interpreted"])
     @pytest.mark.parametrize("flavor", FLAVORS)

@@ -1,9 +1,10 @@
-"""Tests for the compiled multi-relation conjunctive engine and the
-product-sum decomposer (Algorithm 4's requiredSums machinery)."""
+"""Tests for the aggregate-index engine on multi-relation conjunctive
+plans and the product-sum decomposer (Algorithm 4's requiredSums
+machinery)."""
 
 import pytest
 
-from repro.engine.conjunctive import ConjunctiveIndexEngine, decompose_product_sum
+from repro.engine.aggr_index import AggregateIndexEngine, decompose_product_sum
 from repro.engine.naive import NaiveEngine
 from repro.engine.queries.mst import MSTRpaiEngine
 from repro.errors import UnsupportedQueryError
@@ -68,7 +69,7 @@ class TestDecomposer:
 class TestCompiledEngine:
     def test_matches_handwritten_mst(self):
         plan = classify(get_query("MST").ast)
-        compiled = ConjunctiveIndexEngine(plan)
+        compiled = AggregateIndexEngine(plan)
         handwritten = MSTRpaiEngine()
         stream = generate_order_book(
             OrderBookConfig(events=300, price_levels=40, volume_max=20, seed=61, delete_ratio=0.2)
@@ -87,7 +88,7 @@ class TestCompiledEngine:
         """
         query = parse_query(sql)
         plan = classify(query)
-        engine = ConjunctiveIndexEngine(plan)
+        engine = AggregateIndexEngine(plan)
         naive = NaiveEngine(query, {"asks": schemas.ASKS, "bids": schemas.BIDS})
         stream = generate_order_book(
             OrderBookConfig(events=120, price_levels=15, volume_max=8, seed=62, delete_ratio=0.2)
@@ -95,9 +96,13 @@ class TestCompiledEngine:
         for index, event in enumerate(stream):
             assert naive.on_event(event) == engine.on_event(event), index
 
-    def test_rejects_wrong_plan(self):
-        with pytest.raises(UnsupportedQueryError):
-            ConjunctiveIndexEngine(classify(get_query("VWAP").ast))
+    def test_single_relation_argument_is_one_required_sum(self):
+        """Only a cross-relation argument is split into factors: VWAP's
+        ``price * volume`` stays one column with no count."""
+        engine = AggregateIndexEngine(classify(get_query("VWAP").ast))
+        (side,) = engine.layout.sides
+        assert len(side.factors) == 1 and not side.counted
+        assert engine.layout.terms == ((1.0, (0,)),)
 
     def test_rejects_non_sum_result(self):
         sql = """
@@ -111,7 +116,7 @@ class TestCompiledEngine:
         plan = classify(query)
         if plan.index_specs:
             with pytest.raises(UnsupportedQueryError):
-                ConjunctiveIndexEngine(plan)
+                AggregateIndexEngine(plan)
 
 
 class TestMultiEqualityPlan:

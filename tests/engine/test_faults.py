@@ -25,7 +25,7 @@ import types
 import pytest
 
 from repro import obs
-from repro.core.rpai import RPAITree
+from repro.engine.aggr_index import AggregateIndexEngine
 from repro.engine.base import Quarantine
 from repro.engine.queries.common import ShiftedSide
 from repro.engine.queries.psp import _ColumnSide
@@ -425,21 +425,41 @@ def plant_unloadable_snapshot(directory) -> None:
         wal.snapshot(payload)
 
 
-def stale_conjunctive_sides(engine) -> None:
-    """Re-lay a conjunctive engine's sides the way they were before the
-    required sums became the columns of one index: each ``ShiftedSide``
-    holds ``indexes == [one tree per sum]`` and no ``index``."""
-    for alias, side in engine._sides.items():
+def stale_shifted_sides(engine):
+    """Re-lay an aggregate-index engine's sides the way ``ShiftedSide``
+    was before the index moved under ``group_indexes``: one ``index``
+    attribute and a running ``total_weight``."""
+    for position, side in enumerate(engine.sides):
         state = dict(side.__dict__)
-        index = state.pop("index")
-        rows = list(index.rows())
-        state["indexes"] = [
-            RPAITree.bulk_load([(row[0], row[1 + j]) for row in rows], prune_zeros=True)
-            for j in range(index.columns)
-        ]
+        state["index"] = state.pop("group_indexes")[None]
+        state["total_weight"] = side.bound_map.total_sum()
         stale = object.__new__(ShiftedSide)
         stale.__dict__.update(state)
-        engine._sides[alias] = stale
+        engine.sides[position] = stale
+    return engine
+
+
+class _StalePerClassState:
+    """Pickles as an ``AggregateIndexEngine`` whose state is the dict
+    the per-shape classes it replaced (``PointIndexEngine`` /
+    ``RangeIndexEngine``) wrote: structures at the top level, no
+    ``sides``."""
+
+    def __init__(self, engine) -> None:
+        (side,) = engine.sides
+        self.state = {
+            "plan": engine._plan,
+            "index_cls": engine._index_cls,
+            "name": engine.name,
+            "fixed_scalars": {sub: sc.aggregate for sub, sc in engine._scalars.items()},
+            "bound_map": side.bound_map,
+            "aggr_index": side.index,
+        }
+        if hasattr(side, "res_map"):
+            self.state["res_map"] = side.res_map
+
+    def __reduce__(self):
+        return (object.__new__, (AggregateIndexEngine,), self.state)
 
 
 class _StaleColumnSide:
@@ -458,16 +478,17 @@ class _StaleColumnSide:
         return (object.__new__, (_ColumnSide,), (None, self.slots))
 
 
-def stale_psp_sides(engine) -> None:
+def stale_psp_sides(engine):
     engine.sides = {name: _StaleColumnSide(side) for name, side in engine.sides.items()}
+    return engine
 
 
 def plant_stale_layout_snapshot(directory, engine, make_stale) -> None:
     """Write, at the log head of the WAL under ``directory``, a snapshot
-    of ``engine`` in the previous state layout.  Every class in it still
-    exists, so it unpickles cleanly unless the side refuses the shape."""
-    make_stale(engine)
-    payload = pickle.dumps(engine)
+    of ``engine`` in a previous state layout.  Every class in it still
+    exists, so it unpickles cleanly unless ``__setstate__`` refuses the
+    shape."""
+    payload = pickle.dumps(make_stale(engine))
     with pytest.raises(EngineStateError):
         pickle.loads(payload)
     with WriteAheadLog(directory) as wal:
@@ -479,16 +500,32 @@ class TestUnloadableSnapshot:
     like a corrupt one: rebuild from the factory, replay the whole log."""
 
     @pytest.mark.parametrize(
-        "query, make_stale", [("MST", stale_conjunctive_sides), ("PSP", stale_psp_sides)]
+        "query, make_stale",
+        [
+            ("EQ", _StalePerClassState),
+            ("VWAP", _StalePerClassState),
+            ("MST", stale_shifted_sides),
+            ("PSP", stale_psp_sides),
+        ],
     )
     def test_stale_state_layout_falls_back_to_the_log(self, tmp_path, query, make_stale):
         """A snapshot whose classes all still exist but whose state has
-        the previous layout must not be half-restored (the re-specialized
+        a previous layout must not be half-restored (the re-specialized
         trigger would bind attributes that are no longer there): the
-        side refuses it with a typed error and recovery replays."""
-        stream = Stream(list(generate_order_book(OrderBookConfig(
-            events=350, price_levels=30, volume_max=9, seed=17, delete_ratio=0.3,
-        ))))
+        engine or side refuses it with a typed error and recovery
+        replays."""
+        if query == "EQ":
+            # churn that cancels out, then Figure 1c's two matching groups
+            rows = [{"A": i % 9 + 1, "B": i % 4 + 1} for i in range(170)]
+            stream = Stream(
+                [Event("R", row, +1) for row in rows]
+                + [Event("R", row, -1) for row in rows]
+                + [Event("R", {"A": 1, "B": 2}, +1), Event("R", {"A": 2, "B": 2}, +1)]
+            )
+        else:
+            stream = Stream(list(generate_order_book(OrderBookConfig(
+                events=350, price_levels=30, volume_max=9, seed=17, delete_ratio=0.3,
+            ))))
         expected = clean_result(query, stream)
         assert expected != 0
         with DurableEngine(

@@ -1,9 +1,9 @@
-"""Tests for the grouped aggregate-index engine (the grammar's
+"""Tests for the aggregate-index engine on grouped plans (the grammar's
 ``Aggr[cols]`` form)."""
 
 import pytest
 
-from repro.engine.aggr_index import GroupedRangeIndexEngine, build_single_index_engine
+from repro.engine.aggr_index import AggregateIndexEngine, build_single_index_engine
 from repro.engine.naive import NaiveEngine
 from repro.errors import UnsupportedQueryError
 from repro.query.parser import parse_query
@@ -27,34 +27,26 @@ def engine():
 
 
 class TestDispatch:
-    def test_grouped_query_builds_grouped_engine(self, engine):
-        assert isinstance(engine, GroupedRangeIndexEngine)
+    def test_grouped_query_builds_a_grouped_side(self, engine):
+        assert isinstance(engine, AggregateIndexEngine)
+        (side,) = engine.sides
+        assert side.grouped and side.group_indexes == {}
 
-    def test_scalar_query_still_builds_range_engine(self):
-        from repro.engine.aggr_index import RangeIndexEngine
+    def test_scalar_query_builds_an_ungrouped_side(self):
         from repro.workloads.queries import QUERIES
 
-        assert isinstance(
-            build_single_index_engine(QUERIES["VWAP"].ast), RangeIndexEngine
-        )
+        (side,) = build_single_index_engine(QUERIES["VWAP"].ast).sides
+        assert not side.grouped and list(side.group_indexes) == [None]
 
-    def test_group_by_foreign_alias_rejected(self):
-        query = parse_query(GROUPED_VWAP)
-        plan = classify(query)
-        # sanity: the engine validates group columns against the alias
-        GroupedRangeIndexEngine(plan)
-
-    def test_wrong_strategy_rejected(self):
-        from repro.workloads.queries import QUERIES
-
+    def test_group_by_over_an_equality_rejected(self):
+        sql = """
+            SELECT r.A, SUM(r.A * r.B) FROM R r
+            WHERE 0.5 * (SELECT SUM(r1.B) FROM R r1)
+                = (SELECT SUM(r2.B) FROM R r2 WHERE r2.A = r.A)
+            GROUP BY r.A
+        """
         with pytest.raises(UnsupportedQueryError):
-            GroupedRangeIndexEngine(classify(QUERIES["EQ"].ast))
-
-    def test_scalar_plan_rejected(self):
-        from repro.workloads.queries import QUERIES
-
-        with pytest.raises(UnsupportedQueryError):
-            GroupedRangeIndexEngine(classify(QUERIES["VWAP"].ast))
+            AggregateIndexEngine(classify(parse_query(sql)))
 
 
 class TestBehaviour:
@@ -90,4 +82,4 @@ class TestBehaviour:
         event = Event("bids", make_bid(100, 10, broker=7, bid_id=1), +1)
         engine.on_event(event)
         engine.on_event(event.inverted())
-        assert engine.group_indexes == {}
+        assert engine.sides[0].group_indexes == {}

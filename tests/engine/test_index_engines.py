@@ -1,16 +1,13 @@
-"""Focused tests for the Section 4.3 aggregate-index engines: trigger
-edge cases, all three pluggable index implementations, and the planner
-hand-off."""
+"""Focused tests for the Section 4.3 aggregate-index engine on
+single-relation plans: trigger edge cases, all three pluggable index
+implementations, and the planner hand-off."""
 
 import pytest
 
 from repro.core.pai_map import PAIMap
 from repro.core.rpai import RPAITree
-from repro.engine.aggr_index import (
-    PointIndexEngine,
-    RangeIndexEngine,
-    build_single_index_engine,
-)
+from repro.engine.aggr_index import AggregateIndexEngine, build_single_index_engine
+from repro.engine.queries.common import PointSide, ShiftedSide
 from repro.engine.naive import NaiveEngine
 from repro.errors import UnsupportedQueryError
 from repro.query.parser import parse_query
@@ -28,22 +25,25 @@ def vwap_engine():
 
 
 class TestBuildDispatch:
-    def test_vwap_builds_range_engine(self, vwap_engine):
-        assert isinstance(vwap_engine, RangeIndexEngine)
+    def test_vwap_builds_one_shifted_side(self, vwap_engine):
+        assert isinstance(vwap_engine, AggregateIndexEngine)
+        (side,) = vwap_engine.sides
+        assert isinstance(side, ShiftedSide) and not side.grouped
+        assert side.columns == 1  # one required sum, no count column
 
-    def test_eq_builds_point_engine(self):
+    def test_eq_builds_one_point_side(self):
         engine = build_single_index_engine(QUERIES["EQ"].ast)
-        assert isinstance(engine, PointIndexEngine)
+        (side,) = engine.sides
+        assert isinstance(side, PointSide)
 
     def test_general_shape_rejected(self):
         with pytest.raises(UnsupportedQueryError):
             build_single_index_engine(QUERIES["SQ1"].ast)
 
-    def test_wrong_plan_type_rejected(self):
-        with pytest.raises(UnsupportedQueryError):
-            PointIndexEngine(classify(QUERIES["VWAP"].ast))
-        with pytest.raises(UnsupportedQueryError):
-            RangeIndexEngine(classify(QUERIES["EQ"].ast))
+    def test_other_strategies_rejected(self):
+        for name in ("SQ1", "NQ1", "Q18"):
+            with pytest.raises(UnsupportedQueryError):
+                AggregateIndexEngine(classify(QUERIES[name].ast))
 
 
 class TestVWAPTriggerEdgeCases:
@@ -55,17 +55,17 @@ class TestVWAPTriggerEdgeCases:
         for event in bid_events([(100, 10), (100, 5)]):
             vwap_engine.on_event(event)
         # one group at price 100 with rhs 15
-        assert len(vwap_engine.aggr_index) == 1
-        assert vwap_engine.aggr_index.get(15) == 100 * 15
+        assert len(vwap_engine.sides[0].index) == 1
+        assert vwap_engine.sides[0].index.get(15) == 100 * 15
 
     def test_delete_last_tuple_of_group_removes_group(self, vwap_engine):
         events = list(bid_events([(100, 10), (200, 10)]))
         for event in events:
             vwap_engine.on_event(event)
         vwap_engine.on_event(events[1].inverted())
-        assert len(vwap_engine.aggr_index) == 1
+        assert len(vwap_engine.sides[0].index) == 1
         vwap_engine.on_event(events[0].inverted())
-        assert len(vwap_engine.aggr_index) == 0
+        assert len(vwap_engine.sides[0].index) == 0
         assert vwap_engine.result() == 0
 
     def test_delete_merges_colliding_rhs(self, vwap_engine):
@@ -76,12 +76,12 @@ class TestVWAPTriggerEdgeCases:
         for event in events:
             vwap_engine.on_event(event)
         vwap_engine.on_event(events[0].inverted())
-        assert list(vwap_engine.aggr_index.items()) == [(10, 2000)]
+        assert list(vwap_engine.sides[0].index.items()) == [(10, 2000)]
 
     def test_index_size_tracks_live_groups_not_updates(self, vwap_engine):
         for event in random_bid_stream(300, seed=3, price_levels=10):
             vwap_engine.on_event(event)
-        assert len(vwap_engine.aggr_index) <= 10
+        assert len(vwap_engine.sides[0].index) <= 10
 
     def test_ignores_other_relations(self, vwap_engine):
         before = vwap_engine.result()
@@ -132,9 +132,10 @@ class TestEQTrigger:
         engine = build_single_index_engine(QUERIES["EQ"].ast)
         engine.on_event(Event("R", {"A": 1, "B": 2}))
         engine.on_event(Event("R", {"A": 1, "B": 2}, -1))
-        assert len(engine.aggr_index) == 0
-        assert len(engine.bound_map) == 0
-        assert len(engine.res_map) == 0
+        (side,) = engine.sides
+        assert len(side.index) == 0
+        assert len(side.bound_map) == 0
+        assert len(side.res_map) == 0
 
 
 class TestOuterOpVariants:

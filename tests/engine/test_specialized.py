@@ -22,37 +22,61 @@ class TestShiftedSide:
     def test_le_prefix_semantics(self):
         side = ShiftedSide("<=", columns=1)
         # tuples: price 10 vol 5, price 20 vol 5
-        side.apply(10, 5, (100,))
-        side.apply(20, 5, (200,))
+        side.apply(10, 5, {None: (100,)})
+        side.apply(20, 5, {None: (200,)})
         # group rhs values: 10->5, 20->10
         assert sorted(side.index.items()) == [(5, 100), (10, 200)]
         # deletion of the price-10 tuple shifts 20's rhs down to 5
-        side.apply(10, -5, (-100,))
+        side.apply(10, -5, {None: (-100,)})
         assert list(side.index.items()) == [(5, 200)]
-        assert side.total_weight == 5
-        assert side.qualifying(">=", 5) == (200,)
-        assert side.qualifying("=", 7) == (0,)
+        assert side.bound_map.total_sum() == 5
+        assert side.qualifying(">=", 5) == {None: (200,)}
+        assert side.qualifying("=", 7) == {None: (0,)}
 
     def test_gt_suffix_semantics(self):
         side = ShiftedSide(">", columns=1)
-        side.apply(10, 5, (100,))
-        side.apply(20, 5, (200,))
+        side.apply(10, 5, {None: (100,)})
+        side.apply(20, 5, {None: (200,)})
         # rhs(g) = volume at prices > g: rhs(10)=5, rhs(20)=0
         assert sorted(side.index.items()) == [(0, 200), (5, 100)]
 
     def test_columns_shift_together(self):
         side = ShiftedSide("<=", columns=2)
-        side.apply(10, 5, (100, 1))
-        side.apply(20, 5, (200, 1))
+        side.apply(10, 5, {None: (100, 1)})
+        side.apply(20, 5, {None: (200, 1)})
         assert list(side.index.rows()) == [(5, 100, 1), (10, 200, 1)]
-        assert side.qualifying(">", 10) == (100, 1)
-        assert side.qualifying("<=", 5) == (300, 2)
-        assert side.qualifying("=", 7) == (0, 0)
+        assert side.qualifying(">", 10) == {None: (100, 1)}
+        assert side.qualifying("<=", 5) == {None: (300, 2)}
+        assert side.qualifying("=", 7) == {None: (0, 0)}
         # a row stays while any column is non-zero, and goes when all are
-        side.apply(20, 0, (-200, 0))
+        side.apply(20, 0, {None: (-200, 0)})
         assert list(side.index.rows()) == [(5, 100, 1), (10, 0, 1)]
-        side.apply(20, 0, (0, -1))
+        side.apply(20, 0, {None: (0, -1)})
         assert list(side.index.rows()) == [(5, 100, 1)]
+
+    def test_grouped_side_fans_one_shift_over_every_group(self):
+        side = ShiftedSide("<=", grouped=True)
+        side.apply(20, 5, {"x": (200,)})
+        side.apply(30, 5, {"y": (300,)})
+        # one tuple below both: both groups' keys shift, its own lands
+        side.apply(10, 5, {"x": (100,), "z": (0,)})
+        assert {g: list(ix.items()) for g, ix in side.group_indexes.items()} == {
+            "x": [(5, 100), (10, 200)],
+            "y": [(15, 300)],
+        }
+        assert side.qualifying("<=", 10) == {"x": (200,), "y": (300,)}
+        # a group's index goes when its last entry does
+        side.apply(30, -5, {"y": (-300,)})
+        assert sorted(side.group_indexes) == ["x"]
+
+    def test_bulk_load_equals_replay(self):
+        net = {10: [5, {None: [100, 1]}], 20: [5, {None: [200, 1]}], 30: [0, {None: [0, 0]}]}
+        loaded, replayed = ShiftedSide(">", columns=2), ShiftedSide(">", columns=2)
+        loaded.load(net)
+        for attr, (weight, placements) in net.items():
+            replayed.apply(attr, weight, placements)
+        assert list(loaded.index.rows()) == list(replayed.index.rows())
+        assert list(loaded.bound_map.items()) == list(replayed.bound_map.items())
 
     def test_probe_index_operators(self):
         index = RPAITree()

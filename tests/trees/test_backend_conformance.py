@@ -240,7 +240,7 @@ class TestEnginesOnAnyConformingIndex:
         ast = get_query("EQ").ast
         stream = r_stream(300, seed=5, b_min=-9)
         engine = build_single_index_engine(ast, index_cls=BACKEND_CLASSES[backend])
-        assert type(engine.aggr_index) is BACKEND_CLASSES[backend]
+        assert type(engine.sides[0].index) is BACKEND_CLASSES[backend]
         assert engine.results_trace(stream) == naive_trace(ast, stream)
 
     @pytest.mark.parametrize("backend", ("fenwick", "segment"))
@@ -249,7 +249,7 @@ class TestEnginesOnAnyConformingIndex:
         engine = build_single_index_engine(
             EQ_INT_PROBE, index_cls=BACKEND_CLASSES[backend]
         )
-        assert type(engine.aggr_index) is BACKEND_CLASSES[backend]
+        assert type(engine.sides[0].index) is BACKEND_CLASSES[backend]
         assert engine.results_trace(stream) == naive_trace(EQ_INT_PROBE, stream)
 
     @pytest.mark.parametrize(
@@ -272,5 +272,5 @@ class TestEnginesOnAnyConformingIndex:
         ast = get_query("VWAP").ast
         stream = random_bid_stream(250, seed=7)
         engine = build_single_index_engine(ast, index_cls=BACKEND_CLASSES[backend])
-        assert type(engine.aggr_index) is BACKEND_CLASSES[backend]
+        assert type(engine.sides[0].index) is BACKEND_CLASSES[backend]
         assert engine.results_trace(stream) == naive_trace(ast, stream)
