@@ -465,14 +465,13 @@ class AggregateIndexEngine(IncrementalEngine):
             group_fn(row) if group_fn is not None else None,
         )
 
-    def on_event(self, event: Event) -> Result:
+    def apply(self, event: Event) -> None:
         self._update_scalars(event)
         for position in self._sides_of.get(event.relation, ()):
             key, weight, deltas, group = self._event_deltas(
                 position, event.row, event.weight
             )
             self.sides[position].apply(key, weight, {group: deltas})
-        return self.result()
 
     def _net(self, events: Iterable[Event]) -> list[dict]:
         """Per side, ``{correlation key: [net weight, {group: net result
@@ -502,11 +501,10 @@ class AggregateIndexEngine(IncrementalEngine):
                         held[column] += delta
         return nets
 
-    def on_batch(self, events) -> Result:
+    def apply_batch(self, events) -> None:
         """Batched trigger: each live key is touched once per chunk
         (keys whose net deltas cancel — an insert retracted within the
-        chunk — never touch an index), and the result probes run once
-        per chunk instead of once per event."""
+        chunk — never touch an index)."""
         nets = self._net(events)
         if _SINK.enabled and events:
             _SINK.observe("engine.batch_coalesced_keys", sum(map(len, nets)))
@@ -515,12 +513,11 @@ class AggregateIndexEngine(IncrementalEngine):
                 if weight == 0 and not any(map(any, placements.values())):
                     continue
                 side.apply(key, weight, placements)
-        return self.result()
 
     # The columnar netting fast path for frames is *generated*, not
     # hand-written: repro.query.codegen emits an ``on_frame`` alongside
-    # the compiled event/batch triggers.  Interpreted engines fall back
-    # to the base class's decode-to-on_batch default.
+    # the compiled event/batch triggers.  Interpreted engines take the
+    # base class's decode-to-apply_batch default.
 
     def _require_fresh(self) -> None:
         if any(

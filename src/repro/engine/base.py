@@ -1,17 +1,22 @@
 """Engine interface: the execution model of paper Section 4.2.1.
 
 Every engine consumes a stream of insert/delete events and keeps the
-query result fresh after each one — "whenever a new tuple arrives, the
-corresponding trigger will be called and the final result is computed
-after updating the indexes".
+query result fresh — "whenever a new tuple arrives, the corresponding
+trigger will be called and the final result is computed after updating
+the indexes".  Those are two steps, and the contract keeps them apart:
+an engine implements ``apply(event)`` (update the indexes) and
+``result()`` (compute the final result), the costs the IVM literature
+prices separately as update time and enumeration delay.
 
-On top of the paper's one-trigger-per-update model this base class adds
-a *batched* execution path (:meth:`on_batch`): the caller hands a chunk
-of events and only needs the result at the chunk boundary, which lets
-engines coalesce same-key deltas and refresh the result once per chunk
-instead of once per event (the standard DBToaster/DBSP batching lever).
-The default implementation falls back to the per-event trigger, so the
-per-event path remains the correctness oracle for every override.
+:class:`IncrementalEngine` derives every call shape from the two:
+``on_event`` is one ``apply`` and one ``result``; ``on_batch`` hands a
+chunk to ``apply_batch`` — the ``apply`` loop, or an engine's netting
+override that touches each key once (the standard DBToaster/DBSP
+batching lever) — and enumerates **once**, at the chunk boundary;
+``on_frame`` does the same over ``apply_frame``, which reads a
+:class:`~repro.storage.colbatch.ColumnarFrame`'s typed columns without
+building events.  The per-event shape is the correctness oracle for the
+other two.
 
 Results are scalars for scalar aggregate queries and ``{group key:
 value}`` dicts for grouped queries (TPC-H Q18).
@@ -22,7 +27,7 @@ from __future__ import annotations
 import abc
 import functools
 from collections import deque
-from typing import Any, ClassVar, Mapping, Sequence, Union
+from typing import Any, Callable, ClassVar, Iterable, Mapping, Sequence, Union
 
 from repro.errors import QuarantineOverflowError, SchemaError
 from repro.obs import SINK as _SINK
@@ -115,35 +120,36 @@ class Quarantine:
             )
 
 
-def _count_events(fn):
-    """Wrap a concrete ``on_event`` with the ``engine.events`` counter
-    and the quarantine boundary.
-
-    The disabled path is two attribute checks; applied once per class at
-    definition time (see ``IncrementalEngine.__init_subclass__``)."""
+def _whole_event(fn):
+    """Wrap a class-defined ``on_event`` — a composite that delegates
+    the whole call to the engines it drives (``DurableEngine``, the
+    sharded executors) — with the prologue the derived
+    :meth:`IncrementalEngine.on_event` spells inline: the
+    ``engine.events`` counter and the quarantine boundary.  Applied once
+    per class at definition time (``__init_subclass__``)."""
 
     @functools.wraps(fn)
     def wrapper(self, event):
         if _SINK.enabled:
             _SINK.inc("engine.events")
+            _SINK.inc("engine.results")
         guard = self._quarantine
         if guard is not None and not guard.admit(event):
             return self.result()
         return fn(self, event)
 
-    wrapper.__obs_instrumented__ = True
     return wrapper
 
 
-def _count_batches(fn):
-    """Wrap a concrete ``on_batch`` with batch count/size counters and
-    the quarantine boundary."""
+def _whole_batch(fn):
+    """The ``on_batch`` counterpart of :func:`_whole_event`."""
 
     @functools.wraps(fn)
     def wrapper(self, events):
         if _SINK.enabled:
             _SINK.inc("engine.batches")
             _SINK.observe("engine.batch_size", len(events))
+            _SINK.inc("engine.results")
         guard = self._quarantine
         if guard is not None:
             events = guard.admit_batch(events)
@@ -151,40 +157,52 @@ def _count_batches(fn):
                 return self.result()
         return fn(self, events)
 
-    wrapper.__obs_instrumented__ = True
     return wrapper
 
 
-def _count_results(fn):
-    """Wrap a concrete ``result`` with the result-refresh counter."""
-
-    @functools.wraps(fn)
-    def wrapper(self):
-        if _SINK.enabled:
-            _SINK.inc("engine.results")
-        return fn(self)
-
-    wrapper.__obs_instrumented__ = True
-    return wrapper
+def _frame_as_batch(self, frame):
+    """``on_frame`` of a class with a whole-call ``on_batch``: decode
+    and delegate (the batch wrapper counts and validates)."""
+    return self.on_batch(frame.events())
 
 
-_INSTRUMENTERS = {
-    "on_event": _count_events,
-    "on_batch": _count_batches,
-    "result": _count_results,
-}
+def _row_caller(handler: Callable, columns: Sequence[str]) -> Callable:
+    """``(engine, weight, row) -> handler(engine, weight, row[c0], row[c1], …)``
+    with the subscripts spelled out: a ``*itemgetter(...)(row)`` call
+    costs ~0.15 µs more per event than positional arguments, which is
+    5 % of PSP's whole trigger."""
+    cells = ", ".join(f"row[{column!r}]" for column in columns)
+    return eval(f"lambda self, x, row: handler(self, x, {cells})", {"handler": handler})
 
 
 class IncrementalEngine(abc.ABC):
     """Base class for all execution strategies.
 
-    Subclasses implement :meth:`on_event` (the update trigger) and
-    :meth:`result` (read the maintained output).  ``on_event`` returns
-    the refreshed result for convenience, matching the paper's trigger
-    pseudocode which ends every trigger with the result computation.
-    Engines with a batched fast path additionally override
-    :meth:`on_batch`; the contract is that its return value equals what
-    the last :meth:`on_event` of the same chunk would have returned.
+    A trigger engine implements the paper's two steps and nothing else:
+
+    * :meth:`apply` — update the maintained state for one event.  Either
+      overridden directly, or derived from :attr:`row_handlers`: one
+      method per relation taking ``(weight, *columns)``, which the base
+      feeds from an event's row *and* straight from a frame's typed
+      columns (:meth:`apply_frame`).
+    * :meth:`result` — enumerate the maintained output.  Work that is
+      enumeration (a pass over every group) belongs here, behind a dirty
+      flag, so a call that applies 64 events pays for it once.
+
+    The call shapes are derived **here, once**: :meth:`on_event`,
+    :meth:`on_batch`, :meth:`on_frame` and :meth:`warm_start` are each
+    obs + quarantine + an ``apply*`` + one :meth:`result`.  An engine
+    that can do better than the event loop for a chunk overrides
+    :meth:`apply_batch` (net per key, apply once) or :meth:`apply_frame`;
+    no trigger engine overrides an ``on_*`` method.  Two kinds of engine
+    do, by design: composites that delegate whole calls to the engines
+    they drive (wrapped with the same prologue by
+    ``__init_subclass__``), and the instance-level compiled triggers
+    :mod:`repro.query.codegen` installs, which inline all of it.
+
+    The batch contract: ``on_batch(chunk)`` returns what the last
+    :meth:`on_event` of the chunk would have returned, ``on_frame(f)``
+    what ``on_batch(f.events())`` would.
     """
 
     #: human-readable strategy name used in benchmark output
@@ -201,61 +219,121 @@ class IncrementalEngine(abc.ABC):
     #: ``None`` (the default) keeps the trigger path unguarded.
     _quarantine: Quarantine | None = None
 
+    #: ``{relation: (handler, column names)}`` — the engine's state
+    #: update as per-relation row handlers ``handler(self, weight,
+    #: *columns)``.  Declared in the class body (plain functions, so
+    #: nothing enters an instance's pickled state); relations left out
+    #: are ignored.
+    row_handlers: ClassVar[Mapping[str, tuple[Callable, tuple[str, ...]]]] = {}
+
+    #: ``row_handlers`` as ``{relation: (engine, weight, row) -> None}``
+    #: (see :func:`_row_caller`), built once per class.
+    _row_plan: ClassVar[Mapping[str, Callable]] = {}
+
     def __init_subclass__(cls, **kwargs) -> None:
-        """Instrument every concrete engine with the :mod:`repro.obs`
-        trigger counters (``engine.events``/``engine.batches``/
-        ``engine.results``).
-
-        Wrapping happens once, at class-definition time, and only for
-        methods the class defines itself — inherited (already wrapped)
-        implementations are left alone, so subclassing an engine (e.g.
-        Q18DbtEngine over Q18RpaiEngine) never double-counts.
-        """
+        """Per class, once: precompute the row-handler plan, and give a
+        composite's whole-call ``on_event``/``on_batch`` the prologue of
+        the derived shapes (its ``on_frame`` then decodes to that
+        ``on_batch``).  Only what the class defines itself is touched,
+        so a subclass of a wrapped class never double-counts."""
         super().__init_subclass__(**kwargs)
-        for method, instrument in _INSTRUMENTERS.items():
-            fn = cls.__dict__.get(method)
-            if fn is not None and not getattr(fn, "__obs_instrumented__", False):
-                setattr(cls, method, instrument(fn))
+        own = cls.__dict__
+        if "on_event" in own:
+            cls.on_event = _whole_event(own["on_event"])
+        if "on_batch" in own:
+            cls.on_batch = _whole_batch(own["on_batch"])
+            if "on_frame" not in own:
+                cls.on_frame = _frame_as_batch
+        handlers = own.get("row_handlers")
+        if handlers is not None:
+            cls._row_plan = {
+                relation: _row_caller(handler, columns)
+                for relation, (handler, columns) in handlers.items()
+            }
 
-    @abc.abstractmethod
-    def on_event(self, event: Event) -> Result:
-        """Apply one insert/delete and return the refreshed result."""
+    # -- the two steps an engine implements --------------------------------
+
+    def apply(self, event: Event) -> None:
+        """Update the maintained state for one insert/delete.
+
+        The default routes the event's row to its relation's row
+        handler; an engine without ``row_handlers`` overrides this."""
+        call = self._row_plan.get(event.relation)
+        if call is not None:
+            call(self, event.weight, event.row)
 
     @abc.abstractmethod
     def result(self) -> Result:
         """The current query output."""
 
+    def apply_batch(self, events: Iterable[Event]) -> None:
+        """Update the state for a chunk of events, in order.  Engines
+        that can coalesce deltas (net weights per key, touch each key
+        once) override this; the event loop is the oracle."""
+        apply = self.apply
+        for event in events:
+            apply(event)
+
+    def apply_frame(self, frame) -> None:
+        """Update the state for one
+        :class:`~repro.storage.colbatch.ColumnarFrame`.
+
+        With ``row_handlers`` the frame is read as columns
+        (:meth:`ColumnarFrame.feed <repro.storage.colbatch.ColumnarFrame.feed>`:
+        no ``Event`` and no row dict is built, the event order is exact,
+        side-channel rows go through :meth:`apply`); a block missing a
+        declared column raises ``KeyError`` before any handler ran.
+        Everything else decodes to :meth:`apply_batch`."""
+        if self.row_handlers:
+            frame.feed(self.row_handlers, self, self.apply)
+        else:
+            self.apply_batch(frame.events())
+
+    # -- the call shapes, derived once ---------------------------------------
+
+    def on_event(self, event: Event) -> Result:
+        """Apply one insert/delete and return the refreshed result."""
+        if _SINK.enabled:
+            _SINK.inc("engine.events")
+            _SINK.inc("engine.results")
+        guard = self._quarantine
+        if guard is None or guard.admit(event):
+            self.apply(event)
+        return self.result()
+
     def on_batch(self, events: Sequence[Event]) -> Result:
         """Apply a chunk of events; return the result after all of them.
 
-        The default is the per-event fallback — semantically the oracle
-        for every override.  Engines that can coalesce deltas (net
-        weights per key, one result refresh per chunk) override this
-        with a batched trigger; intermediate per-event results are not
+        One validation pass, one :meth:`apply_batch`, one
+        :meth:`result`: intermediate per-event results are not
         observable through this path, only the boundary result is.
         """
         if _SINK.enabled:
-            # Inherited default: not routed through __init_subclass__
-            # wrapping (that only sees methods a class defines itself).
             _SINK.inc("engine.batches")
             _SINK.observe("engine.batch_size", len(events))
-        # Per-event fallback: each on_event call runs its own quarantine
-        # check (the wrapped trigger), so no batch-level filter here.
-        output: Result = self.result()
-        for event in events:
-            output = self.on_event(event)
-        return output
+            _SINK.inc("engine.results")
+        guard = self._quarantine
+        if guard is not None:
+            events = guard.admit_batch(events)
+            if not events:
+                return self.result()
+        self.apply_batch(events)
+        return self.result()
 
     def on_frame(self, frame) -> Result:
         """Apply one :class:`~repro.storage.colbatch.ColumnarFrame`.
 
-        The default decodes and delegates to :meth:`on_batch` (which
-        keeps the quarantine and obs behavior of that path).  Engines
-        with a columnar fast path — netting weights per key straight
-        from the typed columns — override this; the contract is exact
-        result equality with ``on_batch(frame.events())``.
+        Validation is per event, so a frame arriving at an engine with a
+        quarantine attached is decoded and takes :meth:`on_batch`.
         """
-        return self.on_batch(frame.events())
+        if self._quarantine is not None:
+            return self.on_batch(frame.events())
+        if _SINK.enabled:
+            _SINK.inc("engine.batches")
+            _SINK.observe("engine.batch_size", len(frame))
+            _SINK.inc("engine.results")
+        self.apply_frame(frame)
+        return self.result()
 
     def attach_quarantine(
         self,
@@ -322,13 +400,14 @@ class IncrementalEngine(abc.ABC):
     def warm_start(self, stream: Stream) -> Result:
         """Load an initial dataset into a fresh engine.
 
-        The default replays the stream through the trigger path.  Index
-        engines override this with an O(n)-per-index ``bulk_load``
-        construction (sort once, build balanced trees directly), which
-        is the intended way to stand up an engine over an existing
-        table before switching to incremental updates.
+        The default is one :meth:`on_batch` over the whole stream: every
+        event applied, the result enumerated once.  Index engines
+        override this with an O(n)-per-index ``bulk_load`` construction
+        (sort once, build balanced trees directly), which is the
+        intended way to stand up an engine over an existing table before
+        switching to incremental updates.
         """
-        return self.process(stream)
+        return self.on_batch(list(stream))
 
     # ------------------------------------------------------------------
     # Sharded execution protocol (see repro.engine.sharding).

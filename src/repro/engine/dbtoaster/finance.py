@@ -57,13 +57,12 @@ class EQDbtEngine(IncrementalEngine):
         self.map2: float = 0  # sum(B)
         self.map3: dict[float, float] = {}  # A -> sum(B)
 
-    def on_event(self, event: Event) -> Result:
+    def apply(self, event: Event) -> None:
         if event.relation == "R":
             t, x = event.row, event.weight
             _add(self.map1, t["A"], t["A"] * t["B"] * x)
             self.map2 += t["B"] * x
             _add(self.map3, t["A"], t["B"] * x)
-        return self.result()
 
     def result(self) -> Result:
         lhs_sum = 0.5 * self.map2
@@ -85,13 +84,12 @@ class VWAPDbtEngine(IncrementalEngine):
         self.map2: float = 0  # sum(volume)
         self.map3: dict[float, float] = {}  # price -> sum(volume)
 
-    def on_event(self, event: Event) -> Result:
+    def apply(self, event: Event) -> None:
         if event.relation == "bids":
             t, x = event.row, event.weight
             _add(self.map1, t["price"], t["price"] * t["volume"] * x)
             self.map2 += t["volume"] * x
             _add(self.map3, t["price"], t["volume"] * x)
-        return self.result()
 
     def result(self) -> Result:
         res = 0.0
@@ -131,12 +129,11 @@ class MSTDbtEngine(IncrementalEngine):
     def __init__(self) -> None:
         self.sides = {"asks": _DbtSide(), "bids": _DbtSide()}
 
-    def on_event(self, event: Event) -> Result:
+    def apply(self, event: Event) -> None:
         side = self.sides.get(event.relation)
         if side is not None:
             t, x = event.row, event.weight
             side.update(t["price"], t["volume"], x)
-        return self.result()
 
     @staticmethod
     def _qualifying(side: _DbtSide) -> tuple[float, float]:
@@ -179,13 +176,12 @@ class PSPDbtEngine(IncrementalEngine):
         }
         self.total_volume: dict[str, float] = {"bids": 0, "asks": 0}
 
-    def on_event(self, event: Event) -> Result:
+    def apply(self, event: Event) -> None:
         if event.relation in self.total_volume:
             t, x = event.row, event.weight
             _add(self.price_by_volume[event.relation], t["volume"], t["price"] * x)
             _add(self.count_by_volume[event.relation], t["volume"], x)
             self.total_volume[event.relation] += t["volume"] * x
-        return self.result()
 
     def _qualifying(self, relation: str) -> tuple[float, float]:
         threshold = 0.0001 * self.total_volume[relation]
@@ -212,12 +208,11 @@ class SQ1DbtEngine(IncrementalEngine):
         self.map1: dict[float, float] = {}  # price -> sum(price * volume)
         self.map3: dict[float, float] = {}  # price -> sum(volume)
 
-    def on_event(self, event: Event) -> Result:
+    def apply(self, event: Event) -> None:
         if event.relation == "bids":
             t, x = event.row, event.weight
             _add(self.map1, t["price"], t["price"] * t["volume"] * x)
             _add(self.map3, t["price"], t["volume"] * x)
-        return self.result()
 
     def result(self) -> Result:
         res = 0.0
@@ -244,13 +239,12 @@ class SQ2DbtEngine(IncrementalEngine):
         self.map2: float = 0  # sum(volume)
         self.map3: dict[float, float] = {}  # price + volume -> sum(volume)
 
-    def on_event(self, event: Event) -> Result:
+    def apply(self, event: Event) -> None:
         if event.relation == "bids":
             t, x = event.row, event.weight
             _add(self.map1, t["price"], t["price"] * t["volume"] * x)
             self.map2 += t["volume"] * x
             _add(self.map3, t["price"] + t["volume"], t["volume"] * x)
-        return self.result()
 
     def result(self) -> Result:
         res = 0.0
@@ -276,13 +270,12 @@ class NQ1DbtEngine(IncrementalEngine):
         self.map2: float = 0  # sum(volume)
         self.map3: dict[float, float] = {}  # price -> sum(volume)
 
-    def on_event(self, event: Event) -> Result:
+    def apply(self, event: Event) -> None:
         if event.relation == "bids":
             t, x = event.row, event.weight
             _add(self.map1, t["price"], t["price"] * t["volume"] * x)
             self.map2 += t["volume"] * x
             _add(self.map3, t["price"], t["volume"] * x)
-        return self.result()
 
     def result(self) -> Result:
         # Pass 1: cumulative volume per price (the inner-inner query).
@@ -317,13 +310,12 @@ class NQ2DbtEngine(IncrementalEngine):
         self.map2: float = 0  # sum(volume)
         self.map3: dict[float, float] = {}  # price -> sum(volume)
 
-    def on_event(self, event: Event) -> Result:
+    def apply(self, event: Event) -> None:
         if event.relation == "bids":
             t, x = event.row, event.weight
             _add(self.map1, t["price"], t["price"] * t["volume"] * x)
             self.map2 += t["volume"] * x
             _add(self.map3, t["price"], t["volume"] * x)
-        return self.result()
 
     def result(self) -> Result:
         res = 0.0

@@ -65,7 +65,7 @@ class Q17DbtEngine(IncrementalEngine):
             self._contribution[partkey] = contribution
             self._total += contribution
 
-    def on_event(self, event: Event) -> Result:
+    def apply(self, event: Event) -> None:
         row, x = event.row, event.weight
         if event.relation == "part":
             if row["brand"] == self.brand and row["container"] == self.container:
@@ -89,7 +89,6 @@ class Q17DbtEngine(IncrementalEngine):
             )
             self._count[partkey] = self._count.get(partkey, 0) + x
             self._reevaluate(partkey)
-        return self.result()
 
     def result(self) -> Result:
         return self._total / 7.0

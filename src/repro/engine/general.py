@@ -359,7 +359,10 @@ class GeneralAlgorithmEngine(IncrementalEngine):
         self._res_sum: dict[tuple, float] = {}
         self._res_count: dict[tuple, int] = {}
         self._res_repr: dict[tuple, dict] = {}
-        self._result: Result = 0
+        self._result: Result = self._recompute()
+        # The maps moved since ``_result`` was enumerated (the compiled
+        # triggers recompute inline and never set it).
+        self._dirty = False
 
     def _predicate_columns(self) -> tuple[str, ...]:
         columns: set[str] = set()
@@ -376,7 +379,7 @@ class GeneralAlgorithmEngine(IncrementalEngine):
 
     # -- trigger ------------------------------------------------------------------
 
-    def on_event(self, event: Event) -> Result:
+    def apply(self, event: Event) -> None:
         row, weight = event.row, event.weight
         # Route the row to every subquery ranging over this relation.
         for sub_query, scalar in self._scalars.items():
@@ -389,8 +392,7 @@ class GeneralAlgorithmEngine(IncrementalEngine):
             key = tuple(row[c] for c in self._group_columns)
             value = self._result_arg(row) if self._result_arg is not None else 1
             self._apply_outer_group(key, value * weight, weight)
-        self._result = self._recompute()
-        return self._result
+        self._dirty = True
 
     def _apply_outer_group(self, key: tuple, sum_delta: float, count_delta: int) -> None:
         """Apply a (possibly coalesced) result-map delta for one outer
@@ -412,8 +414,8 @@ class GeneralAlgorithmEngine(IncrementalEngine):
                 for correlated in self._correlated.values():
                     correlated.acquire(correlated.outer_key(representative))
 
-    def on_batch(self, events) -> Result:
-        """Batched Algorithm 3 in two phases plus a single result pass.
+    def apply_batch(self, events) -> None:
+        """Batched Algorithm 3 in two phases.
 
         Phase 1 routes every event to the inner side: scalars stream per
         event, correlated contributions coalesce per inner key so the
@@ -422,9 +424,7 @@ class GeneralAlgorithmEngine(IncrementalEngine):
         key; a group acquired here initializes its free-map entry from
         the bound maps, which phase 1 has already brought to the
         batch-final state — the same value per-event interleaving would
-        have reached, since bound/free maps are additive.  The O(groups)
-        result recomputation then runs once per chunk instead of once
-        per event.
+        have reached, since bound/free maps are additive.
         """
         corr_net: dict[int, dict[Any, list[float]]] = {}
         correlated_list = list(self._correlated.values())
@@ -479,8 +479,7 @@ class GeneralAlgorithmEngine(IncrementalEngine):
             if sum_delta == 0 and count_delta == 0:
                 continue
             self._apply_outer_group(key, sum_delta, int(count_delta))
-        self._result = self._recompute()
-        return self._result
+        self._dirty = True
 
     # -- checkpointing --------------------------------------------------------------
 
@@ -496,6 +495,7 @@ class GeneralAlgorithmEngine(IncrementalEngine):
             },
             "results": (self._res_sum, self._res_count, self._res_repr, self._result),
             "name": self.name,
+            "dirty": self._dirty,
         }
         if self._quarantine is not None:
             state["quarantine"] = self._quarantine
@@ -516,6 +516,7 @@ class GeneralAlgorithmEngine(IncrementalEngine):
                 correlated.refcount,
             ) = payload
         (self._res_sum, self._res_count, self._res_repr, self._result) = state["results"]
+        self._dirty = state.get("dirty", False)
         if "quarantine" in state:
             self._quarantine = state["quarantine"]
         # Compiled triggers (instance attributes) never pickle; rebuild
@@ -550,4 +551,7 @@ class GeneralAlgorithmEngine(IncrementalEngine):
         return self._result_scale * (total / count if count else 0)
 
     def result(self) -> Result:
+        if self._dirty:
+            self._result = self._recompute()
+            self._dirty = False
         return self._result

@@ -50,7 +50,9 @@ Env = dict[str, Mapping[str, Any]]
 
 
 class NaiveEngine(IncrementalEngine):
-    """Re-evaluate the query from scratch on every update.
+    """Re-evaluate the query from scratch on every update: ``apply``
+    stores the tuple, ``result`` re-runs the interpreter when anything
+    moved since the last call (once per event, once per batch).
 
     Args:
         query: parsed AggrQuery.
@@ -68,17 +70,21 @@ class NaiveEngine(IncrementalEngine):
             self.relations[name] = Relation(schemas[name])
         self._result: Result = evaluate_query(query, self.relations, {})
 
-    def on_event(self, event: Event) -> Result:
+    #: ``_result`` is stale: a relation moved since it was evaluated.
+    _dirty = False
+
+    def apply(self, event: Event) -> None:
         relation = self.relations.get(event.relation)
-        if relation is None:
-            return self._result  # event for a relation this query ignores
-        relation.apply(event.row, event.weight)
-        if _SINK.enabled:
-            _SINK.inc("engine.full_reevals")
-        self._result = evaluate_query(self.query, self.relations, {})
-        return self._result
+        if relation is not None:  # else: a relation this query ignores
+            relation.apply(event.row, event.weight)
+            self._dirty = True
 
     def result(self) -> Result:
+        if self._dirty:
+            if _SINK.enabled:
+                _SINK.inc("engine.full_reevals")
+            self._result = evaluate_query(self.query, self.relations, {})
+            self._dirty = False
         return self._result
 
 

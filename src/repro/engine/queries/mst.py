@@ -25,9 +25,17 @@ from __future__ import annotations
 
 from repro.engine.base import IncrementalEngine, Result
 from repro.engine.queries.common import ShiftedSide
-from repro.storage.stream import Event
 
 __all__ = ["MSTRpaiEngine"]
+
+
+def _side_row(relation: str):
+    """Row handler of one side: one range shift + one point update."""
+
+    def handler(self, x, price, volume) -> None:
+        self.sides[relation].apply(price, x * volume, {None: (x * price, x)})
+
+    return handler
 
 
 class MSTRpaiEngine(IncrementalEngine):
@@ -43,13 +51,10 @@ class MSTRpaiEngine(IncrementalEngine):
             "bids": ShiftedSide(">", columns=2),
         }
 
-    def on_event(self, event: Event) -> Result:
-        side = self.sides.get(event.relation)
-        if side is not None:
-            row, x = event.row, event.weight
-            price, volume = row["price"], row["volume"]
-            side.apply(price, x * volume, {None: (x * price, x)})
-        return self.result()
+    row_handlers = {
+        "asks": (_side_row("asks"), ("price", "volume")),
+        "bids": (_side_row("bids"), ("price", "volume")),
+    }
 
     def result(self) -> Result:
         # Outer predicates: 0.25 * total_volume > subquery value.

@@ -49,7 +49,6 @@ import math
 
 from repro.core.rpai import RPAITree
 from repro.engine.base import IncrementalEngine, Result
-from repro.storage.stream import Event
 from repro.trees.treemap import TreeMap
 
 __all__ = ["NQ1RpaiEngine", "NQ2RpaiEngine"]
@@ -80,11 +79,7 @@ class NQ1RpaiEngine(IncrementalEngine):
 
     # -- trigger ------------------------------------------------------------------
 
-    def on_event(self, event: Event) -> Result:
-        if event.relation != "bids":
-            return self.result()
-        row, x = event.row, event.weight
-        price, volume = row["price"], row["volume"]
+    def _bids(self, x, price, volume) -> None:
         price_vol, elig_vol, aggr = self.price_vol, self.elig_vol, self.aggr
         # Composite aggregate-index key of the group at price p under the
         # *current* view: elig_sum(p) * M + p.
@@ -130,7 +125,8 @@ class NQ1RpaiEngine(IncrementalEngine):
         # 4. Re-attach the tuple's group at its new composite key.
         if new_res != 0:
             aggr.add(elig_sum(price) * _M + price, new_res)
-        return self.result()
+
+    row_handlers = {"bids": (_bids, ("price", "volume"))}
 
     def result(self) -> Result:
         # Outer predicate: 0.75 * total < rhs  (strict).
@@ -150,11 +146,10 @@ class NQ2RpaiEngine(IncrementalEngine):
         self.res_map: dict[int, float] = {}  # price -> Σ price·volume
         self._result: float = 0
 
-    def on_event(self, event: Event) -> Result:
-        if event.relation != "bids":
-            return self._result
-        row, x = event.row, event.weight
-        price, volume = row["price"], row["volume"]
+    #: ``_result`` is stale: the maps moved since it was enumerated.
+    _dirty = False
+
+    def _bids(self, x, price, volume) -> None:
         self.price_vol.add(price, x * volume)
         self.total += x * volume
         new_res = self.res_map.get(price, 0) + x * price * volume
@@ -162,8 +157,9 @@ class NQ2RpaiEngine(IncrementalEngine):
             self.res_map[price] = new_res
         else:
             self.res_map.pop(price, None)
-        self._result = self._recompute()
-        return self._result
+        self._dirty = True
+
+    row_handlers = {"bids": (_bids, ("price", "volume"))}
 
     def _recompute(self) -> float:
         """Iterate outer groups; each probe is two O(log n) searches."""
@@ -181,4 +177,7 @@ class NQ2RpaiEngine(IncrementalEngine):
         return total_res
 
     def result(self) -> Result:
+        if self._dirty:
+            self._result = self._recompute()
+            self._dirty = False
         return self._result

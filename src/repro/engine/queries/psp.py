@@ -20,7 +20,6 @@ from __future__ import annotations
 from repro.core.rpai import RPAITree
 from repro.engine.base import IncrementalEngine, Result
 from repro.errors import EngineStateError
-from repro.storage.stream import Event
 
 __all__ = ["PSPRpaiEngine"]
 
@@ -47,6 +46,18 @@ class _ColumnSide:
             setattr(self, name, value)
 
 
+def _side_row(relation: str):
+    """Row handler of one side: a tuple moves (Σ price, count) at its
+    volume and the side's total."""
+
+    def handler(self, x, volume, price) -> None:
+        side = self.sides[relation]
+        side.index.add(volume, x * price, x)
+        side.total_volume += x * volume
+
+    return handler
+
+
 class PSPRpaiEngine(IncrementalEngine):
     """O(log n)-per-update PSP via column-keyed ordered indexes."""
 
@@ -55,14 +66,10 @@ class PSPRpaiEngine(IncrementalEngine):
     def __init__(self) -> None:
         self.sides = {"bids": _ColumnSide(), "asks": _ColumnSide()}
 
-    def on_event(self, event: Event) -> Result:
-        side = self.sides.get(event.relation)
-        if side is not None:
-            row, x = event.row, event.weight
-            volume = row["volume"]
-            side.index.add(volume, x * row["price"], x)
-            side.total_volume += x * volume
-        return self.result()
+    row_handlers = {
+        "bids": (_side_row("bids"), ("volume", "price")),
+        "asks": (_side_row("asks"), ("volume", "price")),
+    }
 
     def result(self) -> Result:
         # Per side (Σ price, count) over tuples with volume > 0.0001 * total.

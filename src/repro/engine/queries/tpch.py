@@ -78,46 +78,51 @@ class Q17RpaiEngine(IncrementalEngine):
         self._qualifying: set[int] = set()
         self._total: float = 0  # Σ of qualifying parts' contributions
 
-    def on_event(self, event: Event) -> Result:
-        row, x = event.row, event.weight
-        relation = event.relation
-        if relation == "lineitem":
-            partkey = row["partkey"]
+    def _lineitem(self, x, partkey, quantity, extendedprice) -> None:
+        group = self._groups.get(partkey)
+        if group is None:
+            group = self._groups[partkey] = _PartGroup()
+        tracked = partkey in self._qualifying
+        if tracked:
+            self._total -= group.contribution()
+        price_delta = x * extendedprice
+        domain = group.domain
+        value = domain.get(quantity, 0) + price_delta
+        if value:
+            domain[quantity] = value
+        else:
+            domain.pop(quantity, None)
+        group.quantity_sum += x * quantity
+        group.count += x
+        if group.tree is not None:
+            group.tree.add(quantity, price_delta)
+        if tracked:
+            self._total += group.contribution()
+        elif not group.count and not domain:
+            # The part's last lineitem is gone and no part row holds the
+            # group: an empty group is what ``get`` finds absent.
+            del self._groups[partkey]
+
+    def _part(self, x, partkey, brand, container) -> None:
+        if brand == self.brand and container == self.container:
             group = self._groups.get(partkey)
             if group is None:
                 group = self._groups[partkey] = _PartGroup()
-            tracked = partkey in self._qualifying
-            if tracked:
-                self._total -= group.contribution()
-            quantity = row["quantity"]
-            price_delta = x * row["extendedprice"]
-            domain = group.domain
-            value = domain.get(quantity, 0) + price_delta
-            if value:
-                domain[quantity] = value
-            else:
-                domain.pop(quantity, None)
-            group.quantity_sum += x * quantity
-            group.count += x
-            if group.tree is not None:
-                group.tree.add(quantity, price_delta)
-            if tracked:
+            if x == 1:
+                self._qualifying.add(partkey)
+                group.ensure_tree()
                 self._total += group.contribution()
-        elif relation == "part":
-            if row["brand"] == self.brand and row["container"] == self.container:
-                partkey = row["partkey"]
-                group = self._groups.get(partkey)
-                if group is None:
-                    group = self._groups[partkey] = _PartGroup()
-                if x == 1:
-                    self._qualifying.add(partkey)
-                    group.ensure_tree()
-                    self._total += group.contribution()
-                else:
-                    self._qualifying.discard(partkey)
-                    self._total -= group.contribution()
-                    group.drop_tree()
-        return self.result()
+            else:
+                self._qualifying.discard(partkey)
+                self._total -= group.contribution()
+                group.drop_tree()
+                if not group.count and not group.domain:
+                    del self._groups[partkey]
+
+    row_handlers = {
+        "lineitem": (_lineitem, ("partkey", "quantity", "extendedprice")),
+        "part": (_part, ("partkey", "brand", "container")),
+    }
 
     def result(self) -> Result:
         return self._total / 7.0
@@ -173,48 +178,53 @@ class Q18RpaiEngine(IncrementalEngine):
         self._active: dict[int, tuple[int, float]] = {}
         self._result: dict[int, float] = {}
 
-    def on_event(self, event: Event) -> Result:
-        row, x = event.row, event.weight
-        relation = event.relation
-        if relation == "lineitem":
-            orderkey = row["orderkey"]
-            order_quantity = self._order_quantity
-            quantity = order_quantity.get(orderkey, 0) + x * row["quantity"]
-            if quantity:
-                order_quantity[orderkey] = quantity
-            else:
-                order_quantity.pop(orderkey, None)
-            self._retract(orderkey)
-            # _refresh_order with the quantity already in hand.
-            if quantity > self.threshold:
-                custkey = self._order_customer.get(orderkey)
-                if custkey is not None and custkey in self._customers:
+    def _lineitem(self, x, orderkey, quantity) -> None:
+        order_quantity = self._order_quantity
+        quantity = order_quantity.get(orderkey, 0) + x * quantity
+        if quantity:
+            order_quantity[orderkey] = quantity
+        else:
+            order_quantity.pop(orderkey, None)
+        self._retract(orderkey)
+        # _refresh_order with the quantity already in hand.
+        if quantity > self.threshold:
+            custkey = self._order_customer.get(orderkey)
+            if custkey is not None and custkey in self._customers:
+                self._activate(orderkey, custkey, quantity)
+
+    def _orders(self, x, orderkey, custkey) -> None:
+        self._retract(orderkey)
+        if x == 1:
+            self._order_customer[orderkey] = custkey
+            self._customer_orders.setdefault(custkey, set()).add(orderkey)
+            # _refresh_order with the customer already in hand; a
+            # deleted order has no customer, so only the retraction
+            # above applies to it.
+            if custkey in self._customers:
+                quantity = self._order_quantity.get(orderkey, 0)
+                if quantity > self.threshold:
                     self._activate(orderkey, custkey, quantity)
-        elif relation == "orders":
-            orderkey, custkey = row["orderkey"], row["custkey"]
-            self._retract(orderkey)
-            if x == 1:
-                self._order_customer[orderkey] = custkey
-                self._customer_orders.setdefault(custkey, set()).add(orderkey)
-                # _refresh_order with the customer already in hand; a
-                # deleted order has no customer, so only the retraction
-                # above applies to it.
-                if custkey in self._customers:
-                    quantity = self._order_quantity.get(orderkey, 0)
-                    if quantity > self.threshold:
-                        self._activate(orderkey, custkey, quantity)
-            else:
-                self._order_customer.pop(orderkey, None)
-                self._customer_orders.get(custkey, set()).discard(orderkey)
-        elif relation == "customer":
-            custkey = row["custkey"]
-            if x == 1:
-                self._customers.add(custkey)
-            else:
-                self._customers.discard(custkey)
-            for orderkey in list(self._customer_orders.get(custkey, ())):
-                self._refresh_order(orderkey)
-        return self.result()
+        else:
+            self._order_customer.pop(orderkey, None)
+            orders = self._customer_orders.get(custkey)
+            if orders is not None:
+                orders.discard(orderkey)
+                if not orders:
+                    del self._customer_orders[custkey]
+
+    def _customer(self, x, custkey) -> None:
+        if x == 1:
+            self._customers.add(custkey)
+        else:
+            self._customers.discard(custkey)
+        for orderkey in list(self._customer_orders.get(custkey, ())):
+            self._refresh_order(orderkey)
+
+    row_handlers = {
+        "lineitem": (_lineitem, ("orderkey", "quantity")),
+        "orders": (_orders, ("orderkey", "custkey")),
+        "customer": (_customer, ("custkey",)),
+    }
 
     def _retract(self, orderkey: int) -> None:
         """Take one order's contribution out of the result dict."""

@@ -60,7 +60,15 @@ Counter naming convention (``<structure or layer>.<operation>``):
 ``segment.grows``                       segment-tree universe doublings
 ``segment.shift_rebuilds``              segment-tree collect-and-replay shifts
 ``btree.shift_rebuilds``                RPAIBTree rightmost-path rebuild merges
-``engine.events/.batches/.results``     trigger calls / batch calls / refreshes
+``engine.events``                       ``on_event`` calls (and nothing else: a
+                                        batch's events are not counted here)
+``engine.batches``                      ``on_batch`` + ``on_frame`` calls; the
+                                        ``engine.batch_size`` distribution holds
+                                        their event counts, so updates applied
+                                        = ``engine.events`` + Σ ``batch_size``
+``engine.results``                      results handed back: one per trigger call
+                                        of any shape (``result()`` called
+                                        directly is not a trigger and not counted)
 ``engine.quarantined``                  schema-violating events diverted by the
                                         validation boundary
 ``wal.appends/.snapshots``              write-ahead-log records / checkpoints
@@ -321,8 +329,10 @@ def derived_metrics(snap: dict, *, events: int | None = None) -> dict:
     Returns (omitting entries whose denominator is zero — never emits
     ``inf``/``NaN``):
 
-    * ``rotations_per_update`` — ``rpai.rotations`` over ``events``;
-      Section 3 predicts this bounded by c * log2(n).
+    * ``rotations_per_update`` — ``rpai.rotations`` over the updates
+      applied, ``engine.events`` + Σ ``engine.batch_size`` (per-event and
+      batched runs alike) unless ``events`` is given; Section 3 predicts
+      this bounded by c * log2(n).
     * ``violations_per_negative_shift`` and
       ``max_violations_single_shift`` — the Section 3.2.4 ``v``
       (expected <= 1 in the aggregate-usage case).
@@ -332,7 +342,8 @@ def derived_metrics(snap: dict, *, events: int | None = None) -> dict:
     stats = snap.get("stats", {})
     out: dict[str, float] = {}
     if events is None:
-        events = counters.get("engine.events", 0)
+        batched = stats.get("engine.batch_size")
+        events = counters.get("engine.events", 0) + (batched["total"] if batched else 0)
     if events:
         out["rotations_per_update"] = counters.get("rpai.rotations", 0) / events
     neg = stats.get("rpai.neg_shift_violations")

@@ -146,11 +146,12 @@ def clear_cache() -> None:
 
 
 def _emit_event_prologue(lines: list[str]) -> None:
-    """What ``IncrementalEngine``'s ``on_event`` wrapper does, then the
-    event unpacked into the locals every fragment reads."""
+    """What ``IncrementalEngine.on_event`` does before ``apply``, then
+    the event unpacked into the locals every fragment reads."""
     lines.append("def on_event(self, event):")
     lines.append("    if _S.enabled:")
     lines.append("        _S.inc('engine.events')")
+    lines.append("        _S.inc('engine.results')")
     lines.append("    guard = self._quarantine")
     lines.append("    if guard is not None and not guard.admit(event):")
     lines.append("        return self.result()")
@@ -163,10 +164,11 @@ def _emit_batch_obs(lines: list[str], size: str) -> None:
     lines.append("    if _S.enabled:")
     lines.append("        _S.inc('engine.batches')")
     lines.append(f"        _S.observe('engine.batch_size', {size})")
+    lines.append("        _S.inc('engine.results')")
 
 
 def _emit_batch_prologue(lines: list[str]) -> None:
-    """What ``IncrementalEngine``'s ``on_batch`` wrapper does."""
+    """What ``IncrementalEngine.on_batch`` does before ``apply_batch``."""
     lines.append("def on_batch(self, events):")
     _emit_batch_obs(lines, "len(events)")
     lines.append("    guard = self._quarantine")
@@ -480,9 +482,8 @@ def _aggr_emit(engine: AggregateIndexEngine) -> str:
     def result_tail(lines: list[str]) -> None:
         # Inlined result(): per side the fixed probe value then one
         # probe returning every column, then the term recombination.
-        lines.append("    if _S.enabled:")
-        lines.append("        _S.inc('engine.results')")
         if not grouped:
+            lines.append("    if _S.enabled:")
             lines.append(f"        _S.inc('engine.result_probes', {len(sides)})")
         for side in sides:
             fixed = _emit_fixed_expr(side.plan.spec.fixed_expr, infos)
@@ -824,6 +825,11 @@ def _ga_emit(engine: GeneralAlgorithmEngine) -> str:
     lines.append("            continue")
     lines.append("        self._apply_outer_group(_key, _sd, int(_cd))")
     emit_recompute(lines)
+    lines.append("")
+    # No columnar shape: a frame decodes to the compiled batch trigger
+    # (the class default would take the interpreted apply_batch).
+    lines.append("def on_frame(self, frame):")
+    lines.append("    return self.on_batch(frame.events())")
     return "\n".join(lines) + "\n"
 
 
@@ -897,9 +903,7 @@ def specialize(engine) -> bool:
     namespace: dict[str, Any] = {"_S": _SINK}
     namespace.update(bind_fn(engine))
     exec(entry.code, namespace)
-    # Install every trigger the emitter defined (the general algorithm
-    # has no generated on_frame and inherits the default decode, which
-    # dispatches to the compiled instance on_batch).
+    # Install every trigger the emitter defined.
     for attr in _TRIGGER_ATTRS:
         trigger = namespace.get(attr)
         if trigger is not None:

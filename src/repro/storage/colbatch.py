@@ -46,7 +46,9 @@ from __future__ import annotations
 import pickle
 import zlib
 from array import array
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from collections import deque
+from itertools import repeat
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import EngineStateError
 from repro.storage.stream import Event
@@ -289,6 +291,49 @@ class ColumnarFrame:
                     )
                 )
         return out
+
+    def feed(
+        self,
+        handlers: Mapping[str, tuple[Callable, Sequence[str]]],
+        target: Any,
+        on_event: Callable[[Event], Any],
+    ) -> None:
+        """Call ``handler(target, weight, *column values)`` once per
+        row, in the original event order, reading the typed columns
+        directly — no :class:`Event` and no row dict is built.
+
+        ``handlers`` is ``{relation: (handler, column names)}``; blocks
+        of other relations are skipped without touching a column, and
+        side-channel rows go through ``on_event(event)``.  Each block to
+        read becomes one lazy ``map(handler, …columns)``: taking its
+        next item *is* the call for the block's next row.  With at most
+        one such block (and no side channel) the order sequence is moot
+        and the map is drained in one go; otherwise the maps are
+        advanced in ``_seq`` order.  A block that lacks a declared
+        column raises ``KeyError`` before any call.
+        """
+        readers: list[Iterator | None] = []
+        for block in self.blocks:
+            entry = handlers.get(block.relation)
+            if entry is None:
+                readers.append(None)
+            else:
+                handler, names = entry
+                readers.append(
+                    map(handler, repeat(target), block.weights, *map(block.column, names))
+                )
+        live = [reader for reader in readers if reader is not None]
+        if not self.fallback and len(live) <= 1:
+            for reader in live:
+                deque(reader, maxlen=0)
+            return
+        side_channel = map(on_event, self.fallback)
+        for block_index in self._seq:
+            reader = (
+                side_channel if block_index == FALLBACK_BLOCK else readers[block_index]
+            )
+            if reader is not None:
+                next(reader)
 
     # -- partitioning (driven by the ShardRouter) ----------------------
 

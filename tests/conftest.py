@@ -58,6 +58,15 @@ def random_bid_stream(
     return Stream(events)
 
 
+def two_sided(bids) -> list[Event]:
+    """A one-sided book made two-sided: every third row (and its
+    retraction) moved to ``asks``."""
+    return [
+        Event("asks", event.row, event.weight) if event.row["id"] % 3 == 0 else event
+        for event in bids
+    ]
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(1234)

@@ -54,8 +54,8 @@ def test_rpai_batched_matches_per_event(name, batch_size):
 
 @pytest.mark.parametrize("name", ["VWAP", "SQ1", "MST", "Q18"])
 def test_dbtoaster_batched_fallback(name):
-    """The baseline engines only have the default per-event fallback —
-    the contract must hold there too."""
+    """The baseline engines only have the default ``apply`` loop — the
+    contract must hold there too."""
     _assert_batched_matches_trace(
         name, lambda: build_engine(name, "dbtoaster"), CASES[name](), 5
     )

@@ -1,0 +1,333 @@
+"""One differential for the three call shapes.
+
+``IncrementalEngine`` derives ``on_event`` / ``on_batch`` / ``on_frame``
+from an engine's ``apply*`` and ``result``; the contract is that
+``on_batch(chunk)`` returns what the last ``on_event`` of the chunk
+would have, and ``on_frame(ColumnarFrame.from_events(chunk))`` what
+``on_batch(chunk)`` does — same types, same values, same group keys.
+Checked here for every registry query under every strategy, over one
+mixed stream of every workload relation (so each engine sees blocks it
+reads, blocks it ignores, interleaved multi-block frames, side-channel
+rows and empty frames), with and without the validation boundary, with
+a pickle round trip mid-stream, and for ``warm_start``.
+"""
+
+from __future__ import annotations
+
+import pickle
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import obs
+from repro.engine.registry import STRATEGIES, attach_validation, build_engine
+from repro.query import codegen
+from repro.storage.colbatch import ColumnarFrame
+from repro.storage.stream import Event, Stream
+from repro.workloads import TPCHConfig, generate_tpch, query_names
+from repro.workloads.tpch import Q17_BRAND, Q17_CONTAINER
+
+from tests.conftest import make_bid, random_bid_stream, two_sided
+
+QUERIES = tuple(query_names())
+SHAPES = ("event", "batch", "frame")
+EVERY_ENGINE = [(query, strategy) for query in QUERIES for strategy in STRATEGIES]
+
+
+@pytest.fixture(autouse=True)
+def _restore_codegen_state():
+    prior = codegen.codegen_enabled()
+    yield
+    codegen.set_codegen(prior)
+
+
+# ---------------------------------------------------------------------------
+# Streams
+# ---------------------------------------------------------------------------
+
+#: quantities chosen so Q18's ``SUM(quantity) > 300`` and Q17's
+#: ``quantity < 0.2 * AVG`` both flip within a few lineitems
+_QUANTITIES = (1, 2, 10, 150, 200)
+
+
+def mixed_stream(rng: random.Random, count: int, *, floats: bool = False) -> list[Event]:
+    """Inserts and retractions over every workload relation, in one
+    interleaved stream.  Retractions target live rows; ``partkey`` /
+    ``orderkey`` / ``custkey`` stay unique among the live reference
+    rows (the engines' documented key assumption).  Now and then a
+    book row carries a float in an *untyped* column: schema-valid, but
+    it cannot join an int column and rides a frame's side channel.
+    With ``floats``, typed int columns get floats too (valid input for
+    the engines' arithmetic, junk for the validation boundary)."""
+    live: dict[str, list[dict]] = {}
+    events: list[Event] = []
+
+    def unique(relation: str, column: str, span: int) -> int | None:
+        taken = {row[column] for row in live.get(relation, ())}
+        free = [key for key in range(1, span + 1) if key not in taken]
+        return rng.choice(free) if free else None
+
+    def number(value: int) -> float | int:
+        return float(value) if floats and rng.random() < 0.2 else value
+
+    for index in range(count):
+        relation = rng.choice(
+            ("bids", "bids", "asks", "R", "lineitem", "lineitem", "part", "orders", "customer")
+        )
+        rows = live.setdefault(relation, [])
+        if rows and rng.random() < 0.3:
+            events.append(Event(relation, rows.pop(rng.randrange(len(rows))), -1))
+            continue
+        if relation in ("bids", "asks"):
+            stamp = index + 0.5 if rng.random() < 0.1 else index
+            row = make_bid(rng.randint(1, 6), number(rng.randint(1, 4)), ts=stamp, bid_id=index)
+        elif relation == "R":
+            row = {"A": rng.randint(1, 4), "B": number(rng.randint(1, 3))}
+        elif relation == "lineitem":
+            quantity = rng.choice(_QUANTITIES)
+            row = {
+                "orderkey": rng.randint(1, 4),
+                "partkey": rng.randint(1, 4),
+                "quantity": number(quantity),
+                "extendedprice": quantity * 7,
+            }
+        elif relation == "part":
+            partkey = unique("part", "partkey", 4)
+            if partkey is None:
+                continue
+            hit = rng.random() < 0.6
+            row = {
+                "partkey": partkey,
+                "brand": Q17_BRAND if hit else "Brand#11",
+                "container": Q17_CONTAINER if hit else "SM CASE",
+            }
+        elif relation == "orders":
+            orderkey = unique("orders", "orderkey", 4)
+            if orderkey is None:
+                continue
+            row = {
+                "orderkey": orderkey,
+                "custkey": rng.randint(1, 3),
+                "orderdate": index + 0.5 if rng.random() < 0.1 else index,
+                "totalprice": 0,
+            }
+        else:
+            custkey = unique("customer", "custkey", 3)
+            if custkey is None:
+                continue
+            row = {"custkey": custkey, "name": f"cust{custkey}"}
+        rows.append(row)
+        events.append(Event(relation, row, +1))
+    return events
+
+
+def chunked(rng: random.Random, events: list[Event]) -> list[list[Event]]:
+    """Consecutive chunks of 0–9 events (empty chunks included)."""
+    chunks, start = [], 0
+    while start < len(events):
+        size = rng.randint(0, 9)
+        chunks.append(events[start : start + size])
+        start += size
+    return chunks + [[]]
+
+
+JUNK = (
+    Event("__junk__", {"x": 1}, +1),
+    Event("bids", {"price": 3}, +1),  # columns missing
+    Event("lineitem", {"orderkey": 1, "partkey": 1, "quantity": "many", "extendedprice": 7}, +1),
+    Event("R", {"A": 1, "B": 2, "C": 3}, +1),  # column unknown
+)
+
+
+def with_junk(rng: random.Random, events: list[Event]) -> list[Event]:
+    out = list(events)
+    for _ in range(rng.randint(1, 5)):
+        out.insert(rng.randint(0, len(out)), rng.choice(JUNK))
+    return out
+
+
+def serve_mix(seed: int, count: int) -> list[Event]:
+    """The serving benchmark's feed in small: order book and TPC-H
+    interleaved 3:2, the TPC-H part itself reshuffled so reference rows
+    arrive among the lineitems."""
+    rng = random.Random(seed)
+    book = two_sided(random_bid_stream(count * 3 // 5, seed=seed))
+    rows = list(generate_tpch(TPCHConfig(scale_factor=0.004, seed=seed)))
+    rows = rows[: count * 2 // 5]
+    rng.shuffle(rows)
+    out: list[Event] = []
+    i = j = 0
+    while i < len(book) or j < len(rows):
+        out.extend(book[i : i + 3])
+        out.extend(rows[j : j + 2])
+        i += 3
+        j += 2
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Driving
+# ---------------------------------------------------------------------------
+
+
+def identical(left, right) -> bool:
+    """Same types, same values, same group keys in the same order —
+    ``1 == 1.0`` is not identity."""
+    if isinstance(left, list):
+        return len(left) == len(right) and all(map(identical, left, right))
+    if isinstance(left, dict):
+        return list(left) == list(right) and all(
+            identical(value, right[key]) for key, value in left.items()
+        )
+    return type(left) is type(right) and left == right
+
+
+def drive(engine, chunks, shape: str, *, restore_at: int | None = None):
+    """One result per chunk — for ``event`` the last ``on_event``'s —
+    and the engine as it ended (a restore replaces it)."""
+    out = []
+    for index, chunk in enumerate(chunks):
+        if index == restore_at:
+            engine = pickle.loads(pickle.dumps(engine))
+        if shape == "event":
+            result = engine.result()
+            for event in chunk:
+                result = engine.on_event(event)
+        elif shape == "batch":
+            result = engine.on_batch(chunk)
+        else:
+            result = engine.on_frame(ColumnarFrame.from_events(chunk))
+        out.append(result)
+    return out, engine
+
+
+def assert_shapes_agree(query, strategy, chunks, *, validate=False, restore_at=None):
+    traces, rejected = {}, {}
+    for shape in SHAPES:
+        engine = build_engine(query, strategy)
+        if validate:
+            attach_validation(engine, query)
+        traces[shape], engine = drive(engine, chunks, shape, restore_at=restore_at)
+        if validate:
+            rejected[shape] = engine.quarantine.total_rejected
+    assert identical(traces["batch"], traces["event"]), (query, strategy, "batch vs event")
+    assert identical(traces["frame"], traces["batch"]), (query, strategy, "frame vs batch")
+    assert len(set(rejected.values())) <= 1, rejected
+    return traces["event"], rejected.get("event", 0)
+
+
+# ---------------------------------------------------------------------------
+# The differential
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("query,strategy", EVERY_ENGINE)
+class TestEveryEngine:
+    @given(seed=st.integers(0, 2**32), count=st.integers(0, 40))
+    @settings(max_examples=25, deadline=None)
+    def test_batch_is_last_event_and_frame_is_batch(self, query, strategy, seed, count):
+        rng = random.Random(seed)
+        chunks = chunked(rng, mixed_stream(rng, count))
+        assert_shapes_agree(query, strategy, chunks, restore_at=len(chunks) // 2)
+
+    @given(seed=st.integers(0, 2**32), count=st.integers(1, 40))
+    @settings(max_examples=10, deadline=None)
+    def test_junk_is_rejected_alike_on_all_three_shapes(self, query, strategy, seed, count):
+        rng = random.Random(seed)
+        clean = mixed_stream(rng, count)
+        dirty = with_junk(rng, clean)
+        chunks = chunked(rng, dirty)
+        trace, rejected = assert_shapes_agree(
+            query, strategy, chunks, validate=True, restore_at=len(chunks) // 2
+        )
+        assert rejected == len(dirty) - len(clean)
+        # ...and what is left is the clean stream.
+        reference = build_engine(query, strategy)
+        assert identical(trace[-1], reference.on_batch(clean))
+
+    @given(seed=st.integers(0, 2**32), count=st.integers(0, 40))
+    @settings(max_examples=10, deadline=None)
+    def test_warm_start_is_replay(self, query, strategy, seed, count):
+        rng = random.Random(seed)
+        events = mixed_stream(rng, count)
+        cut = rng.randint(0, len(events))
+        warmed, replayed = build_engine(query, strategy), build_engine(query, strategy)
+        loaded = warmed.warm_start(Stream(events[:cut]))
+        expected = replayed.result()
+        for event in events[:cut]:
+            expected = replayed.on_event(event)
+        assert loaded == expected
+        tail = [events[cut:]]
+        assert identical(drive(warmed, tail, "batch")[0], drive(replayed, tail, "batch")[0])
+
+
+@pytest.mark.parametrize("query", QUERIES)
+@pytest.mark.parametrize("strategy", ["rpai", "dbtoaster"])
+class TestFrames:
+    """Frame layouts the mixed stream reaches only by chance, pinned."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_floats_in_int_columns_take_the_side_channel(self, query, strategy, seed):
+        rng = random.Random(seed)
+        chunks = chunked(rng, mixed_stream(rng, 150, floats=True))
+        assert any(ColumnarFrame.from_events(chunk).fallback for chunk in chunks)
+        assert_shapes_agree(query, strategy, chunks, restore_at=5)
+        # Under validation the same rows are junk, on every shape.
+        _trace, rejected = assert_shapes_agree(query, strategy, chunks, validate=True)
+        assert rejected
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "interpreted"])
+    def test_serve_mix_and_shuffled_reference_rows(self, query, strategy, compiled):
+        codegen.set_codegen(compiled)
+        events = serve_mix(seed=5, count=400)
+        for size in (16, 64):
+            chunks = [events[i : i + size] for i in range(0, len(events), size)]
+            frames = [ColumnarFrame.from_events(chunk) for chunk in chunks]
+            assert max(len(frame.blocks) for frame in frames) >= 4
+            assert_shapes_agree(query, strategy, chunks, restore_at=3)
+
+    def test_single_block_and_foreign_frames(self, query, strategy):
+        rng = random.Random(11)
+        for relation in ("bids", "asks", "R", "lineitem", "part", "orders", "customer"):
+            events = [e for e in mixed_stream(rng, 400) if e.relation == relation]
+            chunks = [events[i : i + 16] for i in range(0, len(events), 16)]
+            assert all(len(ColumnarFrame.from_events(c).blocks) == 1 for c in chunks)
+            assert_shapes_agree(query, strategy, chunks)
+
+
+def _seeded_3k(query: str) -> list[Event]:
+    if query in ("Q17", "Q18"):
+        return list(generate_tpch(TPCHConfig(scale_factor=3000 / 70_250, seed=3)))[:3000]
+    if query == "EQ":
+        rng = random.Random(3)
+        return [Event("R", {"A": rng.randint(1, 50), "B": rng.randint(1, 9)}) for _ in range(3000)]
+    return two_sided(random_bid_stream(3000, seed=3))
+
+
+@pytest.mark.parametrize("query", QUERIES)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_one_result_per_trigger_call(query, shape):
+    events = _seeded_3k(query)
+    chunks = [[event] for event in events] if shape == "event" else [
+        events[i : i + 64] for i in range(0, len(events), 64)
+    ]
+    engine = build_engine(query, "rpai")
+    obs.reset()
+    obs.enable()
+    try:
+        drive(engine, chunks, shape)
+        snap = obs.snapshot()
+    finally:
+        obs.disable()
+        obs.reset()
+    counters = snap["counters"]
+    assert counters["engine.results"] == len(chunks)
+    if shape == "event":
+        assert counters["engine.events"] == len(events)
+        assert "engine.batches" not in counters
+    else:
+        assert counters["engine.batches"] == len(chunks)
+        assert "engine.events" not in counters
+        assert snap["stats"]["engine.batch_size"]["total"] == len(events)

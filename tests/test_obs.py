@@ -134,6 +134,16 @@ class TestDerivedMetrics:
         assert derived["max_violations_single_shift"] == 1
         assert derived["events"] == 100
 
+    def test_batched_updates_count_toward_rotations_per_update(self):
+        """A batched run has no ``engine.events``; its updates are the
+        ``engine.batch_size`` total."""
+        snap = {
+            "counters": {"rpai.rotations": 60, "engine.events": 20, "engine.batches": 2},
+            "stats": {"engine.batch_size": {"count": 2, "total": 100, "mean": 50.0}},
+        }
+        derived = obs.derived_metrics(snap)
+        assert derived["rotations_per_update"] == pytest.approx(0.5)
+
 
 class TestStructureCounters:
     def test_rpai_counts_when_enabled(self):
@@ -199,7 +209,8 @@ class TestEngineCounters:
         engine.process(stream)
         counters = obs.snapshot()["counters"]
         assert counters["engine.events"] == 50
-        assert counters["engine.results"] >= 50
+        assert counters["engine.results"] == 50
+        assert "engine.batches" not in counters
 
     def test_batches_counted_once(self):
         obs.enable()
@@ -210,6 +221,36 @@ class TestEngineCounters:
         assert counters["engine.batches"] == 3
         batch_size = obs.snapshot()["stats"]["engine.batch_size"]
         assert batch_size["mean"] == pytest.approx(20.0)
+
+    @pytest.mark.parametrize("query", ["VWAP", "EQ", "PSP", "NQ2", "SQ1", "Q17", "Q18"])
+    @pytest.mark.parametrize("shape", ["batch", "frame"])
+    def test_one_batch_counts_the_same_for_every_engine(self, query, shape):
+        """Netting engines and apply-loop engines alike: a 64-event call
+        is one batch of size 64 and one result, and no ``engine.events``."""
+        from repro.storage.colbatch import ColumnarFrame
+        from repro.workloads import TPCHConfig, generate_tpch
+
+        if query in ("Q17", "Q18"):
+            events = list(generate_tpch(TPCHConfig(scale_factor=0.01, seed=9)))[-64:]
+        elif query == "EQ":
+            from repro.storage.stream import Event
+
+            events = [Event("R", {"A": i % 7, "B": i % 5}) for i in range(64)]
+        else:
+            events = list(random_bid_stream(64, seed=8))
+        engine = build_engine(query, "rpai")
+        obs.enable()
+        if shape == "batch":
+            engine.on_batch(events)
+        else:
+            engine.on_frame(ColumnarFrame.from_events(events))
+        snap = obs.snapshot()
+        counters = snap["counters"]
+        assert counters["engine.batches"] == 1
+        assert counters["engine.results"] == 1
+        assert "engine.events" not in counters
+        assert snap["stats"]["engine.batch_size"]["total"] == 64
+        assert obs.derived_metrics(snap).get("rotations_per_update") is not None
 
     def test_subclassed_engine_counts_events_once(self):
         """Engines that inherit on_event (e.g. the Q18 DBToaster variant
