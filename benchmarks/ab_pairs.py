@@ -8,8 +8,8 @@ before/after tables made from them (choosing-metrics guide §8).
 
 ``run`` executes ``benchmarks/layers/run.py`` in two checkouts in turn
 and appends one JSON line per run (the contract's end-to-end metrics
-plus every ``engine.eps.*`` / ``core.*`` / ``span.*`` line of the printed
-report).
+plus every ``engine.eps.*`` / ``core.*`` / ``span.*`` / ``server.*`` /
+``client.*`` / ``wal*`` / ``wire_*`` line of the printed report).
 A pair runs every named workload (``all``: the four of
 ``BENCHMARK.json``) on both sides, the two sides of one workload back
 to back, and which side goes first swaps from pair to pair and from
@@ -70,9 +70,10 @@ def run_once(directory: str, workload: str, args: argparse.Namespace) -> dict:
         return {"ok": False, "stdout": done.stdout[-2000:], "stderr": done.stderr[-2000:]}
     extra = {}
     for line in lines:
-        if line.startswith(("engine.eps.", "core.", "span.")):
+        if line.startswith(("engine.eps.", "core.", "span.", "server.", "client.", "wal", "wire_")):
             name, value = line.split()[:2]
-            extra[name] = float(value)
+            if value != "null":
+                extra[name] = float(value)
     return {
         "ok": done.returncode == 0 and contract["correct"],
         "attempted": contract["attempted"],

@@ -588,7 +588,7 @@ def cmd_client(args: argparse.Namespace) -> int:
     families_done = set()
     for query in queries:
         family = "tpch" if query in ("Q17", "Q18") else "eq" if query == "EQ" else "book"
-        if family not in families_done:
+        if family not in families_done and args.events > 0:  # 0: subscribe and report only
             families_done.add(family)
             events.extend(_default_stream(query, args.events, args.seed))
 
@@ -625,7 +625,10 @@ def cmd_client(args: argparse.Namespace) -> int:
                 f"({len(latencies)} samples)"
             )
         for query in queries:
-            rendered = repr(client.results.get(query))
+            result = client.results.get(query)
+            if isinstance(result, dict):  # group order is fold history: print by key
+                result = dict(sorted(result.items()))
+            rendered = repr(result)
             if len(rendered) > 70:
                 rendered = rendered[:67] + "..."
             print(f"  {query:<5}: {rendered}")

@@ -43,7 +43,7 @@ import re
 from typing import Any
 
 from repro.obs import SELFCHECK, SINK
-from repro.trees._avl import height, make_avl_ops
+from repro.trees._avl import height, link, make_avl_ops, preorder
 
 __all__ = ["compile_kernel", "expand", "POOLS"]
 
@@ -88,6 +88,8 @@ def compile_kernel(columns: int) -> dict[str, Any]:
         "_SELF": SELFCHECK,
         "_height": height,
         "make_avl_ops": make_avl_ops,
+        "preorder": preorder,
+        "link": link,
         "_POOL": POOLS.setdefault(columns, []),
     }
     exec(compile(source, filename, "exec"), namespace)
@@ -278,6 +280,33 @@ class METHODS:
                 )
         self._root = _build_relative(items, 0, len(items), 0)
         self._size = len(items)
+
+    # -- pickled state --------------------------------------------------------
+
+    def _dump(self):
+        """``[keys, min offsets, max offsets, child masks, values, sums,
+        values1, ...]``, nodes in pre-order.  Offsets are stored per
+        *edge*: a node without a left (right) child has ``min_off``
+        (``max_off``) ``0`` by construction."""
+        nodes, masks = preorder(self._root)
+        return [[n.key for n in nodes],
+                [n.min_off for n in nodes if n.left is not None],
+                [n.max_off for n in nodes if n.right is not None], masks,
+                {{, |[n.value$ for n in nodes], [n.sum$ for n in nodes]}}]
+
+    def _load(self, keys, min_offs, max_offs, masks, {{, |values$, sums$}}):
+        """Rebuild node for node: keys, offsets and sums are taken as
+        written, never recomputed."""
+        nodes = list(map(Node, keys, {{, |values$}}))
+        min_off, max_off = iter(min_offs), iter(max_offs)
+        for node, mask, {{, |sum$}} in zip(nodes, masks, {{, |sums$}}):
+            node.sum$ = sum$
+            if mask & 1:
+                node.min_off = next(min_off)
+            if mask & 2:
+                node.max_off = next(max_off)
+        self._root = link(nodes, masks)
+        self._size = len(nodes)
 
     # -- basic map operations -------------------------------------------------
 

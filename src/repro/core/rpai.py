@@ -74,6 +74,7 @@ from typing import Any, Iterable, Iterator
 from repro.core._rpai_kernel import compile_kernel
 from repro.obs import SELFCHECK as _SELF
 from repro.obs import SINK as _SINK
+from repro.trees._avl import flatten, unflatten
 from repro.trees._avl import height as _height
 
 __all__ = ["RPAITree", "RPAINode"]
@@ -158,6 +159,20 @@ class RPAITree:
         if _SELF.enabled:
             tree.check_invariants()
         return tree
+
+    # -- pickled state --------------------------------------------------------
+    # Flat per-field sequences (repro.trees._avl.flatten), not a graph of
+    # node objects: one C-level pass per field instead of one Python-level
+    # reduce per node.  _dump / _load are width-specific.
+
+    def __getstate__(self) -> tuple:
+        return flatten(self.prune_zeros, self._dump())
+
+    def __setstate__(self, state: Any) -> None:
+        self.prune_zeros, fields = unflatten(state, type(self).__name__, 4 + 2 * self.columns)
+        self._load(*fields)
+        if _SELF.enabled:
+            self.check_invariants()
 
     # -- basic map operations -------------------------------------------------
     # get / put / add are width-specific (repro.core._rpai_kernel).

@@ -44,8 +44,10 @@ class Quarantine:
 
     Attached to an engine via
     :meth:`IncrementalEngine.attach_quarantine`, after which every
-    ``on_event``/``on_batch`` call validates each event's row against
-    the schema of its relation before the trigger runs.  Rejected
+    ``on_event``/``on_batch``/``on_frame`` call validates its input
+    against the schema of each relation before the trigger runs; the
+    serving tenant owns one instead and admits each ingest once for all
+    of its engines.  Rejected
     events are kept in a bounded ring (the most recent ``limit``
     offenders, with their :class:`~repro.errors.SchemaError` detail)
     and counted under ``engine.quarantined``; accepted events flow
@@ -95,6 +97,41 @@ class Quarantine:
         if all(self.admit_fast(event) for event in events):
             return events
         return [event for event in events if self.admit(event)]
+
+    def admit_frame(self, frame):
+        """Filter a :class:`~repro.storage.colbatch.ColumnarFrame`;
+        returns it unchanged when every row is clean.
+
+        A typed column cannot hold a mistyped value, so a block is
+        admitted by one names/kinds-vs-schema check
+        (:meth:`~repro.storage.schema.Schema.admits_block`); only
+        side-channel rows and the rows of a block that fails it take the
+        per-row :meth:`admit`, in event order — what is rejected, why,
+        and when ``fail_after`` trips are what :meth:`admit_batch` over
+        ``frame.events()`` gives.  Events are decoded only to drop rows."""
+        suspect = {
+            index
+            for index, block in enumerate(frame.blocks)
+            if (schema := self.schemas.get(block.relation)) is None
+            or not schema.admits_block(block.names, block.kinds)
+        }
+        if not suspect and not frame.fallback:
+            return frame
+        rejected = set()
+        for position, (block_index, row_index) in enumerate(frame.order()):
+            if block_index < 0:
+                event = frame.fallback[row_index]
+            elif block_index in suspect:
+                block = frame.blocks[block_index]
+                event = Event(block.relation, block.row(row_index), block.weights[row_index])
+            else:
+                continue
+            if not self.admit(event):
+                rejected.add(position)
+        if not rejected:
+            return frame
+        kept = [event for position, event in enumerate(frame.events()) if position not in rejected]
+        return type(frame).from_events(kept)
 
     def admit_fast(self, event: Event) -> bool:
         """Validation without side effects (used for the no-copy check;
@@ -321,17 +358,17 @@ class IncrementalEngine(abc.ABC):
         return self.result()
 
     def on_frame(self, frame) -> Result:
-        """Apply one :class:`~repro.storage.colbatch.ColumnarFrame`.
-
-        Validation is per event, so a frame arriving at an engine with a
-        quarantine attached is decoded and takes :meth:`on_batch`.
-        """
-        if self._quarantine is not None:
-            return self.on_batch(frame.events())
+        """Apply one :class:`~repro.storage.colbatch.ColumnarFrame`:
+        one block-level admission (:meth:`Quarantine.admit_frame`) when
+        a quarantine is attached, one :meth:`apply_frame`, one
+        :meth:`result`."""
         if _SINK.enabled:
             _SINK.inc("engine.batches")
             _SINK.observe("engine.batch_size", len(frame))
             _SINK.inc("engine.results")
+        guard = self._quarantine
+        if guard is not None:
+            frame = guard.admit_frame(frame)
         self.apply_frame(frame)
         return self.result()
 

@@ -45,6 +45,7 @@ __all__ = [
     "build_engine",
     "build_sharded_engine",
     "attach_validation",
+    "validation_schemas",
     "available_strategies",
     "STRATEGIES",
 ]
@@ -138,6 +139,18 @@ def build_engine(query_name: str, strategy: str) -> IncrementalEngine:
     raise KeyError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
 
 
+def validation_schemas(query_name: str) -> dict:
+    """The relations the validation boundary admits for ``query_name``:
+    every *workload* relation, not just the ones the query references —
+    benchmark streams are shared feeds (the TPC-H stream carries
+    ``orders`` and ``customer`` alongside Q17's ``lineitem``/``part``),
+    and events for unreferenced relations are legitimate no-ops, not
+    junk.  The query's own schemas take precedence where names overlap."""
+    from repro.storage.schema import WORKLOAD_SCHEMAS
+
+    return {**WORKLOAD_SCHEMAS, **get_query(query_name.upper()).schema_map()}
+
+
 def attach_validation(
     engine: IncrementalEngine,
     query_name: str,
@@ -145,22 +158,13 @@ def attach_validation(
     limit: int = 64,
     fail_after: int | None = None,
 ):
-    """Attach the input-validation quarantine for ``query_name`` to
-    ``engine`` (see
+    """Attach the input-validation quarantine for ``query_name``
+    (:func:`validation_schemas`) to ``engine`` (see
     :meth:`~repro.engine.base.IncrementalEngine.attach_quarantine`);
-    returns the :class:`~repro.engine.base.Quarantine`.
-
-    The boundary admits every *workload* relation, not just the ones
-    the query references: benchmark streams are shared feeds (the TPC-H
-    stream carries ``orders`` and ``customer`` alongside Q17's
-    ``lineitem``/``part``), and events for unreferenced relations are
-    legitimate no-ops, not junk.  The query's own schemas take
-    precedence where names overlap."""
-    from repro.storage.schema import WORKLOAD_SCHEMAS
-
-    schema_map = dict(WORKLOAD_SCHEMAS)
-    schema_map.update(get_query(query_name.upper()).schema_map())
-    return engine.attach_quarantine(schema_map, limit=limit, fail_after=fail_after)
+    returns the :class:`~repro.engine.base.Quarantine`."""
+    return engine.attach_quarantine(
+        validation_schemas(query_name), limit=limit, fail_after=fail_after
+    )
 
 
 def build_sharded_engine(

@@ -21,8 +21,12 @@ production-shaped answer — *log first, apply second, supervise always*:
   serial :class:`~repro.engine.sharding.ShardedExecutor` (the
   degradation ladder is mp → serial → typed error).
 
-* :class:`DurableEngine` is the single-engine form of the same
-  protocol: one WAL, one engine, periodic snapshots, and a
+* :class:`DurableLog` is that protocol without the workers, written
+  once: one WAL, the engines that apply it, ``commit`` (append → apply →
+  checkpoint every ``snapshot_every`` records) and ``recover`` (latest
+  valid snapshot + tail replay, from the engine's birth record when no
+  snapshot loads).  A serving tenant holds one for all of its engines;
+  :class:`DurableEngine` is its one-engine case, with a
   :meth:`DurableEngine.recover` classmethod that resumes an interrupted
   run after a process restart.
 
@@ -44,7 +48,7 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from repro.engine.base import IncrementalEngine, Result
+from repro.engine.base import IncrementalEngine, Quarantine, Result
 from repro.engine.sharding import (
     MultiprocessShardedExecutor,
     ShardRouter,
@@ -59,9 +63,9 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.obs import SINK as _SINK
 from repro.storage.colbatch import ColumnarFrame, apply_events
 from repro.storage.stream import Event
-from repro.storage.wal import WAL_FILE, WriteAheadLog
+from repro.storage.wal import BIRTH, FRAME, WAL_FILE, WriteAheadLog, split_cause
 
-__all__ = ["SupervisedExecutor", "DurableEngine", "recover_result"]
+__all__ = ["SupervisedExecutor", "DurableLog", "DurableEngine", "recover_result"]
 
 _PICKLE = pickle.HIGHEST_PROTOCOL
 
@@ -177,12 +181,13 @@ def _supervised_worker_main(
 def _load_snapshot(payload: bytes) -> IncrementalEngine | None:
     """Unpickle a CRC-valid snapshot; ``None`` when this code cannot.
 
-    Snapshots are pickles of live engines with no format stamp, so one
-    written by other code (a class or module since removed, a changed
-    state layout) passes its CRC and then fails inside ``pickle.loads``
-    with whatever the missing piece raises — hence the broad catch.
-    The log is never compacted, so callers treat it like a corrupt
-    snapshot: rebuild from the factory and replay from seq 0."""
+    Snapshots are pickles of live engines, so one written by other code
+    (a class or module since removed, a state layout a ``__setstate__``
+    refuses — the trees stamp theirs) passes its CRC and then fails
+    inside ``pickle.loads`` with whatever the missing piece raises —
+    hence the broad catch.  The log is never compacted, so callers treat
+    it like a corrupt snapshot: rebuild from the factory and replay from
+    the engine's birth."""
     try:
         return pickle.loads(payload)
     except Exception:
@@ -192,21 +197,29 @@ def _load_snapshot(payload: bytes) -> IncrementalEngine | None:
 
 
 def _recover_engine(
-    wal: WriteAheadLog, factory: Callable[[], IncrementalEngine]
+    wal: WriteAheadLog,
+    factory: Callable[[], IncrementalEngine],
+    directory: Path | None = None,
+    birth: int = 0,
+    admit: Callable[[Any], Any] | None = None,
 ) -> tuple[IncrementalEngine, dict]:
     """Snapshot + tail-replay recovery into an in-process engine.
 
-    The snapshot is only trusted up to the log head (a corruption that
-    truncated the WAL *behind* a snapshot invalidates the snapshot too,
-    or replay and live sequence numbering would diverge)."""
-    snap = wal.load_latest_snapshot(max_seq=wal.seq)
+    ``directory`` holds the engine's snapshots (default: the log's own),
+    ``birth`` is the sequence number it joined the log at (it is never
+    fed anything older) and ``admit`` filters each logged batch the way
+    the live path did.  The snapshot is only trusted up to the log head
+    (a corruption that truncated the WAL *behind* a snapshot invalidates
+    the snapshot too, or replay and live sequence numbering would
+    diverge)."""
+    snap = wal.load_latest_snapshot(max_seq=wal.seq, directory=directory)
     engine = None if snap is None else _load_snapshot(snap[1])
     snapshot_seq = None if engine is None else snap[0]
     if engine is None:
         engine = factory()
     replayed = 0
-    for _seq, logged in wal.replay(start_seq=snapshot_seq or 0):
-        apply_events(engine, logged)
+    for _seq, logged in wal.replay(start_seq=birth if snapshot_seq is None else snapshot_seq):
+        apply_events(engine, logged if admit is None else admit(logged))
         replayed += 1
     if _SINK.enabled:
         _SINK.inc("wal.recoveries")
@@ -583,14 +596,85 @@ class SupervisedExecutor(MultiprocessShardedExecutor):
                 self._last_snapshot_seq[index] = wal.seq
 
 
-class DurableEngine(IncrementalEngine):
-    """WAL-backed wrapper for a single (possibly serial-sharded) engine.
+class DurableLog:
+    """One write-ahead log and the engines that apply it — the
+    durability protocol, once.
 
-    Append first, apply second, checkpoint every ``snapshot_every``
-    records — the one-process form of the supervised protocol, and the
-    measurement vehicle for the WAL-overhead gate in
-    ``benchmarks/bench_compare.py``.
+    :meth:`commit` is append → apply → checkpoint every attached engine
+    every ``snapshot_every`` records; :meth:`recover` is latest valid
+    snapshot + replay of the tail.  Engines are named: ``""`` is born
+    with the log and snapshots beside it (:class:`DurableEngine`); any
+    other name is born where :meth:`attach` first sees it — a BIRTH
+    record, so its recovery never replays what was logged before it
+    existed — and snapshots into ``<directory>/<name>/``.
     """
+
+    def __init__(
+        self, directory: str | Path, *, fsync: bool = False, snapshot_every: int = 64
+    ) -> None:
+        self.snapshot_every = max(1, snapshot_every)
+        self.engines: dict[str, IncrementalEngine] = {}
+        #: engine name -> sequence number of its BIRTH record
+        self.births: dict[str, int] = {"": 0}
+        #: session -> last ingest seq logged under it (the FRAME causes):
+        #: what a restarted server must not apply again
+        self.applied: dict[str, int] = {}
+        self.wal = WriteAheadLog(directory, fsync=fsync, scan=self._note)
+        self._last_snapshot_seq = self.wal.seq
+
+    def _note(self, seq: int, kind: bytes, payload: bytes) -> None:
+        """One record of the log's opening scan."""
+        if kind == BIRTH:
+            self.births[payload.decode()] = seq
+        elif kind == FRAME and (cause := split_cause(payload)[0]) is not None:
+            self.applied[cause[0]] = cause[1]
+
+    def attach(self, name: str, engine: IncrementalEngine) -> IncrementalEngine:
+        """Register a live engine; a name new to the log is born here."""
+        if name not in self.births:
+            self.births[name] = self.wal.birth(name)
+        self.engines[name] = engine
+        return engine
+
+    def recover(self, name: str, factory: Callable, admit: Callable | None = None) -> dict:
+        """Rebuild engine ``name`` from its snapshots and the log tail
+        (batches pass ``admit`` first) and attach it; returns the
+        recovery statistics."""
+        self.engines[name], stats = _recover_engine(
+            self.wal, factory, self.wal.directory / name, self.births[name], admit
+        )
+        return stats
+
+    def commit(self, batch: Any, apply: Callable, cause: tuple[str, int] | None = None) -> Any:
+        """Append first, apply second, checkpoint when due; returns
+        what ``apply(batch)`` returned."""
+        self.wal.append(batch, cause)
+        output = apply(batch)
+        if self.wal.seq - self._last_snapshot_seq >= self.snapshot_every:
+            self.snapshot()
+        return output
+
+    def snapshot(self) -> list[Path]:
+        """Checkpoint every attached engine at the current log head."""
+        self._last_snapshot_seq = self.wal.seq
+        root = self.wal.directory
+        return [
+            self.wal.snapshot(pickle.dumps(engine, protocol=_PICKLE), directory=root / name)
+            for name, engine in self.engines.items()
+        ]
+
+    def close(self) -> None:
+        """Final checkpoint if anything was logged since the last one,
+        then close the WAL; idempotent."""
+        if not self.wal._handle.closed:
+            if self.wal.seq > self._last_snapshot_seq:
+                self.snapshot()
+            self.wal.close()
+
+
+class DurableEngine(IncrementalEngine):
+    """WAL-backed wrapper for a single (possibly serial-sharded) engine:
+    the one-engine :class:`DurableLog`."""
 
     def __init__(
         self,
@@ -600,43 +684,31 @@ class DurableEngine(IncrementalEngine):
         fsync: bool = False,
         snapshot_every: int = 64,
     ) -> None:
-        self.engine = engine
+        self.log = DurableLog(directory, fsync=fsync, snapshot_every=snapshot_every)
+        self.log.attach("", engine)
+        self.wal = self.log.wal
         self.name = f"{engine.name}-wal"
-        self.wal = WriteAheadLog(directory, fsync=fsync)
-        self.snapshot_every = max(1, snapshot_every)
-        self._last_snapshot_seq = self.wal.seq
         self.recovered_records = 0
 
+    @property
+    def engine(self) -> IncrementalEngine:
+        return self.log.engines[""]
+
     def on_event(self, event: Event) -> Result:
-        self.wal.append([event])
-        output = self.engine.on_event(event)
-        self._maybe_snapshot()
-        return output
+        return self.log.commit([event], lambda _batch: self.engine.on_event(event))
 
     def on_batch(self, events: Sequence[Event]) -> Result:
-        self.wal.append(events)
-        output = self.engine.on_batch(events)
-        self._maybe_snapshot()
-        return output
+        return self.log.commit(events, self.engine.on_batch)
 
     def result(self) -> Result:
         return self.engine.result()
 
     def snapshot(self) -> Path:
         """Checkpoint the wrapped engine at the current log head."""
-        path = self.wal.snapshot(pickle.dumps(self.engine, protocol=_PICKLE))
-        self._last_snapshot_seq = self.wal.seq
-        return path
-
-    def _maybe_snapshot(self) -> None:
-        if self.wal.seq - self._last_snapshot_seq >= self.snapshot_every:
-            self.snapshot()
+        return self.log.snapshot()[0]
 
     def close(self) -> None:
-        if not self.wal._handle.closed:
-            if self.wal.seq > self._last_snapshot_seq:
-                self.snapshot()
-            self.wal.close()
+        self.log.close()
 
     def __enter__(self) -> "DurableEngine":
         return self
@@ -654,13 +726,9 @@ class DurableEngine(IncrementalEngine):
         snapshot_every: int = 64,
     ) -> "DurableEngine":
         """Resume an interrupted durable run from its directory."""
-        durable = cls(
-            factory(), directory, fsync=fsync, snapshot_every=snapshot_every
-        )
-        engine, stats = _recover_engine(durable.wal, factory)
-        durable.engine = engine
-        durable.name = f"{engine.name}-wal"
-        durable.recovered_records = stats["records_replayed"]
+        durable = cls(factory(), directory, fsync=fsync, snapshot_every=snapshot_every)
+        durable.recovered_records = durable.log.recover("", factory)["records_replayed"]
+        durable.name = f"{durable.engine.name}-wal"
         return durable
 
 
@@ -671,15 +739,17 @@ def recover_result(
 
     Rebuilds every shard engine found under ``wal_dir`` — either
     ``shard-<i>/`` subdirectories written by a
-    :class:`SupervisedExecutor`, or a bare directory written by a
-    :class:`DurableEngine` — and returns the merged query result plus
+    :class:`SupervisedExecutor`, or a bare directory holding one log,
+    a :class:`DurableEngine`'s or a serving tenant's (where the query's
+    own snapshots and birth record apply, and logged frames pass the
+    tenant's admission rule) — and returns the merged query result plus
     per-shard recovery statistics.
 
-    A bare-directory (unsharded) log is replayed into a plain engine:
-    the WAL stores raw event batches, so replay through the single
-    engine reproduces the exact result whatever executor wrote the log.
+    A :class:`DurableEngine` log is replayed into a plain engine: the
+    WAL stores raw event batches, so replay through the single engine
+    reproduces the exact result whatever executor wrote the log.
     """
-    from repro.engine.registry import build_engine
+    from repro.engine.registry import build_engine, validation_schemas
 
     root = Path(wal_dir)
     factory = lambda: build_engine(query_name, strategy)  # noqa: E731
@@ -687,9 +757,14 @@ def recover_result(
     if not shard_dirs:
         if not (root / WAL_FILE).exists():
             raise EngineStateError(f"no WAL data under {root}")
-        with WriteAheadLog(root) as wal:
-            engine, stats = _recover_engine(wal, factory)
-        return engine.result(), {"shards": 1, "per_shard": [stats]}
+        log = DurableLog(root)
+        try:
+            name = query_name.upper() if query_name.upper() in log.births else ""
+            admit = Quarantine(validation_schemas(name)).admit_frame if name else None
+            stats = log.recover(name, factory, admit)
+            return log.engines[name].result(), {"shards": 1, "per_shard": [stats]}
+        finally:
+            log.wal.close()
     replicas, per_shard = [], []
     for directory in shard_dirs:
         with WriteAheadLog(directory) as wal:

@@ -74,8 +74,9 @@ _MAGIC = b"RSV1"
 _HEADER = struct.Struct("<4sBQII")  # magic, type, seq, payload length, payload crc32
 _PICKLE = pickle.HIGHEST_PROTOCOL
 
-#: refuse to allocate unbounded buffers for a garbage length field
-MAX_FRAME_BYTES = 1 << 30
+#: refuse to allocate for a length field no real message reaches: the
+#: largest (a grouped SNAPSHOT, a 64k-event INGEST) are a few MiB
+MAX_FRAME_BYTES = 1 << 24
 
 
 class MsgType(enum.IntEnum):

@@ -1,10 +1,14 @@
 """Asyncio streaming subscription server.
 
 One process serves many **tenants**; each tenant owns an isolated pool
-of incremental engines (one per subscribed query), an optional
-per-tenant WAL directory (``wal_root/<tenant>/<query>/`` through
-:class:`~repro.engine.supervision.DurableEngine`), and a bounded ingest
-queue drained by a single worker task.  Clients connect over TCP with
+of incremental engines (one per subscribed query), one input
+quarantine, an optional :class:`~repro.engine.supervision.DurableLog`
+(``wal_root/<tenant>/wal.log`` for all of its engines, snapshots under
+``wal_root/<tenant>/<query>/``), and a bounded ingest queue drained by a
+single worker task.  Each ingest is paid for once: decoded once, logged
+once (the received frame bytes, verbatim), admitted once, handed to
+every engine as the same frame, and its deltas are encoded once and
+leave in one write per connection.  Clients connect over TCP with
 the :mod:`~repro.serving.protocol` framing, ingest
 :class:`~repro.storage.colbatch.ColumnarFrame` batches, and subscribe
 to queries: an initial snapshot, then one
@@ -14,7 +18,7 @@ Robustness contract (each clause is counted in ``obs`` and exercised
 by the serving chaos suite):
 
 * **Tenant isolation** — a tenant's schema-junk is diverted by the
-  engine quarantine, and a hard engine crash marks only *that* tenant
+  tenant's quarantine, and a hard engine crash marks only *that* tenant
   failed (``serve.tenant_failures``); other tenants never stall.  A
   failed (or chaos-killed) tenant restarts from its WAL
   (``serve.tenant_restarts``) and resumes serving the same delta
@@ -32,7 +36,9 @@ by the serving chaos suite):
 * **Dedup** — ingest batches carry a client-chosen ``(session, seq)``;
   a reconnecting client re-sends unacked batches and the tenant skips
   already-applied sequence numbers (``serve.dedup_skips``) — the WAL
-  seq-dedup design at the network boundary.
+  seq-dedup design at the network boundary.  The log records each
+  batch's ``(session, seq)``, so the watermark survives a restart of
+  the whole server.
 * **Liveness** — the server PINGs every ``heartbeat_interval`` and
   closes connections idle past ``idle_timeout``
   (``serve.idle_closed``); a garbled or truncated frame closes the
@@ -53,20 +59,21 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.engine.registry import attach_validation, build_engine
-from repro.engine.supervision import DurableEngine
-from repro.errors import ServingError, WireFormatError
+from repro.engine.base import Quarantine
+from repro.engine.registry import build_engine, validation_schemas
+from repro.engine.supervision import DurableLog
+from repro.errors import EngineStateError, ServingError, WireFormatError
 from repro.obs import SINK as _SINK
 from repro.serving.deltas import compute_delta, freeze
 from repro.serving.protocol import (
     Message,
     MsgType,
+    encode,
     error_message,
     read_message,
-    write_message,
 )
 from repro.storage.colbatch import ColumnarFrame
-from repro.storage.stream import Event
+from repro.storage.schema import WORKLOAD_SCHEMAS
 from repro.storage.wal import WAL_FILE
 
 __all__ = ["ServingConfig", "SubscriptionServer", "TenantRuntime", "QUEUE_POLICIES"]
@@ -125,12 +132,15 @@ class Subscription:
 class Connection:
     """Server-side state for one client connection.
 
-    All outbound traffic funnels through one queue drained by a sender
-    task, so TCP backpressure from a stalled reader blocks the sender
-    — not the engines.  ``data_pending`` counts queued-but-unsent
-    DELTA messages (an obs signal); the slow-consumer *bound* is
-    enforced on ACK lag in the fan-out path, which is deterministic
-    where transport buffering is not.
+    All outbound traffic funnels through one queue of encoded bytes
+    drained by a sender task, so TCP backpressure from a stalled reader
+    blocks the sender — not the engines.  The sender writes everything
+    queued when it wakes as one buffer: the deltas an ingest causes and
+    its ACK are queued in one synchronous step, so they share a write.
+    ``data_pending`` counts queued-but-unsent DELTA messages (an obs
+    signal); the slow-consumer *bound* is enforced on ACK lag in the
+    fan-out path, which is deterministic where transport buffering is
+    not.
     """
 
     __slots__ = (
@@ -168,15 +178,19 @@ class Connection:
     def send(self, message: Message) -> None:
         """Enqueue one outbound message (never blocks; the bound on
         delta buffering is enforced by the fan-out path)."""
-        if self.closed:
-            return
-        if message.type is MsgType.DELTA:
-            self.data_pending += 1
-        self.outbox.put_nowait(message)
+        self.send_wire(encode(message), deltas=message.type is MsgType.DELTA)
+
+    def send_wire(self, wire: bytes, deltas: int = 0) -> None:
+        """Enqueue already-encoded bytes, ``deltas`` of them DELTA
+        messages — a fan-out encodes once for all its subscribers."""
+        if not self.closed:
+            self.data_pending += deltas
+            self.outbox.put_nowait((wire, deltas))
 
 
 class TenantRuntime:
-    """One tenant's engines, ingest queue, and subscriber registry.
+    """One tenant's engines, log, quarantine, ingest queue and
+    subscriber registry.
 
     Everything here runs on the event loop; the per-tenant worker task
     applies batches and fans deltas out in one synchronous step, so
@@ -187,57 +201,63 @@ class TenantRuntime:
     def __init__(self, name: str, config: ServingConfig) -> None:
         self.name = name
         self.config = config
-        self.engines: dict[str, Any] = {}
         self.results: dict[str, Any] = {}
         self.delta_seq: dict[str, int] = {}
         self.delta_log: dict[str, deque] = {}
         self.subscribers: dict[str, list[Subscription]] = {}
         self.queue: asyncio.Queue = asyncio.Queue(maxsize=config.queue_limit)
         self.applied: dict[str, int] = {}  # session -> last applied ingest seq
+        #: one validation boundary for every engine: the workload's
+        #: relations plus those of each query subscribed so far
+        self.quarantine = Quarantine(WORKLOAD_SCHEMAS)
         self.ingested = 0
         self.failed = False
         self.worker: asyncio.Task | None = None
+        self._open()
 
     # -- engine pool ----------------------------------------------------
 
-    def _wal_dir(self, query: str) -> Path | None:
+    def _open(self) -> None:
+        """(Re)open the tenant's log — or, in memory, an empty engine
+        pool.  ``engines`` *is* the log's engine table, so a checkpoint
+        covers exactly the engines the tenant feeds."""
+        self.log: DurableLog | None = None
+        self.engines: dict[str, Any] = {}
         if self.config.wal_root is None:
-            return None
-        return self.config.wal_root / self.name / query
-
-    def _factory(self, query: str):
-        def make():
-            engine = build_engine(query, self.config.strategy)
-            attach_validation(engine, query)
-            return engine
-
-        return make
+            return
+        directory = self.config.wal_root / self.name
+        if not (directory / WAL_FILE).exists() and any(directory.glob(f"*/{WAL_FILE}")):
+            raise EngineStateError(
+                f"{directory} holds one WAL per query (the layout before the "
+                f"per-tenant log) and cannot be resumed; read a query's last "
+                f"result with `repro recover <QUERY> --wal-dir {directory}/<QUERY>`, "
+                f"then start the tenant on an empty directory"
+            )
+        self.log = DurableLog(
+            directory, fsync=self.config.fsync, snapshot_every=self.config.snapshot_every
+        )
+        self.engines = self.log.engines
+        # What the log holds will be (or was) applied, whether or not its
+        # ACK reached the client before the process went away.
+        self.applied.update(self.log.applied)
 
     def ensure_engine(self, query: str) -> Any:
-        """Build (or recover from WAL) the tenant's engine for
+        """Build (or recover from the log) the tenant's engine for
         ``query`` on first use."""
         engine = self.engines.get(query)
         if engine is not None:
             return engine
-        factory = self._factory(query)
-        wal_dir = self._wal_dir(query)
-        if wal_dir is None:
-            engine = factory()
-        elif (wal_dir / WAL_FILE).exists():
-            engine = DurableEngine.recover(
-                factory,
-                wal_dir,
-                fsync=self.config.fsync,
-                snapshot_every=self.config.snapshot_every,
-            )
+        self.quarantine.schemas.update(validation_schemas(query))
+        factory = lambda: build_engine(query, self.config.strategy)  # noqa: E731
+        if self.log is None:
+            engine = self.engines[query] = factory()
+        elif query in self.log.births:
+            # Replay admits like the live path did, into a scratch
+            # quarantine: those rejections were counted when they happened.
+            self.log.recover(query, factory, Quarantine(self.quarantine.schemas).admit_frame)
+            engine = self.engines[query]
         else:
-            engine = DurableEngine(
-                factory(),
-                wal_dir,
-                fsync=self.config.fsync,
-                snapshot_every=self.config.snapshot_every,
-            )
-        self.engines[query] = engine
+            engine = self.log.attach(query, factory())
         # setdefault: across a kill/restart the cached value is "what
         # subscribers last saw", and the post-restart fan-out diffs the
         # recovered engine against it — overwriting here would mask a
@@ -250,29 +270,39 @@ class TenantRuntime:
 
     # -- ingest / fan-out ----------------------------------------------
 
-    def apply(self, session: str, seq: int, events: list[Event]) -> bool:
-        """Apply one ingest batch to every engine and fan the resulting
-        deltas out; returns ``False`` on a dedup skip.
+    def apply(self, session: str, seq: int, frame: ColumnarFrame) -> bool:
+        """Log one ingest frame, admit it, apply it to every engine and
+        fan the resulting deltas out; returns ``False`` on a dedup skip.
 
         Synchronous on purpose — see the class docstring."""
         if self.applied.get(session, 0) >= seq:
             if _SINK.enabled:
                 _SINK.inc("serve.dedup_skips")
             return False
-        for engine in self.engines.values():
-            engine.on_batch(events)
+        cause = (session, seq)
+        if self.log is None:
+            outputs = self._apply_frame(frame)
+        else:
+            outputs = self.log.commit(frame, self._apply_frame, cause)
         self.applied[session] = seq
-        self.ingested += len(events)
+        self.ingested += len(frame)
         if _SINK.enabled:
-            _SINK.inc("serve.ingested", len(events))
-        self._fan_out(cause=(session, seq))
+            _SINK.inc("serve.ingested", len(frame))
+        self._fan_out(cause, outputs)
         return True
 
-    def _fan_out(self, cause: tuple[str, int] | None) -> None:
+    def _apply_frame(self, frame: ColumnarFrame) -> dict[str, Any]:
+        """One admission, then the same frame to every engine; returns
+        each engine's refreshed result."""
+        frame = self.quarantine.admit_frame(frame)
+        return {query: engine.on_frame(frame) for query, engine in self.engines.items()}
+
+    def _fan_out(self, cause: tuple[str, int] | None, outputs: dict[str, Any]) -> None:
         """Diff every engine's result against the cached one and ship
-        the deltas; evict subscriptions whose buffers are full."""
-        for query, engine in self.engines.items():
-            new = freeze(engine.result())
+        the deltas — each encoded once, whatever the subscriber count;
+        evict subscriptions whose buffers are full."""
+        for query, output in outputs.items():
+            new = freeze(output)
             delta = compute_delta(self.results[query], new)
             if delta is None:
                 continue
@@ -280,10 +310,8 @@ class TenantRuntime:
             self.delta_seq[query] += 1
             seq = self.delta_seq[query]
             self.delta_log[query].append((seq, delta))
-            message = Message(
-                MsgType.DELTA,
-                seq,
-                {"query": query, "delta": delta, "ingest": cause},
+            wire = encode(
+                Message(MsgType.DELTA, seq, {"query": query, "delta": delta, "ingest": cause})
             )
             for sub in list(self.subscribers[query]):
                 if not sub.active or sub.connection.closed:
@@ -292,7 +320,7 @@ class TenantRuntime:
                 if seq - sub.last_acked > self.config.subscriber_buffer:
                     self.evict(sub, reason="slow consumer")
                     continue
-                sub.connection.send(message)
+                sub.connection.send_wire(wire, deltas=1)
                 if _SINK.enabled:
                     _SINK.inc("serve.deltas_sent")
             if _SINK.enabled:
@@ -379,29 +407,26 @@ class TenantRuntime:
 
     def kill(self) -> None:
         """Simulate a hard tenant crash: drop the engines on the floor
-        (open WAL handles closed, **no** final snapshot — recovery must
+        (open WAL handle closed, **no** final snapshot — recovery must
         come from the log tail)."""
-        for engine in self.engines.values():
-            wal = getattr(engine, "wal", None)
-            if wal is not None:
-                wal.close()
+        if self.log is not None:
+            self.log.wal.close()
         self.engines.clear()
         self.failed = True
 
     def restart(self) -> None:
-        """Rebuild every engine from its WAL directory and resume
+        """Rebuild every engine from the tenant log and resume
         serving.  Recovery is bit-exact, so surviving subscribers see
         no delta unless the crash actually lost state (it must not:
         append-before-apply)."""
-        queries = list(self.results)
-        self.engines.clear()
+        self._open()
         self.failed = False
-        for query in queries:
+        for query in list(self.results):
             self.ensure_engine(query)
         if _SINK.enabled:
             _SINK.inc("serve.tenant_restarts")
         # Honesty check: if recovery diverged, ship the correction.
-        self._fan_out(cause=None)
+        self._fan_out(None, {query: engine.result() for query, engine in self.engines.items()})
 
     # -- worker ---------------------------------------------------------
 
@@ -411,12 +436,12 @@ class TenantRuntime:
             item = await self.queue.get()
             if item is None:
                 return
-            conn, session, seq, events = item
+            conn, session, seq, frame = item
             if self.failed:
                 conn.send(error_message("tenant_failed", "tenant is down"))
                 continue
             try:
-                applied = self.apply(session, seq, events)
+                applied = self.apply(session, seq, frame)
             except Exception as exc:  # noqa: BLE001 - isolation boundary
                 self.fail(f"{type(exc).__name__}: {exc}")
                 conn.send(
@@ -432,10 +457,9 @@ class TenantRuntime:
                 self.restart()
 
     def close_engines(self) -> None:
-        for engine in self.engines.values():
-            closer = getattr(engine, "close", None)
-            if closer is not None:
-                closer()
+        """Final checkpoint and log close (the graceful-drain path)."""
+        if self.log is not None:
+            self.log.close()
 
 
 class SubscriptionServer:
@@ -552,7 +576,11 @@ class SubscriptionServer:
         conn.session = str(
             hello.body.get("session") or f"s{next(self._session_counter)}"
         )
-        tenant = self.tenant(conn.tenant)
+        try:
+            tenant = self.tenant(conn.tenant)
+        except EngineStateError as exc:  # a WAL directory this code cannot resume
+            conn.send(error_message("tenant_failed", str(exc)))
+            return
         conn.send(
             Message(
                 MsgType.WELCOME,
@@ -621,7 +649,6 @@ class SubscriptionServer:
             return
         try:
             frame = ColumnarFrame.from_bytes(message.body["frame"])
-            events = frame.events()
         except Exception as exc:
             # The outer wire frame checked out but the columnar payload
             # is junk — reject the batch, keep the connection: framing
@@ -630,7 +657,7 @@ class SubscriptionServer:
                 _SINK.inc("serve.bad_frames")
             conn.send(error_message("bad_frame", f"bad ingest frame: {exc}"))
             return
-        item = (conn, conn.session, message.seq, events)
+        item = (conn, conn.session, message.seq, frame)
         queue = tenant.queue
         if not queue.full():
             queue.put_nowait(item)
@@ -657,12 +684,17 @@ class SubscriptionServer:
     async def _sender(self, conn: Connection) -> None:
         try:
             while True:
-                message = await conn.outbox.get()
-                if message is _CLOSE:
+                items = [await conn.outbox.get()]
+                while not conn.outbox.empty():  # one write for all that is queued
+                    items.append(conn.outbox.get_nowait())
+                closing = items[-1] is _CLOSE  # always the last thing queued
+                if closing:
+                    items.pop()
+                conn.writer.write(b"".join(wire for wire, _ in items))
+                await conn.writer.drain()
+                conn.data_pending -= sum(deltas for _, deltas in items)
+                if closing:
                     break
-                await write_message(conn.writer, message)
-                if message.type is MsgType.DELTA:
-                    conn.data_pending -= 1
         except (ConnectionError, OSError):
             conn.closed = True
 

@@ -36,9 +36,11 @@ side-channel** (``fallback``): a plain list of Events serialized the
 old way.  Encode→decode therefore round-trips *any* event list
 bit-exactly; the columnar path is a fast path, never a constraint.
 
-``to_bytes``/``from_bytes`` give the explicit wire form (used by the
-shared-memory ring transport); ``__reduce__`` routes ordinary pickling
-(the WAL, the restore protocol) through the same compact encoding.
+``to_bytes``/``from_bytes`` give the explicit wire form (the serving
+protocol, the shared-memory ring transport, the WAL's frame records);
+both memoize it, so a frame that crosses several of them is encoded at
+most once.  ``__reduce__`` routes ordinary pickling (the restore
+protocol) through the same compact encoding.
 """
 
 from __future__ import annotations
@@ -60,6 +62,14 @@ FALLBACK_BLOCK = 0xFF
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
+
+#: most a compressed frame may inflate to (``from_bytes`` input comes
+#: off a socket: a few KiB of deflate can claim gigabytes)
+MAX_INFLATED_BYTES = 1 << 26
+
+#: array typecodes a column of each kind may arrive in: block-level
+#: admission trusts the declared kinds
+_KIND_TYPECODES = {"i": "bhiq", "f": "d"}
 
 #: (typecode, min, max) candidates for integer columns, narrowest first
 _INT_CODES = (
@@ -191,7 +201,7 @@ class ColumnBlock:
 class ColumnarFrame:
     """An event batch as typed columns plus a pickle side-channel."""
 
-    __slots__ = ("blocks", "fallback", "_seq", "_encoded")
+    __slots__ = ("blocks", "fallback", "_seq", "_encoded", "_events")
 
     def __init__(
         self,
@@ -203,6 +213,7 @@ class ColumnarFrame:
         self.fallback = [] if fallback is None else fallback
         self._seq = array("B") if seq is None else seq
         self._encoded: bytes | None = None
+        self._events: list[Event] | None = None
 
     # -- construction ---------------------------------------------------
 
@@ -274,7 +285,10 @@ class ColumnarFrame:
                 yield block_index, row
 
     def events(self) -> list[Event]:
-        """Decode back to the original event list (exact round-trip)."""
+        """Decode back to the original event list (exact round-trip);
+        memoized, so engines fed the same frame share one decode."""
+        if self._events is not None:
+            return self._events
         out: list[Event] = []
         blocks = self.blocks
         fallback = self.fallback
@@ -290,6 +304,7 @@ class ColumnarFrame:
                         block.weights[row_index],
                     )
                 )
+        self._events = out
         return out
 
     def feed(
@@ -303,7 +318,8 @@ class ColumnarFrame:
         directly — no :class:`Event` and no row dict is built.
 
         ``handlers`` is ``{relation: (handler, column names)}``; blocks
-        of other relations are skipped without touching a column, and
+        of other relations (and blocks left without rows, whatever their
+        layout) are skipped without touching a column, and
         side-channel rows go through ``on_event(event)``.  Each block to
         read becomes one lazy ``map(handler, …columns)``: taking its
         next item *is* the call for the block's next row.  With at most
@@ -315,7 +331,7 @@ class ColumnarFrame:
         readers: list[Iterator | None] = []
         for block in self.blocks:
             entry = handlers.get(block.relation)
-            if entry is None:
+            if entry is None or not block.weights:
                 readers.append(None)
             else:
                 handler, names = entry
@@ -452,9 +468,15 @@ class ColumnarFrame:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ColumnarFrame":
+        """Decode the wire form; ``data`` stays on as the memoized
+        encoding, so logging or forwarding a received frame costs no
+        second ``to_bytes``."""
         body = data[1:]
         if data[:1] == b"\x01":
-            body = zlib.decompress(body)
+            inflater = zlib.decompressobj()
+            body = inflater.decompress(body, MAX_INFLATED_BYTES)
+            if inflater.unconsumed_tail:
+                raise EngineStateError(f"frame inflates past {MAX_INFLATED_BYTES} bytes")
         length, seq_payload, blocks_payload, fallback = pickle.loads(body)
         blocks = []
         for relation, weight_bytes, columns_payload in blocks_payload:
@@ -464,10 +486,16 @@ class ColumnarFrame:
             for name, kind, meta, column_bytes in columns_payload:
                 if kind == "s":
                     uniques, code = meta
+                    if not all(type(unique) is str for unique in uniques):
+                        raise EngineStateError(f"column {name!r}: non-str value in a str column")
                     codes = array(code)
                     codes.frombytes(column_bytes)
                     values = [uniques[c] for c in codes]
                 else:
+                    if meta not in _KIND_TYPECODES.get(kind, ""):
+                        raise EngineStateError(
+                            f"column {name!r}: kind {kind!r} over typecode {meta!r}"
+                        )
                     arr = array(meta)
                     arr.frombytes(column_bytes)
                     values = arr.tolist()
@@ -489,6 +517,8 @@ class ColumnarFrame:
             seq = array("B")
             seq.frombytes(seq_payload)
         frame = cls(blocks, list(fallback) if fallback else [], seq)
+        if type(data) is bytes:
+            frame._encoded = data
         return frame
 
     def __reduce__(self):

@@ -58,6 +58,22 @@ class Schema:
                     f"got {type(value).__name__} ({value!r})"
                 )
 
+    def admits_block(self, names: tuple[str, ...], kinds: tuple[str, ...]) -> bool:
+        """Whether *every* row of a columnar block with these column
+        names and storage kinds passes :meth:`validate` — decided from
+        the layout alone: a typed column holds only exact values of its
+        kind, so the check is one per column, not one per row.  A
+        declared type outside the columnar vocabulary is never
+        provable here; such blocks are validated row by row."""
+        if names != self.columns and (
+            len(names) != len(self.columns) or set(names) != set(self.columns)
+        ):
+            return False
+        return all(
+            _COLUMN_KINDS.get(expected) == kinds[names.index(column)]
+            for column, expected in self.types.items()
+        )
+
     def project(self, row: Mapping[str, Any]) -> tuple:
         """Return the row as a tuple in schema column order (hashable,
         used for multiset bookkeeping)."""

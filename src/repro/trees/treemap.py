@@ -27,10 +27,11 @@ tree via :mod:`repro.trees._avl`.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.obs import SELFCHECK as _SELF
 from repro.obs import SINK as _SINK
+from repro.trees._avl import flatten, link, preorder, unflatten
 from repro.trees._avl import height as _height
 from repro.trees._avl import make_avl_ops
 
@@ -157,6 +158,26 @@ class TreeMap:
         if _SELF.enabled:
             tree.check_invariants()
         return tree
+
+    # -- pickled state --------------------------------------------------------
+    # One flat list per field in pre-order, not a graph of node objects;
+    # sums are restored as written, heights follow from the shape.
+
+    def __getstate__(self) -> tuple:
+        nodes, masks = preorder(self._root)
+        return flatten(self.prune_zeros, [
+            [n.key for n in nodes], masks, [n.value for n in nodes], [n.sum for n in nodes]
+        ])
+
+    def __setstate__(self, state: Any) -> None:
+        self.prune_zeros, (keys, masks, values, sums) = unflatten(state, "TreeMap", 4)
+        nodes = list(map(_Node, keys, values))
+        for node, total in zip(nodes, sums):
+            node.sum = total
+        self._root = link(nodes, masks)
+        self._size = len(nodes)
+        if _SELF.enabled:
+            self.check_invariants()
 
     # -- basic map operations -------------------------------------------------
 

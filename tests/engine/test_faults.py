@@ -21,6 +21,7 @@ import pickle
 import random
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -407,6 +408,28 @@ class TestDurableEngine:
             assert recovered.result() == expected
 
 
+    def test_only_two_snapshots_are_kept_and_either_recovers(self, tmp_path):
+        """Ten checkpoints leave two files; with the newest corrupted
+        the older one plus a longer tail gives the same engine."""
+        stream = stream_for("VWAP")
+        batches = list(stream.batches(16))[:10]
+        durable = DurableEngine(build_engine("VWAP", "rpai"), tmp_path, snapshot_every=1)
+        for batch in batches:
+            expected = durable.on_batch(batch)
+        durable.wal.close()  # crash
+        snapshots = sorted(tmp_path.glob("snapshot-*.ckpt"))
+        assert [path.name for path in snapshots] == [
+            "snapshot-000000000009.ckpt", "snapshot-000000000010.ckpt"
+        ]
+        data = bytearray(snapshots[-1].read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        snapshots[-1].write_bytes(bytes(data))
+        recovered = DurableEngine.recover(lambda: build_engine("VWAP", "rpai"), tmp_path)
+        with recovered:
+            assert recovered.recovered_records == 1
+            assert recovered.result() == expected
+
+
 def plant_unloadable_snapshot(directory) -> None:
     """Write, at the log head of the WAL under ``directory``, a
     CRC-valid snapshot that pickles a class whose module no longer
@@ -547,6 +570,41 @@ class TestUnloadableSnapshot:
         shard = stats["per_shard"][0]
         assert shard["snapshot_seq"] is None
         assert shard["records_replayed"] == shard["head_seq"]
+
+    def test_snapshot_written_before_the_flat_tree_state(self, tmp_path):
+        """``data/vwap-pr15/`` holds a real checkpoint of this
+        very run taken by the code before trees pickled as flat stamped
+        state: every class in it still exists, the node graph unpickles,
+        and the first tree's ``__setstate__`` refuses the unstamped
+        layout — so recovery replays instead of adopting nodes whose
+        fields the current kernels may read differently."""
+        stream = Stream(list(generate_order_book(OrderBookConfig(
+            events=350, price_levels=30, volume_max=9, seed=17, delete_ratio=0.3,
+        ))))
+        expected = clean_result("VWAP", stream)
+        with DurableEngine(
+            build_engine("VWAP", "rpai"), tmp_path, snapshot_every=1000
+        ) as durable:
+            for batch in stream.batches(32):
+                durable.on_batch(batch)
+        with WriteAheadLog(tmp_path) as wal:
+            covered, payload = wal.load_latest_snapshot(
+                directory=Path(__file__).parent / "data" / "vwap-pr15"
+            )
+            assert covered == wal.seq
+            with pytest.raises(EngineStateError, match="layout"):
+                pickle.loads(payload)
+            wal.snapshot(payload)
+        obs.enable()
+        obs.reset()
+        try:
+            recovered, stats = recover_result("VWAP", "rpai", tmp_path)
+            counters = obs.snapshot()["counters"]
+        finally:
+            obs.disable()
+        assert recovered == expected
+        assert counters["wal.snapshot_unloadable"] == 1
+        assert stats["per_shard"][0]["snapshot_seq"] is None
 
     def test_recover_result_replays_from_zero(self, tmp_path):
         stream = stream_for("SQ1")

@@ -101,6 +101,17 @@ class TestFraming:
         with pytest.raises(WireFormatError, match="implausible"):
             read_from_bytes(header)
 
+    def test_frame_limit_is_16_mib(self):
+        """Large enough for any real message, small enough that a
+        garbage length field cannot make the reader allocate a gigabyte:
+        one byte over is refused from the header alone."""
+        import struct
+
+        assert MAX_FRAME_BYTES == 16 << 20
+        header = struct.Struct("<4sBQII").pack(b"RSV1", int(MsgType.INGEST), 1, (16 << 20) + 1, 0)
+        with pytest.raises(WireFormatError, match="implausible"):
+            read_from_bytes(header)  # no payload follows: nothing was awaited
+
     def test_non_dict_body_rejected(self):
         import struct
         import zlib

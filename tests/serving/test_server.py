@@ -173,6 +173,76 @@ class TestSnapshotAndDeltas:
         assert_bit_identical(folded, clean_result("VWAP", batches))
 
 
+class RecordingClient(SubscriptionClient):
+    """Keeps every DELTA as it arrived, besides folding it."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.stream: list[tuple[str, int, object, object]] = []
+
+    async def _dispatch(self, message) -> None:
+        if message.type is MsgType.DELTA:
+            body = message.body
+            self.stream.append((body["query"], message.seq, body["delta"], body["ingest"]))
+        await super()._dispatch(message)
+
+
+class TestDeltaStream:
+    def test_subscribers_see_one_delta_per_changed_result_per_ingest(self, tmp_path):
+        """Not only the folded end state: the ``(seq, delta, cause)``
+        sequence of each query is what diffing a clean engine's result
+        after every ingest batch gives — for the ingesting connection
+        and for a subscriber that only listens — and each ingest's ACK
+        arrives behind its deltas."""
+        from repro.serving.deltas import compute_delta, freeze
+        from tests.engine.test_trigger_shapes import serve_mix
+
+        queries = ("VWAP", "PSP", "Q18")
+        batches = batched(serve_mix(31, 400), 16)
+
+        async def run():
+            server = await started(ServingConfig(wal_root=tmp_path / "wal", snapshot_every=4))
+            clients = [
+                RecordingClient("127.0.0.1", server.port, tenant="t", session=name)
+                for name in ("a", "b")
+            ]
+            for client in clients:
+                await client.connect()
+                for query in queries:
+                    await client.subscribe(query)
+                await client.wait_for(lambda c: len(c.results) == 3, 10)
+            for batch in batches:
+                seq = await clients[0].ingest(batch)
+                # acked => this ingest's deltas were already dispatched
+                await clients[0].wait_for(lambda c: seq not in c.pending_ingest, 10)
+                assert all(cause[1] <= seq for *_, cause in clients[0].stream)
+            tenant = server.tenants["t"]
+            for client in clients:
+                await client.wait_for(
+                    lambda c: all(c.acked.get(q, 0) >= tenant.delta_seq[q] for q in queries), 10
+                )
+            streams = [client.stream for client in clients]
+            await server.stop()
+            for client in clients:
+                await client.close()
+            return streams
+
+        expected = []
+        for query in queries:
+            engine = build_engine(query, "rpai")
+            previous, seq = freeze(engine.result()), 0
+            for ingest, batch in enumerate(batches, 1):
+                current = freeze(engine.on_batch(batch))
+                delta = compute_delta(previous, current)
+                if delta is not None:
+                    seq += 1
+                    expected.append((query, seq, delta, ("a", ingest)))
+                    previous = current
+        by_ingest = sorted(expected, key=lambda item: (item[3][1], queries.index(item[0])))
+        for stream in asyncio.run(run()):
+            assert stream == by_ingest
+
+
 class TestTenantIsolation:
     def test_schema_junk_never_stalls_other_tenants(self):
         batches = batched(bid_events(90), 30)
@@ -202,9 +272,7 @@ class TestTenantIsolation:
                     10,
                 )
             quarantined = {
-                name: runtime.engines["VWAP"].quarantine.total_rejected
-                if hasattr(runtime.engines["VWAP"], "quarantine")
-                else runtime.engines["VWAP"].engine.quarantine.total_rejected
+                name: runtime.quarantine.total_rejected
                 for name, runtime in server.tenants.items()
             }
             results = (noisy.results["VWAP"], clean.results["VWAP"])
@@ -242,7 +310,7 @@ class TestTenantIsolation:
             # sabotage the doomed tenant's engine so the next batch
             # raises a hard (non-schema) error inside apply
             class Exploding:
-                def on_batch(self, _events):
+                def on_frame(self, _frame):
                     raise RuntimeError("engine blew up")
 
                 def result(self):
@@ -500,6 +568,45 @@ class TestDedupAndLiveness:
         assert acks[0].body["applied"] is True
         assert acks[1].body["applied"] is False  # deduped, not re-applied
         assert counters["serve.dedup_skips"] == 1
+        assert_bit_identical(result, clean_result("VWAP", [events]))
+
+    def test_resend_after_full_restart_is_deduped(self, tmp_path):
+        """Exactly-once across a restart of the whole server: an ingest
+        that was logged and applied, but whose ACK never reached the
+        client, is re-sent to the restarted process and must be skipped
+        — the ``(session, seq)`` watermark comes back from the log."""
+        events = bid_events(40)
+        frame = ColumnarFrame.from_events(events).to_bytes()
+
+        async def ingest_once(config):
+            server = await started(config)
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write(
+                encode(Message(MsgType.HELLO, 0, {"tenant": "t", "session": "dup"}))
+            )
+            writer.write(encode(Message(MsgType.SUBSCRIBE, 0, {"query": "VWAP"})))
+            writer.write(encode(Message(MsgType.INGEST, 1, {"frame": frame})))
+            await writer.drain()
+            while True:
+                message = await read_message(reader)
+                if message.type is MsgType.INGEST_ACK:
+                    break
+            result = server.tenants["t"].results["VWAP"]
+            # the process dies: no drain, no final snapshot
+            server.tenants["t"].kill()
+            writer.close()
+            await server.stop()
+            return message, result
+
+        async def run():
+            config = ServingConfig(wal_root=tmp_path / "wal")
+            first, _ = await ingest_once(config)
+            second, result = await ingest_once(config)
+            return first, second, result
+
+        first, second, result = asyncio.run(run())
+        assert first.body["applied"] is True
+        assert second.body["applied"] is False
         assert_bit_identical(result, clean_result("VWAP", [events]))
 
     def test_malformed_frame_closes_only_that_connection(self):

@@ -118,6 +118,48 @@ class TestColumnarFrameRoundTrip:
         assert ColumnarFrame.from_bytes(data).events() == events
 
 
+class TestDecodeBoundary:
+    """``from_bytes`` input comes off a socket."""
+
+    def test_decode_keeps_its_input_as_the_encoding(self):
+        blob = ColumnarFrame.from_events(mixed_events()).to_bytes()
+        frame = ColumnarFrame.from_bytes(blob)
+        assert frame.to_bytes() is blob
+        assert pickle.loads(pickle.dumps(frame)).events() == frame.events()
+
+    def test_events_are_decoded_once(self):
+        frame = ColumnarFrame.from_bytes(ColumnarFrame.from_events(mixed_events()).to_bytes())
+        assert frame.events() is frame.events()
+        assert frame.events() == mixed_events()
+
+    def test_inflation_is_bounded(self):
+        import zlib
+
+        from repro.errors import EngineStateError
+        from repro.storage.colbatch import MAX_INFLATED_BYTES
+
+        bomb = b"\x01" + zlib.compress(bytes(MAX_INFLATED_BYTES + 1), 1)
+        assert len(bomb) < 1 << 19  # 64 MiB of zeros: under 300 KiB on the wire
+        with pytest.raises(EngineStateError, match="inflates"):
+            ColumnarFrame.from_bytes(bomb)
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            ("price", "i", "d", b"\x00" * 8),  # doubles declared as an int column
+            ("price", "f", "q", b"\x00" * 8),
+            ("brand", "s", ((1, "b"), "b"), b"\x00"),  # a non-str "string"
+            ("price", "x", "q", b"\x00" * 8),
+        ],
+    )
+    def test_a_column_cannot_lie_about_its_kind(self, column):
+        from repro.errors import EngineStateError
+
+        payload = (1, None, [("bids", b"\x01", [column])], None)
+        with pytest.raises(EngineStateError, match="column"):
+            ColumnarFrame.from_bytes(b"\x00" + pickle.dumps(payload))
+
+
 class TestSplitFrameDifferential:
     """Column routing == per-event routing, for every rule shape."""
 

@@ -13,7 +13,8 @@ import pytest
 from repro import obs
 from repro.errors import WalCorruptionError
 from repro.storage.stream import Event
-from repro.storage.wal import WAL_FILE, WriteAheadLog
+from repro.storage.colbatch import ColumnarFrame
+from repro.storage.wal import BATCH, BIRTH, FRAME, WAL_FILE, WriteAheadLog, split_cause
 
 
 def _batches(n, size=4, tag="R"):
@@ -63,6 +64,40 @@ class TestAppendReplay:
                 wal.append(batch)
             wal.snapshot(b"state")
             assert len(list(wal.replay())) == 3
+
+
+class TestRecordKinds:
+    def test_frame_record_is_the_frame_bytes_behind_its_cause(self, tmp_path):
+        batch = _batches(1)[0]
+        frame = ColumnarFrame.from_events(batch)
+        with WriteAheadLog(tmp_path) as wal:
+            wal.append(frame, cause=("session-ω", 41))
+            wal.append(frame)  # e.g. a shard log: no serving cause
+            wal.append(batch)
+            records = list(wal.records())
+            replayed = list(wal.replay())
+        assert [kind for _seq, kind, _payload in records] == [FRAME, FRAME, BATCH]
+        assert split_cause(records[0][2]) == (("session-ω", 41), frame.to_bytes())
+        assert split_cause(records[1][2]) == (None, frame.to_bytes())
+        assert [type(logged) for _seq, logged in replayed] == [ColumnarFrame, ColumnarFrame, list]
+        assert [logged if isinstance(logged, list) else logged.events()
+                for _seq, logged in replayed] == [batch, batch, batch]
+
+    def test_birth_records_take_a_seq_and_carry_no_batch(self, tmp_path):
+        with WriteAheadLog(tmp_path) as wal:
+            assert wal.birth("VWAP") == 1
+            wal.append(_batches(1)[0])
+            assert wal.birth("Q18") == 3
+        with WriteAheadLog(tmp_path) as wal:  # survives reopen, numbering included
+            assert wal.seq == 3
+            assert [(seq, kind) for seq, kind, _ in wal.records()] == [
+                (1, BIRTH), (2, BATCH), (3, BIRTH)
+            ]
+            assert [payload for _seq, kind, payload in wal.records() if kind == BIRTH] == [
+                b"VWAP", b"Q18"
+            ]
+            assert [seq for seq, _batch in wal.replay()] == [2]
+            assert [seq for seq, *_ in wal.records(start_seq=2)] == [3]
 
 
 class TestTailCorruption:
@@ -175,6 +210,50 @@ class TestSnapshots:
             wal.snapshot(b"early", seq=2)
             assert wal.load_latest_snapshot() == (2, b"early")
             assert list(wal.replay(start_seq=2)) != []
+
+
+class TestSnapshotRetention:
+    def test_ten_checkpoints_leave_two_files(self, tmp_path):
+        obs.enable()
+        obs.reset()
+        try:
+            with WriteAheadLog(tmp_path) as wal:
+                for index, batch in enumerate(_batches(10)):
+                    wal.append(batch)
+                    wal.snapshot(b"state-%d" % index)
+                counters = obs.snapshot()["counters"]
+                names = sorted(p.name for p in tmp_path.glob("snapshot-*.ckpt"))
+                assert names == ["snapshot-000000000009.ckpt", "snapshot-000000000010.ckpt"]
+                assert counters["wal.snapshots_pruned"] == 8
+                # the log itself is never truncated: replay-from-birth needs it
+                assert len(list(wal.replay())) == 10
+                # the newest one rots: the one kept behind it still loads
+                newest = tmp_path / names[-1]
+                newest.write_bytes(newest.read_bytes()[:-1] + b"\xff")
+                assert wal.load_latest_snapshot() == (9, b"state-8")
+        finally:
+            obs.disable()
+
+    def test_a_corrupt_predecessor_is_not_the_fallback(self, tmp_path):
+        with WriteAheadLog(tmp_path) as wal:
+            paths = []
+            for index, batch in enumerate(_batches(3)):
+                wal.append(batch)
+                paths.append(wal.snapshot(b"state-%d" % index))
+                if index == 1:  # snapshot 2 rots before snapshot 3 is taken
+                    paths[1].write_bytes(paths[1].read_bytes()[:-1] + b"\xff")
+            # 3 is new, 2 is corrupt and goes, 1 is the newest valid older one
+            assert sorted(p.name for p in tmp_path.glob("snapshot-*.ckpt")) == [
+                paths[0].name, paths[2].name
+            ]
+
+    def test_snapshots_in_another_directory(self, tmp_path):
+        with WriteAheadLog(tmp_path / "log") as wal:
+            wal.append(_batches(1)[0])
+            path = wal.snapshot(b"elsewhere", directory=tmp_path / "log" / "VWAP")
+            assert path.parent == tmp_path / "log" / "VWAP"
+            assert wal.load_latest_snapshot() is None
+            assert wal.load_latest_snapshot(directory=path.parent) == (1, b"elsewhere")
 
 
 class TestAtomicSnapshots:
