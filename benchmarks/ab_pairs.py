@@ -8,8 +8,9 @@ before/after tables made from them (choosing-metrics guide §8).
 
 ``run`` executes ``benchmarks/layers/run.py`` in two checkouts in turn
 and appends one JSON line per run (the contract's end-to-end metrics
-plus every ``engine.eps.*`` / ``core.*`` / ``span.*`` / ``server.*`` /
-``client.*`` / ``wal*`` / ``wire_*`` line of the printed report).
+plus every per-layer line of the printed report: ``core.*``,
+``engine.*``, ``wal*``, ``supervision.*``, ``server.*``, … —
+:data:`LAYER_PREFIXES`).
 A pair runs every named workload (``all``: the four of
 ``BENCHMARK.json``) on both sides, the two sides of one workload back
 to back, and which side goes first swaps from pair to pair and from
@@ -37,6 +38,12 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+#: report lines kept with a run, by prefix (the ladder's layer names)
+LAYER_PREFIXES = (
+    "core.", "query.", "engine.", "colbatch.", "wal", "supervision.", "sharding.",
+    "protocol.", "deltas.", "server.", "client.", "span.", "wire_",
+)
 
 
 def benchmark_spec() -> dict:
@@ -70,7 +77,7 @@ def run_once(directory: str, workload: str, args: argparse.Namespace) -> dict:
         return {"ok": False, "stdout": done.stdout[-2000:], "stderr": done.stderr[-2000:]}
     extra = {}
     for line in lines:
-        if line.startswith(("engine.eps.", "core.", "span.", "server.", "client.", "wal", "wire_")):
+        if line.startswith(LAYER_PREFIXES):
             name, value = line.split()[:2]
             if value != "null":
                 extra[name] = float(value)
@@ -144,11 +151,12 @@ def compare(parent: list[float], change: list[float], better: str,
     verdict reads ``delta`` against ``bound`` — *unresolved* when the
     parent's own spread exceeds the bound."""
     pq, cq = quartiles(parent), quartiles(change)
-    delta = cq[1] / pq[1] - 1
+    base = pq[1] or 1.0  # a count whose median is zero is compared as is
+    delta = (cq[1] - pq[1]) / base
     sign = 1 if better == "higher" else -1
     won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     lost = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
-    spread = (pq[2] - pq[0]) / pq[1]
+    spread = (pq[2] - pq[0]) / base
     verdict = None
     if bound is not None:
         verdict = ("worse than bound" if -sign * delta > bound

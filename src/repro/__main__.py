@@ -876,8 +876,9 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument(
         "--snapshot-every",
         type=int,
-        default=64,
-        help="checkpoint cadence in WAL records per tenant engine",
+        default=None,
+        help="checkpoint every N WAL records (default: when the log tail "
+        "outweighs the last checkpoint, 64 KiB at least)",
     )
 
     p_client = sub.add_parser(

@@ -175,7 +175,7 @@ def build_sharded_engine(
     workers: int = 0,
     plan_stream=None,
     wal_dir=None,
-    snapshot_every: int = 16,
+    snapshot_every: int | None = None,
     max_respawns: int = 3,
     fsync: bool = False,
     fault_plan=None,
@@ -204,8 +204,9 @@ def build_sharded_engine(
             (per-shard WALs, snapshots, respawn-and-restore); without —
             including the unshardable fallback — the chosen engine is
             wrapped in a :class:`~repro.engine.supervision.DurableEngine`.
-        snapshot_every / max_respawns / fsync: supervised-path tuning
-            (see :class:`~repro.engine.supervision.SupervisedExecutor`).
+        snapshot_every / max_respawns / fsync: durable-path tuning
+            (``None``: checkpoint by log size, see
+            :meth:`~repro.storage.wal.WriteAheadLog.checkpoint_due`).
         fault_plan: a :class:`~repro.faults.FaultPlan` for chaos runs
             (supervised path only).
         validate: attach the schema quarantine boundary.  Default: on

@@ -9,8 +9,9 @@ production-shaped answer — *log first, apply second, supervise always*:
   :class:`~repro.engine.sharding.MultiprocessShardedExecutor` with a
   per-shard :class:`~repro.storage.wal.WriteAheadLog`.  Every routed
   batch is appended (CRC-framed) **before** it is shipped to the
-  worker, and worker state is checkpointed every ``snapshot_every``
-  records.  When a worker dies (pipe EOF, nonzero exit, ack timeout) it
+  worker, and worker state is checkpointed when the shard's log says
+  one is due (:meth:`~repro.storage.wal.WriteAheadLog.checkpoint_due`).
+  When a worker dies (pipe EOF, nonzero exit, ack timeout) it
   is respawned with capped exponential backoff and restored from
   *latest valid snapshot + WAL tail* — so the in-flight batch is never
   lost and the run's final result stays bit-identical to a clean
@@ -23,7 +24,7 @@ production-shaped answer — *log first, apply second, supervise always*:
 
 * :class:`DurableLog` is that protocol without the workers, written
   once: one WAL, the engines that apply it, ``commit`` (append → apply →
-  checkpoint every ``snapshot_every`` records) and ``recover`` (latest
+  checkpoint when due) and ``recover`` (latest
   valid snapshot + tail replay, from the engine's birth record when no
   snapshot loads).  A serving tenant holds one for all of its engines;
   :class:`DurableEngine` is its one-engine case, with a
@@ -243,7 +244,9 @@ class SupervisedExecutor(MultiprocessShardedExecutor):
     Args:
         wal_dir: root directory; shard ``i`` logs under
             ``wal_dir/shard-i/``.
-        snapshot_every: checkpoint cadence in WAL records per shard.
+        snapshot_every: ``None`` (default) checkpoints a shard when its
+            log tail outweighs its last checkpoint; an integer is the
+            old cadence in WAL records per shard.
         max_respawns: per-shard respawn budget before degrading to the
             serial executor.
         backoff_base / backoff_cap: capped exponential backoff (seconds)
@@ -264,7 +267,7 @@ class SupervisedExecutor(MultiprocessShardedExecutor):
         router: ShardRouter,
         *,
         wal_dir: str | Path,
-        snapshot_every: int = 16,
+        snapshot_every: int | None = None,
         max_respawns: int = 3,
         backoff_base: float = 0.05,
         backoff_cap: float = 2.0,
@@ -274,7 +277,7 @@ class SupervisedExecutor(MultiprocessShardedExecutor):
     ) -> None:
         shards = router.shards
         self.wal_dir = Path(wal_dir)
-        self.snapshot_every = max(1, snapshot_every)
+        self.snapshot_every = snapshot_every
         self.max_respawns = max(0, max_respawns)
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
@@ -289,7 +292,6 @@ class SupervisedExecutor(MultiprocessShardedExecutor):
             WriteAheadLog(self.wal_dir / f"shard-{i}", fsync=fsync)
             for i in range(shards)
         ]
-        self._last_snapshot_seq = [wal.seq for wal in self._wals]
         super().__init__(query_name, strategy, template, router)
         self.name = f"{template.name}-supervised{shards}"
         for index, wal in enumerate(self._wals):
@@ -455,28 +457,21 @@ class SupervisedExecutor(MultiprocessShardedExecutor):
     # -- snapshots ------------------------------------------------------
 
     def _snapshot_shard(self, index: int) -> None:
-        try:
-            seq, payload = self._robust_request(index, ("snapshot",))
-        except _Degraded:
-            return
-        path = self._wals[index].snapshot(payload, seq=seq)
-        self._last_snapshot_seq[index] = seq
+        wal = self._wals[index]
+        if self._serial is not None:
+            seq, payload = wal.seq, pickle.dumps(self._serial.replicas[index], protocol=_PICKLE)
+        else:
+            try:
+                seq, payload = self._robust_request(index, ("snapshot",))
+            except _Degraded:
+                return
+        path = wal.snapshot(payload, seq=seq)
         if self._injector is not None:
             self._injector.on_snapshot_written(index, path)
 
     def _maybe_snapshot(self) -> None:
-        if self._serial is not None:
-            for index, wal in enumerate(self._wals):
-                if wal.seq - self._last_snapshot_seq[index] >= self.snapshot_every:
-                    path = wal.snapshot(
-                        pickle.dumps(self._serial.replicas[index], protocol=_PICKLE)
-                    )
-                    self._last_snapshot_seq[index] = wal.seq
-                    if self._injector is not None:
-                        self._injector.on_snapshot_written(index, path)
-            return
         for index, wal in enumerate(self._wals):
-            if wal.seq - self._last_snapshot_seq[index] >= self.snapshot_every:
+            if wal.checkpoint_due(self.snapshot_every):
                 self._snapshot_shard(index)
 
     # -- engine interface ----------------------------------------------
@@ -573,7 +568,9 @@ class SupervisedExecutor(MultiprocessShardedExecutor):
             return
         try:
             if self._serial is not None:
-                self._maybe_final_serial_snapshots()
+                for index, wal in enumerate(self._wals):
+                    if wal.seq > wal.checkpoint_seq:
+                        wal.snapshot(pickle.dumps(self._serial.replicas[index], protocol=_PICKLE))
             elif not self._workers_down:
                 for index in range(len(self._connections)):
                     try:
@@ -587,32 +584,26 @@ class SupervisedExecutor(MultiprocessShardedExecutor):
             for wal in self._wals:
                 wal.close()
 
-    def _maybe_final_serial_snapshots(self) -> None:
-        for index, wal in enumerate(self._wals):
-            if wal.seq > self._last_snapshot_seq[index]:
-                wal.snapshot(
-                    pickle.dumps(self._serial.replicas[index], protocol=_PICKLE)
-                )
-                self._last_snapshot_seq[index] = wal.seq
-
 
 class DurableLog:
     """One write-ahead log and the engines that apply it — the
     durability protocol, once.
 
     :meth:`commit` is append → apply → checkpoint every attached engine
-    every ``snapshot_every`` records; :meth:`recover` is latest valid
-    snapshot + replay of the tail.  Engines are named: ``""`` is born
-    with the log and snapshots beside it (:class:`DurableEngine`); any
+    when the log says one is due (``snapshot_every`` goes to
+    :meth:`~repro.storage.wal.WriteAheadLog.checkpoint_due`: ``None`` is
+    its size rule, an integer a record cadence); :meth:`recover` is
+    latest valid snapshot + replay of the tail.  Engines are named: ``""``
+    is born with the log and snapshots beside it (:class:`DurableEngine`); any
     other name is born where :meth:`attach` first sees it — a BIRTH
     record, so its recovery never replays what was logged before it
     existed — and snapshots into ``<directory>/<name>/``.
     """
 
     def __init__(
-        self, directory: str | Path, *, fsync: bool = False, snapshot_every: int = 64
+        self, directory: str | Path, *, fsync: bool = False, snapshot_every: int | None = None
     ) -> None:
-        self.snapshot_every = max(1, snapshot_every)
+        self.snapshot_every = snapshot_every
         self.engines: dict[str, IncrementalEngine] = {}
         #: engine name -> sequence number of its BIRTH record
         self.births: dict[str, int] = {"": 0}
@@ -620,7 +611,6 @@ class DurableLog:
         #: what a restarted server must not apply again
         self.applied: dict[str, int] = {}
         self.wal = WriteAheadLog(directory, fsync=fsync, scan=self._note)
-        self._last_snapshot_seq = self.wal.seq
 
     def _note(self, seq: int, kind: bytes, payload: bytes) -> None:
         """One record of the log's opening scan."""
@@ -650,13 +640,12 @@ class DurableLog:
         what ``apply(batch)`` returned."""
         self.wal.append(batch, cause)
         output = apply(batch)
-        if self.wal.seq - self._last_snapshot_seq >= self.snapshot_every:
+        if self.wal.checkpoint_due(self.snapshot_every):
             self.snapshot()
         return output
 
     def snapshot(self) -> list[Path]:
         """Checkpoint every attached engine at the current log head."""
-        self._last_snapshot_seq = self.wal.seq
         root = self.wal.directory
         return [
             self.wal.snapshot(pickle.dumps(engine, protocol=_PICKLE), directory=root / name)
@@ -667,7 +656,7 @@ class DurableLog:
         """Final checkpoint if anything was logged since the last one,
         then close the WAL; idempotent."""
         if not self.wal._handle.closed:
-            if self.wal.seq > self._last_snapshot_seq:
+            if self.wal.seq > self.wal.checkpoint_seq:
                 self.snapshot()
             self.wal.close()
 
@@ -682,7 +671,7 @@ class DurableEngine(IncrementalEngine):
         directory: str | Path,
         *,
         fsync: bool = False,
-        snapshot_every: int = 64,
+        snapshot_every: int | None = None,
     ) -> None:
         self.log = DurableLog(directory, fsync=fsync, snapshot_every=snapshot_every)
         self.log.attach("", engine)
@@ -723,7 +712,7 @@ class DurableEngine(IncrementalEngine):
         directory: str | Path,
         *,
         fsync: bool = False,
-        snapshot_every: int = 64,
+        snapshot_every: int | None = None,
     ) -> "DurableEngine":
         """Resume an interrupted durable run from its directory."""
         durable = cls(factory(), directory, fsync=fsync, snapshot_every=snapshot_every)

@@ -73,6 +73,9 @@ Counter naming convention (``<structure or layer>.<operation>``):
                                         validation boundary
 ``wal.appends/.snapshots``              write-ahead-log records / checkpoints
                                         written
+``wal.appended_bytes/.checkpoint_bytes``  bytes of each; their ratio is the
+                                        durable path's write amplification (≤ 1 +
+                                        one checkpoint under the default rule)
 ``wal.recoveries``                      snapshot+tail-replay recoveries
 ``wal.tail_truncated``                  torn/corrupt WAL tails healed on open
 ``wal.snapshot_corrupt``                snapshot files skipped on bad CRC
@@ -130,7 +133,8 @@ negative shift — the Section 3.2.4 quantity), ``treemap.shift_moved``,
 ``shard.merge_seconds``, ``shard.encode_seconds`` (wall-clock per
 frame encode on the ship path),
 ``wal.record_events`` (events per WAL record),
-``wal.records_replayed`` (log-tail length per recovery),
+``wal.records_replayed`` (log-tail length per recovery: under the
+default checkpoint rule it tracks state size, not a record count),
 ``wal.truncated_bytes`` (garbage removed per tail heal),
 ``codegen.compile_seconds`` (wall-clock per trigger compilation —
 cache hits pay none of it), ``serve.fanout`` (subscribers reached per

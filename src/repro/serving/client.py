@@ -205,8 +205,9 @@ class SubscriptionClient:
             query = message.body["query"]
             if query in self.acked and message.seq <= self.acked[query]:
                 return  # already folded (in-flight duplicate across a resume)
+            # Every result here was decoded off the wire for this client.
             self.results[query] = fold(
-                self.results.get(query), message.body["delta"]
+                self.results.get(query), message.body["delta"], in_place=True
             )
             self.acked[query] = message.seq
             self.deltas_seen += 1

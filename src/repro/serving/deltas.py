@@ -55,9 +55,12 @@ def freeze(result: Any) -> Any:
     """Snapshot a result for caching: engines may hand back internal
     mutable dicts, and the delta diff needs the *previous* value to
     stay put while the engine mutates forward.  Recursive, so grouped
-    results with structured values never alias engine internals."""
+    results with structured values never alias engine internals; flat
+    ones (the registry's) are one C-level copy."""
     if isinstance(result, dict):
-        return {key: freeze(value) for key, value in result.items()}
+        if any(issubclass(kind, dict) for kind in set(map(type, result.values()))):
+            return {key: freeze(value) for key, value in result.items()}
+        return dict(result)
     return result
 
 
@@ -89,10 +92,11 @@ def compute_delta(prev: Any, cur: Any) -> Any | None:
     return ("set", cur)
 
 
-def fold(base: Any, delta: Any | None) -> Any:
+def fold(base: Any, delta: Any | None, *, in_place: bool = False) -> Any:
     """Apply one delta; the inverse of :func:`compute_delta`:
     ``fold(prev, compute_delta(prev, cur))`` is bit-identical to
-    ``cur``."""
+    ``cur``.  ``in_place`` lets a caller that owns ``base`` take group
+    changes into it instead of into a copy."""
     if delta is None:
         return base
     kind, payload = delta
@@ -101,7 +105,7 @@ def fold(base: Any, delta: Any | None) -> Any:
     if kind == "add":
         return base + payload
     if kind == "group":
-        out = dict(base) if isinstance(base, dict) else {}
+        out = (base if in_place else dict(base)) if isinstance(base, dict) else {}
         for key, value in payload.items():
             if value is REMOVE:
                 out.pop(key, None)

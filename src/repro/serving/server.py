@@ -99,7 +99,7 @@ class ServingConfig:
     idle_timeout: float = 30.0
     wal_root: Path | None = None  # per-tenant durability root; None = in-memory
     fsync: bool = False
-    snapshot_every: int = 64
+    snapshot_every: int | None = None  # records per checkpoint; None = by log size
     drain_timeout: float = 10.0
     # Transport write buffer per connection: small enough that a
     # stalled reader backs the sender up into the bounded outbox (where

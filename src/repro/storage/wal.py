@@ -1,10 +1,12 @@
-"""Write-ahead log with periodic state snapshots.
+"""Write-ahead log with size-proportional state snapshots.
 
 Durability layer of :mod:`repro.engine.supervision`: one log per
 *applier* — a shard of the supervised executor, a single durable
 engine, or all the engines of one serving tenant — to which every batch
 is appended *before* it is applied, and per-engine pickled state
-checkpointed every few records.  Recovery is then the classic two-step
+checkpointed when the log written since the last checkpoint outweighs
+it (:meth:`WriteAheadLog.checkpoint_due`: the log counts the bytes, so
+the rule exists once).  Recovery is then the classic two-step
 — load the latest *valid* snapshot, replay the log tail after it —
 which reconstructs the exact engine state at the last logged record
 regardless of where the process died.
@@ -47,7 +49,7 @@ from typing import Any, Callable, Iterator
 from repro.errors import WalCorruptionError
 from repro.obs import SINK as _SINK
 
-__all__ = ["WriteAheadLog", "WAL_FILE", "SNAPSHOT_GLOB", "BATCH", "FRAME", "BIRTH", "split_cause"]
+__all__ = ["WriteAheadLog", "WAL_FILE", "SNAPSHOT_GLOB", "CHECKPOINT_FLOOR", "BATCH", "FRAME", "BIRTH", "split_cause"]
 
 #: record kinds (the record magic)
 BATCH = b"RWL1"  # pickled event list
@@ -62,6 +64,10 @@ SNAPSHOT_GLOB = "snapshot-*.ckpt"
 
 #: refuse to allocate unbounded buffers for a garbage length field
 _MAX_RECORD_BYTES = 1 << 30
+
+#: no checkpoint is due before this many log bytes follow the last one,
+#: however small that was (see :meth:`WriteAheadLog.checkpoint_due`)
+CHECKPOINT_FLOOR = 64 << 10
 
 
 class WriteAheadLog:
@@ -94,6 +100,11 @@ class WriteAheadLog:
         self.fsync = fsync
         self._path = self.directory / WAL_FILE
         self.seq = 0
+        #: seq covered by the newest checkpoint, its snapshot files (one
+        #: per engine) with their sizes, and the log's size at that seq
+        #: and at the head — all rebuilt by the opening scan
+        self.checkpoint_seq = self._checkpoint_end = self._end = 0
+        self._checkpoint_files: dict[Path, int] = {}
         self._recover_end_offset(scan)
         self._handle = open(self._path, "ab")
 
@@ -134,6 +145,32 @@ class WriteAheadLog:
         self._handle.flush()
         if self.fsync:
             os.fsync(self._handle.fileno())
+        size = _HEADER.size + len(prefix) + len(body)
+        self._end += size
+        if _SINK.enabled:
+            _SINK.inc("wal.appended_bytes", size)
+
+    @property
+    def tail_bytes(self) -> int:
+        """Log bytes behind the newest checkpoint: what recovery replays."""
+        return self._end - self._checkpoint_end
+
+    @property
+    def checkpoint_bytes(self) -> int:
+        """File bytes of the newest checkpoint, all its engines together."""
+        return sum(self._checkpoint_files.values())
+
+    def checkpoint_due(self, every: int | None = None) -> bool:
+        """The one checkpoint rule: the log tail weighs as much as the
+        checkpoint it follows (:data:`CHECKPOINT_FLOOR` at least).  So
+        checkpoint bytes written never exceed log bytes written plus one
+        checkpoint, and recovery replays at most one checkpoint's worth
+        of log, whatever the state weighs — a record count bounds
+        neither.  ``every`` is that count, for callers that pin
+        checkpoint positions."""
+        if every is not None:
+            return self.seq - self.checkpoint_seq >= max(1, every)
+        return self.tail_bytes >= max(self.checkpoint_bytes, CHECKPOINT_FLOOR)
 
     def snapshot(
         self, payload: bytes, *, seq: int | None = None, directory: Path | None = None
@@ -152,7 +189,10 @@ class WriteAheadLog:
 
         Then every other snapshot of the directory goes, except the
         newest older one that passes its CRC: the fallback should this
-        one rot."""
+        one rot.  One still carrying the mtime stamped below was not
+        written to since and is elected unread.  A ``seq`` below the
+        head leaves the tail measured from the checkpoint before (due
+        early, never late) until the log is next opened."""
         covered = self.seq if seq is None else seq
         directory = self.directory if directory is None else directory
         directory.mkdir(parents=True, exist_ok=True)
@@ -166,11 +206,16 @@ class WriteAheadLog:
             if self.fsync:
                 os.fsync(handle.fileno())
         os.replace(tmp, path)
+        # The seal: no clock hands this out, so any later write moves
+        # the file's mtime off it, whatever the clock's grain.
+        os.utime(path, ns=(0, 0))
         fallback = None
         for other in sorted(directory.glob(SNAPSHOT_GLOB), reverse=True):
             if other == path:
                 continue
-            if fallback is None and other.name < path.name and _read_snapshot(other) is not None:
+            if fallback is None and other.name < path.name and (
+                other.stat().st_mtime_ns == 0 or _read_snapshot(other) is not None
+            ):
                 fallback = other
                 continue
             other.unlink(missing_ok=True)
@@ -184,8 +229,15 @@ class WriteAheadLog:
                 os.fsync(fd)
             finally:
                 os.close(fd)
+        if covered > self.checkpoint_seq:
+            self.checkpoint_seq, self._checkpoint_files = covered, {}
+            if covered >= self.seq:
+                self._checkpoint_end = self._end
+        if covered == self.checkpoint_seq:
+            self._checkpoint_files[path] = len(header) + len(payload)
         if _SINK.enabled:
             _SINK.inc("wal.snapshots")
+            _SINK.inc("wal.checkpoint_bytes", len(header) + len(payload))
         return path
 
     def close(self) -> None:
@@ -294,26 +346,36 @@ class WriteAheadLog:
 
     def _recover_end_offset(self, scan) -> None:
         """Scan an existing log for its valid prefix; truncate trailing
-        garbage so appends resume from a clean boundary."""
+        garbage so appends resume from a clean boundary.  The newest
+        checkpoint is read off the snapshot names (here and one level
+        down, where a tenant's engines keep theirs); one ahead of a
+        truncated head covers no record the scan passes and is none."""
         if not self._path.exists():
             return
-        valid_end = 0
+        files: dict[int, dict[Path, int]] = {0: {}}  # covered seq -> its snapshot files
+        for path in (*self.directory.glob(SNAPSHOT_GLOB), *self.directory.glob("*/" + SNAPSHOT_GLOB)):
+            covered = path.name[9:-5]  # snapshot-<covered>.ckpt
+            if covered.isdigit():
+                files.setdefault(int(covered), {})[path] = path.stat().st_size
         with open(self._path, "rb") as handle:
             while True:
                 record = self._read_record(handle, strict=False)
                 if record is None:
                     break
                 self.seq = record[0]
-                valid_end = handle.tell()
+                self._end = handle.tell()
+                if self.seq in files:
+                    self.checkpoint_seq, self._checkpoint_end = self.seq, self._end
                 if scan is not None:
                     scan(*record)
+        self._checkpoint_files = files[self.checkpoint_seq]
         size = self._path.stat().st_size
-        if size > valid_end:
+        if size > self._end:
             with open(self._path, "ab") as handle:
-                handle.truncate(valid_end)
+                handle.truncate(self._end)
             if _SINK.enabled:
                 _SINK.inc("wal.tail_truncated")
-                _SINK.observe("wal.truncated_bytes", size - valid_end)
+                _SINK.observe("wal.truncated_bytes", size - self._end)
 
 
 def split_cause(payload: bytes) -> tuple[tuple[str, int] | None, bytes]:

@@ -57,6 +57,12 @@ class TestCompare:
         assert (numbers["won"], numbers["lost"], numbers["pairs"]) == (1, 1, 4)
         assert numbers["verdict"] is None
 
+    def test_a_count_that_is_zero_at_the_parent_is_compared_as_is(self):
+        # e.g. colbatch.fallback_rows: there is no ratio over a zero median
+        numbers = ab_pairs.compare([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], "lower")
+        assert (numbers["delta"], numbers["spread"], numbers["won"]) == (0.0, 0.0, 0)
+        assert ab_pairs.compare([0.0, 0.0, 0.0], [2.0, 2.0, 2.0], "lower")["delta"] == 2.0
+
     def test_a_parent_noisier_than_the_bound_is_unresolved(self):
         parent = [50.0, 100.0, 150.0, 200.0]
         numbers = ab_pairs.compare(parent, parent, "higher", bound=0.25)

@@ -8,8 +8,11 @@ test that no engine hides state in module globals.
 """
 
 import pickle
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.registry import build_engine
 from repro.workloads import (
@@ -163,3 +166,112 @@ def test_rpai_tree_pickles():
     clone.shift_keys(150, 7)
     tree.shift_keys(150, 7)
     assert list(clone.items()) == list(tree.items())
+
+
+# -- when a durable log checkpoints --------------------------------------
+#
+# The default rule (``snapshot_every=None``) is size-proportional — see
+# ``WriteAheadLog.checkpoint_due`` — and an explicit count keeps the
+# record cadence, name for name.
+
+
+def _snapshot_names(directory) -> list[int]:
+    return sorted(int(path.name[9:-5]) for path in directory.glob("snapshot-*.ckpt"))
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    name=st.sampled_from(["VWAP", "Q18"]),
+    batch_size=st.sampled_from([1, 7, 64, 500]),
+    seed=st.integers(0, 10_000),
+    floor=st.sampled_from([1 << 10, 64 << 10]),
+)
+def test_default_rule_bounds_checkpoint_bytes_by_log_bytes(name, batch_size, seed, floor):
+    """State that stays put (VWAP over 4k price levels, once they fill)
+    and state that grows (Q18's groups): whatever the batch size, the
+    checkpoint bytes written never exceed the log bytes written plus
+    one checkpoint, and no checkpoint comes before the floor — read off
+    the ``wal.*`` byte counters, as ``repro stats`` shows them."""
+    from repro import obs
+    from repro.engine.supervision import DurableEngine
+
+    if name == "VWAP":
+        stream = random_bid_stream(
+            8000, price_levels=4000, volume_max=50, delete_probability=0.45, seed=seed
+        )
+    else:
+        stream = generate_tpch(TPCHConfig(scale_factor=0.12, seed=seed))
+    was_enabled = obs.SINK.enabled
+    obs.enable()
+    obs.reset()
+    try:
+        with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as root:
+            patch.setattr("repro.storage.wal.CHECKPOINT_FLOOR", floor)
+            durable = DurableEngine(build_engine(name, "rpai"), root)
+            wal = durable.wal
+            checkpoints, logged_at_last = 0, 0
+            for batch in stream.batches(batch_size):
+                durable.on_batch(batch)
+                counters = obs.snapshot()["counters"]
+                logged = counters["wal.appended_bytes"]
+                if counters.get("wal.snapshots", 0) > checkpoints:
+                    checkpoints = counters["wal.snapshots"]
+                    assert logged - logged_at_last >= floor
+                    logged_at_last = logged
+                    assert wal.tail_bytes == 0
+                assert counters.get("wal.checkpoint_bytes", 0) <= logged + wal.checkpoint_bytes
+                assert wal.tail_bytes == logged - logged_at_last
+            assert checkpoints >= (2 if floor < 64 << 10 else 1)
+            wal.close()
+    finally:
+        obs.reset()
+        if not was_enabled:
+            obs.disable()
+
+
+def test_explicit_cadence_keeps_its_snapshot_names_on_a_durable_engine(tmp_path):
+    """``snapshot_every=k`` is the record cadence it always was: these
+    names are what the commit before the size rule leaves behind."""
+    from repro.engine.supervision import DurableEngine
+
+    batches = list(random_bid_stream(14 * 20, seed=47, delete_probability=0.2).batches(20))
+    factory = lambda: build_engine("VWAP", "rpai")  # noqa: E731
+    durable = DurableEngine(factory(), tmp_path, snapshot_every=3)
+    for batch in batches[:10]:
+        durable.on_batch(batch)
+    assert _snapshot_names(tmp_path) == [6, 9]
+    durable.close()
+    assert _snapshot_names(tmp_path) == [9, 10]
+    with DurableEngine.recover(factory, tmp_path, snapshot_every=3) as durable:
+        assert durable.recovered_records == 0
+        for batch in batches[10:]:
+            durable.on_batch(batch)
+        assert _snapshot_names(tmp_path) == [10, 13]
+    assert _snapshot_names(tmp_path) == [13, 14]
+
+
+@pytest.mark.parametrize("degrade", [False, True], ids=["live", "degraded"])
+def test_explicit_cadence_keeps_its_snapshot_names_on_supervised_shards(tmp_path, degrade):
+    from repro.engine.registry import build_sharded_engine
+    from repro.faults import FaultPlan, KillSpec
+
+    stream = _stream("EQ")
+    plan = FaultPlan(kills=(KillSpec(shard=0, after_events=40),)) if degrade else None
+    engine = build_sharded_engine(
+        "EQ", "rpai", shards=2, workers=2, plan_stream=stream, wal_dir=tmp_path,
+        snapshot_every=4, max_respawns=0 if degrade else 3, fault_plan=plan, validate=False,
+    )
+    try:
+        for batch in stream.batches(20):
+            engine.on_batch(batch)
+        assert engine.degraded == degrade
+        running = [_snapshot_names(tmp_path / f"shard-{i}") for i in range(2)]
+    finally:
+        engine.close()
+    closed = [_snapshot_names(tmp_path / f"shard-{i}") for i in range(2)]
+    # Degrading skips the checkpoint of the batch it happens in, so the
+    # cadence restarts one record later: 5, 9 instead of 4, 8.
+    if degrade:
+        assert (running, closed) == ([[5, 9], [5, 9]], [[9, 10], [9, 10]])
+    else:
+        assert (running, closed) == ([[4, 8], [4, 8]], [[8, 10], [8, 10]])

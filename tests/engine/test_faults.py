@@ -429,6 +429,34 @@ class TestDurableEngine:
             assert recovered.recovered_records == 1
             assert recovered.result() == expected
 
+    @pytest.mark.parametrize("snapshot_every", [8, None], ids=["every-8-records", "size-rule"])
+    def test_crash_loop_still_checkpoints(self, tmp_path, monkeypatch, snapshot_every):
+        """A process that dies more often than it checkpoints must not
+        replay its whole history at every start: what is due is counted
+        from the newest checkpoint on disk, not from the head the log
+        happened to have when it was opened."""
+        floor = 4096
+        if snapshot_every is None:
+            monkeypatch.setattr("repro.storage.wal.CHECKPOINT_FLOOR", floor)
+        batches = list(stream_for("VWAP").batches(8))[:40]
+        factory = lambda: build_engine("VWAP", "rpai")  # noqa: E731
+        longest_record = 0
+        for start in range(0, 40, 5):
+            durable = DurableEngine.recover(factory, tmp_path, snapshot_every=snapshot_every)
+            if snapshot_every is None:
+                tail = durable.wal.tail_bytes
+                assert tail < max(durable.wal.checkpoint_bytes, floor) + longest_record
+            else:
+                assert durable.recovered_records < snapshot_every
+            for batch in batches[start:start + 5]:
+                before = (tmp_path / "wal.log").stat().st_size
+                expected = durable.on_batch(batch)
+                longest_record = max(longest_record, (tmp_path / "wal.log").stat().st_size - before)
+            durable.wal.close()  # crash: no final checkpoint
+        assert list(tmp_path.glob("snapshot-*.ckpt"))
+        with DurableEngine.recover(factory, tmp_path, snapshot_every=snapshot_every) as durable:
+            assert durable.result() == expected
+
 
 def plant_unloadable_snapshot(directory) -> None:
     """Write, at the log head of the WAL under ``directory``, a

@@ -209,3 +209,46 @@ class TestDeltaAlgebra:
         frozen = freeze(outer)
         inner["sum"] = 9.0
         assert frozen["g"]["sum"] == 1.0
+
+    def test_freeze_copies_a_flat_result_and_still_detaches_dict_subclasses(self):
+        from collections import OrderedDict
+
+        flat = {3: 1.5, 1: 2, "k": None}
+        frozen = freeze(flat)
+        assert frozen is not flat and list(frozen.items()) == list(flat.items())
+        flat[3] = 0.0
+        assert frozen[3] == 1.5
+        inner = OrderedDict(sum=1.0)
+        frozen = freeze({"a": 1, "g": inner})
+        inner["sum"] = 9.0
+        assert frozen == {"a": 1, "g": {"sum": 1.0}}
+
+    def test_in_place_fold_is_the_pure_fold_on_the_callers_dict(self):
+        """The client folds group deltas into the dict it owns; the pure
+        fold is the oracle, and leaves its base alone."""
+        import random
+
+        rng = random.Random(12)
+        state: dict = {}
+        pure: dict = {}
+        owned: dict = {}
+        for _ in range(300):
+            new = dict(state)
+            for key in rng.sample(range(20), 3):
+                if key in new and rng.random() < 0.4:
+                    del new[key]
+                else:
+                    new[key] = rng.random() if rng.random() < 0.5 else rng.randrange(100)
+            delta = compute_delta(state, new)
+            before = dict(pure)
+            folded = fold(pure, delta)
+            assert pure == before and (delta is None or folded is not pure)
+            pure = folded
+            assert fold(owned, delta, in_place=True) is owned
+            assert list(owned.items()) == list(pure.items())
+            state = new
+        assert_bit_identical(owned, state)
+        # scalars, replacements and a non-dict base take the same path either way
+        assert fold(3, ("add", 4), in_place=True) == 7
+        assert fold({"a": 1}, ("set", 2.5), in_place=True) == 2.5
+        assert fold(None, ("group", {"a": 1, "b": REMOVE}), in_place=True) == {"a": 1}

@@ -13,9 +13,14 @@ admission rejects exactly what per-row admission did.
 
 from __future__ import annotations
 
+import os
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.engine.base import Quarantine
@@ -145,6 +150,126 @@ class TestCrashRecovery:
         # and what the message says works
         result, _stats = recover_result("VWAP", "rpai", legacy)
         assert identical(result, clean_results([serve_mix(3, 40)], ("VWAP",))["VWAP"])
+
+
+class TestCheckpointRule:
+    """The tenant log under the default, size-proportional rule
+    (``snapshot_every=None``: see ``WriteAheadLog.checkpoint_due``), and
+    the record cadence an explicit count still gives."""
+
+    FLOOR = 2048  # the real one is 64 KiB: these feeds log ~400 B a batch
+
+    @pytest.fixture(autouse=True)
+    def _small_floor(self, monkeypatch):
+        monkeypatch.setattr("repro.storage.wal.CHECKPOINT_FLOOR", self.FLOOR)
+
+    def test_crash_at_every_record_replays_at_most_one_checkpoint_of_log(self, tmp_path):
+        """The crash-at-every-record harness under the default rule: a
+        restarted process finds at most ``max(newest checkpoint, floor)``
+        bytes of log (and the record that crossed the line) behind its
+        newest checkpoint, and restores bit-identically from them."""
+        clean, dirty = dirty_batches(11, 40 * BATCH)
+        expected_end = clean_results(clean)
+        checkpoints = set()
+        for k in range(len(dirty) + 1):
+            root = tmp_path / f"crash-{k}"
+            tenant = tenant_over(root, snapshot_every=None)
+            feed(tenant, dirty[:k])
+            held = tenant.log.wal
+            tenant.kill()
+            revived = tenant_over(root, snapshot_every=None)
+            wal = revived.log.wal
+            assert (wal.seq, wal.tail_bytes, wal.checkpoint_seq, wal.checkpoint_bytes) == (
+                held.seq, held.tail_bytes, held.checkpoint_seq, held.checkpoint_bytes
+            )
+            record = max((len(payload) + 20 for _seq, _kind, payload in wal.records()), default=0)
+            assert wal.tail_bytes < max(wal.checkpoint_bytes, self.FLOOR) + record
+            checkpoints.add(wal.checkpoint_seq)
+            expected = clean_results(clean[:k])
+            for query, result in results(revived).items():
+                assert identical(result, expected[query]), (k, query)
+            feed(revived, dirty[k:], first_seq=k + 1)
+            for query, result in results(revived).items():
+                assert identical(result, expected_end[query]), (k, query)
+            revived.kill()
+        # both arms of the max: the floor first, the checkpoint's own weight after
+        assert len(checkpoints) >= 4
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 10_000), batch=st.sampled_from([1, 5, 16, 90]))
+    def test_three_engines_never_checkpoint_more_than_they_log(self, seed, batch):
+        """Growing state (Q18's groups) beside bounded state, any batch
+        size: checkpoint bytes written ≤ log bytes written + one
+        checkpoint, and none before the floor."""
+        events = serve_mix(seed, 1500)
+        obs.enable()
+        obs.reset()
+        try:
+            with tempfile.TemporaryDirectory() as root:
+                tenant = tenant_over(Path(root), snapshot_every=None)
+                wal = tenant.log.wal
+                written = logged_at_last = 0
+                for seq, start in enumerate(range(0, len(events), batch), 1):
+                    feed(tenant, [events[start : start + batch]], first_seq=seq)
+                    counters = obs.snapshot()["counters"]
+                    logged = counters["wal.appended_bytes"]
+                    if counters.get("wal.checkpoint_bytes", 0) > written:
+                        written = counters["wal.checkpoint_bytes"]
+                        assert logged - logged_at_last >= self.FLOOR
+                        logged_at_last = logged
+                    assert written <= logged + wal.checkpoint_bytes
+                assert counters["wal.snapshots"] >= 3 * 2
+                tenant.kill()
+        finally:
+            obs.disable()
+
+    def test_explicit_cadence_keeps_its_snapshot_names(self, tmp_path):
+        """``snapshot_every=5`` on a three-engine tenant leaves the files
+        the commit before the size rule leaves, name for name."""
+
+        def names() -> dict:
+            return {
+                query: sorted(int(p.name[9:-5]) for p in (tmp_path / "acme" / query).glob("*.ckpt"))
+                for query in QUERIES
+            }
+
+        clean, _ = dirty_batches(14, 32 * BATCH)
+        tenant = tenant_over(tmp_path)
+        feed(tenant, clean[:23])
+        assert names() == dict.fromkeys(QUERIES, [20, 25])  # 3 BIRTH records lead the log
+        tenant.close_engines()
+        assert names() == dict.fromkeys(QUERIES, [25, 26])
+        revived = tenant_over(tmp_path)
+        feed(revived, clean[23:], first_seq=24)
+        assert names() == dict.fromkeys(QUERIES, [26, 31])
+        revived.close_engines()
+        assert names() == dict.fromkeys(QUERIES, [31, 35])
+
+    def test_a_directory_changes_rules_across_restarts(self, tmp_path):
+        """Payloads, names and retention did not move, so a directory
+        written under the record cadence (by this commit or the one
+        before it, whose files carry ordinary mtimes) resumes under the
+        size rule, and the other way round."""
+        clean, dirty = dirty_batches(15, 36 * BATCH)
+        tenant = tenant_over(tmp_path, snapshot_every=5)
+        feed(tenant, dirty[:13])
+        tenant.kill()
+        for path in (tmp_path / "acme").glob("*/*.ckpt"):
+            os.utime(path)
+        tenant = tenant_over(tmp_path, snapshot_every=None)
+        assert tenant.log.wal.checkpoint_seq == 15 and tenant.log.wal.tail_bytes > 0
+        feed(tenant, dirty[13:24], first_seq=14)
+        assert tenant.log.wal.checkpoint_seq > 15
+        tenant.kill()
+        tenant = tenant_over(tmp_path, snapshot_every=5)
+        feed(tenant, dirty[24:], first_seq=25)
+        expected = clean_results(clean)
+        for query, result in results(tenant).items():
+            assert identical(result, expected[query]), query
+        tenant.close_engines()
+        for query in QUERIES:
+            offline, _stats = recover_result(query, "rpai", tmp_path / "acme")
+            assert identical(offline, expected[query]), query
 
 
 class TestOncePerBatch:

@@ -8,12 +8,19 @@ numbering survives reopen, and snapshot files fall back newest-to-
 oldest past corrupt ones.
 """
 
+import os
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.errors import WalCorruptionError
 from repro.storage.stream import Event
 from repro.storage.colbatch import ColumnarFrame
+from repro.storage import wal as wal_module
 from repro.storage.wal import BATCH, BIRTH, FRAME, WAL_FILE, WriteAheadLog, split_cause
 
 
@@ -303,3 +310,144 @@ class TestAtomicSnapshots:
                 assert path.exists()
                 assert wal.load_latest_snapshot() == (1, b"durable")
                 assert not list(directory.glob("*.tmp"))
+
+
+def _write_state(wal):
+    return wal.seq, wal.tail_bytes, wal.checkpoint_seq, wal.checkpoint_bytes
+
+
+class TestCheckpointRule:
+    """``checkpoint_due``: by default a checkpoint is due when the log
+    tail weighs as much as the checkpoint it follows (the floor at
+    least) — which bounds checkpoint bytes by log bytes and the replayed
+    tail by the checkpoint, whatever the state weighs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        records=st.lists(st.integers(1, 3000), min_size=1, max_size=120),
+        state=st.sampled_from(["constant", "growing", "shrinking"]),
+        floor=st.sampled_from([512, 4096]),
+    )
+    def test_amplification_and_tail_are_bounded(self, records, state, floor):
+        with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as root:
+            patch.setattr(wal_module, "CHECKPOINT_FLOOR", floor)
+            wal = WriteAheadLog(root)
+            logged = checkpointed = 0
+            for index, size in enumerate(records):
+                before = wal.tail_bytes
+                wal.birth("x" * size)
+                record = wal.tail_bytes - before
+                logged += record
+                if wal.checkpoint_due():
+                    assert wal.tail_bytes >= floor  # never before the floor
+                    weight = {"constant": 2000, "growing": 40 * index, "shrinking": 9000 // (index + 1)}
+                    wal.snapshot(b"s" * weight[state])
+                    checkpointed += wal.checkpoint_bytes
+                    assert wal.tail_bytes == 0
+                assert checkpointed <= logged + wal.checkpoint_bytes
+                assert wal.tail_bytes < max(wal.checkpoint_bytes, floor) + record
+            assert logged == (Path(root) / WAL_FILE).stat().st_size
+            wal.close()
+
+    def test_an_explicit_count_is_the_record_cadence(self, tmp_path):
+        with WriteAheadLog(tmp_path) as wal:
+            due = []
+            for batch in _batches(7):
+                wal.append(batch)
+                due.append(wal.checkpoint_due(3))
+                if due[-1]:
+                    wal.snapshot(b"state")
+            assert due == [False, False, True, False, False, True, False]
+            assert not wal.checkpoint_due()  # nowhere near the floor
+            assert wal.checkpoint_due(0)  # clamped to every record
+
+    @pytest.mark.parametrize("damage", ["none", "torn-tail", "snapshot-ahead-of-head"])
+    def test_reopen_rebuilds_what_the_writer_held(self, tmp_path, damage):
+        """Tail bytes and the newest checkpoint's seq and size come back
+        from the opening scan and the snapshot names — for a tenant's
+        per-engine subdirectories too."""
+        wal = WriteAheadLog(tmp_path)
+        states, ends = [], []
+        for index, batch in enumerate(_batches(9)):
+            wal.append(batch)
+            ends.append((tmp_path / WAL_FILE).stat().st_size)
+            if index in (2, 5):
+                wal.snapshot(b"a" * (100 + index), directory=tmp_path / "A")
+                wal.snapshot(b"b" * (300 + index), directory=tmp_path / "B")
+                assert wal.checkpoint_bytes == 2 * 20 + 400 + 2 * index
+            states.append(_write_state(wal))
+        wal.close()  # crash
+        expected = states[-1]
+        if damage == "torn-tail":
+            with open(tmp_path / WAL_FILE, "ab") as handle:
+                handle.write(b"RWL1 torn")
+        elif damage == "snapshot-ahead-of-head":
+            # The log is cut inside record 5: the checkpoint at 6 covers
+            # nothing that is left, and the one at 3 is the newest again.
+            with open(tmp_path / WAL_FILE, "r+b") as handle:
+                handle.truncate(ends[4] - 3)
+            expected = states[3]
+        with WriteAheadLog(tmp_path) as reopened:
+            assert _write_state(reopened) == expected
+            assert reopened.checkpoint_seq == (3 if damage == "snapshot-ahead-of-head" else 6)
+            assert reopened.tail_bytes == ends[reopened.seq - 1] - ends[reopened.checkpoint_seq - 1]
+
+    def test_a_snapshot_below_the_head_is_due_early_never_late(self, tmp_path):
+        with WriteAheadLog(tmp_path) as wal:
+            for batch in _batches(4):
+                wal.append(batch)
+            whole = wal.tail_bytes
+            wal.snapshot(b"early", seq=2)
+            assert (wal.checkpoint_seq, wal.tail_bytes) == (2, whole)
+        with WriteAheadLog(tmp_path) as wal:
+            assert wal.checkpoint_seq == 2 and 0 < wal.tail_bytes < whole
+
+    def test_rewriting_a_checkpoint_does_not_count_it_twice(self, tmp_path):
+        with WriteAheadLog(tmp_path) as wal:
+            wal.append(_batches(1)[0])
+            wal.snapshot(b"x" * 50)
+            wal.snapshot(b"y" * 70)
+            assert wal.checkpoint_bytes == 20 + 70
+            wal.snapshot(b"old", seq=0)  # an older one changes nothing
+            assert (wal.checkpoint_seq, wal.checkpoint_bytes) == (1, 90)
+
+    def test_the_predecessor_is_not_read_back(self, tmp_path, monkeypatch):
+        """Only the first checkpoint after open verifies what it finds;
+        from then on the fallback is the file this writer left, unread
+        unless something wrote to it since (the retention tests above)."""
+        reads = []
+        real = wal_module._read_snapshot
+        monkeypatch.setattr(wal_module, "_read_snapshot", lambda path: reads.append(path.name) or real(path))
+        with WriteAheadLog(tmp_path) as wal:
+            for index, batch in enumerate(_batches(4)):
+                wal.append(batch)
+                wal.snapshot(b"state-%d" % index)
+            assert reads == []
+        # what another writer (the parent commit) left carries no seal
+        for path in tmp_path.glob("snapshot-*.ckpt"):
+            os.utime(path)
+        with WriteAheadLog(tmp_path) as wal:
+            assert (wal.checkpoint_seq, wal.tail_bytes) == (4, 0)
+            for batch in _batches(3):
+                wal.append(batch)
+                wal.snapshot(b"later")
+            assert reads == ["snapshot-000000000004.ckpt"]
+            assert sorted(p.name for p in tmp_path.glob("snapshot-*.ckpt")) == [
+                "snapshot-000000000006.ckpt", "snapshot-000000000007.ckpt"
+            ]
+            assert wal.load_latest_snapshot() == (7, b"later")
+
+    def test_written_bytes_are_counted(self, tmp_path):
+        obs.enable()
+        obs.reset()
+        try:
+            with WriteAheadLog(tmp_path) as wal:
+                for batch in _batches(3):
+                    wal.append(batch)
+                    wal.snapshot(b"state" * 10)
+            counters = obs.snapshot()["counters"]
+        finally:
+            obs.disable()
+        assert counters["wal.appended_bytes"] == (tmp_path / WAL_FILE).stat().st_size
+        assert counters["wal.checkpoint_bytes"] == 3 * (20 + 50)
+        assert counters["wal.snapshots"] == 3
