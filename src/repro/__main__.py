@@ -10,9 +10,8 @@ Commands:
 ``codegen <query> [--engine E]``
     Print the specialized trigger source the code generator emits for
     the query, or the reason the engine runs interpreted.  ``repro run``/
-    ``repro stats``/``repro chaos``/``repro bench-shard`` accept
-    ``--no-codegen`` to force the interpreted triggers for A/B
-    comparisons.
+    ``repro stats``/``repro chaos`` accept ``--no-codegen`` to force the
+    interpreted triggers for A/B comparisons.
 ``run <query> [--engine E] [--events N] [--seed S] [--shards K] [--workers N]
              [--wal-dir D] [--max-respawns R] [--fsync]``
     Stream a synthetic workload through an engine and report result,
@@ -36,10 +35,6 @@ Commands:
     assert the result equals a clean unsharded run.  Writes the obs
     counters (recoveries, respawns, quarantined events, injected
     faults) as JSON when ``--out`` is given.
-``bench-shard [--smoke] [--out PATH]``
-    Run the sharded-execution scaling benchmark (1/2/4 workers for
-    VWAP/Q17/Q18, differentially checked) and write
-    ``BENCH_sharding.json``.
 ``compare <query> [--events N]``
     Run every strategy on the same stream and print a comparison table.
 ``stats <query> [--engine E] [--events N] [--seed S] [--selfcheck] [--json]``
@@ -49,12 +44,6 @@ Commands:
     violation bound.  ``--selfcheck`` additionally runs the structure
     invariant checks after every mutation.  The header reports the
     live aggregate-index class and the default batch size.
-``bench-diff <baseline.json> <candidate.json> [--tolerance T] [--json]``
-    Compare two ``bench_batching`` reports and exit non-zero on
-    regression — the CI perf gate.  Scale-independent speedup ratios
-    are always compared; absolute events/second only when both reports
-    were produced at the same scale.  Also understands
-    ``BENCH_serving.json`` reports (delta-latency gate).
 ``serve [--port P] [--engine E] [--queue-policy P] [--wal-root D] ...``
     Run the streaming subscription server: clients ingest events over
     TCP and subscribe to queries (snapshot, then incremental result
@@ -238,8 +227,7 @@ def _auto_batch(query: str, strategy: str, *, sharded: bool) -> tuple[int, str]:
     The rpai engines take the per-strategy constant
     (:data:`~repro.query.planner.AUTO_BATCH_SIZE`); sharded runs floor
     it at 256 — the measured break-even of the shared-memory frame
-    transport (BENCH_sharding.json).  Other strategies keep the legacy
-    defaults.
+    transport.  Other strategies keep the legacy defaults.
     """
     if strategy != "rpai":
         return (500 if sharded else 1, "")
@@ -416,20 +404,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_shard(args: argparse.Namespace) -> int:
-    _apply_codegen_flag(args)
-    sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
-    import bench_sharding
-
-    argv = []
-    if args.smoke:
-        argv.append("--smoke")
-    if args.out is not None:
-        argv.extend(["--out", str(args.out)])
-    argv.extend(["--repeats", str(args.repeats)])
-    return bench_sharding.main(argv)
-
-
 def cmd_stats(args: argparse.Namespace) -> int:
     from repro.engine.aggr_index import describe_backends
 
@@ -510,21 +484,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
             rows.append(["log2(events)", round(math.log2(max(run.events, 2)), 2)])
         print(format_table(["derived metric", "value"], rows))
     return 0
-
-
-def cmd_bench_diff(args: argparse.Namespace) -> int:
-    from repro.bench.diffing import compare_reports, format_diff, load_report
-
-    baseline = load_report(args.baseline)
-    candidate = load_report(args.candidate)
-    report = compare_reports(
-        baseline, candidate, tolerance=args.tolerance, rescue=args.rescue
-    )
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, allow_nan=False))
-    else:
-        print(format_diff(report))
-    return 0 if report.ok else 1
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -664,7 +623,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="RPAI incremental query engines (SIGMOD 2022 reproduction)",
@@ -802,42 +761,6 @@ def main(argv: list[str] | None = None) -> int:
         help="run the interpreted triggers instead of the compiled ones",
     )
 
-    p_diff = sub.add_parser(
-        "bench-diff", help="diff two benchmark reports (perf-regression gate)"
-    )
-    p_diff.add_argument("baseline", help="committed benchmark report JSON")
-    p_diff.add_argument("candidate", help="freshly generated report JSON")
-    p_diff.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="allowed fractional slack below each baseline value",
-    )
-    p_diff.add_argument(
-        "--rescue",
-        type=float,
-        default=1.0,
-        help="absolute speedup floor that rescues a noisy ratio check",
-    )
-    p_diff.add_argument("--json", action="store_true", help="machine-readable output")
-
-    p_shard = sub.add_parser(
-        "bench-shard",
-        help="run the sharded-execution scaling benchmark (BENCH_sharding.json)",
-    )
-    p_shard.add_argument(
-        "--smoke", action="store_true", help="tiny workloads for a CI smoke run"
-    )
-    p_shard.add_argument("--out", type=Path, default=None, help="output JSON path")
-    p_shard.add_argument(
-        "--repeats", type=int, default=3, help="timed repeats per cell (best kept)"
-    )
-    p_shard.add_argument(
-        "--no-codegen",
-        action="store_true",
-        help="run the interpreted triggers instead of the compiled ones",
-    )
-
     p_serve = sub.add_parser(
         "serve", help="run the streaming subscription server"
     )
@@ -906,7 +829,11 @@ def main(argv: list[str] | None = None) -> int:
         help="max events for the naive baseline (quadratic+ per update)",
     )
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     handler = {
         "list": cmd_list,
         "classify": cmd_classify,
@@ -915,8 +842,6 @@ def main(argv: list[str] | None = None) -> int:
         "recover": cmd_recover,
         "chaos": cmd_chaos,
         "stats": cmd_stats,
-        "bench-diff": cmd_bench_diff,
-        "bench-shard": cmd_bench_shard,
         "serve": cmd_serve,
         "client": cmd_client,
         "compare": cmd_compare,

@@ -2,10 +2,9 @@
 
 A :class:`ColumnarFrame` represents one event batch as parallel typed
 columns instead of one Python object per event.  Shipping pickled
-``Event`` tuples over pipes is what made multiprocess sharding *lose*
-(see BENCH_sharding.json before this change): every event paid pickle
-framing, a dict header, per-key string re-serialization and a pipe
-syscall share.  A frame pays those costs once per *column* — the
+``Event`` tuples over pipes makes every event pay pickle framing, a
+dict header, per-key string re-serialization and a pipe syscall
+share.  A frame pays those costs once per *column* — the
 payload for a 500-event batch of all-int order-book rows is a handful
 of ``array`` buffers plus one small pickled skeleton.
 

@@ -4,8 +4,9 @@ Fixed seeds and sizes so successive runs measure the same operation
 sequence — these are trend trackers (``pytest --benchmark-only`` /
 ``--benchmark-compare``), not correctness tests, but they run in the
 tier-1 suite (with tiny round counts) so the hot paths cannot silently
-stop importing.  The macro regression gate is ``bench_compare.py``;
-this suite localizes *which* primitive moved when that gate trips.
+stop importing.  The macro regression gate is the layered benchmark
+(``BENCHMARK.json``); this suite localizes *which* primitive moved when
+that gate trips.
 """
 
 import random

@@ -14,6 +14,7 @@ multiprocess differential cases.
 from __future__ import annotations
 
 import os
+import pickle
 import random
 
 import pytest
@@ -31,8 +32,15 @@ from repro.engine.sharding import (
 )
 from repro.errors import EngineStateError
 from repro.query.parser import parse_query
+from repro.storage.colbatch import ColumnarFrame
+from repro.storage.schema import WORKLOAD_SCHEMAS
 from repro.storage.stream import Event, Stream
-from repro.workloads import TPCHConfig, generate_tpch
+from repro.workloads import (
+    OrderBookConfig,
+    TPCHConfig,
+    generate_bids_only,
+    generate_tpch,
+)
 
 from tests.conftest import random_bid_stream
 
@@ -230,6 +238,43 @@ class TestRouter:
     def test_stream_split_rejects_out_of_range(self):
         with pytest.raises(EngineStateError):
             Stream([Event("R", {"k": 1})]).split(2, lambda e: 5)
+
+
+class TestShardTransportBytes:
+    """Columnar frames must ship >= 5x fewer bytes per event than the
+    pickled per-shard event lists they replaced, over the very chunks a
+    4-shard executor ships.  Byte counts are deterministic, so this is
+    an exact regression check, not a timing."""
+
+    @pytest.mark.parametrize("query", ("VWAP", "Q17", "Q18"))
+    def test_frames_beat_pickled_event_lists_5x(self, query):
+        if query == "VWAP":
+            stream = generate_bids_only(
+                OrderBookConfig(
+                    events=6000,
+                    price_levels=400,
+                    volume_max=100,
+                    seed=81,
+                    delete_ratio=0.1,
+                )
+            )
+        else:
+            stream = generate_tpch(TPCHConfig(scale_factor=0.05, seed=82))
+        template = build_engine(query, "rpai")
+        router = plan_router(template, 4, stream)
+        spec = template.shard_routing_spec()
+        pickled_bytes = frame_bytes = 0
+        # 500-event batches: smaller chunks split four ways would measure
+        # the frame header, not the transport.
+        for batch in stream.batches(500):
+            frame = ColumnarFrame.from_events(batch, schemas=WORKLOAD_SCHEMAS)
+            for part in router.split_frame(frame, spec):
+                if len(part):
+                    pickled_bytes += len(
+                        pickle.dumps(part.events(), protocol=pickle.HIGHEST_PROTOCOL)
+                    )
+                    frame_bytes += len(part.to_bytes())
+        assert pickled_bytes / frame_bytes >= 5.0, (pickled_bytes, frame_bytes)
 
 
 class TestShardObservability:
