@@ -7,11 +7,15 @@ Commands:
     cost (Table 1's analytical half).
 ``classify <sql | file>``
     Parse a query and print the planner's verdict.
-``codegen <query> [--engine E]``
-    Print the specialized trigger source the code generator emits for
-    the query, or the reason the engine runs interpreted.  ``repro run``/
-    ``repro stats``/``repro chaos`` accept ``--no-codegen`` to force the
-    interpreted triggers for A/B comparisons.
+``codegen [<query>] [--engine E] [--flavor F]``
+    Print what is generated for the query: the specialized triggers the
+    code generator emits for the aggregate-index engine (EQ, VWAP, MST),
+    the two loops the general algorithm generates at construction (SQ1,
+    SQ2), or the reason the engine runs hand-written code; without a
+    query, the support table.  ``repro run``/``repro stats``/``repro
+    chaos`` accept ``--no-codegen`` to force the aggregate-index
+    engine's interpreted triggers for A/B comparisons (it has no
+    meaning for the general algorithm, which has one definition).
 ``run <query> [--engine E] [--events N] [--seed S] [--shards K] [--workers N]
              [--wal-dir D] [--max-respawns R] [--fsync]``
     Stream a synthetic workload through an engine and report result,
@@ -152,6 +156,14 @@ def _source_section(source: str, trigger: str) -> str | None:
 #: declines: the five hand-written per-query classes are their own
 #: single definition (the DBToaster/naive baselines likewise).
 _NO_EMITTER = "hand-written trigger (no emitter)"
+_GENERAL = "general algorithm — loops generated at construction"
+
+
+def _codegen_detail(engine) -> str:
+    key = getattr(engine, "_codegen_key", None)
+    if key is not None:
+        return f"{key[0]} emitter"
+    return _GENERAL if hasattr(engine, "generated_source") else _NO_EMITTER
 
 
 def cmd_codegen(args: argparse.Namespace) -> int:
@@ -160,13 +172,13 @@ def cmd_codegen(args: argparse.Namespace) -> int:
     codegen.set_codegen(True)
     if args.query is None:
         # Support table: one row per registry query under the chosen
-        # strategy — which class serves it and whether codegen covers it.
+        # strategy — which class serves it and what is generated for it.
         rows = []
         for name in query_names():
             engine = build_engine(name, args.engine)
-            key = getattr(engine, "_codegen_key", None)
-            detail = _NO_EMITTER if key is None else f"{key[0]} emitter"
-            rows.append([name, type(engine).__name__, engine.trigger_mode, detail])
+            rows.append(
+                [name, type(engine).__name__, engine.trigger_mode, _codegen_detail(engine)]
+            )
         print(format_table(["query", "engine", "trigger", "detail"], rows))
         return 0
     name = args.query.upper()
@@ -181,7 +193,7 @@ def cmd_codegen(args: argparse.Namespace) -> int:
         print(f"trigger  : {engine.trigger_mode}")
         print(f"reason   : {_NO_EMITTER}")
         return 0
-    print(f"trigger  : compiled ({engine._codegen_key[0]} emitter)")
+    print(f"trigger  : {engine.trigger_mode} ({_codegen_detail(engine)})")
     print()
     if args.flavor == "all":
         print(source)
@@ -189,8 +201,8 @@ def cmd_codegen(args: argparse.Namespace) -> int:
     section = _source_section(source, f"on_{args.flavor}")
     if section is None:
         print(
-            f"(no generated on_{args.flavor}: this engine inherits the "
-            f"base-class default, which dispatches to the compiled triggers)"
+            f"(no generated on_{args.flavor}: this engine's call shapes are the "
+            f"base class's, derived from its apply*/result)"
         )
         return 0
     print(section)
@@ -698,8 +710,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--no-codegen",
         action="store_true",
-        help="run the interpreted triggers instead of the compiled ones "
-        "(A/B escape hatch)",
+        help="run the aggregate-index engine's interpreted triggers instead "
+        "of the compiled ones (A/B escape hatch; EQ, VWAP, MST only — every "
+        "other engine has one definition)",
     )
 
     p_recover = sub.add_parser(
@@ -732,7 +745,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument(
         "--no-codegen",
         action="store_true",
-        help="run the interpreted triggers instead of the compiled ones",
+        help="run the aggregate-index engine's interpreted triggers instead "
+        "of the compiled ones (EQ, VWAP, MST only)",
     )
 
     p_stats = sub.add_parser(
@@ -758,7 +772,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument(
         "--no-codegen",
         action="store_true",
-        help="run the interpreted triggers instead of the compiled ones",
+        help="run the aggregate-index engine's interpreted triggers instead "
+        "of the compiled ones (EQ, VWAP, MST only)",
     )
 
     p_serve = sub.add_parser(

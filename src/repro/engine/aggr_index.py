@@ -311,10 +311,6 @@ def plan_sides(plan: QueryPlan) -> SideLayout:
     return SideLayout(scale, tuple(sides), term_plan)
 
 
-def _one(row: Row) -> int:
-    return 1
-
-
 class AggregateIndexEngine(IncrementalEngine):
     """Algorithm 4, compiled from the planner's :class:`QueryPlan`.
 
@@ -357,16 +353,14 @@ class AggregateIndexEngine(IncrementalEngine):
                         grouped=bool(side.group_by),
                     )
                 )
-            delta_fns = [compile_row_expr(f, side.alias) for f in side.factors]
-            if side.counted:
-                delta_fns.append(_one)
+            # one extractor per result column; the count column's is the
+            # absent expression, the constant 1
+            factors = side.factors + (None,) * side.counted
             self._extract.append(
                 (
                     itemgetter(*side.key_columns),
-                    compile_row_expr(spec.inner_arg, spec.inner_col.relation)
-                    if spec.inner_arg is not None
-                    else _one,
-                    delta_fns,
+                    compile_row_expr(spec.inner_arg, spec.inner_col.relation),
+                    [compile_row_expr(factor, side.alias) for factor in factors],
                     itemgetter(*side.group_by) if side.group_by else None,
                 )
             )

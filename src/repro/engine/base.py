@@ -246,10 +246,10 @@ class IncrementalEngine(abc.ABC):
     name: str = "engine"
 
     #: how this engine's triggers execute: ``"interpreted"`` (the class
-    #: methods below) or ``"compiled"`` (specialized instance triggers
-    #: installed by :mod:`repro.query.codegen`).  The class default is
-    #: shadowed by an instance attribute while compiled triggers are
-    #: installed.
+    #: methods below), ``"compiled"`` (specialized instance triggers
+    #: installed by :mod:`repro.query.codegen`; an instance attribute
+    #: shadows the class default while they are installed) or the
+    #: general algorithm's constant ``"generated-loops"``.
     trigger_mode: str = "interpreted"
 
     #: optional input-validation boundary (see :class:`Quarantine`);

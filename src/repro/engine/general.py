@@ -27,12 +27,21 @@ After each update the result is recomputed by iterating the result map
 and re-evaluating the predicates per group against the free maps
 (Section 4.2.4) — O(n) with small constants, versus DBToaster's O(n²)
 nested re-evaluation loops.
+
+Those two O(live groups) passes are where the time goes, so they are
+the only generated code: at construction each correlated subquery
+compiles its ``on_delta`` (the free-map pass, θ inlined) and the engine
+its ``_recompute`` (the conjuncts unrolled to plain comparisons over
+inline subquery reads), from :mod:`repro.query.rowexpr`'s emitters.
+Everything else — ``apply``, ``apply_batch``, the bookkeeping — is
+plain Python and the algorithm's only definition; there is no mode and
+no switch (``python -m repro codegen SQ1`` prints the loops).
 """
 
 from __future__ import annotations
 
-import operator
-from typing import Any, Callable, Mapping
+import types
+from typing import Any, Mapping
 
 from repro.errors import UnsupportedQueryError
 from repro.engine.base import IncrementalEngine, Result
@@ -41,24 +50,20 @@ from repro.query.analysis import free_columns, is_correlated
 from repro.query.ast import (
     AggrCall,
     AggrQuery,
-    Arith,
     ColumnRef,
     Comparison,
-    Const,
     Expr,
     walk_expr,
 )
 from repro.query.rowexpr import (
-    RowFn,
     UncorrelatedScalar,
-    compile_predicate_side,
     compile_row_expr,
+    compile_source,
+    emit_predicate_side,
+    emit_row_expr,
     peel_constant_scale,
+    subquery_bindings,
 )
-
-# Snapshots written before the scalar accumulator moved to rowexpr
-# pickle it under this module's name.
-from repro.query.rowexpr import MaintainedAggregate as _MaintainedAggregate  # noqa: E402,F401
 from repro.storage.stream import Event
 from repro.trees.treemap import TreeMap
 
@@ -66,14 +71,15 @@ __all__ = ["GeneralAlgorithmEngine"]
 
 Row = Mapping[str, Any]
 
-_COMPARATORS = {
-    "=": operator.eq,
-    "<>": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
+#: SQL comparison -> Python operator, where they differ
+_PY_COMPARE = {"=": "==", "<>": "!="}
+
+
+def _bind(source: str, name: str, owner: Any, namespace: dict[str, Any]) -> None:
+    """Compile generated ``source`` and bind its function ``name`` as a
+    method of ``owner``."""
+    exec(compile_source(source, "general"), namespace)
+    setattr(owner, name, types.MethodType(namespace[name], owner))
 
 
 class _CorrelatedSubquery:
@@ -88,31 +94,23 @@ class _CorrelatedSubquery:
     """
 
     def __init__(self, query: AggrQuery, outer_alias: str) -> None:
-        call = query.select[0].expr
-        scale = 1.0
-        # Allow `SELECT c * AGG(...)` / `SELECT AGG(...) * c` shapes.
-        if isinstance(call, Arith) and call.op == "*":
-            if isinstance(call.left, Const):
-                scale, call = call.left.value, call.right
-            elif isinstance(call.right, Const):
-                scale, call = call.right.value, call.left
+        select = query.select[0].expr
+        self.scale, call = peel_constant_scale(select)
         if not isinstance(call, AggrCall):
             raise UnsupportedQueryError(
-                f"unsupported correlated subquery select {query.select[0].expr}"
+                f"unsupported correlated subquery select {select}"
             )
-        self.scale = scale
         self.func = call.func
         inner_alias = query.relations[0].alias
         self.relation = query.relations[0].name
-        self.inner_arg = (
-            compile_row_expr(call.arg, inner_alias) if call.arg is not None else None
-        )
+        self.inner_arg = compile_row_expr(call.arg, inner_alias)
         # Correlated MIN/MAX: the paper limits these to insertion-only
         # streams (Section 4.2.5), but when the aggregate's argument IS
         # the correlation attribute, the ordered bound map already holds
         # the live multiset of values and a range extreme is a boundary
         # lookup — deletions included.  Anything else stays rejected.
-        if self.func in {"MIN", "MAX"}:
+        self.extremal = self.func in {"MIN", "MAX"}
+        if self.extremal:
             if not isinstance(call.arg, ColumnRef) or not isinstance(
                 query.where, Comparison
             ):
@@ -129,12 +127,11 @@ class _CorrelatedSubquery:
                 "correlated subquery must have a single comparison predicate "
                 "for the general algorithm"
             )
-        f_expr, theta, g_expr = self._split_predicate(pred, inner_alias, outer_alias)
-        self.theta = theta
-        self._compare = _COMPARATORS[theta]
+        f_expr, self.theta, g_expr = self._split_predicate(pred, inner_alias, outer_alias)
         self.inner_key = compile_row_expr(f_expr, inner_alias)
         self.outer_key = compile_row_expr(g_expr, outer_alias)
-        if self.func in {"MIN", "MAX"} and call.arg != f_expr:
+        self._outer = (g_expr, outer_alias)
+        if self.extremal and call.arg != f_expr:
             raise UnsupportedQueryError(
                 "correlated MIN/MAX supported only when the aggregate "
                 "argument is the correlation attribute"
@@ -152,6 +149,27 @@ class _CorrelatedSubquery:
         self.free_sum: dict[Any, float] = {}
         self.free_count: dict[Any, float] = {}
         self.refcount: dict[Any, int] = {}
+
+        # ``on_delta``: the bound-map point update, then the Algorithm 3
+        # lines 14–17 free-map pass with θ inlined (extremes keep no
+        # free maps — they are read off the bound map on demand).
+        lines = [
+            f"# {' '.join(str(query).split())}",
+            "def on_delta(self, key, value, weight):",
+            "    self.bound_sum.add(key, value)",
+            "    self.bound_count.add(key, weight)",
+        ]
+        if not self.extremal:
+            lines += [
+                "    free_sum = self.free_sum",
+                "    free_count = self.free_count",
+                "    for g in free_sum:",
+                f"        if key {_PY_COMPARE.get(self.theta, self.theta)} g:",
+                "            free_sum[g] += value",
+                "            free_count[g] += weight",
+            ]
+        self.source = "\n".join(lines) + "\n"
+        _bind(self.source, "on_delta", self, {})
 
     @staticmethod
     def _split_predicate(
@@ -177,33 +195,16 @@ class _CorrelatedSubquery:
     # -- maintenance -------------------------------------------------------------
 
     def on_row(self, row: Row, weight: int) -> None:
-        """One inner tuple: bound-map point update + the Algorithm 3
-        lines 14–17 free-map pass."""
-        key = self.inner_key(row)
-        value = (self.inner_arg(row) if self.inner_arg is not None else 1) * weight
-        self.on_delta(key, value, weight)
-
-    def on_delta(self, key: Any, value: float, weight: float) -> None:
-        """Apply a (possibly coalesced) inner delta at ``key``: ``value``
-        is the net aggregate-argument contribution, ``weight`` the net
+        """One inner tuple as an ``on_delta``: ``value`` is the net
+        aggregate-argument contribution at ``key``, ``weight`` the net
         multiplicity.  Both maps and the free-map pass are additive, so
-        net deltas reproduce the per-row sequence exactly."""
-        self.bound_sum.add(key, value)
-        self.bound_count.add(key, weight)
-        if self.func in {"MIN", "MAX"}:
-            return  # extremes are computed from the bound map on demand
-        compare = self._compare
-        free_sum = self.free_sum
-        free_count = self.free_count
-        for g in free_sum:
-            if compare(key, g):
-                free_sum[g] += value
-                free_count[g] += weight
+        a coalesced delta reproduces the per-row sequence exactly."""
+        self.on_delta(self.inner_key(row), self.inner_arg(row) * weight, weight)
 
     def acquire(self, g: Any) -> None:
         """A new outer group references ``g``: initialize its free-map
         entry from the bound maps (Algorithm 3 lines 19–24)."""
-        if self.func in {"MIN", "MAX"}:
+        if self.extremal:
             return  # no free maps maintained for extremes
         count = self.refcount.get(g, 0)
         if count == 0:
@@ -213,7 +214,7 @@ class _CorrelatedSubquery:
 
     def release(self, g: Any) -> None:
         """An outer group at ``g`` died: drop the entry when unused."""
-        if self.func in {"MIN", "MAX"}:
+        if self.extremal:
             return
         remaining = self.refcount.get(g, 0) - 1
         if remaining <= 0:
@@ -223,16 +224,22 @@ class _CorrelatedSubquery:
         else:
             self.refcount[g] = remaining
 
-    def value(self, g: Any) -> float:
-        """The subquery's current aggregate for outer key ``g``."""
+    def value_src(self, name: str, row: str) -> str:
+        """Source of the subquery's current aggregate for the outer row
+        in the local ``row``, this object bound as ``name``."""
+        g = emit_row_expr(*self._outer, row)
         if self.func == "SUM":
-            return self.scale * self.free_sum[g]
-        if self.func == "COUNT":
-            return self.scale * self.free_count[g]
-        if self.func in {"MIN", "MAX"}:
-            return self.scale * self._range_extreme(g)
-        count = self.free_count[g]
-        return self.scale * (self.free_sum[g] / count if count else 0)
+            value = f"{name}.free_sum[{g}]"
+        elif self.func == "COUNT":
+            value = f"{name}.free_count[{g}]"
+        elif self.extremal:
+            value = f"{name}._range_extreme({g})"
+        else:
+            value = (
+                f"({name}.free_sum[{g}] / {name}.free_count[{g}] "
+                f"if {name}.free_count[{g}] else 0)"
+            )
+        return f"({self.scale!r} * {value})"
 
     def _range_extreme(self, g: float) -> float:
         """MIN/MAX over the live correlation attributes in the θ-range
@@ -246,6 +253,14 @@ class _CorrelatedSubquery:
         if theta == "=":
             present = keys.get(g, 0) != 0
             return g if present else 0
+        if theta == "<>":
+            if self.func == "MIN":
+                lo = keys.min_key()
+                extreme = lo if lo != g else keys.successor(g)
+            else:
+                hi = keys.max_key()
+                extreme = hi if hi != g else keys.predecessor(g)
+            return 0 if extreme is None else extreme
         if theta in ("<", "<="):
             lo = keys.min_key()
             hi = g if (theta == "<=" and keys.get(g, 0) != 0) else keys.predecessor(g)
@@ -263,15 +278,11 @@ class _CorrelatedSubquery:
         theta = self.theta
         if theta == "=":
             return index.get(key, 0)
-        if theta == "<":
-            return index.get_sum(key, inclusive=False)
-        if theta == "<=":
-            return index.get_sum(key, inclusive=True)
-        if theta == ">":
-            return index.suffix_sum(key, inclusive=False)
-        if theta == ">=":
-            return index.suffix_sum(key, inclusive=True)
-        raise UnsupportedQueryError(f"unsupported θ {theta!r}")
+        if theta == "<>":
+            return index.total_sum() - index.get(key, 0)
+        if theta in ("<", "<="):
+            return index.get_sum(key, inclusive=theta == "<=")
+        return index.suffix_sum(key, inclusive=theta == ">=")
 
 
 class GeneralAlgorithmEngine(IncrementalEngine):
@@ -283,6 +294,10 @@ class GeneralAlgorithmEngine(IncrementalEngine):
     """
 
     name = "general-algorithm"
+
+    #: one definition: plain-Python ``apply*`` around two O(live groups)
+    #: loops generated at construction, whatever the codegen default says
+    trigger_mode = "generated-loops"
 
     def __init__(self, query: AggrQuery) -> None:
         if len(query.relations) != 1 or query.group_by or query.having is not None:
@@ -302,9 +317,7 @@ class GeneralAlgorithmEngine(IncrementalEngine):
         if not isinstance(call, AggrCall):
             raise UnsupportedQueryError(f"unsupported select {select}")
         self._result_func = call.func
-        self._result_arg = (
-            compile_row_expr(call.arg, self.alias) if call.arg is not None else None
-        )
+        self._result_arg = compile_row_expr(call.arg, self.alias)
         if self._result_func not in {"SUM", "COUNT", "AVG"}:
             raise UnsupportedQueryError(
                 f"non-streamable result aggregate {self._result_func}"
@@ -332,24 +345,11 @@ class GeneralAlgorithmEngine(IncrementalEngine):
                     )
                 self._scalars[sub] = UncorrelatedScalar(sub, sub.relations[0].alias)
 
-        # Compile the outer predicates into closure pairs.
-        self._predicates: list[tuple[RowFn, Callable, RowFn]] = []
         for conjunct in query.conjuncts():
             if not isinstance(conjunct, Comparison):
                 raise UnsupportedQueryError(
                     "only conjunctions of comparisons are supported"
                 )
-            self._predicates.append(
-                (
-                    compile_predicate_side(
-                        conjunct.left, self.alias, self._scalars, self._correlated
-                    ),
-                    _COMPARATORS[conjunct.op],
-                    compile_predicate_side(
-                        conjunct.right, self.alias, self._scalars, self._correlated
-                    ),
-                )
-            )
 
         # Result maps: outer group key -> (sum, count) of the result
         # aggregate, plus a representative outer row per key (the key is
@@ -359,10 +359,57 @@ class GeneralAlgorithmEngine(IncrementalEngine):
         self._res_sum: dict[tuple, float] = {}
         self._res_count: dict[tuple, int] = {}
         self._res_repr: dict[tuple, dict] = {}
+        recompute = self._emit_recompute()
+        _bind(
+            recompute,
+            "_recompute",
+            self,
+            {"_S": _SINK, **subquery_bindings(self._scalars, self._correlated)},
+        )
+        #: what was generated for this query: every correlated
+        #: subquery's ``on_delta``, then ``_recompute``
+        self.generated_source = "\n".join(
+            [sub.source for sub in self._correlated.values()] + [recompute]
+        )
         self._result: Result = self._recompute()
-        # The maps moved since ``_result`` was enumerated (the compiled
-        # triggers recompute inline and never set it).
+        # The maps moved since ``_result`` was enumerated.
         self._dirty = False
+
+    def _emit_recompute(self) -> str:
+        """Source of ``_recompute`` — Section 4.2.4: iterate the result
+        map, re-evaluating the predicates per group against the free
+        maps — with the conjuncts unrolled to plain comparisons over
+        inline subquery reads."""
+        lines = [
+            "def _recompute(self):",
+            "    if _S.enabled:",
+            "        _S.inc('engine.result_recomputes')",
+            "        _S.observe('engine.result_map_size', len(self._res_sum))",
+            "    _total = 0",
+            "    _count = 0",
+            "    _rcnt = self._res_count",
+            "    _rrep = self._res_repr",
+            "    for _gkey, _gsum in self._res_sum.items():",
+            "        _orow = _rrep[_gkey]",
+        ]
+        for conjunct in self.query.conjuncts():
+            left, right = (
+                emit_predicate_side(side, self.alias, self._scalars, self._correlated, "_orow")
+                for side in (conjunct.left, conjunct.right)  # type: ignore[union-attr]
+            )
+            op = _PY_COMPARE.get(conjunct.op, conjunct.op)  # type: ignore[union-attr]
+            lines += [f"        if not ({left} {op} {right}):", "            continue"]
+        aggregate = {
+            "SUM": "_total",
+            "COUNT": "_count",
+            "AVG": "(_total / _count if _count else 0)",
+        }[self._result_func]
+        lines += [
+            "        _total += _gsum",
+            "        _count += _rcnt[_gkey]",
+            f"    return {self._result_scale!r} * {aggregate}",
+        ]
+        return "\n".join(lines) + "\n"
 
     def _predicate_columns(self) -> tuple[str, ...]:
         columns: set[str] = set()
@@ -390,8 +437,7 @@ class GeneralAlgorithmEngine(IncrementalEngine):
                 correlated.on_row(row, weight)
         if event.relation == self.relation:
             key = tuple(row[c] for c in self._group_columns)
-            value = self._result_arg(row) if self._result_arg is not None else 1
-            self._apply_outer_group(key, value * weight, weight)
+            self._apply_outer_group(key, self._result_arg(row) * weight, weight)
         self._dirty = True
 
     def _apply_outer_group(self, key: tuple, sum_delta: float, count_delta: int) -> None:
@@ -439,9 +485,7 @@ class GeneralAlgorithmEngine(IncrementalEngine):
                 if correlated.relation != event.relation:
                     continue
                 key = correlated.inner_key(row)
-                value = (
-                    correlated.inner_arg(row) if correlated.inner_arg is not None else 1
-                ) * weight
+                value = correlated.inner_arg(row) * weight
                 net = corr_net.setdefault(position, {})
                 entry = net.get(key)
                 if entry is None:
@@ -451,7 +495,7 @@ class GeneralAlgorithmEngine(IncrementalEngine):
                     entry[1] += weight
             if event.relation == self.relation:
                 key = tuple(row[c] for c in self._group_columns)
-                value = self._result_arg(row) if self._result_arg is not None else 1
+                value = self._result_arg(row)
                 entry = outer_net.get(key)
                 if entry is None:
                     outer_net[key] = [value * weight, weight]
@@ -484,8 +528,9 @@ class GeneralAlgorithmEngine(IncrementalEngine):
     # -- checkpointing --------------------------------------------------------------
 
     def __getstate__(self) -> dict:
-        """Engines hold compiled closures (unpicklable); capture the
-        query plus the pure-data state and recompile on restore."""
+        """Engines hold compiled functions (unpicklable); capture the
+        query plus the pure-data state — restore re-runs ``__init__``,
+        which regenerates the loops."""
         state = {
             "query": self.query,
             "scalars": {sub: sc.aggregate for sub, sc in self._scalars.items()},
@@ -519,36 +564,6 @@ class GeneralAlgorithmEngine(IncrementalEngine):
         self._dirty = state.get("dirty", False)
         if "quarantine" in state:
             self._quarantine = state["quarantine"]
-        # Compiled triggers (instance attributes) never pickle; rebuild
-        # them against the restored state when codegen is enabled.
-        from repro.query import codegen
-
-        codegen.maybe_specialize(self)
-
-    def _recompute(self) -> float:
-        """Section 4.2.4: iterate the result map, re-evaluating the
-        predicates per group against the free maps."""
-        if _SINK.enabled:
-            _SINK.inc("engine.result_recomputes")
-            _SINK.observe("engine.result_map_size", len(self._res_sum))
-        total: float = 0
-        count: int = 0
-        predicates = self._predicates
-        res_count = self._res_count
-        res_repr = self._res_repr
-        for key, group_sum in self._res_sum.items():
-            outer_row = res_repr[key]
-            for left, compare, right in predicates:
-                if not compare(left(outer_row), right(outer_row)):
-                    break
-            else:
-                total += group_sum
-                count += res_count[key]
-        if self._result_func == "SUM":
-            return self._result_scale * total
-        if self._result_func == "COUNT":
-            return self._result_scale * count
-        return self._result_scale * (total / count if count else 0)
 
     def result(self) -> Result:
         if self._dirty:

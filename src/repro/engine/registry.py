@@ -8,13 +8,13 @@ benchmark query can be run under three execution strategies —
   (Sections 2.1.2/2.2.2),
 * ``"rpai"`` — our fully incremental engines (Sections 2.1.3/2.2.3, 4).
 
-For queries whose shape the generic compilers cover (EQ, VWAP and MST
-via the planner and the one aggregate-index engine; SQ1/SQ2 via the
-general algorithm) the ``rpai`` engine is *compiled from the AST* and
-the codegen stage then installs per-query compiled triggers; the
-remaining queries (PSP, NQ1, NQ2, Q17, Q18) use hand-written trigger
-classes, exactly as the paper's prototype generates specialized
-triggers per query.
+For queries whose shape the generic compilers cover the ``rpai`` engine
+is *compiled from the AST*: EQ, VWAP and MST via the planner and the one
+aggregate-index engine, for which the codegen stage then installs
+per-query compiled triggers; SQ1/SQ2 via the general algorithm, which
+generates its own two loops at construction.  The remaining queries
+(PSP, NQ1, NQ2, Q17, Q18) use hand-written trigger classes, exactly as
+the paper's prototype generates specialized triggers per query.
 """
 
 from __future__ import annotations
@@ -129,9 +129,9 @@ def build_engine(query_name: str, strategy: str) -> IncrementalEngine:
             engine = _RPAI[name]()
         except KeyError:
             raise KeyError(f"no RPAI engine for {name!r}") from None
-        # Codegen stage of the pipeline: swap the generic engines'
-        # interpreted triggers for per-query compiled ones (the
-        # hand-written classes have no emitter and stay as they are).
+        # Codegen stage of the pipeline: swap the aggregate-index
+        # engine's interpreted triggers for per-query compiled ones
+        # (every other class has no emitter and stays as it is).
         from repro.query import codegen
 
         codegen.maybe_specialize(engine)

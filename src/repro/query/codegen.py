@@ -1,13 +1,12 @@
-"""Per-query trigger codegen: compile each generic engine's query to
-specialized Python triggers.
+"""Per-query trigger codegen: compile the aggregate-index engine's
+query to specialized Python triggers.
 
-The interpreted generic engines pay a per-event tax that has nothing to
-do with the index kernels: closure chains compiled from the AST
-(:func:`~repro.query.rowexpr.compile_row_expr`), dict-dispatched
-comparators and aggregate dispatch on ``func`` strings.  DBToaster's
-lesson (PAPERS.md) is that an IVM system earns its constant factors by
-*compiling* each query's trigger; this module does that for the two
-engines that are built from a plan:
+The interpreted aggregate-index engine pays a per-event tax that has
+nothing to do with the index kernels: per-column extractor calls,
+generic netting and side dispatch.  DBToaster's lesson (PAPERS.md) is
+that an IVM system earns its constant factors by *compiling* each
+query's trigger; this module does that for the engine that is built
+from a plan:
 
 * :class:`~repro.engine.aggr_index.AggregateIndexEngine` (Algorithm 4:
   EQ, VWAP, grouped VWAP, MST, …) — **one emitter** over the engine's
@@ -18,18 +17,22 @@ engines that are built from a plan:
   fragments* (point move, range shift, grouped fan-out), and
   ``warm_start`` is the batch shape's netting with the sides' bulk
   loads in place of the fragments.
-* :class:`~repro.engine.general.GeneralAlgorithmEngine` (Algorithm 3:
-  SQ1, SQ2) — predicate tests become plain comparisons, bound-variable
-  extractors direct row indexing, aggregate dispatch is monomorphized.
 
-The hand-written per-query classes (PSP, NQ1, NQ2, Q17, Q18) are their
-own single definition and have no emitter: :func:`specialize` returns
-False for them.
+Everything else is its own single definition and has no emitter here —
+:func:`specialize` returns False for it: the hand-written per-query
+classes (PSP, NQ1, NQ2, Q17, Q18), and the general algorithm
+(:class:`~repro.engine.general.GeneralAlgorithmEngine`: SQ1, SQ2), which
+generates its two O(live groups) loops itself at construction, codegen
+switch or no switch (:func:`generated_source` still returns them).
+Expression source comes from :mod:`repro.query.rowexpr`, the one
+statement of row-expression semantics.
 
-Generated source is ``compile()``'d once and cached per
-``(emitter, query AST)`` key — the AST nodes are frozen dataclasses, so
-the key is hashable and exact; the source never depends on the
-aggregate-index class, which the sides hold as a plain attribute.
+Generated source is compiled once
+(:func:`~repro.query.rowexpr.compile_source`: registered with
+``linecache``, so tracebacks and ``pdb`` show generated lines) and cached
+per query AST — the AST nodes are frozen dataclasses, so the key is
+hashable and exact; the source never depends on the aggregate-index
+class, which the sides hold as a plain attribute.
 Installation binds the compiled functions as *instance* attributes
 (``engine.on_event`` / ``on_batch`` / ``on_frame`` / ``warm_start``);
 the class-level
@@ -56,20 +59,17 @@ import types
 from typing import Any, Callable
 
 from repro.engine.aggr_index import AggregateIndexEngine, SidePlan
-from repro.engine.general import GeneralAlgorithmEngine
 from repro.errors import UnsupportedQueryError
 from repro.obs import SINK as _SINK
-from repro.query.ast import (
-    AggrCall,
-    AggrQuery,
-    Arith,
-    ColumnRef,
-    Comparison,
-    Const,
-    Expr,
-    SubqueryExpr,
+from repro.query.ast import AggrQuery, ColumnRef, Expr
+from repro.query.rowexpr import (
+    UncorrelatedScalar,
+    compile_source,
+    emit_col_element,
+    emit_predicate_side,
+    emit_row_expr,
+    subquery_bindings,
 )
-from repro.query.rowexpr import emit_col_element, emit_row_expr, peel_constant_scale
 
 __all__ = [
     "INTERPRETED",
@@ -105,7 +105,8 @@ def _env_default() -> bool:
     )
 
 
-#: Process-wide default, initialized from ``REPRO_CODEGEN`` (on unless
+#: Process-wide default for the aggregate-index engine (the only one
+#: with an emitter), initialized from ``REPRO_CODEGEN`` (on unless
 #: explicitly disabled).  Multiprocess shard workers inherit it via
 #: fork, and the CLI's ``--no-codegen`` flips it (plus the env var, for
 #: spawn-started children).
@@ -185,74 +186,21 @@ def _emit_event_unpack(lines: list[str], source: str = "events") -> None:
     lines.append("        _w = event.weight")
 
 
-def _scalar_value_src(name: str, func: str) -> str:
-    """Inline read of an ``UncorrelatedScalar`` bound as global
-    ``name`` — monomorphized on the aggregate function, matching
-    ``MaintainedAggregate.value`` exactly."""
-    if func == "SUM":
-        return f"{name}.aggregate.total"
-    if func == "COUNT":
-        return f"{name}.aggregate.count"
-    if func == "AVG":
-        return (
-            f"({name}.aggregate.total / {name}.aggregate.count "
-            f"if {name}.aggregate.count else 0)"
-        )
-    return f"{name}.value()"  # MIN/MAX: MinMaxView lookup stays a call
-
-
-class _ScalarInfo:
-    """Static description of one uncorrelated scalar subquery."""
-
-    __slots__ = ("name", "func", "relation", "arg_src")
-
-    def __init__(self, name: str, sub: AggrQuery) -> None:
-        call = sub.select[0].expr
-        if not isinstance(call, AggrCall):  # UncorrelatedScalar enforces this
-            raise UnsupportedTriggerError(f"unsupported scalar select {call}")
-        self.name = name
-        self.func = call.func
-        self.relation = sub.relations[0].name
-        self.arg_src = emit_row_expr(call.arg, sub.relations[0].alias)
-
-
-def _scalar_infos(scalars: dict[AggrQuery, Any]) -> dict[AggrQuery, _ScalarInfo]:
-    return {sub: _ScalarInfo(f"_sc{i}", sub) for i, sub in enumerate(scalars)}
-
-
-def _scalar_bindings(scalars: dict[AggrQuery, Any]) -> dict[str, Any]:
-    return {f"_sc{i}": scalar for i, scalar in enumerate(scalars.values())}
-
-
 def _emit_scalar_updates(
-    lines: list[str], indent: str, infos: dict[AggrQuery, _ScalarInfo]
+    lines: list[str], indent: str, scalars: dict[AggrQuery, UncorrelatedScalar]
 ) -> None:
     """Per-event scalar routing, streamed exactly like the interpreted
-    loop over the scalars (value computed, then ``update``)."""
-    for i, info in enumerate(infos.values()):
-        lines.append(f"{indent}if _rel == {info.relation!r}:")
-        if info.func in ("SUM", "COUNT", "AVG"):
-            acc = f"_a{i}"
-            lines.append(f"{indent}    {acc} = {info.name}.aggregate")
-            lines.append(f"{indent}    {acc}.total += ({info.arg_src}) * _w")
-            lines.append(f"{indent}    {acc}.count += _w")
+    loop over the scalars (value computed, then ``update``); a scalar
+    is the ``_sc{i}`` of :func:`~repro.query.rowexpr.subquery_bindings`."""
+    for i, (sub, scalar) in enumerate(scalars.items()):
+        lines.append(f"{indent}if _rel == {scalar.relation!r}:")
+        if scalar.aggregate.func in ("SUM", "COUNT", "AVG"):
+            arg = emit_row_expr(sub.select[0].expr.arg, sub.relations[0].alias)
+            lines.append(f"{indent}    _a{i} = _sc{i}.aggregate")
+            lines.append(f"{indent}    _a{i}.total += ({arg}) * _w")
+            lines.append(f"{indent}    _a{i}.count += _w")
         else:
-            lines.append(f"{indent}    {info.name}.on_row(_row, _w)")
-
-
-def _emit_fixed_expr(expr: Expr, infos: dict[AggrQuery, _ScalarInfo]) -> str:
-    """The fixed probe side ``v``: constants, arithmetic and scalar
-    subquery reads."""
-    if isinstance(expr, Const):
-        return repr(expr.value)
-    if isinstance(expr, Arith):
-        left = _emit_fixed_expr(expr.left, infos)
-        right = _emit_fixed_expr(expr.right, infos)
-        return f"({left} {expr.op} {right})"
-    if isinstance(expr, SubqueryExpr):
-        info = infos[expr.query]
-        return _scalar_value_src(info.name, info.func)
-    raise UnsupportedTriggerError(f"cannot emit fixed expression {expr!r}")
+            lines.append(f"{indent}    _sc{i}.on_row(_row, _w)")
 
 
 def _probe_src(op: str, index: str, probe: str, columns: int) -> str:
@@ -438,13 +386,9 @@ class _SideSrc:
         self.apply(lines, "        ", self.netted)
 
 
-def _aggr_key(engine: AggregateIndexEngine) -> tuple:
-    return ("aggregate-index", engine._plan.query)
-
-
 def _aggr_emit(engine: AggregateIndexEngine) -> str:
     layout = engine.layout
-    infos = _scalar_infos(engine._scalars)
+    scalars = engine._scalars
     sides = [
         _SideSrc(k, plan, side)
         for k, (plan, side) in enumerate(zip(layout.sides, engine.sides))
@@ -486,7 +430,7 @@ def _aggr_emit(engine: AggregateIndexEngine) -> str:
             lines.append("    if _S.enabled:")
             lines.append(f"        _S.inc('engine.result_probes', {len(sides)})")
         for side in sides:
-            fixed = _emit_fixed_expr(side.plan.spec.fixed_expr, infos)
+            fixed = emit_predicate_side(side.plan.spec.fixed_expr, side.plan.alias, scalars, {})
             lines.append(f"    _p{side.k} = {fixed}")
             if not grouped:
                 lines.append("    " + probe(side, f"_ix{side.k}"))
@@ -518,7 +462,7 @@ def _aggr_emit(engine: AggregateIndexEngine) -> str:
     # -- event shape: extract, apply ---------------------------------------
     _emit_event_prologue(lines)
     bind_sides(lines)
-    _emit_scalar_updates(lines, "    ", infos)
+    _emit_scalar_updates(lines, "    ", scalars)
 
     def event_body(side: _SideSrc, indent: str) -> None:
         side.extract(lines, indent, emit_row_expr)
@@ -539,7 +483,7 @@ def _aggr_emit(engine: AggregateIndexEngine) -> str:
         for side in sides:
             lines.append(f"    _n{side.k} = {{}}")
         _emit_event_unpack(lines, source)
-        _emit_scalar_updates(lines, "        ", infos)
+        _emit_scalar_updates(lines, "        ", scalars)
         per_relation(lines, "        ", net_body)
 
     _emit_batch_prologue(lines)
@@ -558,19 +502,26 @@ def _aggr_emit(engine: AggregateIndexEngine) -> str:
     lines.append("")
 
     # -- frame shape: extract + net per column element, then drain ---------
-    # Bail to the (also compiled) ``on_batch`` on fallback rows or an
-    # armed quarantine.  Everything inside the ``try`` writes only
-    # locals — a block that does not fit the compiled column shape
-    # (missing column, value the expression arithmetic rejects) raises
-    # KeyError/TypeError *before* any engine state changes, so the
-    # per-row event path governs.  The scalar updates are precomputed
+    # Bail to the (also compiled) ``on_batch`` on fallback rows — they
+    # take the per-row path, admission included.  A typed frame is
+    # admitted by block (``Quarantine.admit_frame``: no event is decoded
+    # unless a row is dropped), counted at its size before admission
+    # like the derived ``on_frame``.  Everything inside the ``try``
+    # writes only locals — a block that does not fit the compiled
+    # column shape (missing column, value the expression arithmetic
+    # rejects) raises KeyError/TypeError *before* any engine state
+    # changes, so the per-row event path governs.  The scalar updates are precomputed
     # per block (``scalar_column_updates`` is pure) and applied only
     # after the whole frame scanned clean.  A frame holds at most one
     # block per relation with its rows in event order, so each net
     # dict's insertion order matches the event loop's.
     lines.append("def on_frame(self, frame):")
-    lines.append("    if frame.fallback or self._quarantine is not None:")
+    lines.append("    if frame.fallback:")
     lines.append("        return self.on_batch(frame.events())")
+    lines.append("    _size = len(frame)")
+    lines.append("    guard = self._quarantine")
+    lines.append("    if guard is not None:")
+    lines.append("        frame = guard.admit_frame(frame)")
     for side in sides:
         lines.append(f"    _n{side.k} = {{}}")
     lines.append("    _fx = []")
@@ -595,261 +546,16 @@ def _aggr_emit(engine: AggregateIndexEngine) -> str:
         lines.extend("                    " + line for line in body)
     lines.append("    except (KeyError, TypeError):")
     lines.append("        return self.on_batch(frame.events())")
-    lines.append("    _size = len(frame)")
     _emit_batch_obs(lines, "_size")
     lines.append("    for _fsc, _fvals, _fwts in _fx:")
     lines.append("        _fsc.apply_columns(_fvals, _fwts)")
-    finish(lines, "_size")
+    finish(lines, "len(frame)")
     return "\n".join(lines) + "\n"
-
-
-def _aggr_bind(engine: AggregateIndexEngine) -> dict[str, Any]:
-    bindings = _scalar_bindings(engine._scalars)
-    bindings.update({f"_s{k}": side for k, side in enumerate(engine.sides)})
-    return bindings
-
-
-# ---------------------------------------------------------------------------
-# GeneralAlgorithmEngine (SQ1 / SQ2)
-# ---------------------------------------------------------------------------
-
-
-class _CorrInfo:
-    """Static description of one correlated subquery (Algorithm 3)."""
-
-    __slots__ = ("name", "func", "relation", "theta", "g_expr",
-                 "inner_key_src", "inner_arg_src", "scale")
-
-    def __init__(
-        self, name: str, sub: AggrQuery, correlated: Any, outer_alias: str
-    ) -> None:
-        self.name = name
-        self.func = correlated.func
-        if self.func not in ("SUM", "COUNT", "AVG"):
-            raise UnsupportedTriggerError(
-                f"correlated {self.func} needs the ordered bound map walk"
-            )
-        self.relation = correlated.relation
-        self.theta = correlated.theta
-        self.scale = correlated.scale
-        inner_alias = sub.relations[0].alias
-        pred = sub.where
-        assert isinstance(pred, Comparison)  # _CorrelatedSubquery enforces
-        f_expr, _theta, g_expr = correlated._split_predicate(
-            pred, inner_alias, outer_alias
-        )
-        self.g_expr = g_expr
-        self.inner_key_src = emit_row_expr(f_expr, inner_alias, "_row")
-        call = sub.select[0].expr
-        if isinstance(call, Arith):  # constant-scaled aggregate
-            _scale, call = peel_constant_scale(call)
-        assert isinstance(call, AggrCall)
-        self.inner_arg_src = emit_row_expr(call.arg, inner_alias, "_row")
-
-    def value_src(self, g_src: str) -> str:
-        """Inline of ``_CorrelatedSubquery.value(g)``."""
-        scale = repr(self.scale)
-        if self.func == "SUM":
-            return f"({scale} * {self.name}.free_sum[{g_src}])"
-        if self.func == "COUNT":
-            return f"({scale} * {self.name}.free_count[{g_src}])"
-        return (
-            f"({scale} * (({self.name}.free_sum[{g_src}] / "
-            f"{self.name}.free_count[{g_src}]) "
-            f"if {self.name}.free_count[{g_src}] else 0))"
-        )
-
-
-def _ga_statics(engine: GeneralAlgorithmEngine):
-    """Static emission inputs for the general algorithm; raises
-    :class:`UnsupportedTriggerError` on shapes that need the
-    interpreted paths (correlated MIN/MAX)."""
-    query = engine.query
-    alias = engine.alias
-    infos = _scalar_infos(engine._scalars)
-    corr_infos: dict[AggrQuery, _CorrInfo] = {}
-    for i, (sub, correlated) in enumerate(engine._correlated.items()):
-        corr_infos[sub] = _CorrInfo(f"_c{i}", sub, correlated, alias)
-
-    def side_src(expr: Expr, row: str) -> str:
-        if isinstance(expr, Const):
-            return repr(expr.value)
-        if isinstance(expr, ColumnRef):
-            if expr.relation != alias:
-                raise UnsupportedTriggerError(f"unexpected alias in {expr}")
-            return f"{row}[{expr.column!r}]"
-        if isinstance(expr, Arith):
-            return (
-                f"({side_src(expr.left, row)} {expr.op} "
-                f"{side_src(expr.right, row)})"
-            )
-        if isinstance(expr, SubqueryExpr):
-            if expr.query in corr_infos:
-                info = corr_infos[expr.query]
-                g_src = emit_row_expr(info.g_expr, alias, row)
-                return info.value_src(g_src)
-            info = infos[expr.query]
-            return _scalar_value_src(info.name, info.func)
-        raise UnsupportedTriggerError(f"unsupported predicate operand {expr!r}")
-
-    predicates = []
-    for conjunct in query.conjuncts():
-        if not isinstance(conjunct, Comparison):
-            raise UnsupportedTriggerError("non-conjunctive predicate")
-        op = "!=" if conjunct.op == "<>" else conjunct.op
-        op = "==" if op == "=" else op
-        predicates.append(
-            f"({side_src(conjunct.left, '_orow')} {op} "
-            f"{side_src(conjunct.right, '_orow')})"
-        )
-    return infos, corr_infos, predicates
-
-
-def _ga_key(engine: GeneralAlgorithmEngine) -> tuple:
-    return ("general", engine.query)
-
-
-def _ga_emit(engine: GeneralAlgorithmEngine) -> str:
-    query = engine.query
-    relation = engine.relation
-    alias = engine.alias
-    infos, corr_infos, predicates = _ga_statics(engine)
-
-    cols = engine._group_columns
-    group_src = "(" + ", ".join(f"_row[{c!r}]" for c in cols) + ("," if len(cols) == 1 else "") + ")"
-    _scale, call = peel_constant_scale(query.select[0].expr)
-    res_arg_src = emit_row_expr(call.arg, alias, "_row")
-    theta_ops = {"=": "==", "<>": "!="}
-
-    def emit_free_pass(lines: list[str], indent: str, info: _CorrInfo,
-                       val: str, wgt: str) -> None:
-        op = theta_ops.get(info.theta, info.theta)
-        lines.append(f"{indent}_fs = {info.name}.free_sum")
-        lines.append(f"{indent}_fc = {info.name}.free_count")
-        lines.append(f"{indent}for _g in _fs:")
-        lines.append(f"{indent}    if _k {op} _g:")
-        lines.append(f"{indent}        _fs[_g] += {val}")
-        lines.append(f"{indent}        _fc[_g] += {wgt}")
-
-    def emit_recompute(lines: list[str]) -> None:
-        # Mirrors GeneralAlgorithmEngine._recompute with the predicate
-        # closures unrolled to plain comparisons.
-        lines.append("    if _S.enabled:")
-        lines.append("        _S.inc('engine.result_recomputes')")
-        lines.append("        _S.observe('engine.result_map_size', len(self._res_sum))")
-        lines.append("    _total = 0")
-        lines.append("    _count = 0")
-        lines.append("    _rcnt = self._res_count")
-        lines.append("    _rrep = self._res_repr")
-        lines.append("    for _gkey, _gsum in self._res_sum.items():")
-        lines.append("        _orow = _rrep[_gkey]")
-        for pred in predicates:
-            lines.append(f"        if not {pred}:")
-            lines.append("            continue")
-        lines.append("        _total += _gsum")
-        lines.append("        _count += _rcnt[_gkey]")
-        if engine._result_func == "SUM":
-            lines.append(f"    _result = {engine._result_scale!r} * _total")
-        elif engine._result_func == "COUNT":
-            lines.append(f"    _result = {engine._result_scale!r} * _count")
-        else:
-            lines.append(
-                f"    _result = {engine._result_scale!r} * "
-                "(_total / _count if _count else 0)"
-            )
-        lines.append("    self._result = _result")
-        lines.append("    return _result")
-
-    lines: list[str] = []
-    _emit_event_prologue(lines)
-    _emit_scalar_updates(lines, "    ", infos)
-    for info in corr_infos.values():
-        lines.append(f"    if _rel == {info.relation!r}:")
-        lines.append(f"        _k = {info.inner_key_src}")
-        lines.append(f"        _v = ({info.inner_arg_src}) * _w")
-        lines.append(f"        {info.name}.bound_sum.add(_k, _v)")
-        lines.append(f"        {info.name}.bound_count.add(_k, _w)")
-        emit_free_pass(lines, "        ", info, "_v", "_w")
-    lines.append(f"    if _rel == {relation!r}:")
-    lines.append(f"        _key = {group_src}")
-    lines.append(f"        _val = {res_arg_src}")
-    lines.append("        self._apply_outer_group(_key, _val * _w, _w)")
-    emit_recompute(lines)
-    lines.append("")
-
-    _emit_batch_prologue(lines)
-    for i in range(len(corr_infos)):
-        lines.append(f"    _net{i} = {{}}")
-    lines.append("    _onet = {}")
-    lines.append("    _oorder = []")
-    _emit_event_unpack(lines)
-    _emit_scalar_updates(lines, "        ", infos)
-    for i, info in enumerate(corr_infos.values()):
-        lines.append(f"        if _rel == {info.relation!r}:")
-        lines.append(f"            _k = {info.inner_key_src}")
-        lines.append(f"            _v = ({info.inner_arg_src}) * _w")
-        lines.append(f"            _entry = _net{i}.get(_k)")
-        lines.append("            if _entry is None:")
-        lines.append(f"                _net{i}[_k] = [_v, _w]")
-        lines.append("            else:")
-        lines.append("                _entry[0] += _v")
-        lines.append("                _entry[1] += _w")
-    lines.append(f"        if _rel == {relation!r}:")
-    lines.append(f"            _key = {group_src}")
-    lines.append(f"            _val = {res_arg_src}")
-    lines.append("            _entry = _onet.get(_key)")
-    lines.append("            if _entry is None:")
-    lines.append("                _onet[_key] = [_val * _w, _w]")
-    lines.append("                _oorder.append(_key)")
-    lines.append("            else:")
-    lines.append("                _entry[0] += _val * _w")
-    lines.append("                _entry[1] += _w")
-    lines.append("    if _S.enabled and events:")
-    nets = " + ".join(
-        [f"len(_net{i})" for i in range(len(corr_infos))] + ["len(_onet)"]
-    )
-    lines.append(f"        _S.observe('engine.batch_coalesced_keys', {nets})")
-    for i, info in enumerate(corr_infos.values()):
-        lines.append(f"    for _k, (_v, _wn) in _net{i}.items():")
-        lines.append("        if _v == 0 and _wn == 0:")
-        lines.append("            continue")
-        lines.append(f"        {info.name}.bound_sum.add(_k, _v)")
-        lines.append(f"        {info.name}.bound_count.add(_k, _wn)")
-        emit_free_pass(lines, "        ", info, "_v", "_wn")
-    lines.append("    _rcnt = self._res_count")
-    lines.append("    for _key in _oorder:")
-    lines.append("        _sd, _cd = _onet[_key]")
-    lines.append("        if _cd == 0 and _key not in _rcnt:")
-    lines.append("            continue")
-    lines.append("        if _sd == 0 and _cd == 0:")
-    lines.append("            continue")
-    lines.append("        self._apply_outer_group(_key, _sd, int(_cd))")
-    emit_recompute(lines)
-    lines.append("")
-    # No columnar shape: a frame decodes to the compiled batch trigger
-    # (the class default would take the interpreted apply_batch).
-    lines.append("def on_frame(self, frame):")
-    lines.append("    return self.on_batch(frame.events())")
-    return "\n".join(lines) + "\n"
-
-
-def _ga_bind(engine: GeneralAlgorithmEngine) -> dict[str, Any]:
-    bindings = _scalar_bindings(engine._scalars)
-    bindings.update(
-        {f"_c{i}": c for i, c in enumerate(engine._correlated.values())}
-    )
-    return bindings
-
 
 
 # ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
-
-_EMITTERS: dict[type, tuple[Callable, Callable, Callable]] = {
-    AggregateIndexEngine: (_aggr_key, _aggr_emit, _aggr_bind),
-    GeneralAlgorithmEngine: (_ga_key, _ga_emit, _ga_bind),
-}
 
 
 def maybe_specialize(engine) -> bool:
@@ -864,19 +570,17 @@ def specialize(engine) -> bool:
     """Compile-and-install the specialized trigger for ``engine``.
 
     Returns True when compiled triggers were installed; False (with the
-    ``codegen.unsupported`` counter bumped) when the engine class or
-    query shape has no emitter.  Installation is idempotent: the
-    compiled code object is cached per (emitter, query) key, so further
-    engines of the same shape only pay a dict lookup and an ``exec`` of
-    the cached code object.
+    ``codegen.unsupported`` counter bumped) when the engine is not the
+    aggregate-index engine or its query shape cannot be emitted.
+    Installation is idempotent: the compiled code object is cached per
+    query, so further engines of the same shape only pay a dict lookup
+    and an ``exec`` of the cached code object.
     """
-    emitters = _EMITTERS.get(type(engine))
-    if emitters is None:
+    if type(engine) is not AggregateIndexEngine:
         if _SINK.enabled:
             _SINK.inc("codegen.unsupported")
         return False
-    key_fn, emit_fn, bind_fn = emitters
-    key = key_fn(engine)
+    key = ("aggregate-index", engine._plan.query)
     entry = _CACHE.get(key)
     if entry is _UNSUPPORTED:
         if _SINK.enabled:
@@ -887,21 +591,21 @@ def specialize(engine) -> bool:
             _SINK.inc("codegen.cache_misses")
         start = time.perf_counter()
         try:
-            source = emit_fn(engine)
+            source = _aggr_emit(engine)
         except UnsupportedQueryError:
             _CACHE[key] = _UNSUPPORTED
             if _SINK.enabled:
                 _SINK.inc("codegen.unsupported")
             return False
-        code = compile(source, f"<codegen:{key[0]}>", "exec")
+        code = compile_source(source, "codegen")
         entry = _CACHE[key] = _Entry(key, source, code)
         if _SINK.enabled:
             _SINK.observe("codegen.compile_seconds", time.perf_counter() - start)
     else:
         if _SINK.enabled:
             _SINK.inc("codegen.cache_hits")
-    namespace: dict[str, Any] = {"_S": _SINK}
-    namespace.update(bind_fn(engine))
+    namespace: dict[str, Any] = {"_S": _SINK, **subquery_bindings(engine._scalars, {})}
+    namespace.update({f"_s{k}": side for k, side in enumerate(engine.sides)})
     exec(entry.code, namespace)
     # Install every trigger the emitter defined.
     for attr in _TRIGGER_ATTRS:
@@ -925,11 +629,13 @@ def uninstall(engine) -> None:
 
 
 def generated_source(engine) -> str | None:
-    """The trigger source compiled for ``engine``, or None when the
-    engine runs interpreted."""
+    """The source generated for ``engine``: the triggers compiled here,
+    or what an engine that generates its own loops at construction (the
+    general algorithm) publishes as ``generated_source``; None when the
+    engine runs hand-written or interpreted code only."""
     key = getattr(engine, "_codegen_key", None)
     if key is None:
-        return None
+        return getattr(engine, "generated_source", None)
     entry = _CACHE.get(key)
     if entry is None or entry is _UNSUPPORTED:
         return None

@@ -1,23 +1,32 @@
-"""Row expressions, three ways.
+"""Row expressions, one way: as emitted Python source.
 
 An expression over one relation's columns (``Const`` / ``ColumnRef`` /
-``Arith``) is evaluated by the interpreted engines as a closure over a
-row, by the generated per-event/batch triggers as Python source over
-``_row[...]`` and by the generated columnar triggers as source over one
-element of typed column lists.  The three compilers live side by side
-here because they must agree — same operators, same evaluation order —
-for the compiled triggers to stay bit-identical to the interpreted
-ones (``tests/query/test_rowexpr.py`` checks it on random trees).
+``Arith``) has exactly one statement of its semantics — the source the
+emitters below produce: :func:`emit_row_expr` over a row dict,
+:func:`emit_col_element` over one element of typed column lists, and
+:func:`emit_predicate_side` for one side of an outer predicate, which
+may also read maintained subqueries.  The generated triggers
+(:mod:`repro.query.codegen`) and the general algorithm's generated
+loops (:mod:`repro.engine.general`) splice that source into their
+bodies; the ``compile_*`` functions hand the same source to one
+``eval`` and return the resulting single lambda, so a plain-Python
+caller and a generated body can never disagree about an operator or an
+evaluation order.  The independent oracle is the naive interpreter's
+``_eval_expr`` (``tests/query/test_rowexpr.py`` checks it on random
+trees).
 
 Also here, because they are built from nothing but row expressions:
-the constant-scale peel every engine applies to its result aggregate,
-the scalar accumulator that maintains a predicate-free uncorrelated
-subquery, and the closure for one side of an outer predicate.
+the constant-scale peel every engine applies to an aggregate, the
+scalar accumulator that maintains a predicate-free uncorrelated
+subquery, and :func:`compile_source`, the one place generated source
+is compiled (and registered with ``linecache``, so tracebacks and
+``pdb`` show generated lines).
 """
 
 from __future__ import annotations
 
-import operator
+import linecache
+import zlib
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import UnsupportedQueryError
@@ -32,26 +41,21 @@ from repro.query.ast import (
 )
 
 __all__ = [
-    "ARITH_FN",
+    "compile_source",
     "compile_row_expr",
     "compile_col_expr",
+    "compile_predicate_side",
     "emit_row_expr",
     "emit_col_element",
+    "emit_predicate_side",
+    "subquery_bindings",
     "peel_constant_scale",
     "MaintainedAggregate",
     "UncorrelatedScalar",
-    "compile_predicate_side",
 ]
 
 Row = Mapping[str, Any]
 RowFn = Callable[[Row], Any]
-
-ARITH_FN = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-}
 
 
 def _column_of(expr: ColumnRef, alias: str) -> str:
@@ -60,40 +64,39 @@ def _column_of(expr: ColumnRef, alias: str) -> str:
     return expr.column
 
 
-def compile_row_expr(expr: Expr, alias: str) -> RowFn:
-    """Compile an expression over a single row (columns of ``alias``
-    only) into a Python closure."""
-    if isinstance(expr, Const):
-        value = expr.value
-        return lambda row: value
-    if isinstance(expr, ColumnRef):
-        column = _column_of(expr, alias)
-        return lambda row: row[column]
-    if isinstance(expr, Arith):
-        left = compile_row_expr(expr.left, alias)
-        right = compile_row_expr(expr.right, alias)
-        fn = ARITH_FN[expr.op]
-        return lambda row: fn(left(row), right(row))
-    raise UnsupportedQueryError(f"cannot compile row expression {expr!r}")
+def compile_source(source: str, label: str, mode: str = "exec") -> Any:
+    """``compile()`` generated ``source`` under a filename unique to it
+    (``<label:crc32>``), registered with ``linecache`` so tracebacks and
+    ``pdb`` show the generated lines."""
+    filename = f"<{label}:{zlib.crc32(source.encode()):08x}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    return compile(source, filename, mode)
 
 
-def compile_col_expr(expr: Expr, alias: str) -> Callable[[Any], list]:
-    """Columnar counterpart of :func:`compile_row_expr`: a function of a
+def _lambda(params: str, body: str, namespace: dict[str, Any] | None = None) -> Callable:
+    code = compile_source(f"lambda {params}: {body}\n", "rowexpr", "eval")
+    return eval(code, {} if namespace is None else namespace)
+
+
+def compile_row_expr(expr: Expr | None, alias: str) -> RowFn:
+    """:func:`emit_row_expr` as a function of the row."""
+    return _lambda("_row", emit_row_expr(expr, alias))
+
+
+def compile_col_expr(expr: Expr | None, alias: str) -> Callable[[Any], list]:
+    """:func:`emit_col_element` as a function of a
     :class:`~repro.storage.colbatch.ColumnBlock` returning the per-row
-    value list.  Element ``i`` performs exactly the arithmetic the row
-    closure performs on row ``i``."""
-    if isinstance(expr, Const):
-        value = expr.value
-        return lambda block: [value] * len(block)
-    if isinstance(expr, ColumnRef):
-        column = _column_of(expr, alias)
-        return lambda block: block.column(column)
-    if isinstance(expr, Arith):
-        left = compile_col_expr(expr.left, alias)
-        right = compile_col_expr(expr.right, alias)
-        fn = ARITH_FN[expr.op]
-        return lambda block: [fn(a, b) for a, b in zip(left(block), right(block))]
-    raise UnsupportedQueryError(f"cannot compile column expression {expr!r}")
+    value list, each column fetched once per block."""
+    if isinstance(expr, ColumnRef):  # the column itself: no per-row copy
+        return _lambda("_blk", f"_blk.column({_column_of(expr, alias)!r})")
+    cols: dict[str, str] = {}
+    element = emit_col_element(expr, alias, cols)
+    fetches = ", ".join(f"_blk.column({column!r})" for column in cols)
+    return _lambda(
+        "_blk",
+        f"(lambda {', '.join(cols.values())}: "
+        f"[{element} for _i in range(len(_blk))])({fetches})",
+    )
 
 
 def emit_row_expr(expr: Expr | None, alias: str, row: str = "_row") -> str:
@@ -201,35 +204,77 @@ class UncorrelatedScalar:
         else:
             self.aggregate = MaintainedAggregate(call.func)
         self.relation = query.relations[0].name
-        self.arg = (
-            compile_row_expr(call.arg, alias) if call.arg is not None else None
-        )
-        self.arg_col = (
-            compile_col_expr(call.arg, alias) if call.arg is not None else None
-        )
+        self.arg = compile_row_expr(call.arg, alias)
+        #: per-row arg values of a :class:`ColumnBlock` (pure — no
+        #: state change)
+        self.column_values = compile_col_expr(call.arg, alias)
+
+    def value_src(self, name: str) -> str:
+        """Inline read of :meth:`value` for a scalar bound as ``name`` —
+        monomorphized on the aggregate function, matching
+        ``MaintainedAggregate.value`` exactly."""
+        func = self.aggregate.func
+        if func == "SUM":
+            return f"{name}.aggregate.total"
+        if func == "COUNT":
+            return f"{name}.aggregate.count"
+        if func == "AVG":
+            return (
+                f"({name}.aggregate.total / {name}.aggregate.count "
+                f"if {name}.aggregate.count else 0)"
+            )
+        return f"{name}.value()"  # MIN/MAX: MinMaxView lookup stays a call
 
     def on_row(self, row: Row, weight: int) -> None:
-        value = self.arg(row) if self.arg is not None else 1
-        self.aggregate.update(value, weight)
+        self.aggregate.update(self.arg(row), weight)
 
-    def column_values(self, block: Any) -> list | None:
-        """Per-row arg values for a :class:`ColumnBlock` (pure — no
-        state change; ``None`` means the count-style constant 1)."""
-        return None if self.arg_col is None else self.arg_col(block)
-
-    def apply_columns(self, values: list | None, weights: Sequence[int]) -> None:
+    def apply_columns(self, values: list, weights: Sequence[int]) -> None:
         """Fold precomputed :meth:`column_values` into the accumulator
         in row order — exactly the per-event :meth:`on_row` sequence."""
         update = self.aggregate.update
-        if values is None:
-            for weight in weights:
-                update(1, weight)
-        else:
-            for value, weight in zip(values, weights):
-                update(value, weight)
+        for value, weight in zip(values, weights):
+            update(value, weight)
 
     def value(self) -> float:
         return self.aggregate.value()
+
+
+def subquery_bindings(
+    scalars: Mapping[AggrQuery, UncorrelatedScalar],
+    correlated: Mapping[AggrQuery, Any],
+) -> dict[str, Any]:
+    """The names :func:`emit_predicate_side` reads subqueries through:
+    ``_sc{i}`` / ``_c{i}`` by position in the two mappings."""
+    names: dict[str, Any] = {f"_sc{i}": scalar for i, scalar in enumerate(scalars.values())}
+    names.update({f"_c{i}": sub for i, sub in enumerate(correlated.values())})
+    return names
+
+
+def emit_predicate_side(
+    expr: Expr,
+    outer_alias: str,
+    scalars: Mapping[AggrQuery, UncorrelatedScalar],
+    correlated: Mapping[AggrQuery, Any],
+    row: str = "_row",
+) -> str:
+    """Source of one side of an outer predicate over the representative
+    outer row in the local named ``row``.  Subqueries read their
+    maintained state inline, through the :func:`subquery_bindings`
+    names: a scalar's ``value_src(name)``, or — for the general
+    algorithm's correlated subqueries — ``value_src(name, row)``."""
+    if isinstance(expr, (Const, ColumnRef)):
+        return emit_row_expr(expr, outer_alias, row)
+    if isinstance(expr, Arith):
+        left = emit_predicate_side(expr.left, outer_alias, scalars, correlated, row)
+        right = emit_predicate_side(expr.right, outer_alias, scalars, correlated, row)
+        return f"({left} {expr.op} {right})"
+    if isinstance(expr, SubqueryExpr):
+        if expr.query in correlated:
+            position = list(correlated).index(expr.query)
+            return correlated[expr.query].value_src(f"_c{position}", row)
+        position = list(scalars).index(expr.query)
+        return scalars[expr.query].value_src(f"_sc{position}")
+    raise UnsupportedQueryError(f"unsupported predicate operand {expr!r}")
 
 
 def compile_predicate_side(
@@ -238,26 +283,9 @@ def compile_predicate_side(
     scalars: Mapping[AggrQuery, UncorrelatedScalar],
     correlated: Mapping[AggrQuery, Any],
 ) -> RowFn:
-    """Compile one side of an outer predicate to a closure over the
-    representative outer row.  Subqueries read their maintained state
-    directly: a scalar's ``value()``, or — for the general algorithm's
-    correlated subqueries — ``value(outer_key(row))``."""
-    if isinstance(expr, Const):
-        value = expr.value
-        return lambda row: value
-    if isinstance(expr, ColumnRef):
-        column = _column_of(expr, outer_alias)
-        return lambda row: row[column]
-    if isinstance(expr, Arith):
-        left = compile_predicate_side(expr.left, outer_alias, scalars, correlated)
-        right = compile_predicate_side(expr.right, outer_alias, scalars, correlated)
-        fn = ARITH_FN[expr.op]
-        return lambda row: fn(left(row), right(row))
-    if isinstance(expr, SubqueryExpr):
-        if expr.query in correlated:
-            sub = correlated[expr.query]
-            outer_key = sub.outer_key
-            return lambda row: sub.value(outer_key(row))
-        scalar = scalars[expr.query]
-        return lambda row: scalar.value()
-    raise UnsupportedQueryError(f"unsupported predicate operand {expr!r}")
+    """:func:`emit_predicate_side` as a function of the outer row."""
+    return _lambda(
+        "_row",
+        emit_predicate_side(expr, outer_alias, scalars, correlated),
+        subquery_bindings(scalars, correlated),
+    )

@@ -131,11 +131,11 @@ class TestTriggerModes:
 
     EVENTS = 300
     # EQ/VWAP/MST cover the aggregate-index emitter's point-move and
-    # range-shift fragments (one side and two), SQ1 the
-    # general-algorithm emitter; the grouped fan-out fragment has its
-    # own cell below — grouped queries are built directly, not through
-    # the registry.
-    QUERIES = ("EQ", "VWAP", "SQ1", "MST")
+    # range-shift fragments (one side and two); the grouped fan-out
+    # fragment has its own cell below — grouped queries are built
+    # directly, not through the registry.  The general algorithm has no
+    # trigger mode; its cells are TestGeneralAlgorithm's.
+    QUERIES = ("EQ", "VWAP", "MST")
 
     @staticmethod
     def _stream(query):
@@ -222,6 +222,38 @@ class TestTriggerModes:
                     engine.on_event(event)
                 results[compiled] = repr(engine.result())
             assert results[True] == results[False], query
+
+
+class TestGeneralAlgorithm:
+    """The general algorithm's cells (§4.2: O(live groups) per update by
+    design): SQ1/SQ2 per event and in 64-event batches — the speed its
+    one definition (plain-Python ``apply*`` around two generated loops)
+    rests on; EXPERIMENTS.md "General algorithm, written once"."""
+
+    EVENTS = 300
+
+    @pytest.mark.parametrize("batch", [1, 64], ids=["event", "batch64"])
+    @pytest.mark.parametrize("query", ["SQ1", "SQ2"])
+    def test_refresh(self, benchmark, query, batch):
+        from repro.__main__ import _default_stream
+        from repro.engine.registry import build_engine
+
+        events = list(_default_stream(query, self.EVENTS, SEED))
+        chunks = [events[i : i + batch] for i in range(0, len(events), batch)]
+
+        def setup():
+            return (build_engine(query, "rpai"),), {}
+
+        def run(engine):
+            if batch == 1:
+                for event in events:
+                    engine.on_event(event)
+            else:
+                for chunk in chunks:
+                    engine.on_batch(chunk)
+            return engine.result()
+
+        _bench(benchmark, run, setup=setup)
 
 
 def test_backends_agree_on_the_workload():

@@ -8,6 +8,11 @@ sharding (serial and multiprocess), through pickling into workers,
 and under a seeded chaos plan.  Any divergence,
 including in the obs counters outside the ``codegen.*`` family itself,
 is a correctness bug in the emitter, not noise.
+
+The general algorithm (SQ1, SQ2) has one definition and no emitter: it
+rides the same differentials to pin that the codegen switch has no
+meaning for it — same traces, same counters, same generated loops
+either way.
 """
 
 from __future__ import annotations
@@ -25,10 +30,13 @@ from tests.engine.test_differential import CASES
 from tests.engine.test_sharding import stream_for
 
 ALL_QUERIES = sorted(CASES)
-# The engines built from a plan have an emitter; the hand-written
-# trigger classes are their own single definition.
-COMPILED = ("EQ", "MST", "SQ1", "SQ2", "VWAP")
-HANDWRITTEN = tuple(name for name in ALL_QUERIES if name not in COMPILED)
+# The aggregate-index engine has an emitter; the general algorithm
+# generates its two loops itself, whatever the switch says; the
+# hand-written trigger classes are their own single definition.
+COMPILED = ("EQ", "MST", "VWAP")
+GENERAL = ("SQ1", "SQ2")
+SWITCHED = COMPILED + GENERAL
+HANDWRITTEN = tuple(name for name in ALL_QUERIES if name not in SWITCHED)
 FLAVORS = ("event", "batch", "frame")
 
 
@@ -69,18 +77,25 @@ def build(name: str, *, compiled: bool):
     return build_engine(name, "rpai")
 
 
+def mode(name: str) -> str:
+    """The ``trigger_mode`` a registry engine reports with codegen on."""
+    if name in GENERAL:
+        return "generated-loops"
+    return "compiled" if name in COMPILED else "interpreted"
+
+
 class TestDifferential:
     """compiled trace == interpreted trace, bit for bit."""
 
-    @pytest.mark.parametrize("name", COMPILED)
+    @pytest.mark.parametrize("name", SWITCHED)
     def test_per_event_trace_identical(self, name):
         stream = CASES[name]()
         reference = build(name, compiled=False).results_trace(stream)
         engine = build(name, compiled=True)
-        assert engine.trigger_mode == "compiled"
+        assert engine.trigger_mode == mode(name)
         assert engine.results_trace(stream) == reference
 
-    @pytest.mark.parametrize("name", COMPILED)
+    @pytest.mark.parametrize("name", SWITCHED)
     @pytest.mark.parametrize("batch_size", (3, 32))
     def test_batched_trace_identical(self, name, batch_size):
         stream = CASES[name]()
@@ -92,7 +107,7 @@ class TestDifferential:
         )
         assert actual == reference
 
-    @pytest.mark.parametrize("name", COMPILED)
+    @pytest.mark.parametrize("name", SWITCHED)
     def test_trace_identical_under_selfcheck(self, name):
         """Self-checks walk the structures after every mutation — a
         compiled trigger that skipped an index maintenance step or
@@ -102,12 +117,12 @@ class TestDifferential:
         obs.enable_selfcheck()
         try:
             engine = build(name, compiled=True)
-            assert engine.trigger_mode == "compiled"
+            assert engine.trigger_mode == mode(name)
             assert engine.results_trace(stream) == reference
         finally:
             obs.disable_selfcheck()
 
-    @pytest.mark.parametrize("name", COMPILED)
+    @pytest.mark.parametrize("name", SWITCHED)
     @pytest.mark.parametrize("flavor", FLAVORS)
     def test_counters_identical(self, name, flavor):
         """One instrumented pass per mode, in every trigger flavor:
@@ -210,32 +225,39 @@ class TestCache:
 
     def test_handwritten_engines_have_no_emitter(self):
         """The five hand-written trigger classes are their own single
-        definition: ``specialize`` declines them, they keep the class
-        default trigger mode and carry no codegen bookkeeping."""
+        definition, and so is the general algorithm: ``specialize``
+        declines them, they keep their class's trigger mode and carry no
+        codegen bookkeeping."""
         codegen.clear_cache()
         obs.enable()
         obs.reset()
         try:
             for name in ALL_QUERIES:
                 engine = build(name, compiled=True)
-                expected = "compiled" if name in COMPILED else "interpreted"
-                assert engine.trigger_mode == expected, name
-                if name in HANDWRITTEN:
+                assert engine.trigger_mode == mode(name), name
+                if name not in COMPILED:
                     assert codegen.specialize(engine) is False
                     assert "trigger_mode" not in vars(engine)
+                    assert not hasattr(engine, "_codegen_key")
+                if name in HANDWRITTEN:
                     assert codegen.generated_source(engine) is None
             counters = obs.snapshot()["counters"]
         finally:
             obs.disable()
         # once from the registry's maybe_specialize, once called directly
-        assert counters.get("codegen.unsupported") == 2 * len(HANDWRITTEN)
+        assert counters.get("codegen.unsupported") == 2 * len(HANDWRITTEN + GENERAL)
         assert counters.get("codegen.installed") == len(COMPILED)
 
-    def test_emitter_table_has_two_entries(self):
-        from repro.engine.aggr_index import AggregateIndexEngine
-        from repro.engine.general import GeneralAlgorithmEngine
-
-        assert set(codegen._EMITTERS) == {AggregateIndexEngine, GeneralAlgorithmEngine}
+    @pytest.mark.parametrize("name", GENERAL)
+    def test_general_algorithm_ignores_the_switch(self, name):
+        """One definition: the same object layout and the same generated
+        loops under ``set_codegen(True)`` and ``set_codegen(False)``."""
+        on, off = build(name, compiled=True), build(name, compiled=False)
+        assert sorted(vars(on)) == sorted(vars(off))
+        source = codegen.generated_source(on)
+        assert source == codegen.generated_source(off)
+        assert "def _recompute(" in source and "def on_delta(" in source
+        assert "def on_event(" not in source
 
     def test_generated_source_roundtrip(self):
         engine = build("VWAP", compiled=True)
@@ -243,6 +265,26 @@ class TestCache:
         assert source is not None
         assert "def on_event(" in source and "def on_batch(" in source
         assert codegen.generated_source(build("VWAP", compiled=False)) is None
+
+
+def test_traceback_shows_the_generated_trigger_line():
+    """Compiled source is registered with ``linecache`` under a name of
+    its own: a row missing a column fails *inside* the generated
+    ``on_event``, and the traceback quotes the line that read it."""
+    import traceback
+
+    from repro.storage.stream import Event
+
+    engine = build("VWAP", compiled=True)
+    build("EQ", compiled=True)  # a second source must not shadow the first
+    with pytest.raises(KeyError):
+        try:
+            engine.on_event(Event("bids", {"price": 3}, +1))
+        except KeyError:
+            trace = traceback.format_exc()
+            raise
+    assert 'File "<codegen:' in trace and "in on_event" in trace
+    assert "_row['volume']" in trace
 
 
 class TestGroupedCompiled:
@@ -323,8 +365,8 @@ class TestPickleAndSharding:
             engine.on_event(event)
             reference.on_event(event)
         restored = pickle.loads(pickle.dumps(engine))
-        assert restored.trigger_mode == engine.trigger_mode
-        assert (restored.trigger_mode == "compiled") == (name in COMPILED)
+        assert restored.trigger_mode == engine.trigger_mode == mode(name)
+        assert codegen.generated_source(restored) == codegen.generated_source(engine)
         for event in events[half:]:
             assert restored.on_event(event) == reference.on_event(event)
 
@@ -405,9 +447,19 @@ class TestCLI:
         assert set(rows) == set(ALL_QUERIES)
         for name in COMPILED:
             assert "compiled" in rows[name]
+        for name in GENERAL:
+            assert "general algorithm — loops generated at construction" in rows[name]
         for name in HANDWRITTEN:
             assert "interpreted" in rows[name]
             assert "hand-written trigger (no emitter)" in rows[name]
+
+    def test_codegen_subcommand_prints_the_general_algorithms_loops(self, capsys):
+        from repro.__main__ import main
+
+        assert main(["codegen", "SQ1"]) == 0
+        out = capsys.readouterr().out
+        assert "trigger  : generated-loops" in out
+        assert "def _recompute(" in out and "def on_delta(" in out
 
     def test_codegen_subcommand_handwritten_query(self, capsys):
         from repro.__main__ import main

@@ -29,7 +29,7 @@ def _query(func: str, theta: str):
 
 
 @pytest.mark.parametrize("func", ["MIN", "MAX"])
-@pytest.mark.parametrize("theta", ["<", "<=", ">", ">="])
+@pytest.mark.parametrize("theta", ["<", "<=", "<>", ">", ">="])
 def test_matches_naive_with_deletions(func, theta):
     query = _query(func, theta)
     ga = GeneralAlgorithmEngine(query)

@@ -77,11 +77,17 @@ class TestTwoBackends:
     """The static backend rule, as an invariant of the registry: no rpai
     engine holds an aggregate index that is not one of the two runtime
     backends (or the plain ordered map used for bound maps), and every
-    engine built from a plan runs compiled triggers — before and after
-    a snapshot restore.  The hand-written classes have no emitter."""
+    engine built from a plan runs generated code — compiled triggers
+    for the aggregate-index engine, the general algorithm's own loops —
+    before and after a snapshot restore.  The hand-written classes have
+    no emitter."""
 
     RUNTIME_INDEXES = (PAIMap, RPAITree, TreeMap)
-    HANDWRITTEN = ("PSP", "NQ1", "NQ2", "Q17", "Q18")
+    TRIGGER_MODES = {
+        **dict.fromkeys(("EQ", "VWAP", "MST"), "compiled"),
+        **dict.fromkeys(("SQ1", "SQ2"), "generated-loops"),
+        **dict.fromkeys(("PSP", "NQ1", "NQ2", "Q17", "Q18"), "interpreted"),
+    }
 
     @pytest.mark.parametrize("name", query_names())
     def test_only_runtime_indexes_and_compiled_triggers(self, name):
@@ -92,8 +98,7 @@ class TestTwoBackends:
             # isinstance, not type(): a k-column tree is an RPAITree.
             for index in aggregate_indexes(live):
                 assert isinstance(index, self.RUNTIME_INDEXES), type(index)
-            expected = "interpreted" if name in self.HANDWRITTEN else "compiled"
-            assert live.trigger_mode == expected
+            assert live.trigger_mode == self.TRIGGER_MODES[name]
 
     def test_mst_holds_one_tree_per_side(self):
         """Algorithm 4's required sums (Σ price, count) are the columns

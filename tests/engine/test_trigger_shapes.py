@@ -331,3 +331,24 @@ def test_one_result_per_trigger_call(query, shape):
         assert counters["engine.batches"] == len(chunks)
         assert "engine.events" not in counters
         assert snap["stats"]["engine.batch_size"]["total"] == len(events)
+
+
+@pytest.mark.parametrize("query", ["EQ", "VWAP", "MST"])
+def test_guarded_compiled_on_frame_admits_by_block(query, monkeypatch):
+    """A compiled ``on_frame`` with a quarantine attached admits a clean
+    typed frame by block, like the derived one: no event is decoded."""
+    events = _seeded_3k(query)[:640]
+    frames = [ColumnarFrame.from_events(events[i : i + 64]) for i in range(0, len(events), 64)]
+    assert not any(frame.fallback for frame in frames)
+    guarded, bare = build_engine(query, "rpai"), build_engine(query, "rpai")
+    assert guarded.trigger_mode == "compiled"
+    attach_validation(guarded, query)
+    decodes = []
+    decode = ColumnarFrame.events
+    monkeypatch.setattr(
+        ColumnarFrame, "events", lambda frame: decodes.append(frame) or decode(frame)
+    )
+    for frame in frames:
+        assert identical(guarded.on_frame(frame), bare.on_frame(frame))
+    assert decodes == []
+    assert guarded.quarantine.total_rejected == 0

@@ -1,9 +1,11 @@
-"""The three compilers of a row expression agree.
+"""Row-expression source against an oracle that is not the code under test.
 
-``compile_row_expr`` (closure), ``emit_row_expr`` (source over a row)
-and ``emit_col_element`` (source over typed-column elements) must
-compute the same value with the same operators in the same order —
-that is what keeps compiled triggers bit-identical to interpreted ones.
+``rowexpr`` states an expression's semantics once, as emitted source
+(``emit_row_expr`` over a row, ``emit_col_element`` over typed-column
+elements, ``emit_predicate_side`` with subquery reads); the
+``compile_*`` functions are one ``eval`` of that source.  The reference
+here is the naive interpreter's ``_eval_expr`` over a one-row relation —
+a recursive evaluator that shares no line with the emitters.
 Hypothesis builds random ``Const`` / ``ColumnRef`` / ``Arith`` trees;
 floats are included so a reassociated or reordered evaluation shows up
 as a last-digit difference, and results are compared by ``repr`` (type
@@ -12,21 +14,29 @@ and bits, not ``1 == 1.0``).
 
 from __future__ import annotations
 
+import traceback
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.general import GeneralAlgorithmEngine
+from repro.engine.naive import NaiveEngine, _eval_expr
 from repro.errors import UnsupportedQueryError
-from repro.query.ast import Arith, ColumnRef, Const
+from repro.query.ast import Arith, ColumnRef, Const, SubqueryExpr, walk_expr
+from repro.query.parser import parse_query
 from repro.query.rowexpr import (
-    MaintainedAggregate,
     compile_col_expr,
+    compile_predicate_side,
     compile_row_expr,
     emit_col_element,
     emit_row_expr,
     peel_constant_scale,
 )
+from repro.storage import schema as schemas
 from repro.storage.colbatch import ColumnBlock
+
+from tests.conftest import random_bid_stream
 
 ALIAS = "t"
 COLUMNS = ("a", "b", "c")
@@ -35,31 +45,42 @@ numbers = st.one_of(
     st.integers(min_value=-50, max_value=50),
     st.floats(min_value=-50, max_value=50, allow_nan=False, width=32),
 )
-leaves = st.one_of(
-    numbers.map(Const),
-    st.sampled_from(COLUMNS).map(lambda column: ColumnRef(ALIAS, column)),
-)
-exprs = st.recursive(
-    leaves,
-    lambda children: st.builds(Arith, st.sampled_from("+-*/"), children, children),
-    max_leaves=12,
+
+
+def trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda children: st.builds(Arith, st.sampled_from("+-*/"), children, children),
+        max_leaves=12,
+    )
+
+
+exprs = trees(
+    st.one_of(
+        numbers.map(Const),
+        st.sampled_from(COLUMNS).map(lambda column: ColumnRef(ALIAS, column)),
+    )
 )
 rows = st.fixed_dictionaries({column: numbers for column in COLUMNS})
 
 
 def outcome(thunk):
     """``repr`` of the value, or the exception type (division by zero
-    must strike all three compilers alike)."""
+    must strike the oracle and the emitted source alike)."""
     try:
         return repr(thunk())
     except ArithmeticError as exc:
         return type(exc).__name__
 
 
+def naive(expr, row):
+    return _eval_expr(expr, {ALIAS: row}, {})
+
+
 @settings(max_examples=300, deadline=None)
 @given(expr=exprs, row=rows)
-def test_closure_row_source_and_column_source_agree(expr, row):
-    closure = compile_row_expr(expr, ALIAS)
+def test_row_and_column_element_source_match_the_naive_interpreter(expr, row):
+    expected = outcome(lambda: naive(expr, row))
     row_source = emit_row_expr(expr, ALIAS, "_row")
     cols: dict[str, str] = {}
     col_source = emit_col_element(expr, ALIAS, cols)
@@ -67,22 +88,75 @@ def test_closure_row_source_and_column_source_agree(expr, row):
     namespace = {local: [row[column]] for column, local in cols.items()}
     namespace["_i"] = 0
 
-    expected = outcome(lambda: closure(row))
+    assert outcome(lambda: compile_row_expr(expr, ALIAS)(row)) == expected
     assert outcome(lambda: eval(row_source, {"_row": row})) == expected
     assert outcome(lambda: eval(col_source, namespace)) == expected
 
 
 @settings(max_examples=100, deadline=None)
 @given(expr=exprs, batch=st.lists(rows, min_size=1, max_size=5))
-def test_columnar_closure_is_the_row_closure_per_element(expr, batch):
+def test_column_function_is_the_naive_interpreter_per_row(expr, batch):
     block = ColumnBlock(ALIAS, COLUMNS, ("x",) * len(COLUMNS))
     for row in batch:
         for column, name in zip(block.columns, COLUMNS):
             column.append(row[name])
         block.weights.append(1)
-    closure = compile_row_expr(expr, ALIAS)
-    expected = outcome(lambda: [closure(row) for row in batch])
+    expected = outcome(lambda: [naive(expr, row) for row in batch])
     assert outcome(lambda: compile_col_expr(expr, ALIAS)(block)) == expected
+
+
+def test_absent_expression_is_the_count_style_one():
+    block = ColumnBlock(ALIAS, COLUMNS, ("x",) * len(COLUMNS))
+    block.weights.extend([1, 1, -1])
+    assert compile_row_expr(None, ALIAS)({}) == 1
+    assert compile_col_expr(None, ALIAS)(block) == [1, 1, 1]
+
+
+# One side of an outer predicate: arithmetic over constants, outer
+# columns, an uncorrelated scalar and a correlated subquery.  The
+# maintained state is the general algorithm's own (fed a seeded stream),
+# the oracle re-evaluates both subqueries from the stored relation.
+HOST = parse_query(
+    """
+    SELECT SUM(b.volume) FROM bids b
+    WHERE 0.5 * (SELECT SUM(b1.volume) FROM bids b1)
+        < (SELECT AVG(b2.volume) FROM bids b2 WHERE b2.price <= b.price)
+    """
+)
+OPERANDS = [
+    node for node in walk_expr(HOST.where.left) if isinstance(node, SubqueryExpr)
+] + [HOST.where.right]
+sides = trees(
+    st.one_of(
+        st.integers(min_value=-9, max_value=9).map(Const),
+        st.sampled_from(("price", "volume")).map(lambda column: ColumnRef("b", column)),
+        st.sampled_from(OPERANDS),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(expr=sides, seed=st.integers(0, 50), count=st.integers(0, 30))
+def test_predicate_side_with_scalar_and_correlated_operands(expr, seed, count):
+    engine = GeneralAlgorithmEngine(HOST)
+    oracle = NaiveEngine(HOST, {"bids": schemas.BIDS})
+    for event in random_bid_stream(count, seed=seed, price_levels=8, volume_max=5):
+        engine.apply(event)
+        oracle.apply(event)
+    side = compile_predicate_side(expr, "b", engine._scalars, engine._correlated)
+
+    def value(thunk):
+        # ``==``, not ``repr``: a maintained subquery reads as
+        # ``scale * sum`` (a float), the oracle's as the bare sum.
+        try:
+            return thunk()
+        except ArithmeticError as exc:
+            return type(exc).__name__
+
+    for row in engine._res_repr.values():
+        full = {"price": row["price"], "volume": 3}
+        expected = value(lambda: _eval_expr(expr, {"b": full}, oracle.relations))
+        assert value(lambda: side(full)) == expected
 
 
 def test_foreign_alias_rejected_by_every_compiler():
@@ -90,6 +164,7 @@ def test_foreign_alias_rejected_by_every_compiler():
     for compiler in (
         lambda: compile_row_expr(foreign, ALIAS),
         lambda: compile_col_expr(foreign, ALIAS),
+        lambda: compile_predicate_side(foreign, ALIAS, {}, {}),
         lambda: emit_row_expr(foreign, ALIAS),
         lambda: emit_col_element(foreign, ALIAS, {}),
     ):
@@ -97,16 +172,20 @@ def test_foreign_alias_rejected_by_every_compiler():
             compiler()
 
 
+def test_a_missing_column_points_at_the_generated_line():
+    """Generated source is registered with ``linecache``: the traceback
+    of a row that lacks a column shows the expression it was read by."""
+    expr = Arith("*", ColumnRef(ALIAS, "a"), ColumnRef(ALIAS, "missing"))
+    with pytest.raises(KeyError):
+        try:
+            compile_row_expr(expr, ALIAS)({"a": 1})
+        except KeyError:
+            assert "lambda _row: (_row['a'] * _row['missing'])" in traceback.format_exc()
+            raise
+
+
 def test_peel_constant_scale():
     column = ColumnRef(ALIAS, "a")
     expr = Arith("/", Arith("*", Const(3), Arith("*", column, Const(2))), Const(4))
     assert peel_constant_scale(expr) == (1.5, column)
     assert peel_constant_scale(column) == (1.0, column)
-
-
-def test_scalar_accumulator_still_loads_under_its_old_name():
-    """Snapshots written before the move pickled the accumulator as
-    ``repro.engine.general._MaintainedAggregate``."""
-    from repro.engine import general
-
-    assert general._MaintainedAggregate is MaintainedAggregate
