@@ -158,6 +158,9 @@ def _source_section(source: str, trigger: str) -> str | None:
 _NO_EMITTER = "hand-written trigger (no emitter)"
 _GENERAL = "general algorithm — loops generated at construction"
 
+#: ``repro codegen --flavor`` -> the generated function of that call shape
+_FLAVOR_TRIGGERS = {"event": "apply", "batch": "apply_batch", "frame": "apply_frame"}
+
 
 def _codegen_detail(engine) -> str:
     key = getattr(engine, "_codegen_key", None)
@@ -198,14 +201,13 @@ def cmd_codegen(args: argparse.Namespace) -> int:
     if args.flavor == "all":
         print(source)
         return 0
-    section = _source_section(source, f"on_{args.flavor}")
+    trigger = _FLAVOR_TRIGGERS[args.flavor]
+    section = _source_section(source, trigger)
     if section is None:
-        print(
-            f"(no generated on_{args.flavor}: this engine's call shapes are the "
-            f"base class's, derived from its apply*/result)"
-        )
+        print(f"(no generated {trigger}: this engine's apply* and result are plain Python)")
         return 0
     print(section)
+    print(_source_section(source, "result"))
     return 0
 
 
@@ -658,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--flavor",
         default="all",
         choices=("event", "batch", "frame", "all"),
-        help="dump only the generated on_<flavor> trigger",
+        help="dump only the generated apply* of that call shape, and result",
     )
 
     p_run = sub.add_parser("run", help="run one engine over a synthetic stream")

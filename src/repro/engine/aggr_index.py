@@ -509,9 +509,9 @@ class AggregateIndexEngine(IncrementalEngine):
                 side.apply(key, weight, placements)
 
     # The columnar netting fast path for frames is *generated*, not
-    # hand-written: repro.query.codegen emits an ``on_frame`` alongside
-    # the compiled event/batch triggers.  Interpreted engines take the
-    # base class's decode-to-apply_batch default.
+    # hand-written: repro.query.codegen emits an ``apply_frame``
+    # alongside the compiled ``apply``/``apply_batch``.  Interpreted
+    # engines take the base class's decode-to-apply_batch default.
 
     def _require_fresh(self) -> None:
         if any(

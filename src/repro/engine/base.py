@@ -16,7 +16,9 @@ batching lever) — and enumerates **once**, at the chunk boundary;
 ``on_frame`` does the same over ``apply_frame``, which reads a
 :class:`~repro.storage.colbatch.ColumnarFrame`'s typed columns without
 building events.  The per-event shape is the correctness oracle for the
-other two.
+other two.  No engine overrides an ``on_*`` method — not the compiled
+triggers, not the composites that drive other engines — so the obs
+counters and the quarantine run once per outer call.
 
 Results are scalars for scalar aggregate queries and ``{group key:
 value}`` dicts for grouped queries (TPC-H Q18).
@@ -25,7 +27,6 @@ value}`` dicts for grouped queries (TPC-H Q18).
 from __future__ import annotations
 
 import abc
-import functools
 from collections import deque
 from typing import Any, Callable, ClassVar, Iterable, Mapping, Sequence, Union
 
@@ -47,7 +48,10 @@ class Quarantine:
     ``on_event``/``on_batch``/``on_frame`` call validates its input
     against the schema of each relation before the trigger runs; the
     serving tenant owns one instead and admits each ingest once for all
-    of its engines.  Rejected
+    of its engines.  A composite (``DurableEngine``, the sharded
+    executors) reaches the engines it drives through their ``apply*``,
+    past any guard, so the quarantine belongs to the outermost engine.
+    Rejected
     events are kept in a bounded ring (the most recent ``limit``
     offenders, with their :class:`~repro.errors.SchemaError` detail)
     and counted under ``engine.quarantined``; accepted events flow
@@ -157,52 +161,6 @@ class Quarantine:
             )
 
 
-def _whole_event(fn):
-    """Wrap a class-defined ``on_event`` — a composite that delegates
-    the whole call to the engines it drives (``DurableEngine``, the
-    sharded executors) — with the prologue the derived
-    :meth:`IncrementalEngine.on_event` spells inline: the
-    ``engine.events`` counter and the quarantine boundary.  Applied once
-    per class at definition time (``__init_subclass__``)."""
-
-    @functools.wraps(fn)
-    def wrapper(self, event):
-        if _SINK.enabled:
-            _SINK.inc("engine.events")
-            _SINK.inc("engine.results")
-        guard = self._quarantine
-        if guard is not None and not guard.admit(event):
-            return self.result()
-        return fn(self, event)
-
-    return wrapper
-
-
-def _whole_batch(fn):
-    """The ``on_batch`` counterpart of :func:`_whole_event`."""
-
-    @functools.wraps(fn)
-    def wrapper(self, events):
-        if _SINK.enabled:
-            _SINK.inc("engine.batches")
-            _SINK.observe("engine.batch_size", len(events))
-            _SINK.inc("engine.results")
-        guard = self._quarantine
-        if guard is not None:
-            events = guard.admit_batch(events)
-            if not events:
-                return self.result()
-        return fn(self, events)
-
-    return wrapper
-
-
-def _frame_as_batch(self, frame):
-    """``on_frame`` of a class with a whole-call ``on_batch``: decode
-    and delegate (the batch wrapper counts and validates)."""
-    return self.on_batch(frame.events())
-
-
 def _row_caller(handler: Callable, columns: Sequence[str]) -> Callable:
     """``(engine, weight, row) -> handler(engine, weight, row[c0], row[c1], …)``
     with the subscripts spelled out: a ``*itemgetter(...)(row)`` call
@@ -231,11 +189,12 @@ class IncrementalEngine(abc.ABC):
     obs + quarantine + an ``apply*`` + one :meth:`result`.  An engine
     that can do better than the event loop for a chunk overrides
     :meth:`apply_batch` (net per key, apply once) or :meth:`apply_frame`;
-    no trigger engine overrides an ``on_*`` method.  Two kinds of engine
-    do, by design: composites that delegate whole calls to the engines
-    they drive (wrapped with the same prologue by
-    ``__init_subclass__``), and the instance-level compiled triggers
-    :mod:`repro.query.codegen` installs, which inline all of it.
+    no engine overrides an ``on_*`` method.  Compiled triggers are
+    ``apply*`` + ``result`` installed per instance
+    (:mod:`repro.query.codegen`), and composites — ``DurableEngine``,
+    the sharded executors — implement ``apply*`` by calling the
+    ``apply*`` of the engines they drive, so the prologue runs once, at
+    the outermost engine, and the quarantine belongs there too.
 
     The batch contract: ``on_batch(chunk)`` returns what the last
     :meth:`on_event` of the chunk would have returned, ``on_frame(f)``
@@ -268,20 +227,9 @@ class IncrementalEngine(abc.ABC):
     _row_plan: ClassVar[Mapping[str, Callable]] = {}
 
     def __init_subclass__(cls, **kwargs) -> None:
-        """Per class, once: precompute the row-handler plan, and give a
-        composite's whole-call ``on_event``/``on_batch`` the prologue of
-        the derived shapes (its ``on_frame`` then decodes to that
-        ``on_batch``).  Only what the class defines itself is touched,
-        so a subclass of a wrapped class never double-counts."""
+        """Per class, once: precompute the row-handler plan."""
         super().__init_subclass__(**kwargs)
-        own = cls.__dict__
-        if "on_event" in own:
-            cls.on_event = _whole_event(own["on_event"])
-        if "on_batch" in own:
-            cls.on_batch = _whole_batch(own["on_batch"])
-            if "on_frame" not in own:
-                cls.on_frame = _frame_as_batch
-        handlers = own.get("row_handlers")
+        handlers = cls.__dict__.get("row_handlers")
         if handlers is not None:
             cls._row_plan = {
                 relation: _row_caller(handler, columns)
@@ -381,12 +329,13 @@ class IncrementalEngine(abc.ABC):
     ) -> Quarantine:
         """Install the input-validation boundary on this engine.
 
-        Every subsequent ``on_event``/``on_batch`` call validates each
-        event against ``schemas`` (relation name → object with a
-        ``validate(row)`` raising :class:`~repro.errors.SchemaError`);
-        violators are diverted to the returned :class:`Quarantine`
-        instead of reaching the trigger.  Idempotent state: attaching a
-        new quarantine replaces the previous one."""
+        Every subsequent ``on_event``/``on_batch``/``on_frame`` call
+        validates each event against ``schemas`` (relation name → object
+        with a ``validate(row)`` raising
+        :class:`~repro.errors.SchemaError`); violators are diverted to
+        the returned :class:`Quarantine` instead of reaching the
+        trigger.  Idempotent state: attaching a new quarantine replaces
+        the previous one."""
         self._quarantine = Quarantine(schemas, limit=limit, fail_after=fail_after)
         return self._quarantine
 

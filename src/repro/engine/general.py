@@ -30,9 +30,9 @@ nested re-evaluation loops.
 
 Those two O(live groups) passes are where the time goes, so they are
 the only generated code: at construction each correlated subquery
-compiles its ``on_delta`` (the free-map pass, θ inlined) and the engine
-its ``_recompute`` (the conjuncts unrolled to plain comparisons over
-inline subquery reads), from :mod:`repro.query.rowexpr`'s emitters.
+compiles its ``apply_delta`` (the free-map pass, θ inlined) and the
+engine its ``_recompute`` (the conjuncts unrolled to plain comparisons
+over inline subquery reads), from :mod:`repro.query.rowexpr`'s emitters.
 Everything else — ``apply``, ``apply_batch``, the bookkeeping — is
 plain Python and the algorithm's only definition; there is no mode and
 no switch (``python -m repro codegen SQ1`` prints the loops).
@@ -150,12 +150,12 @@ class _CorrelatedSubquery:
         self.free_count: dict[Any, float] = {}
         self.refcount: dict[Any, int] = {}
 
-        # ``on_delta``: the bound-map point update, then the Algorithm 3
+        # ``apply_delta``: the bound-map point update, then the Algorithm 3
         # lines 14–17 free-map pass with θ inlined (extremes keep no
         # free maps — they are read off the bound map on demand).
         lines = [
             f"# {' '.join(str(query).split())}",
-            "def on_delta(self, key, value, weight):",
+            "def apply_delta(self, key, value, weight):",
             "    self.bound_sum.add(key, value)",
             "    self.bound_count.add(key, weight)",
         ]
@@ -169,7 +169,7 @@ class _CorrelatedSubquery:
                 "            free_count[g] += weight",
             ]
         self.source = "\n".join(lines) + "\n"
-        _bind(self.source, "on_delta", self, {})
+        _bind(self.source, "apply_delta", self, {})
 
     @staticmethod
     def _split_predicate(
@@ -195,11 +195,11 @@ class _CorrelatedSubquery:
     # -- maintenance -------------------------------------------------------------
 
     def on_row(self, row: Row, weight: int) -> None:
-        """One inner tuple as an ``on_delta``: ``value`` is the net
+        """One inner tuple as an ``apply_delta``: ``value`` is the net
         aggregate-argument contribution at ``key``, ``weight`` the net
         multiplicity.  Both maps and the free-map pass are additive, so
         a coalesced delta reproduces the per-row sequence exactly."""
-        self.on_delta(self.inner_key(row), self.inner_arg(row) * weight, weight)
+        self.apply_delta(self.inner_key(row), self.inner_arg(row) * weight, weight)
 
     def acquire(self, g: Any) -> None:
         """A new outer group references ``g``: initialize its free-map
@@ -367,7 +367,7 @@ class GeneralAlgorithmEngine(IncrementalEngine):
             {"_S": _SINK, **subquery_bindings(self._scalars, self._correlated)},
         )
         #: what was generated for this query: every correlated
-        #: subquery's ``on_delta``, then ``_recompute``
+        #: subquery's ``apply_delta``, then ``_recompute``
         self.generated_source = "\n".join(
             [sub.source for sub in self._correlated.values()] + [recompute]
         )
@@ -513,7 +513,7 @@ class GeneralAlgorithmEngine(IncrementalEngine):
             for key, (value, weight) in net.items():
                 if value == 0 and weight == 0:
                     continue
-                correlated.on_delta(key, value, weight)
+                correlated.apply_delta(key, value, weight)
         for key in outer_order:
             sum_delta, count_delta = outer_net[key]
             if count_delta == 0 and key not in self._res_count:

@@ -24,14 +24,18 @@ partitioning law through the ``shard_*`` hooks on
 
 Two executors share one interface (they are themselves
 ``IncrementalEngine`` subclasses, so every harness — differential
-tests, benchmarks, the CLI — drives them unchanged):
+tests, benchmarks, the CLI — drives them unchanged).  Like every
+engine they implement ``apply*`` + ``result``: their ``apply*`` route
+and call the replicas' ``apply*``, and ``result`` is the merge, so a
+call through an executor is counted and validated once, by the
+executor's own ``on_*``.
 
 * :class:`ShardedExecutor` — deterministic serial execution of the K
   replicas in one process; the correctness oracle for the parallel
   path and the differential tests.
 * :class:`MultiprocessShardedExecutor` — K long-lived worker
-  processes, one replica each, fed coalesced per-shard event batches
-  over pipes (reusing the engines' ``on_batch`` fast path) and merged
+  processes, one replica each, fed coalesced per-shard columnar frames
+  (applied through the engines' ``apply_frame`` fast path) and merged
   in the parent through the same two-phase protocol.
 
 Merging is template-driven: a *template* engine of the same query
@@ -345,6 +349,11 @@ class ShardedExecutor(IncrementalEngine):
             raise EngineStateError(
                 f"{len(replicas)} replicas for a {router.shards}-shard router"
             )
+        if any(engine.quarantine is not None for engine in (template, *replicas)):
+            raise EngineStateError(
+                "replicas are fed through apply*, past any quarantine: attach "
+                "it to the executor instead"
+            )
         self.template = template
         self.replicas = list(replicas)
         self.router = router
@@ -354,23 +363,21 @@ class ShardedExecutor(IncrementalEngine):
     def shards(self) -> int:
         return self.router.shards
 
-    def on_event(self, event: Event) -> Result:
+    def apply(self, event: Event) -> None:
         index = self.router.assign(event)
         if index is None:
             for replica in self.replicas:
-                replica.on_event(event)
+                replica.apply(event)
         else:
-            self.replicas[index].on_event(event)
-        return self.result()
+            self.replicas[index].apply(event)
 
-    def on_batch(self, events: Sequence[Event]) -> Result:
+    def apply_batch(self, events: Sequence[Event]) -> None:
         parts = self.router.split(events)
         if _SINK.enabled:
             _observe_split(parts)
         for replica, part in zip(self.replicas, parts):
             if part:
-                replica.on_batch(part)
-        return self.result()
+                replica.apply_batch(part)
 
     def result(self) -> Result:
         partials = [replica.shard_partial() for replica in self.replicas]
@@ -439,16 +446,14 @@ def _worker_main(
             break
         tag = message[0]
         try:
-            if tag == "frame":
-                frame = ColumnarFrame.from_bytes(ring.read(message[1]))
-                apply_events(engine, frame)
-                conn.send(("ok", len(frame)))
-            elif tag == "frame_inline":
-                apply_events(engine, message[1])
-                conn.send(("ok", len(message[1])))
-            elif tag == "batch":
-                engine.on_batch(message[1])
-                conn.send(("ok", len(message[1])))
+            if tag in ("frame", "frame_inline", "batch"):
+                payload = (
+                    ColumnarFrame.from_bytes(ring.read(message[1]))
+                    if tag == "frame"
+                    else message[1]
+                )
+                apply_events(engine, payload)
+                conn.send(("ok", len(payload)))
             elif tag == "partial":
                 conn.send(("ok", engine.shard_partial()))
             elif tag == "probe":
@@ -513,13 +518,13 @@ class MultiprocessShardedExecutor(IncrementalEngine):
         self._connections: list[Any] = []
         self._processes: list[Any] = []
         self._rings: list[ShmRing] = []
-        self._closed = False
+        self._workers_down = False
         try:
             for index in range(router.shards):
                 self._spawn(index)
         except Exception:
             # Don't leak the workers that did start if a later spawn
-            # fails — close() reaps whatever made it into the lists.
+            # fails — close() stops whatever made it into the lists.
             self.close()
             raise
 
@@ -648,27 +653,20 @@ class MultiprocessShardedExecutor(IncrementalEngine):
         one at a time and each shard's list is frame-encoded at ship
         time."""
         spec = self._routing_spec
+        is_frame = isinstance(events, ColumnarFrame)
         if spec is None:
-            return self.router.split(events)
-        frame = (
-            events
-            if isinstance(events, ColumnarFrame)
-            else ColumnarFrame.from_events(events, schemas=WORKLOAD_SCHEMAS)
-        )
+            return self.router.split(events.events() if is_frame else events)
+        frame = events if is_frame else ColumnarFrame.from_events(events, schemas=WORKLOAD_SCHEMAS)
         return self.router.split_frame(frame, spec)
 
-    def on_event(self, event: Event) -> Result:
+    def apply(self, event: Event) -> None:
         index = self.router.assign(event)
-        if index is None:
-            targets = list(range(len(self._connections)))
-        else:
-            targets = [index]
+        targets = range(len(self._connections)) if index is None else [index]
         for target in targets:
             self._connections[target].send(("batch", [event]))
         self._gather(targets)
-        return self.result()
 
-    def on_batch(self, events: Sequence[Event]) -> Result:
+    def apply_batch(self, events: Sequence[Event]) -> None:
         parts = self._split(events)
         if _SINK.enabled:
             _observe_split(parts)
@@ -678,7 +676,9 @@ class MultiprocessShardedExecutor(IncrementalEngine):
         for index in busy:
             self._send_frame(index, parts[index])
         self._gather(busy)
-        return self.result()
+
+    #: ``_split`` slices a frame straight off its key columns
+    apply_frame = apply_batch
 
     def result(self) -> Result:
         partials = self._request_all(("partial",))
@@ -691,16 +691,18 @@ class MultiprocessShardedExecutor(IncrementalEngine):
         return _merge_result(self.template, partials, probe)
 
     def close(self) -> None:
-        """Stop the workers (idempotent, safe on partial construction).
+        """Stop the workers (idempotent, safe on partial construction)."""
+        self._shutdown_workers()
 
-        Cooperative first (a ``stop`` message and a bounded join), then
-        escalating — ``terminate()``, then ``kill()`` — so a wedged
-        worker can never leak past the executor; pipes are drained
-        before closing so a worker blocked on a full pipe buffer can
-        exit."""
-        if self._closed:
+    def _shutdown_workers(self) -> None:
+        """Stop every worker, once: cooperative first (a ``stop``
+        message and a bounded join), then escalating — ``terminate()``,
+        then ``kill()`` — so a wedged worker can never leak past the
+        executor; pipes are drained before closing so a worker blocked
+        on a full pipe buffer can exit; then the rings are released."""
+        if self._workers_down:
             return
-        self._closed = True
+        self._workers_down = True
         for conn in self._connections:
             try:
                 conn.send(("stop",))

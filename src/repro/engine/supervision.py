@@ -287,7 +287,7 @@ class SupervisedExecutor(MultiprocessShardedExecutor):
         self._incarnations = [0] * shards
         self._respawn_count = [0] * shards
         self._serial: ShardedExecutor | None = None
-        self._workers_down = False
+        self._closed = False
         self._wals = [
             WriteAheadLog(self.wal_dir / f"shard-{i}", fsync=fsync)
             for i in range(shards)
@@ -372,20 +372,6 @@ class SupervisedExecutor(MultiprocessShardedExecutor):
         if _SINK.enabled:
             _SINK.inc("supervisor.degraded")
 
-    def _shutdown_workers(self) -> None:
-        if self._workers_down:
-            return
-        self._workers_down = True
-        for conn in self._connections:
-            try:
-                conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-        for index in range(len(self._processes)):
-            self._reap(index)
-        for ring in self._rings:
-            ring.close()
-
     # -- transport ------------------------------------------------------
 
     def _recv_ok(self, index: int, timeout: float | None = None) -> Any:
@@ -421,7 +407,7 @@ class SupervisedExecutor(MultiprocessShardedExecutor):
         """
         if self._injector is not None and self._injector.should_drop(index, seq):
             return 0
-        data = frame.to_bytes()  # memoized: encoded once in on_batch
+        data = frame.to_bytes()  # memoized: encoded once in apply_batch
         sends = 1
         if self._injector is not None and self._injector.should_duplicate(index, seq):
             sends += 1
@@ -476,21 +462,21 @@ class SupervisedExecutor(MultiprocessShardedExecutor):
 
     # -- engine interface ----------------------------------------------
 
-    def on_event(self, event: Event) -> Result:
-        return self.on_batch([event])
+    def apply(self, event: Event) -> None:
+        self.apply_batch([event])
 
-    def on_batch(self, events: Sequence[Event]) -> Result:
+    def apply_batch(self, events: Sequence[Event]) -> None:
         if self._injector is not None:
             spliced = self._injector.splice_bad_events(events)
             if spliced is not events and self._quarantine is not None:
-                # splice_bad_events runs *inside* the instrumented entry
-                # point, i.e. after the wrapper's quarantine pass — so
-                # injected junk must be re-filtered here to exercise the
-                # same boundary a dirty producer would hit.
+                # splice_bad_events runs after the ``on_*`` quarantine
+                # pass — so injected junk must be re-filtered here to
+                # exercise the same boundary a dirty producer would hit.
                 spliced = self._quarantine.admit_batch(spliced)
             events = spliced
         if self._serial is not None:
-            return self._serial_on_batch(events)
+            self._serial_apply_batch(events)
+            return
         parts = self._split(events)
         if _SINK.enabled:
             _observe_split(parts)
@@ -526,17 +512,18 @@ class SupervisedExecutor(MultiprocessShardedExecutor):
                 self._handle_failure(failure)
         if self._serial is None:
             self._maybe_snapshot()
-        return self.result()
 
-    def _serial_on_batch(self, events: Sequence[Event]) -> Result:
+    #: not the pool's: fault injection and the degraded path take events
+    apply_frame = IncrementalEngine.apply_frame
+
+    def _serial_apply_batch(self, events: Sequence[Event]) -> None:
         # Degraded mode: keep the WAL current (so `repro recover` and a
         # later restart still work), then drive the serial executor.
         for index, part in enumerate(self.router.split(events)):
             if part:
                 self._wals[index].append(part)
-        output = self._serial.on_batch(events)
+        self._serial.apply_batch(events)
         self._maybe_snapshot()
-        return output
 
     def result(self) -> Result:
         if self._serial is not None:
@@ -578,8 +565,7 @@ class SupervisedExecutor(MultiprocessShardedExecutor):
                     except Exception:
                         pass  # best-effort: WAL alone still recovers
         finally:
-            if not self._workers_down:
-                super().close()
+            self._shutdown_workers()
             self._closed = True
             for wal in self._wals:
                 wal.close()
@@ -663,7 +649,10 @@ class DurableLog:
 
 class DurableEngine(IncrementalEngine):
     """WAL-backed wrapper for a single (possibly serial-sharded) engine:
-    the one-engine :class:`DurableLog`."""
+    the one-engine :class:`DurableLog`.  Each ``apply*`` logs its
+    payload, then hands it to the wrapped engine's ``apply*`` — past any
+    guard of the wrapped engine, so a quarantine attached to it moves
+    out to the wrapper, which admits before it logs."""
 
     def __init__(
         self,
@@ -673,6 +662,8 @@ class DurableEngine(IncrementalEngine):
         fsync: bool = False,
         snapshot_every: int | None = None,
     ) -> None:
+        self._quarantine = engine.quarantine
+        engine.detach_quarantine()
         self.log = DurableLog(directory, fsync=fsync, snapshot_every=snapshot_every)
         self.log.attach("", engine)
         self.wal = self.log.wal
@@ -683,11 +674,14 @@ class DurableEngine(IncrementalEngine):
     def engine(self) -> IncrementalEngine:
         return self.log.engines[""]
 
-    def on_event(self, event: Event) -> Result:
-        return self.log.commit([event], lambda _batch: self.engine.on_event(event))
+    def apply(self, event: Event) -> None:
+        self.log.commit([event], lambda _batch: self.engine.apply(event))
 
-    def on_batch(self, events: Sequence[Event]) -> Result:
-        return self.log.commit(events, self.engine.on_batch)
+    def apply_batch(self, events: Sequence[Event]) -> None:
+        self.log.commit(events, self.engine.apply_batch)
+
+    def apply_frame(self, frame: ColumnarFrame) -> None:
+        self.log.commit(frame, self.engine.apply_frame)
 
     def result(self) -> Result:
         return self.engine.result()

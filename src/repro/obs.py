@@ -69,6 +69,11 @@ Counter naming convention (``<structure or layer>.<operation>``):
 ``engine.results``                      results handed back: one per trigger call
                                         of any shape (``result()`` called
                                         directly is not a trigger and not counted)
+                                        — all three count the **outermost** call
+                                        only: a composite (``DurableEngine``, the
+                                        sharded executors) drives its engines
+                                        through ``apply*``, and WAL replay and
+                                        shard workers apply without a trigger
 ``engine.quarantined``                  schema-violating events diverted by the
                                         validation boundary
 ``wal.appends/.snapshots``              write-ahead-log records / checkpoints

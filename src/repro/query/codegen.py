@@ -10,13 +10,15 @@ from a plan:
 
 * :class:`~repro.engine.aggr_index.AggregateIndexEngine` (Algorithm 4:
   EQ, VWAP, grouped VWAP, MST, …) — **one emitter** over the engine's
-  side descriptions (:func:`~repro.engine.aggr_index.plan_sides`).  The
-  obs/quarantine prologue, scalar updates, per-row extraction, netting
-  and the result tail are written once; ``on_event`` / ``on_batch`` /
-  ``on_frame`` are three loop shapes around three per-side *apply
-  fragments* (point move, range shift, grouped fan-out), and
-  ``warm_start`` is the batch shape's netting with the sides' bulk
-  loads in place of the fragments.
+  side descriptions (:func:`~repro.engine.aggr_index.plan_sides`).
+  Scalar updates, per-row extraction, netting and ``result`` are
+  written once; ``apply`` / ``apply_batch`` / ``apply_frame`` are three
+  loop shapes around three per-side *apply fragments* (point move,
+  range shift, grouped fan-out), and ``warm_start`` is the batch shape's
+  netting with the sides' bulk loads in place of the fragments.  The
+  obs + quarantine prologue is not generated: the compiled functions
+  are the engine's two steps, and ``IncrementalEngine.on_event`` /
+  ``on_batch`` / ``on_frame`` wrap them as they wrap every engine's.
 
 Everything else is its own single definition and has no emitter here —
 :func:`specialize` returns False for it: the hand-written per-query
@@ -34,16 +36,15 @@ per query AST — the AST nodes are frozen dataclasses, so the key is
 hashable and exact; the source never depends on the aggregate-index
 class, which the sides hold as a plain attribute.
 Installation binds the compiled functions as *instance* attributes
-(``engine.on_event`` / ``on_batch`` / ``on_frame`` / ``warm_start``);
-the class-level
-interpreted triggers remain untouched (``--no-codegen`` and
-:func:`uninstall` fall back to them).  The generated bodies replicate
-the interpreted triggers' operation order and obs-counter sites: the
-differential suite asserts identical result traces *and* identical
-counters in all three flavors, and the chaos/sharding harnesses run
-unchanged because the quarantine prologue, WAL wrapping (instance
-attributes are looked up per call) and the ``shard_*`` class methods are
-preserved.
+(``engine.apply`` / ``apply_batch`` / ``apply_frame`` / ``result`` /
+``warm_start``); the class-level interpreted methods remain untouched
+(``--no-codegen`` and :func:`uninstall` fall back to them).  The
+generated bodies replicate the interpreted methods' operation order and
+obs-counter sites: the differential suite asserts identical result
+traces *and* identical counters in all three flavors, and the
+chaos/sharding harnesses run unchanged because the composites call
+``apply*`` (instance attributes are looked up per call) and the
+``shard_*`` class methods are preserved.
 
 Engines pickle through their explicit ``__getstate__`` (pure data), so
 compiled triggers never enter a snapshot; ``__setstate__`` re-installs
@@ -88,8 +89,8 @@ __all__ = [
 INTERPRETED = "interpreted"
 COMPILED = "compiled"
 
-#: what an emitter may define and :func:`specialize` installs
-_TRIGGER_ATTRS = ("on_event", "on_batch", "on_frame", "warm_start")
+#: what the emitter defines and :func:`specialize` installs
+_TRIGGER_ATTRS = ("apply", "apply_batch", "apply_frame", "result", "warm_start")
 
 
 class UnsupportedTriggerError(UnsupportedQueryError):
@@ -142,48 +143,15 @@ def clear_cache() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Shared fragments: prologues, scalars, fixed sides, probes
+# Shared fragments: events, scalars, probes
 # ---------------------------------------------------------------------------
 
 
-def _emit_event_prologue(lines: list[str]) -> None:
-    """What ``IncrementalEngine.on_event`` does before ``apply``, then
-    the event unpacked into the locals every fragment reads."""
-    lines.append("def on_event(self, event):")
-    lines.append("    if _S.enabled:")
-    lines.append("        _S.inc('engine.events')")
-    lines.append("        _S.inc('engine.results')")
-    lines.append("    guard = self._quarantine")
-    lines.append("    if guard is not None and not guard.admit(event):")
-    lines.append("        return self.result()")
-    lines.append("    _rel = event.relation")
-    lines.append("    _row = event.row")
-    lines.append("    _w = event.weight")
-
-
-def _emit_batch_obs(lines: list[str], size: str) -> None:
-    lines.append("    if _S.enabled:")
-    lines.append("        _S.inc('engine.batches')")
-    lines.append(f"        _S.observe('engine.batch_size', {size})")
-    lines.append("        _S.inc('engine.results')")
-
-
-def _emit_batch_prologue(lines: list[str]) -> None:
-    """What ``IncrementalEngine.on_batch`` does before ``apply_batch``."""
-    lines.append("def on_batch(self, events):")
-    _emit_batch_obs(lines, "len(events)")
-    lines.append("    guard = self._quarantine")
-    lines.append("    if guard is not None:")
-    lines.append("        events = guard.admit_batch(events)")
-    lines.append("        if not events:")
-    lines.append("            return self.result()")
-
-
-def _emit_event_unpack(lines: list[str], source: str = "events") -> None:
-    lines.append(f"    for event in {source}:")
-    lines.append("        _rel = event.relation")
-    lines.append("        _row = event.row")
-    lines.append("        _w = event.weight")
+def _emit_event_unpack(lines: list[str], indent: str) -> None:
+    """The event's locals every fragment reads."""
+    lines.append(f"{indent}_rel = event.relation")
+    lines.append(f"{indent}_row = event.row")
+    lines.append(f"{indent}_w = event.weight")
 
 
 def _emit_scalar_updates(
@@ -250,12 +218,15 @@ class _SideSrc:
         #: delta names straight off a tuple
         self.fresh = self.netted[: len(plan.factors)] + ["_w"] * plan.counted
 
-    def bind(self, lines: list[str]) -> None:
-        """Read the side's structures into locals."""
+    def bind(self, lines: list[str], *, maps: bool = True) -> None:
+        """Read the side's structures into locals (without ``maps``,
+        only the indexes the result probes read)."""
         k = self.k
-        lines.append(f"    _bm{k} = _s{k}.bound_map")
+        if maps:
+            lines.append(f"    _bm{k} = _s{k}.bound_map")
+            if self.plan.point:
+                lines.append(f"    _rm{k} = _s{k}.res_map")
         if self.plan.point:
-            lines.append(f"    _rm{k} = _s{k}.res_map")
             lines.append(f"    _ix{k} = _s{k}.index")
         elif self.grouped:
             lines.append(f"    _gi{k} = _s{k}.group_indexes")
@@ -423,44 +394,11 @@ def _aggr_emit(engine: AggregateIndexEngine) -> str:
         targets = ", ".join(f"_q{side.k}_{j}" for j in range(columns))
         return f"{targets} = {_probe_src(side.plan.spec.outer_op, index, f'_p{side.k}', columns)}"
 
-    def result_tail(lines: list[str]) -> None:
-        # Inlined result(): per side the fixed probe value then one
-        # probe returning every column, then the term recombination.
-        if not grouped:
-            lines.append("    if _S.enabled:")
-            lines.append(f"        _S.inc('engine.result_probes', {len(sides)})")
-        for side in sides:
-            fixed = emit_predicate_side(side.plan.spec.fixed_expr, side.plan.alias, scalars, {})
-            lines.append(f"    _p{side.k} = {fixed}")
-            if not grouped:
-                lines.append("    " + probe(side, f"_ix{side.k}"))
-        if not grouped:
-            lines.append(f"    return {combine_src()}")
-            return
-        lines.append("    _out = {}")
-        lines.append("    for _grp, _ix in _gi0.items():")
-        lines.append("        if _S.enabled:")
-        lines.append("            _S.inc('engine.result_probes')")
-        lines.append("        " + probe(sides[0], "_ix"))
-        lines.append(f"        _val = {combine_src()}")
-        lines.append("        if _val != 0:")
-        lines.append("            _out[_grp] = _val")
-        lines.append("    return _out")
-
-    def finish(lines: list[str], counted: str) -> None:
-        # Shared tail of the batch and frame shapes: drain the nets.
-        lines.append(f"    if _S.enabled and {counted}:")
-        nets = " + ".join(f"len(_n{side.k})" for side in sides)
-        lines.append(f"        _S.observe('engine.batch_coalesced_keys', {nets})")
-        bind_sides(lines)
-        for side in sides:
-            side.drain(lines)
-        result_tail(lines)
-
     lines: list[str] = []
 
     # -- event shape: extract, apply ---------------------------------------
-    _emit_event_prologue(lines)
+    lines.append("def apply(self, event):")
+    _emit_event_unpack(lines, "    ")
     bind_sides(lines)
     _emit_scalar_updates(lines, "    ", scalars)
 
@@ -471,7 +409,6 @@ def _aggr_emit(engine: AggregateIndexEngine) -> str:
         side.apply(lines, indent, side.fresh)
 
     per_relation(lines, "    ", event_body)
-    result_tail(lines)
     lines.append("")
 
     # -- batch shape: extract + net per event, then drain ------------------
@@ -482,13 +419,23 @@ def _aggr_emit(engine: AggregateIndexEngine) -> str:
     def net_loop(source: str) -> None:
         for side in sides:
             lines.append(f"    _n{side.k} = {{}}")
-        _emit_event_unpack(lines, source)
+        lines.append(f"    for event in {source}:")
+        _emit_event_unpack(lines, "        ")
         _emit_scalar_updates(lines, "        ", scalars)
         per_relation(lines, "        ", net_body)
 
-    _emit_batch_prologue(lines)
+    def drain(counted: str) -> None:
+        # Shared tail of the batch and frame shapes.
+        lines.append(f"    if _S.enabled and {counted}:")
+        nets = " + ".join(f"len(_n{side.k})" for side in sides)
+        lines.append(f"        _S.observe('engine.batch_coalesced_keys', {nets})")
+        bind_sides(lines)
+        for side in sides:
+            side.drain(lines)
+
+    lines.append("def apply_batch(self, events):")
     net_loop("events")
-    finish(lines, "events")
+    drain("events")
     lines.append("")
 
     # -- warm shape: the batch shape's netting, then bulk loads ------------
@@ -497,31 +444,22 @@ def _aggr_emit(engine: AggregateIndexEngine) -> str:
     net_loop("stream")
     for side in sides:
         side.load(lines)
-    bind_sides(lines)
-    result_tail(lines)
+    lines.append("    return self.result()")
     lines.append("")
 
     # -- frame shape: extract + net per column element, then drain ---------
-    # Bail to the (also compiled) ``on_batch`` on fallback rows — they
-    # take the per-row path, admission included.  A typed frame is
-    # admitted by block (``Quarantine.admit_frame``: no event is decoded
-    # unless a row is dropped), counted at its size before admission
-    # like the derived ``on_frame``.  Everything inside the ``try``
-    # writes only locals — a block that does not fit the compiled
-    # column shape (missing column, value the expression arithmetic
-    # rejects) raises KeyError/TypeError *before* any engine state
-    # changes, so the per-row event path governs.  The scalar updates are precomputed
-    # per block (``scalar_column_updates`` is pure) and applied only
-    # after the whole frame scanned clean.  A frame holds at most one
-    # block per relation with its rows in event order, so each net
-    # dict's insertion order matches the event loop's.
-    lines.append("def on_frame(self, frame):")
+    # Fallback rows take ``apply_batch`` over the decoded events.
+    # Everything inside the ``try`` writes only locals — a block that
+    # does not fit the compiled column shape (missing column, value the
+    # expression arithmetic rejects) raises KeyError/TypeError *before*
+    # any engine state changes, so the decoded event path governs.  The
+    # scalar updates are precomputed per block (``scalar_column_updates``
+    # is pure) and applied only after the whole frame scanned clean.  A
+    # frame holds at most one block per relation with its rows in event
+    # order, so each net dict's insertion order matches the event loop's.
+    lines.append("def apply_frame(self, frame):")
     lines.append("    if frame.fallback:")
-    lines.append("        return self.on_batch(frame.events())")
-    lines.append("    _size = len(frame)")
-    lines.append("    guard = self._quarantine")
-    lines.append("    if guard is not None:")
-    lines.append("        frame = guard.admit_frame(frame)")
+    lines.append("        return self.apply_batch(frame.events())")
     for side in sides:
         lines.append(f"    _n{side.k} = {{}}")
     lines.append("    _fx = []")
@@ -545,11 +483,37 @@ def _aggr_emit(engine: AggregateIndexEngine) -> str:
         lines.append("                    _w = _wts[_i]")
         lines.extend("                    " + line for line in body)
     lines.append("    except (KeyError, TypeError):")
-    lines.append("        return self.on_batch(frame.events())")
-    _emit_batch_obs(lines, "_size")
+    lines.append("        return self.apply_batch(frame.events())")
     lines.append("    for _fsc, _fvals, _fwts in _fx:")
     lines.append("        _fsc.apply_columns(_fvals, _fwts)")
-    finish(lines, "len(frame)")
+    drain("len(frame)")
+    lines.append("")
+
+    # -- result: per side the fixed probe value then one probe returning
+    # every column, then the term recombination (per group under GROUP BY)
+    lines.append("def result(self):")
+    for side in sides:
+        side.bind(lines, maps=False)
+    if not grouped:
+        lines.append("    if _S.enabled:")
+        lines.append(f"        _S.inc('engine.result_probes', {len(sides)})")
+    for side in sides:
+        fixed = emit_predicate_side(side.plan.spec.fixed_expr, side.plan.alias, scalars, {})
+        lines.append(f"    _p{side.k} = {fixed}")
+        if not grouped:
+            lines.append("    " + probe(side, f"_ix{side.k}"))
+    if grouped:
+        lines.append("    _out = {}")
+        lines.append("    for _grp, _ix in _gi0.items():")
+        lines.append("        if _S.enabled:")
+        lines.append("            _S.inc('engine.result_probes')")
+        lines.append("        " + probe(sides[0], "_ix"))
+        lines.append(f"        _val = {combine_src()}")
+        lines.append("        if _val != 0:")
+        lines.append("            _out[_grp] = _val")
+        lines.append("    return _out")
+    else:
+        lines.append(f"    return {combine_src()}")
     return "\n".join(lines) + "\n"
 
 
@@ -607,11 +571,8 @@ def specialize(engine) -> bool:
     namespace: dict[str, Any] = {"_S": _SINK, **subquery_bindings(engine._scalars, {})}
     namespace.update({f"_s{k}": side for k, side in enumerate(engine.sides)})
     exec(entry.code, namespace)
-    # Install every trigger the emitter defined.
     for attr in _TRIGGER_ATTRS:
-        trigger = namespace.get(attr)
-        if trigger is not None:
-            setattr(engine, attr, types.MethodType(trigger, engine))
+        setattr(engine, attr, types.MethodType(namespace[attr], engine))
     engine.trigger_mode = COMPILED
     engine._codegen_key = key
     if _SINK.enabled:

@@ -526,13 +526,17 @@ class ColumnarFrame:
         return (ColumnarFrame.from_bytes, (self.to_bytes(),))
 
 
-def apply_events(engine, payload) -> Any:
+def apply_events(engine, payload) -> None:
     """Apply one transported/logged batch to ``engine``.
 
     Payloads are either a :class:`ColumnarFrame` (columnar transport,
     frame-logging WAL) or a plain event sequence (legacy logs, degraded
-    paths); this is the single normalization point for every replay
-    site (worker restore, in-process recovery, offline recovery)."""
+    paths); this is the single entry point of shard workers and every
+    replay site (worker restore, in-process recovery, offline recovery).
+    It updates state only (``apply_frame``/``apply_batch``): the payload
+    was admitted and counted when it was first applied, and a replay
+    reads the result once, at its end."""
     if isinstance(payload, ColumnarFrame):
-        return engine.on_frame(payload)
-    return engine.on_batch(payload)
+        engine.apply_frame(payload)
+    else:
+        engine.apply_batch(payload)

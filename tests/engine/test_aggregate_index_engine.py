@@ -165,7 +165,7 @@ class TestFrames:
     def test_generated_frame_path_equals_batch_of_the_decoded_frame(self, shape):
         events = SHAPES[shape][2](192, 86)
         by_frame, by_batch = build(shape, True), build(shape, True)
-        assert "def on_frame(" in codegen.generated_source(by_frame)
+        assert "def apply_frame(" in codegen.generated_source(by_frame)
         for start in range(0, len(events), 24):
             frame = ColumnarFrame.from_events(events[start : start + 24])
             assert not frame.fallback

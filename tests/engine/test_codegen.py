@@ -256,21 +256,22 @@ class TestCache:
         assert sorted(vars(on)) == sorted(vars(off))
         source = codegen.generated_source(on)
         assert source == codegen.generated_source(off)
-        assert "def _recompute(" in source and "def on_delta(" in source
-        assert "def on_event(" not in source
+        assert "def _recompute(" in source and "def apply_delta(" in source
+        assert "def apply(" not in source
 
     def test_generated_source_roundtrip(self):
         engine = build("VWAP", compiled=True)
         source = codegen.generated_source(engine)
         assert source is not None
-        assert "def on_event(" in source and "def on_batch(" in source
+        assert "def apply(" in source and "def apply_batch(" in source
+        assert "def result(" in source and "def on_" not in source
         assert codegen.generated_source(build("VWAP", compiled=False)) is None
 
 
 def test_traceback_shows_the_generated_trigger_line():
     """Compiled source is registered with ``linecache`` under a name of
     its own: a row missing a column fails *inside* the generated
-    ``on_event``, and the traceback quotes the line that read it."""
+    ``apply``, and the traceback quotes the line that read it."""
     import traceback
 
     from repro.storage.stream import Event
@@ -283,7 +284,7 @@ def test_traceback_shows_the_generated_trigger_line():
         except KeyError:
             trace = traceback.format_exc()
             raise
-    assert 'File "<codegen:' in trace and "in on_event" in trace
+    assert 'File "<codegen:' in trace and "in apply" in trace
     assert "_row['volume']" in trace
 
 
@@ -324,7 +325,7 @@ class TestGroupedCompiled:
         codegen.set_codegen(True)
         assert codegen.specialize(engine)
         source = codegen.generated_source(engine)
-        assert "def on_frame(" in source
+        assert "def apply_frame(" in source
         for start in range(0, len(events), 24):
             chunk = events[start : start + 24]
             expected = reference.on_batch(chunk)
@@ -426,7 +427,7 @@ class TestCLI:
         assert main(["codegen", "VWAP"]) == 0
         out = capsys.readouterr().out
         assert "trigger  : compiled" in out
-        assert "def on_event(" in out
+        assert "def apply(" in out and "def result(" in out
 
     def test_codegen_subcommand_conjunctive_query(self, capsys):
         from repro.__main__ import main
@@ -434,7 +435,7 @@ class TestCLI:
         assert main(["codegen", "MST"]) == 0
         out = capsys.readouterr().out
         assert "trigger  : compiled" in out
-        assert "def on_event(" in out
+        assert "def apply(" in out
 
     def test_codegen_support_table(self, capsys):
         from repro.__main__ import main
@@ -459,7 +460,7 @@ class TestCLI:
         assert main(["codegen", "SQ1"]) == 0
         out = capsys.readouterr().out
         assert "trigger  : generated-loops" in out
-        assert "def _recompute(" in out and "def on_delta(" in out
+        assert "def _recompute(" in out and "def apply_delta(" in out
 
     def test_codegen_subcommand_handwritten_query(self, capsys):
         from repro.__main__ import main
@@ -474,8 +475,9 @@ class TestCLI:
 
         assert main(["codegen", "VWAP", "--flavor", "frame"]) == 0
         out = capsys.readouterr().out
-        assert "def on_frame(" in out
-        assert "def on_event(" not in out
+        assert "def apply_frame(self, frame):" in out
+        assert "def result(self):" in out
+        assert "def apply(" not in out and "def apply_batch(" not in out
 
     def test_run_reports_trigger_mode_and_no_codegen_flag(self, capsys):
         from repro.__main__ import main

@@ -22,7 +22,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.engine.registry import STRATEGIES, attach_validation, build_engine
+from repro.engine.base import IncrementalEngine
+from repro.engine.registry import (
+    STRATEGIES,
+    attach_validation,
+    build_engine,
+    build_sharded_engine,
+)
+from repro.engine.sharding import ShardedExecutor, plan_router
+from repro.engine.supervision import DurableEngine
+from repro.errors import EngineStateError
 from repro.query import codegen
 from repro.storage.colbatch import ColumnarFrame
 from repro.storage.stream import Event, Stream
@@ -352,3 +361,166 @@ def test_guarded_compiled_on_frame_admits_by_block(query, monkeypatch):
         assert identical(guarded.on_frame(frame), bare.on_frame(frame))
     assert decodes == []
     assert guarded.quarantine.total_rejected == 0
+
+
+# ---------------------------------------------------------------------------
+# One prologue: compiled triggers and composites are ``apply*`` + ``result``
+# ---------------------------------------------------------------------------
+
+CALL_SHAPES = ("on_event", "on_batch", "on_frame")
+COMPOSITES = ("durable", "serial", "pool", "supervised")
+
+
+def _vwap_640() -> list[Event]:
+    """640 book events (VWAP reads the bids), ten 64-event batches."""
+    return two_sided(random_bid_stream(640, seed=3))[:640]
+
+
+def composite(kind: str, directory):
+    """A VWAP engine, bare (``plain``) or driven by one of the four
+    composites: serial K=3, the pools K=2."""
+    if kind == "plain":
+        return build_engine("VWAP", "rpai")
+    if kind == "durable":
+        return DurableEngine(build_engine("VWAP", "rpai"), directory)
+    shards = 3 if kind == "serial" else 2
+    engine = build_sharded_engine(
+        "VWAP", "rpai", shards=shards, workers=0 if kind == "serial" else shards,
+        plan_stream=_vwap_640(), wal_dir=directory if kind == "supervised" else None,
+    )
+    assert engine.shards == shards
+    return engine
+
+
+def close(engine) -> None:
+    getattr(engine, "close", lambda: None)()
+
+
+def feed(engine, events: list[Event], shape: str) -> list:
+    """One result per trigger call: per event, or per 64-event chunk."""
+    if shape == "event":
+        return [engine.on_event(event) for event in events]
+    chunks = [events[i : i + 64] for i in range(0, len(events), 64)]
+    if shape == "batch":
+        return [engine.on_batch(chunk) for chunk in chunks]
+    return [engine.on_frame(ColumnarFrame.from_events(chunk)) for chunk in chunks]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("kind", ("plain",) + COMPOSITES)
+def test_engine_counters_count_the_outermost_call_once(kind, shape, tmp_path):
+    """A composite reaches its engines through ``apply*``: one outer
+    call is one ``engine.events``/``batches`` and one ``engine.results``,
+    and the updates applied are the events fed — never once per layer."""
+    events = _vwap_640()
+    reference = feed(build_engine("VWAP", "rpai"), events, shape)
+    engine = composite(kind, tmp_path)
+    obs.reset()
+    obs.enable()
+    try:
+        trace = feed(engine, events, shape)
+        snap = obs.snapshot()
+    finally:
+        obs.disable()
+        obs.reset()
+        close(engine)
+    assert identical(trace, reference)
+    counters, derived = snap["counters"], obs.derived_metrics(snap)
+    calls = len(trace)
+    assert counters["engine.results"] == derived["results"] == calls
+    if shape == "event":
+        assert counters["engine.events"] == derived["events"] == calls
+        assert "engine.batches" not in counters
+    else:
+        assert counters["engine.batches"] == derived["batches"] == calls
+        assert snap["stats"]["engine.batch_size"]["total"] == len(events)
+        assert "engine.events" not in counters
+    if "rpai.rotations" in counters:  # the pools' workers keep theirs
+        assert derived["rotations_per_update"] == counters["rpai.rotations"] / len(events)
+    probes = counters.get("engine.result_probes")
+    if kind == "serial":
+        # one probe per replica per merge; no replica enumerates its own
+        assert counters["shard.merges"] == calls and probes == 3 * calls
+    elif kind in ("plain", "durable"):
+        assert probes == calls
+
+
+def own_call_shapes(engine) -> list[str]:
+    """``on_*`` methods defined anywhere but ``IncrementalEngine``: on
+    the instance, or on a class of its MRO."""
+    found = [name for name in CALL_SHAPES if name in vars(engine)]
+    for cls in type(engine).__mro__:
+        if cls is not IncrementalEngine:
+            found += [f"{cls.__name__}.{name}" for name in CALL_SHAPES if name in vars(cls)]
+    return found
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "interpreted"])
+def test_no_engine_defines_a_call_shape(compiled):
+    codegen.set_codegen(compiled)
+    assert build_engine("VWAP", "rpai").trigger_mode == ("compiled" if compiled else "interpreted")
+    for query, strategy in EVERY_ENGINE:
+        engine = build_engine(query, strategy)
+        for live in (engine, pickle.loads(pickle.dumps(engine))):
+            assert own_call_shapes(live) == [], (query, strategy)
+
+
+@pytest.mark.parametrize("kind", COMPOSITES)
+def test_no_composite_defines_a_call_shape(kind, tmp_path):
+    engine = composite(kind, tmp_path)
+    try:
+        assert own_call_shapes(engine) == []
+    finally:
+        close(engine)
+
+
+class TestQuarantineBelongsToTheOutermostEngine:
+    """Composites feed their engines through ``apply*``, past any guard:
+    a sharded executor refuses a guarded engine, a durable wrapper takes
+    its one engine's quarantine over, and the registry guards the
+    outermost engine only."""
+
+    def test_durable_engine_takes_over_the_wrapped_quarantine(self, tmp_path):
+        clean = _vwap_640()
+        dirty = with_junk(random.Random(7), clean)
+        engine = build_engine("VWAP", "rpai")
+        guard = attach_validation(engine, "VWAP")
+        durable = DurableEngine(engine, tmp_path)
+        try:
+            assert durable.quarantine is guard and engine.quarantine is None
+            result = feed(durable, dirty, "batch")[-1]
+        finally:
+            durable.close()
+        assert guard.total_rejected == len(dirty) - len(clean)
+        assert identical(result, build_engine("VWAP", "rpai").on_batch(clean))
+
+    @pytest.mark.parametrize("guarded", ["template", "replica"])
+    def test_sharded_executor_refuses_a_guarded_engine(self, guarded):
+        template = build_engine("VWAP", "rpai")
+        router = plan_router(template, 2, _vwap_640())
+        replicas = [build_engine("VWAP", "rpai") for _ in range(router.shards)]
+        attach_validation(template if guarded == "template" else replicas[-1], "VWAP")
+        with pytest.raises(EngineStateError):
+            ShardedExecutor(template, replicas, router)
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_registry_guards_the_outermost_engine(self, shards, tmp_path):
+        from repro.engine.supervision import recover_result
+
+        clean = _vwap_640()
+        dirty = with_junk(random.Random(5), clean)
+        engine = build_sharded_engine(
+            "VWAP", "rpai", shards=shards, plan_stream=clean, wal_dir=tmp_path, validate=True
+        )
+        try:
+            assert isinstance(engine, DurableEngine) and engine.quarantine is not None
+            assert engine.engine.quarantine is None
+            assert all(replica.quarantine is None for replica in getattr(engine.engine, "replicas", ()))
+            result = feed(engine, dirty, "batch")[-1]
+        finally:
+            engine.close()
+        assert engine.quarantine.total_rejected == len(dirty) - len(clean)
+        expected = build_engine("VWAP", "rpai").on_batch(clean)
+        assert identical(result, expected)
+        # Only admitted events were logged: replay needs no quarantine.
+        assert identical(recover_result("VWAP", "rpai", tmp_path)[0], expected)

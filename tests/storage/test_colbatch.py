@@ -307,11 +307,17 @@ class TestEngineFramePath:
             assert engine.on_frame(frame) == expected
 
     def test_apply_events_dispatches(self):
+        """Frames go to ``apply_frame``, event lists to ``apply_batch``;
+        neither enumerates the result (nothing reads it)."""
         engine = build_single_index_engine(parse_query(QUERIES["VWAP"].sql))
         chunk = [Event("bids", make_bid(5, 2, ts=1, bid_id=1), +1)]
-        first = apply_events(engine, ColumnarFrame.from_events(chunk))
-        second = apply_events(engine, chunk)
-        assert isinstance(first, float) and isinstance(second, float)
+        calls = []
+        engine.apply_frame = lambda frame: calls.append(("frame", len(frame)))
+        engine.apply_batch = lambda events: calls.append(("batch", len(events)))
+        engine.result = lambda: calls.append("result")
+        assert apply_events(engine, ColumnarFrame.from_events(chunk)) is None
+        assert apply_events(engine, chunk) is None
+        assert calls == [("frame", 1), ("batch", 1)]
 
 
 def _producer(ring: ShmRing, payloads: list[bytes]) -> None:
