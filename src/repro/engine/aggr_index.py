@@ -12,7 +12,11 @@ correlated subquery's aggregate values* (a *side*, see
 :mod:`repro.engine.queries.common`): a tuple insertion moves a single
 key when the correlation is an equality (Figure 1c) or shifts one
 contiguous range of keys when it is an inequality (Figure 2c), and the
-result is read off the indexes with one probe per side.
+result is read off the indexes with one probe per side.  A conjunct
+``column θ v`` is the same construction with the column as the key
+and ``v`` as the probe (PSP); with ``v`` a subquery correlated by
+equality through a join (``RPAI_GROUPED``, TPC-H Q17) there is one
+such index per correlation group, each probed by its own aggregate.
 
 The qualifying set of each relation is independent of the others, so
 the SUM over the qualifying cross product decomposes into per-relation
@@ -50,30 +54,36 @@ range shift unambiguous (see the tie analysis in DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from operator import itemgetter
-from typing import Any, Iterable, Mapping, Type
+from typing import Any, Iterable, Type
 
 from repro.core.rpai import RPAITree
 from repro.engine.base import IncrementalEngine, Result
 from repro.engine.mergeable import merge_counts, merge_grouped, merge_sums
-from repro.engine.queries.common import PointSide, ShiftedSide
+from repro.engine.queries.common import PointSide, ShiftedSide, ThresholdSide
 from repro.errors import EngineStateError, UnsupportedQueryError
 from repro.obs import SINK as _SINK
-from repro.query.analysis import is_correlated
+from repro.query.analysis import column_refs, is_correlated
 from repro.query.ast import (
     AggrCall,
     AggrQuery,
+    And,
     Arith,
     ColumnRef,
+    Comparison,
     Const,
     Expr,
+    Predicate,
     SubqueryExpr,
     walk_expr,
 )
 from repro.query.planner import IndexSpec, QueryPlan, Strategy, choose_backend, classify
 from repro.query.rowexpr import (
     MaintainedAggregate,
+    Scale,
     UncorrelatedScalar,
+    apply_scale,
     compile_predicate_side,
     compile_row_expr,
     peel_constant_scale,
@@ -82,6 +92,7 @@ from repro.storage.stream import Event
 
 __all__ = [
     "AggregateIndexEngine",
+    "Feed",
     "SidePlan",
     "SideLayout",
     "plan_sides",
@@ -89,8 +100,6 @@ __all__ = [
     "build_single_index_engine",
     "describe_backends",
 ]
-
-Row = Mapping[str, Any]
 
 # A decomposed term: (coefficient, {alias: factor expression}).
 Term = tuple[float, dict[str, Expr]]
@@ -150,49 +159,72 @@ def _cross_multiply(left: list[Term], right: list[Term]) -> list[Term]:
 
 
 @dataclass(frozen=True)
+class Feed:
+    """How one relation's tuples reach a side, as row expressions over
+    ``alias``: the netting ``key``, the ``weight`` (inner-aggregate or
+    joined-row delta), one placement delta per column (``None``: the
+    tuple's multiplicity, a count) and the placement ``group`` (empty:
+    ``None``).  A tuple failing ``where`` reaches nothing."""
+
+    relation: str
+    alias: str
+    key: tuple[ColumnRef, ...]
+    weight: Expr | None
+    deltas: tuple[Expr | None, ...]
+    group: tuple[ColumnRef, ...] = ()
+    where: Predicate | None = None
+
+
+@dataclass(frozen=True)
 class SidePlan:
     """Static description of one relation's side, derived from the plan.
 
     Attributes:
-        spec: the planner's correlated predicate for this relation.
+        spec: the planner's predicate for this relation.
         factors: the distinct single-relation factor expressions of the
             result terms — one index column each.
         counted: some term multiplies by ``|Qi|``, so a count column
             follows the factor columns.
         group_by: ``GROUP BY`` columns (single-side plans only).
+        feeds: the relations that move the side.
     """
 
     spec: IndexSpec
     factors: tuple[Expr, ...]
     counted: bool
     group_by: tuple[str, ...] = ()
+    feeds: tuple[Feed, ...] = ()
 
     @property
     def alias(self) -> str:
         return self.spec.outer_alias
 
     @property
+    def threshold(self) -> bool:
+        """Keyed by a column, probed by a maintained scalar."""
+        return self.spec.key_col is not None
+
+    @property
     def point(self) -> bool:
         """Equality correlation: point moves instead of range shifts."""
-        return self.spec.inner_op == "="
+        return self.spec.inner_op == "=" and not self.threshold
+
+    @property
+    def grouped_threshold(self) -> bool:
+        """A threshold side with one index per correlation group."""
+        return self.threshold and self.spec.inner_col is not None
 
     @property
     def columns(self) -> int:
         return len(self.factors) + self.counted
 
-    @property
-    def key_columns(self) -> tuple[str, ...]:
-        """Correlation key columns: one per equality of a point side,
-        the one compared attribute of a shifted side."""
-        return tuple(outer.column for _inner, outer in self.spec.column_pairs())
-
 
 @dataclass(frozen=True)
 class SideLayout:
     """:func:`plan_sides` output: the sides plus the result recombination
-    ``scale * Σ_terms coef · Π_i sums_i[column_i]``."""
+    ``scale(Σ_terms coef · Π_i sums_i[column_i])``."""
 
-    scale: float
+    scale: Scale
     sides: tuple[SidePlan, ...]
     terms: tuple[tuple[float, tuple[int, ...]], ...]
 
@@ -205,14 +237,58 @@ _STRATEGIES = (
     Strategy.PAI_EQUALITY,
     Strategy.RPAI_INEQUALITY,
     Strategy.RPAI_CONJUNCTIVE,
+    Strategy.RPAI_GROUPED,
 )
+
+
+def _on(alias: str, expr: Expr | None) -> Expr | None:
+    """``expr`` with its columns read off ``alias`` (the same relation)."""
+    if isinstance(expr, ColumnRef):
+        return ColumnRef(alias, expr.column)
+    if isinstance(expr, Arith):
+        return Arith(expr.op, _on(alias, expr.left), _on(alias, expr.right))
+    return expr
+
+
+def _feeds(
+    spec: IndexSpec, deltas: tuple, group_by: tuple[str, ...], alias_to_name: dict
+) -> tuple[Feed, ...]:
+    alias = spec.outer_alias
+    if spec.key_col is None:
+        key = tuple(ColumnRef(alias, outer.column) for _inner, outer in spec.column_pairs())
+        group = tuple(ColumnRef(alias, column) for column in group_by)
+        return (Feed(spec.relation, alias, key, _on(alias, spec.inner_arg), deltas, group),)
+    if spec.inner_col is None:
+        return (Feed(spec.relation, alias, (spec.key_col,), Const(0), deltas),)
+    # Grouped threshold: the tuples carry their result delta, then the
+    # probe aggregate's argument and count; the joined relation carries
+    # the group's weight.
+    group = ColumnRef(alias, spec.inner_col.column)
+    other = spec.outer_col.relation
+    join = Comparison("=", spec.outer_col, group)
+    where = [f for f in spec.filters if f not in (join, join.flipped())]
+    if len(where) == len(spec.filters) or len(alias_to_name) != 2 or any(
+        ref.relation != other for f in where for side in (f.left, f.right) for ref in column_refs(side)
+    ):
+        raise UnsupportedQueryError(
+            "a grouped threshold needs the join on its correlation column "
+            "and constant filters on the joined relation"
+        )
+    probe_deltas = (_on(alias, spec.inner_arg), None)
+    return (
+        Feed(spec.relation, alias, (group,), Const(0), deltas + probe_deltas, (spec.key_col,)),
+        Feed(
+            alias_to_name[other], other, (spec.outer_col,), Const(1), (Const(0),) * 3,
+            where=reduce(And, where) if where else None,
+        ),
+    )
 
 
 def plan_sides(plan: QueryPlan) -> SideLayout:
     """Derive the side descriptions and the term plan from ``plan``.
 
     Raises:
-        UnsupportedQueryError: when the plan is not one of the three
+        UnsupportedQueryError: when the plan is not one of the four
             aggregate-index strategies, or uses a shape the sides cannot
             maintain (non-SUM aggregates, asymmetric correlation
             attributes, ``GROUP BY`` over an equality or a join).
@@ -249,15 +325,17 @@ def plan_sides(plan: QueryPlan) -> SideLayout:
 
     group_by = tuple(col.column for col in query.group_by)
     if group_by:
-        if len(plan.index_specs) != 1 or plan.index_specs[0].inner_op == "=":
+        (spec, *rest) = plan.index_specs
+        if rest or spec.inner_op == "=" or spec.key_col is not None:
             raise UnsupportedQueryError(
                 "GROUP BY needs a single-relation inequality correlation"
             )
-        outer_alias = plan.index_specs[0].outer_alias
-        if any(col.relation != outer_alias for col in query.group_by):
+        if any(col.relation != spec.outer_alias for col in query.group_by):
             raise UnsupportedQueryError("GROUP BY must use outer-relation columns")
 
     aliases = [spec.outer_alias for spec in plan.index_specs]
+    if any(alias not in aliases for _coef, by_alias in terms for alias in by_alias):
+        raise UnsupportedQueryError("the result aggregate reads a relation no index holds")
     factors: dict[str, list[Expr]] = {alias: [] for alias in aliases}
     counted: dict[str, bool] = dict.fromkeys(aliases, False)
     picks: list[tuple[float, list[int | None]]] = []
@@ -278,21 +356,25 @@ def plan_sides(plan: QueryPlan) -> SideLayout:
     sides = []
     for spec in plan.index_specs:
         alias = spec.outer_alias
-        if spec.inner_func != "SUM":
-            raise UnsupportedQueryError(
-                "the aggregate-index engine supports SUM inner aggregates"
-            )
         if spec.relation != alias_to_name[alias]:
             raise UnsupportedQueryError(
                 "the correlated subquery must range over the outer relation"
             )
-        if any(inner.column != outer.column for inner, outer in spec.column_pairs()):
+        if spec.key_col is None and spec.inner_func != "SUM":
+            raise UnsupportedQueryError(
+                "the aggregate-index engine supports SUM inner aggregates"
+            )
+        if spec.key_col is None and any(
+            inner.column != outer.column for inner, outer in spec.column_pairs()
+        ):
             raise UnsupportedQueryError(
                 "key moves need the same attribute on both sides of each "
                 "correlated predicate"
             )
-        side = SidePlan(spec, tuple(factors[alias]), counted[alias], group_by)
-        if side.point and side.columns != 1:
+        deltas = tuple(factors[alias]) + (None,) * counted[alias]
+        feeds = _feeds(spec, deltas, group_by, alias_to_name)
+        side = SidePlan(spec, tuple(factors[alias]), counted[alias], group_by, feeds)
+        if (side.point or side.grouped_threshold) and side.columns != 1:
             raise UnsupportedQueryError(
                 "an equality-correlated relation carries one required sum"
             )
@@ -317,7 +399,8 @@ class AggregateIndexEngine(IncrementalEngine):
     Per update: one key move or range shift per side fed by the event's
     relation — O(1) with a PAI map under an equality correlation,
     O(log n) with an RPAI tree under an inequality, O(G · log n) with
-    ``GROUP BY`` over G live groups — then one probe per side.
+    ``GROUP BY`` over G live groups; one add (and, grouped, one probe of
+    the tuple's group) on a threshold side — then one probe per side.
 
     Grouped results are ``{group key: aggregate}`` with groups whose
     qualifying set is empty omitted (matching the interpreter for the
@@ -330,40 +413,32 @@ class AggregateIndexEngine(IncrementalEngine):
         self, plan: QueryPlan, index_cls: Type | None = None, name: str | None = None
     ) -> None:
         self.layout = layout = plan_sides(plan)
-        self._plan = plan
+        self.query = plan.query
         self._index_cls = index_cls if index_cls is not None else choose_backend(plan)
         if name is not None:
             self.name = name
 
-        self.sides: list[PointSide | ShiftedSide] = []
+        self.sides: list[PointSide | ShiftedSide | ThresholdSide] = []
         self._scalars: dict[AggrQuery, UncorrelatedScalar] = {}
-        self._extract: list[tuple] = []
+        #: relation -> [(side position, the feed's (key, weight, deltas,
+        #: group, where) row functions)]
+        self._feeds: dict[str, list[tuple[int, tuple]]] = {}
         self._fixed: list[Any] = []
-        self._sides_of: dict[str, list[int]] = {}
         for position, side in enumerate(layout.sides):
             spec = side.spec
-            if side.point:
-                self.sides.append(PointSide(self._index_cls))
-            else:
-                self.sides.append(
-                    ShiftedSide(
-                        spec.inner_op,
-                        side.columns,
-                        self._index_cls,
-                        grouped=bool(side.group_by),
-                    )
-                )
-            # one extractor per result column; the count column's is the
-            # absent expression, the constant 1
-            factors = side.factors + (None,) * side.counted
-            self._extract.append(
-                (
-                    itemgetter(*side.key_columns),
-                    compile_row_expr(spec.inner_arg, spec.inner_col.relation),
-                    [compile_row_expr(factor, side.alias) for factor in factors],
-                    itemgetter(*side.group_by) if side.group_by else None,
-                )
-            )
+            self.sides.append(self._new_side(side))
+            for feed in side.feeds:
+                self._feeds.setdefault(feed.relation, []).append((position, (
+                    itemgetter(*(ref.column for ref in feed.key)),
+                    compile_row_expr(feed.weight, feed.alias),
+                    [compile_row_expr(delta, feed.alias) for delta in feed.deltas],
+                    itemgetter(*(ref.column for ref in feed.group)) if feed.group else None,
+                    None if feed.where is None else compile_row_expr(feed.where, feed.alias),
+                )))
+            if side.grouped_threshold:
+                # each group probes with its own aggregate, inside the side
+                self._fixed.append(lambda _row: None)
+                continue
             # Fixed probe side: uncorrelated scalars + arithmetic.
             for node in walk_expr(spec.fixed_expr):
                 if isinstance(node, SubqueryExpr) and node.query not in self._scalars:
@@ -377,22 +452,30 @@ class AggregateIndexEngine(IncrementalEngine):
             self._fixed.append(
                 compile_predicate_side(spec.fixed_expr, side.alias, self._scalars, {})
             )
-            self._sides_of.setdefault(spec.relation, []).append(position)
 
-        # Sharding partitions one relation's correlation keys; a join's
-        # sides would each need their own partition.
-        if len(layout.sides) == 1:
-            (side,) = layout.sides
-            self.shard_mode = "hash" if side.point else "range"
-            # (relation, key extractor, stored-key sign, pin): an event
-            # that only feeds the fixed side is pinned to one replica
-            # (range: below every data key, i.e. the lowest).
-            self._routing = (
-                side.spec.relation,
-                self._extract[0][0],
-                None if side.point else self.sides[0].key_sign,
-                0 if side.point else float("-inf"),
-            )
+        # Sharding partitions one side's keys (a join's sides would each
+        # need their own partition; an ungrouped threshold's probe reads
+        # every key), routed by each feed's netting key.
+        (side, *others) = layout.sides
+        if not others and (side.point or side.grouped_threshold or not side.threshold):
+            ranged = not (side.point or side.threshold)
+            self.shard_mode = "range" if ranged else "hash"
+            # (stored-key sign, pin): an event that only feeds the fixed
+            # side is pinned to one replica (range: below every data
+            # key, i.e. the lowest).
+            self._routing = (self.sides[0].key_sign, float("-inf")) if ranged else (None, 0)
+
+    def _new_side(self, side: SidePlan) -> PointSide | ShiftedSide | ThresholdSide:
+        spec, index_cls = side.spec, self._index_cls
+        if side.point:
+            return PointSide(index_cls)
+        if not side.threshold:
+            return ShiftedSide(spec.inner_op, side.columns, index_cls, bool(side.group_by))
+        scale, call = peel_constant_scale(spec.fixed_expr)
+        if side.grouped_threshold and not isinstance(call, AggrCall):
+            raise UnsupportedQueryError("a grouped threshold probes with a scaled aggregate")
+        grouped = side.grouped_threshold
+        return ThresholdSide(side.columns, index_cls, grouped, spec.outer_op, spec.inner_func, scale)
 
     # -- checkpointing ----------------------------------------------------
 
@@ -400,7 +483,7 @@ class AggregateIndexEngine(IncrementalEngine):
         """The compiled closures (and any installed compiled triggers)
         are rebuilt from the plan on restore; everything else is data."""
         state = {
-            "plan": self._plan,
+            "query": self.query,
             "index_cls": self._index_cls,
             "name": self.name,
             "sides": self.sides,
@@ -418,7 +501,8 @@ class AggregateIndexEngine(IncrementalEngine):
             raise EngineStateError(
                 "engine state predates the one-engine side layout"
             )
-        self.__init__(state["plan"], state["index_cls"], name=state["name"])  # type: ignore[misc]
+        plan = state["plan"] if "plan" in state else classify(state["query"])
+        self.__init__(plan, state["index_cls"], name=state["name"])  # type: ignore[misc]
         self.sides = state["sides"]
         for sub, aggregate in state["scalars"].items():
             self._scalars[sub].aggregate = aggregate
@@ -448,23 +532,25 @@ class AggregateIndexEngine(IncrementalEngine):
             if scalar.relation == block.relation
         ]
 
-    def _event_deltas(self, position: int, row: Row, x: int) -> tuple:
-        """(correlation key, inner-aggregate delta, per-column result
-        deltas, GROUP BY key) of one tuple for one side."""
-        key_fn, weight_fn, delta_fns, group_fn = self._extract[position]
-        return (
-            key_fn(row),
-            weight_fn(row) * x,
-            [fn(row) * x for fn in delta_fns],
-            group_fn(row) if group_fn is not None else None,
-        )
+    def _deltas(self, event: Event) -> Iterable[tuple]:
+        """Per side the event feeds: (side position, netting key,
+        weight delta, per-column deltas, placement key)."""
+        row, x = event.row, event.weight
+        for position, (key_fn, weight_fn, delta_fns, group_fn, where) in self._feeds.get(
+            event.relation, ()
+        ):
+            if where is None or where(row):
+                yield (
+                    position,
+                    key_fn(row),
+                    weight_fn(row) * x,
+                    [fn(row) * x for fn in delta_fns],
+                    group_fn(row) if group_fn is not None else None,
+                )
 
     def apply(self, event: Event) -> None:
         self._update_scalars(event)
-        for position in self._sides_of.get(event.relation, ()):
-            key, weight, deltas, group = self._event_deltas(
-                position, event.row, event.weight
-            )
+        for position, key, weight, deltas, group in self._deltas(event):
             self.sides[position].apply(key, weight, {group: deltas})
 
     def _net(self, events: Iterable[Event]) -> list[dict]:
@@ -478,10 +564,11 @@ class AggregateIndexEngine(IncrementalEngine):
         nets: list[dict] = [{} for _ in self.sides]
         for event in events:
             self._update_scalars(event)
-            for position in self._sides_of.get(event.relation, ()):
-                key, weight, deltas, group = self._event_deltas(
-                    position, event.row, event.weight
-                )
+            for position, key, weight, deltas, group in self._deltas(event):
+                if self.layout.sides[position].grouped_threshold:
+                    # its groups' dicts net already: tuple by tuple
+                    self.sides[position].apply(key, weight, {group: deltas})
+                    continue
                 entry = nets[position].get(key)
                 if entry is None:
                     nets[position][key] = [weight, {group: deltas}]
@@ -556,7 +643,7 @@ class AggregateIndexEngine(IncrementalEngine):
             for side_sums, column in zip(sums, columns):
                 product *= side_sums[column]
             total += product
-        return self.layout.scale * total
+        return apply_scale(self.layout.scale, total)
 
     # -- sharded execution (single-side plans) -----------------------------
     # Equality correlation partitions by *hash*: a replica owns the
@@ -586,22 +673,25 @@ class AggregateIndexEngine(IncrementalEngine):
     # computed by exactly the same float operations as unsharded.
 
     def shard_routing_key(self, event: Event) -> Any:
-        relation, key_fn, sign, pin = self._routing
-        if event.relation != relation:
+        sign, pin = self._routing
+        feeds = self._feeds.get(event.relation)
+        if feeds is None:
             return pin
-        key = key_fn(event.row)
+        key = feeds[0][1][0](event.row)
         return key if sign is None else sign * key
 
     def shard_routing_spec(self) -> dict:
-        relation, _key_fn, sign, pin = self._routing
-        columns = self.layout.sides[0].key_columns
-        if sign is not None:
-            rule: tuple = ("scaled_column", columns[0], sign)
-        elif len(columns) == 1:
-            rule = ("column", columns[0])
-        else:
-            rule = ("columns", columns)
-        return {relation: rule, "*": ("pin", pin)}
+        sign, pin = self._routing
+        spec: dict = {"*": ("pin", pin)}
+        for feed in self.layout.sides[0].feeds:
+            columns = tuple(ref.column for ref in feed.key)
+            if sign is not None:
+                spec[feed.relation] = ("scaled_column", columns[0], sign)
+            elif len(columns) == 1:
+                spec[feed.relation] = ("column", columns[0])
+            else:
+                spec[feed.relation] = ("columns", columns)
+        return spec
 
     def shard_partial(self) -> Any:
         components = []
@@ -611,7 +701,8 @@ class AggregateIndexEngine(IncrementalEngine):
                 components.append(("sc", aggregate.total, aggregate.count))
             else:  # MinMaxView — ship the multiset contents
                 components.append(("mm", tuple(aggregate._values.items())))
-        return (tuple(components), self.sides[0].bound_map.total_sum())
+        volume = self.sides[0].bound_map.total_sum() if self.shard_mode == "range" else 0
+        return (tuple(components), volume)
 
     def shard_contexts(self, partials) -> list[Any]:
         from repro.core.minmax import MinMaxView
@@ -656,8 +747,8 @@ def build_single_index_engine(
 
     Raises:
         UnsupportedQueryError: when the plan is not PAI_EQUALITY,
-            RPAI_INEQUALITY or RPAI_CONJUNCTIVE (use the registry for the
-            other strategies).
+            RPAI_INEQUALITY, RPAI_CONJUNCTIVE or RPAI_GROUPED (use the
+            registry for the other strategies).
     """
     return AggregateIndexEngine(classify(query), index_cls, name=name)
 

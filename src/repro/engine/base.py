@@ -164,8 +164,8 @@ class Quarantine:
 def _row_caller(handler: Callable, columns: Sequence[str]) -> Callable:
     """``(engine, weight, row) -> handler(engine, weight, row[c0], row[c1], …)``
     with the subscripts spelled out: a ``*itemgetter(...)(row)`` call
-    costs ~0.15 µs more per event than positional arguments, which is
-    5 % of PSP's whole trigger."""
+    costs ~0.15 µs more per event than positional arguments, which was
+    5 % of a whole hand-written PSP trigger."""
     cells = ", ".join(f"row[{column!r}]" for column in columns)
     return eval(f"lambda self, x, row: handler(self, x, {cells})", {"handler": handler})
 

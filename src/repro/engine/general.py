@@ -56,11 +56,13 @@ from repro.query.ast import (
     walk_expr,
 )
 from repro.query.rowexpr import (
+    PY_COMPARE,
     UncorrelatedScalar,
     compile_row_expr,
     compile_source,
     emit_predicate_side,
     emit_row_expr,
+    emit_scaled,
     peel_constant_scale,
     subquery_bindings,
 )
@@ -70,9 +72,6 @@ from repro.trees.treemap import TreeMap
 __all__ = ["GeneralAlgorithmEngine"]
 
 Row = Mapping[str, Any]
-
-#: SQL comparison -> Python operator, where they differ
-_PY_COMPARE = {"=": "==", "<>": "!="}
 
 
 def _bind(source: str, name: str, owner: Any, namespace: dict[str, Any]) -> None:
@@ -164,7 +163,7 @@ class _CorrelatedSubquery:
                 "    free_sum = self.free_sum",
                 "    free_count = self.free_count",
                 "    for g in free_sum:",
-                f"        if key {_PY_COMPARE.get(self.theta, self.theta)} g:",
+                f"        if key {PY_COMPARE.get(self.theta, self.theta)} g:",
                 "            free_sum[g] += value",
                 "            free_count[g] += weight",
             ]
@@ -239,7 +238,7 @@ class _CorrelatedSubquery:
                 f"({name}.free_sum[{g}] / {name}.free_count[{g}] "
                 f"if {name}.free_count[{g}] else 0)"
             )
-        return f"({self.scale!r} * {value})"
+        return emit_scaled(self.scale, value)
 
     def _range_extreme(self, g: float) -> float:
         """MIN/MAX over the live correlation attributes in the θ-range
@@ -397,7 +396,7 @@ class GeneralAlgorithmEngine(IncrementalEngine):
                 emit_predicate_side(side, self.alias, self._scalars, self._correlated, "_orow")
                 for side in (conjunct.left, conjunct.right)  # type: ignore[union-attr]
             )
-            op = _PY_COMPARE.get(conjunct.op, conjunct.op)  # type: ignore[union-attr]
+            op = PY_COMPARE.get(conjunct.op, conjunct.op)  # type: ignore[union-attr]
             lines += [f"        if not ({left} {op} {right}):", "            continue"]
         aggregate = {
             "SUM": "_total",
@@ -407,7 +406,7 @@ class GeneralAlgorithmEngine(IncrementalEngine):
         lines += [
             "        _total += _gsum",
             "        _count += _rcnt[_gkey]",
-            f"    return {self._result_scale!r} * {aggregate}",
+            f"    return {emit_scaled(self._result_scale, aggregate)}",
         ]
         return "\n".join(lines) + "\n"
 

@@ -1,19 +1,18 @@
-"""Specialized RPAI trigger implementations for the benchmark queries."""
+"""The sides of the aggregate-index engine, and the RPAI trigger classes
+still written by hand (MST's reference class, NQ1, NQ2, Q18)."""
 
-from repro.engine.queries.common import PointSide, ShiftedSide, probe_index
+from repro.engine.queries.common import PointSide, ShiftedSide, ThresholdSide, probe_index
 from repro.engine.queries.mst import MSTRpaiEngine
 from repro.engine.queries.nq import NQ1RpaiEngine, NQ2RpaiEngine
-from repro.engine.queries.psp import PSPRpaiEngine
-from repro.engine.queries.tpch import Q17RpaiEngine, Q18RpaiEngine
+from repro.engine.queries.tpch import Q18RpaiEngine
 
 __all__ = [
     "PointSide",
     "ShiftedSide",
+    "ThresholdSide",
     "probe_index",
     "MSTRpaiEngine",
-    "PSPRpaiEngine",
     "NQ1RpaiEngine",
     "NQ2RpaiEngine",
-    "Q17RpaiEngine",
     "Q18RpaiEngine",
 ]

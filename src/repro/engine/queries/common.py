@@ -15,6 +15,9 @@ correlation's θ:
   the subquery values are prefix sums in attribute order, so the tuple
   shifts one contiguous *range* of keys.  With ``GROUP BY`` the same
   shift fans out over one index per group.
+* :class:`ThresholdSide` — the conjunct compares an outer *column* with
+  a maintained scalar (PSP, TPC-H Q17): the index is keyed by the
+  column, so keys never move, and the probe does.
 
 :class:`~repro.engine.aggr_index.AggregateIndexEngine` builds its sides
 from the planner's output; the hand-derived
@@ -30,9 +33,10 @@ from repro.core.pai_map import PAIMap
 from repro.core.rpai import RPAITree
 from repro.errors import EngineStateError, UnsupportedQueryError
 from repro.obs import SINK as _SINK
+from repro.query.rowexpr import MaintainedAggregate, Scale, apply_scale
 from repro.trees.treemap import TreeMap
 
-__all__ = ["PointSide", "ShiftedSide", "probe_index"]
+__all__ = ["PointSide", "ShiftedSide", "ThresholdSide", "probe_index"]
 
 #: ``{GROUP BY key: result deltas, one per column}`` — ungrouped sides
 #: use the single key ``None``.
@@ -273,3 +277,114 @@ class ShiftedSide:
             sums = probe_index(index, op, probe, columns)
             out[group] = (sums,) if columns == 1 else sums
         return out
+
+
+class _Group(MaintainedAggregate):
+    """A correlation group of a grouped :class:`ThresholdSide`: its probe
+    aggregate, its weight (joined rows that pass the filters), its
+    ``{column value: Σ result delta}`` domain, the domain as an index
+    while the weight is non-zero, and the Σ at qualifying values."""
+
+    __slots__ = ("weight", "domain", "index", "contribution")
+
+    def __init__(self, func: str) -> None:
+        super().__init__(func)
+        self.weight, self.domain, self.index, self.contribution = 0, {}, None, 0
+
+
+class ThresholdSide:
+    """One relation's index keyed by an outer column ``c`` and probed by
+    a maintained scalar ``v`` (the conjunct ``v op c``): keys never
+    move, the probe does.
+
+    Ungrouped (PSP's ``b.volume > 0.0001 * (SELECT SUM(b1.volume) …)``),
+    the engine maintains ``v`` and ``result()`` probes the one index.
+    Grouped (TPC-H Q17), ``v = scale(func(arg))`` is correlated by
+    equality, so each correlation group has its own, and each tuple
+    pairs with its group's ``weight`` joined rows.  A group's probe
+    moves only with its own tuples, so :meth:`move` keeps ``total =
+    Σ weight · contribution`` current and the result only reads it.  A
+    group keeps a plain dict and builds its index only while its weight
+    is non-zero: most groups join nothing and pay one dict update per
+    tuple.
+    """
+
+    def __init__(
+        self,
+        columns: int = 1,
+        index_cls: type = RPAITree,
+        grouped: bool = False,
+        op: str = "<",
+        func: str = "SUM",
+        scale: Scale = (),
+    ) -> None:
+        self.columns, self.grouped, self._index_cls = columns, grouped, index_cls
+        self.op, self.func, self.scale = op, func, scale
+        #: grouped: correlation group -> its :class:`_Group`
+        self.bound_map: dict[Any, _Group] = {}
+        self.total: float = 0
+        self.index = None if grouped else self._new_index()
+
+    # the same construction from the same ``columns`` / ``_index_cls``
+    _new_index = ShiftedSide._new_index
+
+    def indexes(self) -> list:
+        if self.grouped:
+            return [group.index for group in self.bound_map.values() if group.index is not None]
+        return [self.index]
+
+    def apply(self, key: Any, weight: float, placements: Placements) -> None:
+        """Ungrouped: the tuples at column value ``key`` move its sums by
+        ``placements[None]``.  Grouped: :meth:`move` per placement."""
+        if not self.grouped:
+            if any(placements[None]):
+                self.index.add(key, *placements[None])
+            return
+        for value, deltas in placements.items():
+            self.move(key, weight, value, *deltas)
+            weight = 0
+
+    def move(self, key: Any, weight: int, value: Any, delta: float, arg: float, count: int) -> None:
+        """One tuple of group ``key``: ``weight`` joined rows, and at
+        column ``value`` the result ``delta``, the probe argument's
+        ``arg`` and ``count``.  A group's dicts net its tuples already,
+        so the engine feeds a grouped side tuple by tuple."""
+        group = self.bound_map.get(key)
+        if group is None:
+            group = self.bound_map[key] = _Group(self.func)
+        group.total += arg
+        group.count += count
+        domain = group.domain
+        if delta:
+            held = domain.pop(value, 0) + delta
+            if held:
+                domain[value] = held
+            if group.index is not None:
+                group.index.add(value, delta)
+        # A group that joins nothing contributes nothing, before and after.
+        if weight or group.weight:
+            before = group.weight * group.contribution
+            group.weight += weight
+            if group.weight:
+                if group.index is None:
+                    group.index = self._new_index(sorted(domain.items()))
+                probe = apply_scale(self.scale, group.value())
+                group.contribution = probe_index(group.index, self.op, probe)
+            else:
+                group.index, group.contribution = None, 0
+            self.total += group.weight * group.contribution - before
+        if not (group.weight or group.count or domain):
+            del self.bound_map[key]
+
+    def load(self, net: Mapping[Any, tuple[float, Placements]]) -> None:
+        """Load a fresh side from per-key net deltas."""
+        for key, (weight, placements) in net.items():
+            self.apply(key, weight, placements)
+
+    def qualifying(self, op: str, probe: float) -> dict[Any, tuple]:
+        """The per-column sums over column values ``c`` with ``probe op
+        c`` (grouped: the maintained total, whatever the arguments)."""
+        if self.grouped:
+            return {None: (self.total,)}
+        sums = probe_index(self.index, op, probe, self.columns)
+        return {None: (sums,) if self.columns == 1 else sums}

@@ -9,12 +9,12 @@ benchmark query can be run under three execution strategies —
 * ``"rpai"`` — our fully incremental engines (Sections 2.1.3/2.2.3, 4).
 
 For queries whose shape the generic compilers cover the ``rpai`` engine
-is *compiled from the AST*: EQ, VWAP and MST via the planner and the one
-aggregate-index engine, for which the codegen stage then installs
-per-query compiled triggers; SQ1/SQ2 via the general algorithm, which
-generates its own two loops at construction.  The remaining queries
-(PSP, NQ1, NQ2, Q17, Q18) use hand-written trigger classes, exactly as
-the paper's prototype generates specialized triggers per query.
+is *compiled from the AST*: EQ, VWAP, MST, PSP and Q17 via the planner
+and the one aggregate-index engine, for which the codegen stage then
+installs per-query compiled triggers; SQ1/SQ2 via the general
+algorithm, which generates its own two loops at construction.  NQ1,
+NQ2 and Q18 still use hand-written trigger classes: their strategies
+(``GENERAL_NESTED``, ``UNCORRELATED``) build no engine from a plan yet.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ from repro.engine.dbtoaster.tpch import Q17DbtEngine, Q18DbtEngine
 from repro.engine.general import GeneralAlgorithmEngine
 from repro.engine.naive import NaiveEngine
 from repro.engine.queries.nq import NQ1RpaiEngine, NQ2RpaiEngine
-from repro.engine.queries.psp import PSPRpaiEngine
-from repro.engine.queries.tpch import Q17RpaiEngine, Q18RpaiEngine
+from repro.engine.queries.tpch import Q18RpaiEngine
 from repro.workloads.queries import get_query
 
 __all__ = [
@@ -97,13 +96,13 @@ _RPAI: dict[str, EngineFactory] = {
     "EQ": _compiled_index_factory("EQ"),
     "VWAP": _compiled_index_factory("VWAP"),
     "MST": _compiled_index_factory("MST"),
+    "PSP": _compiled_index_factory("PSP"),
+    "Q17": _compiled_index_factory("Q17"),
     "SQ1": _general_factory("SQ1"),
     "SQ2": _general_factory("SQ2"),
-    # Specialized triggers (multi-level nesting / TPC-H):
-    "PSP": PSPRpaiEngine,
+    # Specialized triggers (multi-level nesting / TPC-H Q18):
     "NQ1": NQ1RpaiEngine,
     "NQ2": NQ2RpaiEngine,
-    "Q17": Q17RpaiEngine,
     "Q18": Q18RpaiEngine,
 }
 

@@ -80,21 +80,6 @@ def free_columns(query: AggrQuery) -> frozenset[ColumnRef]:
     return frozenset(ref for ref in free if ref.relation not in query.aliases)
 
 
-def _refs_relative_to(query: AggrQuery) -> Iterator[ColumnRef]:
-    """All refs inside ``query`` whose alias is not defined by any
-    *descendant* subquery (so they resolve at ``query`` level or above)."""
-
-    def visit(q: AggrQuery, inner_aliases: frozenset[str]) -> Iterator[ColumnRef]:
-        for expr in q.direct_expressions():
-            for ref in column_refs(expr):
-                if ref.relation not in inner_aliases:
-                    yield ref
-        for sub in q.subqueries():
-            yield from visit(sub, inner_aliases | sub.aliases)
-
-    yield from visit(query, frozenset())
-
-
 def free_columns_of_alias(query: AggrQuery, alias: str) -> frozenset[ColumnRef]:
     """``free(q)`` restricted to one outer alias (the paper's
     ``free_r(q)``)."""

@@ -9,20 +9,24 @@ query's trigger; this module does that for the engine that is built
 from a plan:
 
 * :class:`~repro.engine.aggr_index.AggregateIndexEngine` (Algorithm 4:
-  EQ, VWAP, grouped VWAP, MST, …) — **one emitter** over the engine's
-  side descriptions (:func:`~repro.engine.aggr_index.plan_sides`).
-  Scalar updates, per-row extraction, netting and ``result`` are
-  written once; ``apply`` / ``apply_batch`` / ``apply_frame`` are three
-  loop shapes around three per-side *apply fragments* (point move,
-  range shift, grouped fan-out), and ``warm_start`` is the batch shape's
-  netting with the sides' bulk loads in place of the fragments.  The
-  obs + quarantine prologue is not generated: the compiled functions
-  are the engine's two steps, and ``IncrementalEngine.on_event`` /
+  EQ, VWAP, grouped VWAP, MST, PSP, Q17, …) — **one emitter** over the
+  engine's side descriptions (:func:`~repro.engine.aggr_index.plan_sides`).
+  Scalar updates, per-row extraction (each side's feeds, filters
+  included), netting and ``result`` are written once; ``apply`` /
+  ``apply_batch`` / ``apply_frame`` are three loop shapes around the
+  per-side *apply fragments* (point move, range shift, grouped fan-out,
+  column-keyed add), and ``warm_start`` is the batch shape's netting
+  with the sides' bulk loads in place of the fragments.  A grouped
+  threshold side (Q17) is called, not inlined: its fragment is the
+  side's own ``apply`` and ``result`` reads its maintained total, so
+  its per-group logic exists once.  The obs +
+  quarantine prologue is not generated: the compiled functions are the
+  engine's two steps, and ``IncrementalEngine.on_event`` /
   ``on_batch`` / ``on_frame`` wrap them as they wrap every engine's.
 
 Everything else is its own single definition and has no emitter here —
 :func:`specialize` returns False for it: the hand-written per-query
-classes (PSP, NQ1, NQ2, Q17, Q18), and the general algorithm
+classes (NQ1, NQ2, Q18), and the general algorithm
 (:class:`~repro.engine.general.GeneralAlgorithmEngine`: SQ1, SQ2), which
 generates its two O(live groups) loops itself at construction, codegen
 switch or no switch (:func:`generated_source` still returns them).
@@ -59,21 +63,21 @@ import time
 import types
 from typing import Any, Callable
 
-from repro.engine.aggr_index import AggregateIndexEngine, SidePlan
+from repro.engine.aggr_index import AggregateIndexEngine, Feed, SidePlan
 from repro.errors import UnsupportedQueryError
 from repro.obs import SINK as _SINK
-from repro.query.ast import AggrQuery, ColumnRef, Expr
+from repro.query.ast import AggrQuery, ColumnRef, Const, Expr
 from repro.query.rowexpr import (
     UncorrelatedScalar,
     compile_source,
     emit_col_element,
     emit_predicate_side,
     emit_row_expr,
+    emit_scaled,
     subquery_bindings,
 )
 
 __all__ = [
-    "INTERPRETED",
     "COMPILED",
     "codegen_enabled",
     "set_codegen",
@@ -82,19 +86,13 @@ __all__ = [
     "uninstall",
     "generated_source",
     "clear_cache",
-    "UnsupportedTriggerError",
 ]
 
-#: Trigger modes reported by ``IncrementalEngine.trigger_mode``.
-INTERPRETED = "interpreted"
+#: The trigger mode compiled engines report (``IncrementalEngine.trigger_mode``).
 COMPILED = "compiled"
 
 #: what the emitter defines and :func:`specialize` installs
 _TRIGGER_ATTRS = ("apply", "apply_batch", "apply_frame", "result", "warm_start")
-
-
-class UnsupportedTriggerError(UnsupportedQueryError):
-    """The engine/query shape has no specialized trigger emitter."""
 
 
 def _env_default() -> bool:
@@ -125,10 +123,9 @@ def set_codegen(flag: bool) -> None:
 
 
 class _Entry:
-    __slots__ = ("key", "source", "code")
+    __slots__ = ("source", "code")
 
-    def __init__(self, key: tuple, source: str, code: Any) -> None:
-        self.key = key
+    def __init__(self, source: str, code: Any) -> None:
         self.source = source
         self.code = code
 
@@ -182,21 +179,23 @@ def _probe_src(op: str, index: str, probe: str, columns: int) -> str:
         if columns == 1:
             return f"({index}.total_sum() - {index}.get_sum({probe}, inclusive={op == '<'}))"
         return f"{index}.suffix_sum({probe}, inclusive={op == '<='})"
-    raise UnsupportedTriggerError(f"unsupported probe operator {op!r}")
+    raise UnsupportedQueryError(f"unsupported probe operator {op!r}")
 
 
 # ---------------------------------------------------------------------------
-# AggregateIndexEngine (Algorithm 4 — EQ, VWAP, grouped VWAP, MST)
+# AggregateIndexEngine (Algorithm 4 — EQ, VWAP, grouped VWAP, MST, PSP, Q17)
 # ---------------------------------------------------------------------------
 # One emitter over the engine's side descriptions.  Per side the source
 # names are fixed: ``_s{k}`` is the side object (bound as a global at
 # install time), ``_n{k}`` its net dict, ``_bm{k}``/``_rm{k}``/
 # ``_ix{k}``/``_gi{k}`` its structures read off the side once per call
 # (warm_start replaces them, so they are not bound at install time).
-# A tuple's deltas are ``_key`` (stored correlation key, sign applied),
-# ``_wgt`` (inner-aggregate delta), one ``_d{j}`` per factor column (the
-# count column's delta is the weight ``_w`` itself) and, under GROUP BY,
-# ``_grp``.
+# A tuple's deltas, per feed (``Feed``), are ``_key`` (netting key, a
+# stored correlation key with its sign applied), ``_wgt``
+# (inner-aggregate or joined-row delta), one ``_d{j}`` per placement
+# column (a count column's delta is the weight ``_w`` itself) and, on a
+# grouped side, ``_grp`` (placement key).  A grouped side's placements
+# are ``_pg``: ``{_grp: [deltas]}``.
 
 #: expression -> source, for one trigger flavor: ``_row[...]`` reads
 #: (``emit_row_expr``) or typed-column element reads.
@@ -209,71 +208,90 @@ class _SideSrc:
     def __init__(self, k: int, plan: SidePlan, side: Any) -> None:
         self.k = k
         self.plan = plan
-        self.relation = plan.spec.relation
         self.grouped = bool(plan.group_by)
-        self.negated = not plan.point and side.key_sign == -1
-        self.inclusive = not plan.point and side.inclusive
+        self.negated = not (plan.point or plan.threshold) and side.key_sign == -1
+        self.inclusive = not (plan.point or plan.threshold) and side.inclusive
         #: delta names once netted (every column is a ``_d{j}``)
         self.netted = [f"_d{j}" for j in range(plan.columns)]
-        #: delta names straight off a tuple
-        self.fresh = self.netted[: len(plan.factors)] + ["_w"] * plan.counted
 
     def bind(self, lines: list[str], *, maps: bool = True) -> None:
         """Read the side's structures into locals (without ``maps``,
         only the indexes the result probes read)."""
-        k = self.k
-        if maps:
+        k, plan = self.k, self.plan
+        if plan.grouped_threshold:
+            return  # its own ``move`` and ``total``
+        if maps and not plan.threshold:
             lines.append(f"    _bm{k} = _s{k}.bound_map")
-            if self.plan.point:
+            if plan.point:
                 lines.append(f"    _rm{k} = _s{k}.res_map")
-        if self.plan.point:
+        if plan.point or plan.threshold:
             lines.append(f"    _ix{k} = _s{k}.index")
-        elif self.grouped:
+        elif plan.group_by:
             lines.append(f"    _gi{k} = _s{k}.group_indexes")
         else:
             lines.append(f"    _ix{k} = _s{k}.group_indexes[None]")
 
-    def extract(self, lines: list[str], indent: str, src: _ExprSrc) -> None:
-        """One tuple's deltas, from a row or from column elements."""
-        plan, alias = self.plan, self.plan.alias
+    def extract(
+        self, lines: list[str], indent: str, src: _ExprSrc, feed: Feed
+    ) -> tuple[str, list[str]]:
+        """One tuple's deltas, from a row or from column elements, under
+        the feed's filter; returns the indent inside it and the delta
+        names."""
+        if feed.where is not None:
+            lines.append(f"{indent}if {src(feed.where, feed.alias)}:")
+            indent += "    "
 
-        def cells(columns: tuple[str, ...]) -> str:
+        def cells(refs: tuple[ColumnRef, ...]) -> str:
             # one column's value, or the tuple of several
-            values = [src(ColumnRef(alias, column), alias) for column in columns]
+            values = [src(ref, feed.alias) for ref in refs]
             return values[0] if len(values) == 1 else "(" + ", ".join(values) + ")"
 
-        key = cells(plan.key_columns)
-        lines.append(f"{indent}_key = {'-' + key if self.negated else key}")
-        inner = src(plan.spec.inner_arg, plan.spec.inner_col.relation)
-        lines.append(f"{indent}_wgt = ({inner}) * _w")
-        for name, factor in zip(self.netted, plan.factors):
-            lines.append(f"{indent}{name} = ({src(factor, alias)}) * _w")
-        if self.grouped:
-            lines.append(f"{indent}_grp = {cells(plan.group_by)}")
+        def times_w(expr: Expr | None) -> str:
+            return "0" if expr == Const(0) else f"({src(expr, feed.alias)}) * _w"
 
-    def net(self, lines: list[str], indent: str) -> None:
+        key = cells(feed.key)
+        lines.append(f"{indent}_key = {'-' + key if self.negated else key}")
+        lines.append(f"{indent}_wgt = {times_w(feed.weight)}")
+        fresh = []
+        for j, delta in enumerate(feed.deltas):
+            if delta is None:
+                fresh.append("_w")
+            else:
+                lines.append(f"{indent}_d{j} = {times_w(delta)}")
+                fresh.append(f"_d{j}")
+        if self.grouped or self.plan.grouped_threshold:
+            lines.append(f"{indent}_grp = {cells(feed.group) if feed.group else None}")
+        return indent, fresh
+
+    def net(self, lines: list[str], indent: str, fresh: list[str]) -> None:
         """Coalesce the extracted deltas into ``_n{k}`` (mirrors
         ``AggregateIndexEngine._net``)."""
         k = self.k
         lines.append(f"{indent}_e = _n{k}.get(_key)")
         lines.append(f"{indent}if _e is None:")
         if self.grouped:
-            lines.append(f"{indent}    _n{k}[_key] = [_wgt, {{_grp: {self.fresh[0]}}}]")
+            lines.append(f"{indent}    _n{k}[_key] = [_wgt, {{_grp: {fresh[0]}}}]")
             lines.append(f"{indent}else:")
             lines.append(f"{indent}    _e[0] += _wgt")
             lines.append(f"{indent}    _pg = _e[1]")
-            lines.append(f"{indent}    _pg[_grp] = _pg.get(_grp, 0) + {self.fresh[0]}")
+            lines.append(f"{indent}    _pg[_grp] = _pg.get(_grp, 0) + {fresh[0]}")
             return
-        lines.append(f"{indent}    _n{k}[_key] = [{', '.join(['_wgt'] + self.fresh)}]")
+        lines.append(f"{indent}    _n{k}[_key] = [{', '.join(['_wgt'] + fresh)}]")
         lines.append(f"{indent}else:")
-        for slot, name in enumerate(["_wgt"] + self.fresh):
+        for slot, name in enumerate(["_wgt"] + fresh):
             lines.append(f"{indent}    _e[{slot}] += {name}")
 
     def apply(self, lines: list[str], indent: str, deltas: list[str]) -> None:
         """The side's apply fragment for the deltas at ``_key``:
         ``deltas`` names one local per column (under GROUP BY the
         fragment reads the per-group dict ``_pg`` instead)."""
-        if self.plan.point:
+        plan = self.plan
+        if plan.grouped_threshold:
+            lines.append(f"{indent}_s{self.k}.move(_key, _wgt, _grp, {', '.join(deltas)})")
+        elif plan.threshold:
+            lines.append(f"{indent}if {' or '.join(f'{d} != 0' for d in deltas)}:")
+            lines.append(f"{indent}    _ix{self.k}.add(_key, {', '.join(deltas)})")
+        elif plan.point:
             self._point_move(lines, indent, deltas[0])
         else:
             self._range_shift(lines, indent, deltas)
@@ -364,10 +382,14 @@ def _aggr_emit(engine: AggregateIndexEngine) -> str:
         _SideSrc(k, plan, side)
         for k, (plan, side) in enumerate(zip(layout.sides, engine.sides))
     ]
-    by_relation: dict[str, list[_SideSrc]] = {}
+    by_relation: dict[str, list[tuple[_SideSrc, Feed]]] = {}
     for side in sides:
-        by_relation.setdefault(side.relation, []).append(side)
+        for feed in side.plan.feeds:
+            by_relation.setdefault(feed.relation, []).append((side, feed))
+    probed = [side for side in sides if not side.plan.grouped_threshold]
     grouped = bool(layout.group_by)
+    #: the plan's one side is a grouped threshold: tuple by tuple
+    tuplewise = not probed
 
     def bind_sides(lines: list[str]) -> None:
         for side in sides:
@@ -378,8 +400,8 @@ def _aggr_emit(engine: AggregateIndexEngine) -> str:
         for relation, members in by_relation.items():
             lines.append(f"{indent}{branch} _rel == {relation!r}:")
             branch = "elif"
-            for side in members:
-                body(side, indent + "    ")
+            for side, feed in members:
+                body(side, *side.extract(lines, indent + "    ", emit_row_expr, feed))
 
     def combine_src() -> str:
         # AggregateIndexEngine._combine as one flat expression.
@@ -387,7 +409,7 @@ def _aggr_emit(engine: AggregateIndexEngine) -> str:
             "(" + " * ".join([repr(coef)] + [f"_q{k}_{c}" for k, c in enumerate(columns)]) + ")"
             for coef, columns in layout.terms
         ]
-        return f"{layout.scale!r} * ({' + '.join(['0.0'] + terms)})"
+        return emit_scaled(layout.scale, f"({' + '.join(['0.0'] + terms)})")
 
     def probe(side: _SideSrc, index: str) -> str:
         columns = side.plan.columns
@@ -402,22 +424,23 @@ def _aggr_emit(engine: AggregateIndexEngine) -> str:
     bind_sides(lines)
     _emit_scalar_updates(lines, "    ", scalars)
 
-    def event_body(side: _SideSrc, indent: str) -> None:
-        side.extract(lines, indent, emit_row_expr)
+    def event_body(side: _SideSrc, indent: str, fresh: list[str]) -> None:
         if side.grouped:
-            lines.append(f"{indent}_pg = {{_grp: {side.fresh[0]}}}")
-        side.apply(lines, indent, side.fresh)
+            lines.append(f"{indent}_pg = {{_grp: {fresh[0]}}}")
+        side.apply(lines, indent, fresh)
 
     per_relation(lines, "    ", event_body)
     lines.append("")
 
     # -- batch shape: extract + net per event, then drain ------------------
-    def net_body(side: _SideSrc, indent: str) -> None:
-        side.extract(lines, indent, emit_row_expr)
-        side.net(lines, indent)
+    def net_body(side: _SideSrc, indent: str, fresh: list[str]) -> None:
+        if tuplewise:
+            side.apply(lines, indent, fresh)
+        else:
+            side.net(lines, indent, fresh)
 
     def net_loop(source: str) -> None:
-        for side in sides:
+        for side in sides if not tuplewise else ():
             lines.append(f"    _n{side.k} = {{}}")
         lines.append(f"    for event in {source}:")
         _emit_event_unpack(lines, "        ")
@@ -427,10 +450,10 @@ def _aggr_emit(engine: AggregateIndexEngine) -> str:
     def drain(counted: str) -> None:
         # Shared tail of the batch and frame shapes.
         lines.append(f"    if _S.enabled and {counted}:")
-        nets = " + ".join(f"len(_n{side.k})" for side in sides)
+        nets = " + ".join(f"len(_n{side.k})" for side in sides if not tuplewise) or "0"
         lines.append(f"        _S.observe('engine.batch_coalesced_keys', {nets})")
         bind_sides(lines)
-        for side in sides:
+        for side in sides if not tuplewise else ():
             side.drain(lines)
 
     lines.append("def apply_batch(self, events):")
@@ -442,62 +465,89 @@ def _aggr_emit(engine: AggregateIndexEngine) -> str:
     lines.append("def warm_start(self, stream):")
     lines.append("    self._require_fresh()")
     net_loop("stream")
-    for side in sides:
+    for side in sides if not tuplewise else ():
         side.load(lines)
     lines.append("    return self.result()")
     lines.append("")
 
-    # -- frame shape: extract + net per column element, then drain ---------
-    # Fallback rows take ``apply_batch`` over the decoded events.
-    # Everything inside the ``try`` writes only locals — a block that
-    # does not fit the compiled column shape (missing column, value the
-    # expression arithmetic rejects) raises KeyError/TypeError *before*
-    # any engine state changes, so the decoded event path governs.  The
-    # scalar updates are precomputed per block (``scalar_column_updates``
-    # is pure) and applied only after the whole frame scanned clean.  A
-    # frame holds at most one block per relation with its rows in event
-    # order, so each net dict's insertion order matches the event loop's.
-    lines.append("def apply_frame(self, frame):")
-    lines.append("    if frame.fallback:")
-    lines.append("        return self.apply_batch(frame.events())")
-    for side in sides:
-        lines.append(f"    _n{side.k} = {{}}")
-    lines.append("    _fx = []")
-    lines.append("    try:")
-    lines.append("        for _blk in frame.blocks:")
-    lines.append("            _fx.extend(self.scalar_column_updates(_blk))")
-    lines.append("            _rel = _blk.relation")
-    branch = "if"
-    for relation, members in by_relation.items():
-        cols: dict[str, str] = {}
-        body: list[str] = []
-        for side in members:
-            side.extract(body, "", lambda expr, alias: emit_col_element(expr, alias, cols))
-            side.net(body, "")
-        lines.append(f"            {branch} _rel == {relation!r}:")
-        branch = "elif"
-        for column, local in cols.items():
-            lines.append(f"                {local} = _blk.column({column!r})")
-        lines.append("                _wts = _blk.weights")
-        lines.append("                for _i in range(len(_wts)):")
-        lines.append("                    _w = _wts[_i]")
-        lines.extend("                    " + line for line in body)
-    lines.append("    except (KeyError, TypeError):")
-    lines.append("        return self.apply_batch(frame.events())")
-    lines.append("    for _fsc, _fvals, _fwts in _fx:")
-    lines.append("        _fsc.apply_columns(_fvals, _fwts)")
-    drain("len(frame)")
-    lines.append("")
+    if tuplewise:
+        # -- frame shape, tuple by tuple: per relation a row function of
+        # its columns, which ``ColumnarFrame.feed`` calls in event order
+        # (a block that lacks a column raises KeyError before any call).
+        rows = []
+        for n, (relation, members) in enumerate(by_relation.items()):
+            cols: dict[str, str] = {}
+            src = lambda expr, alias: emit_col_element(expr, alias, cols, "")  # noqa: E731
+            body: list[str] = []
+            for side, feed in members:
+                indent, fresh = side.extract(body, "    ", src, feed)
+                side.apply(body, indent, fresh)
+            lines.append(f"def _row{n}(self, _w, {', '.join(cols.values())}):")
+            lines.extend(body)
+            rows.append(f"{relation!r}: (_row{n}, {tuple(cols)!r})")
+        lines.append(f"_ROWS = {{{', '.join(rows)}}}")
+        lines.append("def apply_frame(self, frame):")
+        lines.append("    frame.feed(_ROWS, self, self.apply)")
+        lines.append("    if _S.enabled and len(frame):")
+        lines.append("        _S.observe('engine.batch_coalesced_keys', 0)")
+        lines.append("")
+    else:
+        # -- frame shape: extract + net per column element, then drain -----
+        # Fallback rows take ``apply_batch`` over the decoded events.
+        # Everything inside the ``try`` writes only locals — a block that
+        # does not fit the compiled column shape (missing column, value
+        # the expression arithmetic rejects) raises KeyError/TypeError
+        # *before* any engine state changes, so the decoded event path
+        # governs.  The scalar updates are precomputed per block
+        # (``scalar_column_updates`` is pure) and applied only after the
+        # whole frame scanned clean.  A frame holds at most one block per
+        # relation with its rows in event order, so each net dict's
+        # insertion order matches the event loop's.
+        lines.append("def apply_frame(self, frame):")
+        lines.append("    if frame.fallback:")
+        lines.append("        return self.apply_batch(frame.events())")
+        for side in sides:
+            lines.append(f"    _n{side.k} = {{}}")
+        lines.append("    _fx = []")
+        lines.append("    try:")
+        lines.append("        for _blk in frame.blocks:")
+        lines.append("            _fx.extend(self.scalar_column_updates(_blk))")
+        lines.append("            _rel = _blk.relation")
+        branch = "if"
+        for relation, members in by_relation.items():
+            cols = {}
+            src = lambda expr, alias: emit_col_element(expr, alias, cols)  # noqa: E731
+            body = []
+            for side, feed in members:
+                side.net(body, *side.extract(body, "", src, feed))
+            lines.append(f"            {branch} _rel == {relation!r}:")
+            branch = "elif"
+            for column, local in cols.items():
+                lines.append(f"                {local} = _blk.column({column!r})")
+            lines.append("                _wts = _blk.weights")
+            lines.append("                for _i in range(len(_wts)):")
+            lines.append("                    _w = _wts[_i]")
+            lines.extend("                    " + line for line in body)
+        lines.append("    except (KeyError, TypeError):")
+        lines.append("        return self.apply_batch(frame.events())")
+        lines.append("    for _fsc, _fvals, _fwts in _fx:")
+        lines.append("        _fsc.apply_columns(_fvals, _fwts)")
+        drain("len(frame)")
+        lines.append("")
 
     # -- result: per side the fixed probe value then one probe returning
-    # every column, then the term recombination (per group under GROUP BY)
+    # every column (a grouped threshold side keeps its sum current), then
+    # the term recombination (per group under GROUP BY)
     lines.append("def result(self):")
     for side in sides:
         side.bind(lines, maps=False)
-    if not grouped:
+    if probed and not grouped:
         lines.append("    if _S.enabled:")
-        lines.append(f"        _S.inc('engine.result_probes', {len(sides)})")
+        lines.append(f"        _S.inc('engine.result_probes', {len(probed)})")
     for side in sides:
+        if side.plan.grouped_threshold:
+            lines.append(f"    _q{side.k}_0 = _s{side.k}.total")
+            continue
         fixed = emit_predicate_side(side.plan.spec.fixed_expr, side.plan.alias, scalars, {})
         lines.append(f"    _p{side.k} = {fixed}")
         if not grouped:
@@ -544,7 +594,7 @@ def specialize(engine) -> bool:
         if _SINK.enabled:
             _SINK.inc("codegen.unsupported")
         return False
-    key = ("aggregate-index", engine._plan.query)
+    key = ("aggregate-index", engine.query)
     entry = _CACHE.get(key)
     if entry is _UNSUPPORTED:
         if _SINK.enabled:
@@ -562,7 +612,7 @@ def specialize(engine) -> bool:
                 _SINK.inc("codegen.unsupported")
             return False
         code = compile_source(source, "codegen")
-        entry = _CACHE[key] = _Entry(key, source, code)
+        entry = _CACHE[key] = _Entry(source, code)
         if _SINK.enabled:
             _SINK.observe("codegen.compile_seconds", time.perf_counter() - start)
     else:

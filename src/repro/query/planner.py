@@ -4,7 +4,8 @@ Given a parsed query, :func:`classify` pattern-matches it against the
 shapes the paper's optimizations require and returns a
 :class:`QueryPlan` saying *how* it should be incrementalized:
 
-* ``UNCORRELATED`` — no correlated nested aggregates (TPC-H Q18): every
+* ``UNCORRELATED`` — no correlated nested aggregates and no conjunct an
+  aggregate index can key (TPC-H Q18's ``IN … HAVING`` semijoin): every
   subquery is independently maintainable and the outer result follows
   by point updates.
 * ``PAI_EQUALITY`` — Section 2.1.3 / Algorithm 4 ``"="`` case: a single
@@ -14,12 +15,17 @@ shapes the paper's optimizations require and returns a
   tree (VWAP).
 * ``RPAI_CONJUNCTIVE`` — the multi-relation form of Section 4.3: a
   conjunction ``v1 θ q_R1 AND ... AND vn θ q_Rn`` with each ``q_Ri``
-  correlated only on ``Ri``; one aggregate index per relation (MST,
-  PSP).
+  correlated only on ``Ri``; one aggregate index per relation (MST).
+  A conjunct ``column θ v`` with an uncorrelated ``v`` is the same
+  shape with the column as the key (PSP).
+* ``RPAI_GROUPED`` — a column compared with a subquery correlated by
+  equality through a join (TPC-H Q17, Section 5.2.2): one column-keyed
+  index per correlation group, probed with the group's own aggregate.
 * ``GENERAL`` — the Section 4.2 general algorithm (SQ1, SQ2).
 * ``GENERAL_NESTED`` — multi-level nesting (NQ1, NQ2): delta-compute
   the inner view, then either feed the deltas into aggregate indexes
-  (NQ1) or fall back to the general algorithm at the outer level (NQ2).
+  (NQ1) or, when the innermost level correlates with the outermost
+  query, fall back to the general algorithm at the outer level (NQ2).
 
 The checks run once per query ("during trigger generation") and are
 linear in the query size — no exponential blow-up, matching the paper's
@@ -52,6 +58,7 @@ from repro.query.ast import (
     SubqueryExpr,
     walk_expr,
 )
+from repro.trees.treemap import TreeMap
 
 __all__ = [
     "Strategy",
@@ -76,41 +83,46 @@ class Strategy(enum.Enum):
 
 @dataclass(frozen=True)
 class IndexSpec:
-    """Everything an aggregate-index engine needs for one correlated
-    predicate ``fixed_expr θ (SELECT agg(inner_arg) FROM R x WHERE
-    inner_col θ' outer_col)``.
+    """Everything an aggregate-index engine needs for one predicate
+    ``fixed_expr θ key``.  The key is a correlated subquery ``(SELECT
+    agg(inner_arg) FROM R x WHERE inner_col θ' outer_col)``, or — a
+    *threshold* spec — the column ``key_col``, whose probe
+    ``fixed_expr`` is then an uncorrelated scalar or (``RPAI_GROUPED``)
+    the select expression of a subquery correlated by equality.
 
     Attributes:
-        relation: base relation name the subquery ranges over.
-        outer_alias: alias of the outer relation the subquery correlates
-            with.
-        outer_op: θ — comparison between the fixed side and the
-            subquery value, normalized so the subquery is on the
-            *right* (``fixed θ sub``).
-        fixed_expr: the uncorrelated side (constant arithmetic over
-            uncorrelated subqueries/constants).
-        inner_func: SUM/COUNT/AVG.
+        relation: base relation the index's tuples come from.
+        outer_alias: its alias in the outer query.
+        outer_op: θ, normalized so the key is on the *right*
+            (``fixed θ key``).
+        fixed_expr: the probe side.
+        inner_func: SUM/COUNT/AVG of the subquery (None: no subquery).
         inner_arg: argument of the inner aggregate (None for COUNT(*)).
         inner_op: θ' of the correlated predicate, normalized so the
             *inner* column is on the left (``inner_col θ' outer_col``).
         inner_col: bound column (from the subquery's own relation).
-        outer_col: free column (from the outer relation).
+        outer_col: free column (from the outer query).
         extra_pairs: additional (inner_col, outer_col) equality pairs
             when the correlation is a conjunction of equalities
             (Section 4.3: "multiple conjunctive equality predicates
             (results in a single point update)").
+        key_col: the column a threshold spec's index is keyed by.
+        filters: a grouped threshold's other conjuncts (the join and
+            the joined relation's filters).
     """
 
     relation: str
     outer_alias: str
     outer_op: str
     fixed_expr: Expr
-    inner_func: str
-    inner_arg: Expr | None
-    inner_op: str
-    inner_col: ColumnRef
-    outer_col: ColumnRef
+    inner_func: str | None = None
+    inner_arg: Expr | None = None
+    inner_op: str | None = None
+    inner_col: ColumnRef | None = None
+    outer_col: ColumnRef | None = None
     extra_pairs: tuple[tuple[ColumnRef, ColumnRef], ...] = ()
+    key_col: ColumnRef | None = None
+    filters: tuple[Comparison, ...] = ()
 
     def column_pairs(self) -> tuple[tuple[ColumnRef, ColumnRef], ...]:
         """All (inner, outer) correlation column pairs."""
@@ -131,16 +143,23 @@ class QueryPlan:
         if self.reason:
             lines.append(f"reason: {self.reason}")
         for spec in self.index_specs:
-            lines.append(
-                f"  index on {spec.relation}: {spec.inner_func} keyed by "
-                f"{spec.inner_col} {spec.inner_op} {spec.outer_col}, "
-                f"probe {spec.outer_op} {spec.fixed_expr}"
-            )
+            if spec.key_col is None:
+                lines.append(
+                    f"  index on {spec.relation}: {spec.inner_func} keyed by "
+                    f"{spec.inner_col} {spec.inner_op} {spec.outer_col}, "
+                    f"probe {spec.outer_op} {spec.fixed_expr}"
+                )
+                continue
+            line = f"  index on {spec.relation} keyed by {spec.key_col}"
+            if spec.inner_col is not None:
+                line += f" per {spec.inner_col} {spec.inner_op} {spec.outer_col}"
+            lines.append(f"{line}, probe {spec.fixed_expr} {spec.outer_op} {spec.key_col}")
+            if spec.filters:
+                lines.append("    joined where " + " AND ".join(map(str, spec.filters)))
         return "\n".join(lines)
 
 
 _EQ_OPS = {"="}
-_INEQ_OPS = {"<", "<=", ">", ">="}
 
 
 def classify(query: AggrQuery) -> QueryPlan:
@@ -156,14 +175,6 @@ def classify(query: AggrQuery) -> QueryPlan:
     subqueries = extract_pred_values(query)
     correlated = [sub for sub in subqueries if is_correlated(sub)]
 
-    if not correlated:
-        return QueryPlan(
-            Strategy.UNCORRELATED,
-            query,
-            reason="no correlated nested aggregates; every view is "
-            "independently maintainable",
-        )
-
     if any(nesting_depth(sub) >= 1 for sub in correlated):
         return QueryPlan(
             Strategy.GENERAL_NESTED,
@@ -172,7 +183,7 @@ def classify(query: AggrQuery) -> QueryPlan:
             "(multi-level nesting)",
         )
 
-    if not is_streamable_query(query):
+    if correlated and not is_streamable_query(query):
         return QueryPlan(
             Strategy.GENERAL,
             query,
@@ -180,7 +191,7 @@ def classify(query: AggrQuery) -> QueryPlan:
             "indexes cannot shift their values (Section 4.3.2)",
         )
 
-    grouped = _match_grouped_threshold(query)
+    grouped = _match_grouped_threshold(query) if correlated else None
     if grouped is not None:
         return QueryPlan(
             Strategy.RPAI_GROUPED,
@@ -202,6 +213,14 @@ def classify(query: AggrQuery) -> QueryPlan:
             return QueryPlan(strategy, query, index_specs=tuple(specs))
         return QueryPlan(
             Strategy.RPAI_CONJUNCTIVE, query, index_specs=tuple(specs)
+        )
+
+    if not correlated:
+        return QueryPlan(
+            Strategy.UNCORRELATED,
+            query,
+            reason="no correlated nested aggregates; every view is "
+            "independently maintainable",
         )
 
     return QueryPlan(
@@ -243,9 +262,7 @@ def _match_conjunctive_shape(query: AggrQuery) -> list[IndexSpec] | None:
         if not isinstance(conjunct, Comparison):
             return None
         spec = _match_index_predicate(query, conjunct)
-        if spec is None:
-            return None
-        if spec.outer_alias in seen_aliases:
+        if spec is None or spec.outer_alias in seen_aliases:
             return None
         seen_aliases.add(spec.outer_alias)
         specs.append(spec)
@@ -257,7 +274,9 @@ def _match_index_predicate(query: AggrQuery, pred: Comparison) -> IndexSpec | No
     (either operand order), returning its IndexSpec or None."""
     left_sub = _sole_correlated_subquery(pred.left)
     right_sub = _sole_correlated_subquery(pred.right)
-    if (left_sub is None) == (right_sub is None):
+    if left_sub is None and right_sub is None:
+        return _match_column_threshold(query, pred)
+    if left_sub is not None and right_sub is not None:
         return None  # need exactly one correlated side
     if right_sub is not None:
         outer_op, fixed_expr, sub = pred.op, pred.left, right_sub
@@ -272,9 +291,7 @@ def _match_index_predicate(query: AggrQuery, pred: Comparison) -> IndexSpec | No
     if not isinstance(bare, SubqueryExpr):
         return None
 
-    if len(sub.relations) != 1 or sub.group_by or sub.having is not None:
-        return None
-    if len(sub.select) != 1:
+    if not _single_relation_aggregate(sub):
         return None
     inner_agg = sub.select[0].expr
     if not isinstance(inner_agg, AggrCall) or not inner_agg.streamable:
@@ -307,17 +324,11 @@ def _match_index_predicate(query: AggrQuery, pred: Comparison) -> IndexSpec | No
                 break
         else:
             return None
-    if len(pairs) != len(inner_conjuncts):
+    # Multiple conjunctive predicates only work as a single point
+    # update when every one is an equality (Section 4.3).
+    if len(pairs) > 1 and any(op != "=" for op, _, _ in pairs):
         return None
-
-    if len(pairs) == 1:
-        spec_op, inner_col, outer_col = pairs[0]
-    else:
-        # Multiple conjunctive predicates only work as a single point
-        # update when every one is an equality (Section 4.3).
-        if any(op != "=" for op, _, _ in pairs):
-            return None
-        spec_op, inner_col, outer_col = pairs[0]
+    spec_op, inner_col, outer_col = pairs[0]
 
     return IndexSpec(
         relation=sub.relations[0].name,
@@ -333,79 +344,82 @@ def _match_index_predicate(query: AggrQuery, pred: Comparison) -> IndexSpec | No
     )
 
 
+def _match_column_threshold(query: AggrQuery, pred: Comparison) -> IndexSpec | None:
+    """Match ``column θ v`` (either operand order), ``v`` arithmetic over
+    constants and uncorrelated subqueries: an index keyed by the column,
+    probed with ``v`` (PSP's moving volume thresholds)."""
+    for key, probe, op in ((pred.right, pred.left, pred.op), (pred.left, pred.right, pred.flipped().op)):
+        kinds = {type(node) for node in walk_expr(probe)}
+        if (
+            isinstance(key, ColumnRef)
+            and SubqueryExpr in kinds
+            and ColumnRef not in kinds
+            and not _contains_correlated_subquery(probe)
+        ):
+            name = query.alias_to_name()[key.relation]
+            return IndexSpec(name, key.relation, op, probe, key_col=key)
+    return None
+
+
 def _match_grouped_threshold(query: AggrQuery) -> IndexSpec | None:
     """Match the TPC-H Q17 shape: some conjunct compares a *bare outer
     column* against a correlated subquery whose own predicate is an
-    equality correlation (``l.quantity < (SELECT ... WHERE l2.partkey =
-    p.partkey)``).  The engine then keeps one ordered index per
-    correlation group, probed with the group's (changing) aggregate.
+    equality correlation (``l.quantity < (SELECT 0.2 * AVG(l2.quantity)
+    … WHERE l2.partkey = p.partkey)``).  The engine then keeps one
+    column-keyed index per correlation group, probed with the group's
+    (changing) aggregate.
 
-    Remaining conjuncts must be subquery-free (joins and constant
-    filters), which the engines handle directly.
+    Remaining conjuncts must be correlated-subquery-free (the join and
+    constant filters); they travel in the spec's ``filters``.
     """
     conjuncts = query.conjuncts()
-    target: Comparison | None = None
-    for conjunct in conjuncts:
-        if not isinstance(conjunct, Comparison):
-            return None
-        has_sub = _contains_correlated_subquery(conjunct.left) or (
-            _contains_correlated_subquery(conjunct.right)
-        )
-        if has_sub:
-            if target is not None:
-                return None
-            target = conjunct
-    if target is None:
+    if not all(isinstance(conjunct, Comparison) for conjunct in conjuncts):
         return None
-
-    # Normalize so the subquery is on the right.
-    if isinstance(target.right, SubqueryExpr):
-        column_side, op, sub_expr = target.left, target.op, target.right
-    elif isinstance(target.left, SubqueryExpr):
-        flipped = target.flipped()
-        column_side, op, sub_expr = flipped.left, flipped.op, flipped.right
-    else:
-        return None
-    if not isinstance(column_side, ColumnRef) or op in _EQ_OPS:
-        return None
-    assert isinstance(sub_expr, SubqueryExpr)
-    sub = sub_expr.query
-
-    if len(sub.relations) != 1 or sub.group_by or sub.having is not None:
-        return None
-    if len(sub.select) != 1:
-        return None
-    aggs = [
-        node
-        for node in walk_expr(sub.select[0].expr)
-        if isinstance(node, AggrCall)
+    targets = [
+        conjunct
+        for conjunct in conjuncts
+        if _contains_correlated_subquery(conjunct.left)
+        or _contains_correlated_subquery(conjunct.right)
     ]
-    if len(aggs) != 1 or not aggs[0].streamable:
+    if len(targets) != 1:
         return None
-
+    (found,) = targets
+    # normalized to ``subquery θ column``
+    target = found.flipped() if isinstance(found.left, ColumnRef) else found
+    sub_expr, key = target.left, target.right
+    if not (isinstance(key, ColumnRef) and isinstance(sub_expr, SubqueryExpr)):
+        return None
+    sub = sub_expr.query
+    if target.op in _EQ_OPS or not _single_relation_aggregate(sub):
+        return None
+    aggs = [node for node in walk_expr(sub.select[0].expr) if isinstance(node, AggrCall)]
     free = free_columns(sub)
-    if len(free) != 1:
+    if len(aggs) != 1 or not aggs[0].streamable or len(free) != 1:
         return None
     (outer_col,) = free
-    inner_pred = sub.where
-    if not isinstance(inner_pred, Comparison) or inner_pred.op != "=":
+    if not isinstance(sub.where, Comparison):
         return None
-    inner_alias = sub.relations[0].alias
-    spec_op, inner_col = _match_symmetric_columns(inner_pred, inner_alias, outer_col)
-    if spec_op != "=" or inner_col is None:
+    spec_op, inner_col = _match_symmetric_columns(sub.where, sub.relations[0].alias, outer_col)
+    if spec_op != "=":
         return None
-
     return IndexSpec(
         relation=sub.relations[0].name,
-        outer_alias=column_side.relation,
-        outer_op=op,
-        fixed_expr=column_side,
+        outer_alias=key.relation,
+        outer_op=target.op,
+        fixed_expr=sub.select[0].expr,
         inner_func=aggs[0].func,
         inner_arg=aggs[0].arg,
         inner_op="=",
         inner_col=inner_col,
         outer_col=outer_col,
+        key_col=key,
+        filters=tuple(conjunct for conjunct in conjuncts if conjunct is not found),
     )
+
+
+def _single_relation_aggregate(sub: AggrQuery) -> bool:
+    """One relation, one select item, no grouping."""
+    return len(sub.relations) == 1 and len(sub.select) == 1 and not sub.group_by and sub.having is None
 
 
 def _match_symmetric_columns(
@@ -453,7 +467,19 @@ _COSTS = {
 
 
 def asymptotic_cost(plan: QueryPlan) -> str:
-    """Human-readable per-update complexity of the chosen strategy."""
+    """Human-readable per-update complexity of the chosen strategy (the
+    paper's Table 1 column).  Multi-level nesting is O(log n) unless a
+    level two down correlates with the outermost query (NQ2, not NQ1:
+    Section 5.2.1) — then the inner view's deltas cannot feed an
+    aggregate index."""
+    query = plan.query
+    if plan.strategy is Strategy.GENERAL_NESTED and not any(
+        ref.relation in query.aliases
+        for sub in query.subqueries()
+        for inner in sub.subqueries()
+        for ref in free_columns(inner)
+    ):
+        return "O(log n)"
     return _COSTS[plan.strategy]
 
 
@@ -464,10 +490,14 @@ def choose_backend(plan: QueryPlan) -> type:
       equality *and* the outer comparison is too (Section 2.1.3): every
       update is a point move and the result a point probe, both O(1) on
       the dict.
+    * :class:`~repro.trees.treemap.TreeMap` for the per-group indexes of
+      ``RPAI_GROUPED``: keyed by a column, they never shift, and carry
+      one required sum.
     * :class:`~repro.core.rpai.RPAITree` for every other role
-      (Section 3): O(log n) ``shift_keys`` and ``get_sum``.
+      (Section 3): O(log n) ``shift_keys`` and ``get_sum``, and k
+      required sums as the columns of one tree.
 
-    Range roles (inequality-θ, conjunctive, grouped) cannot use anything
+    Range roles (inequality-θ, conjunctive) cannot use anything
     but a relative-key tree: the positional backends (Fenwick, segment
     tree) shift in O(U) over a *bounded* universe that RPAI's unbounded
     relative keys escape immediately, and the dict shifts in O(n) — both
@@ -482,6 +512,8 @@ def choose_backend(plan: QueryPlan) -> type:
         and plan.index_specs[0].outer_op in _EQ_OPS
     ):
         return PAIMap
+    if plan.strategy is Strategy.RPAI_GROUPED:
+        return TreeMap
     return RPAITree
 
 

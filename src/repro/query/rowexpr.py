@@ -1,7 +1,8 @@
 """Row expressions, one way: as emitted Python source.
 
 An expression over one relation's columns (``Const`` / ``ColumnRef`` /
-``Arith``) has exactly one statement of its semantics — the source the
+``Arith``, or a row filter: comparisons joined by ``And``) has
+exactly one statement of its semantics — the source the
 emitters below produce: :func:`emit_row_expr` over a row dict,
 :func:`emit_col_element` over one element of typed column lists, and
 :func:`emit_predicate_side` for one side of an outer predicate, which
@@ -33,14 +34,18 @@ from repro.errors import UnsupportedQueryError
 from repro.query.ast import (
     AggrCall,
     AggrQuery,
+    And,
     Arith,
     ColumnRef,
+    Comparison,
     Const,
     Expr,
+    Predicate,
     SubqueryExpr,
 )
 
 __all__ = [
+    "PY_COMPARE",
     "compile_source",
     "compile_row_expr",
     "compile_col_expr",
@@ -50,6 +55,8 @@ __all__ = [
     "emit_predicate_side",
     "subquery_bindings",
     "peel_constant_scale",
+    "emit_scaled",
+    "apply_scale",
     "MaintainedAggregate",
     "UncorrelatedScalar",
 ]
@@ -99,28 +106,39 @@ def compile_col_expr(expr: Expr | None, alias: str) -> Callable[[Any], list]:
     )
 
 
-def emit_row_expr(expr: Expr | None, alias: str, row: str = "_row") -> str:
+#: SQL comparison -> Python operator, where they differ
+PY_COMPARE = {"=": "==", "<>": "!="}
+
+
+def _py_op(node: Arith | Comparison | And) -> str:
+    return "and" if isinstance(node, And) else PY_COMPARE.get(node.op, node.op)
+
+
+def emit_row_expr(expr: Expr | Predicate | None, alias: str, row: str = "_row") -> str:
     """Source of :func:`compile_row_expr`'s closure body, reading the
     row from the local named ``row``; ``None`` is the count-style
-    constant 1."""
+    constant 1, and a conjunction of comparisons is a bool."""
     if expr is None:
         return "1"
     if isinstance(expr, Const):
         return repr(expr.value)
     if isinstance(expr, ColumnRef):
         return f"{row}[{_column_of(expr, alias)!r}]"
-    if isinstance(expr, Arith):
+    if isinstance(expr, (Arith, Comparison, And)):
         left = emit_row_expr(expr.left, alias, row)
         right = emit_row_expr(expr.right, alias, row)
-        return f"({left} {expr.op} {right})"
+        return f"({left} {_py_op(expr)} {right})"
     raise UnsupportedQueryError(f"cannot emit row expression {expr!r}")
 
 
-def emit_col_element(expr: Expr | None, alias: str, cols: dict[str, str]) -> str:
+def emit_col_element(
+    expr: Expr | Predicate | None, alias: str, cols: dict[str, str], element: str = "[_i]"
+) -> str:
     """Element-``_i`` source of the same expression evaluated off typed
     columns.  Column fetches are deduplicated into ``cols`` (column
     name -> hoisted local), so the caller hoists each
-    ``block.column(name)`` once per block."""
+    ``block.column(name)`` once per block; with ``element=""`` the
+    locals are the values themselves (a row function's parameters)."""
     if expr is None:
         return "1"
     if isinstance(expr, Const):
@@ -130,30 +148,53 @@ def emit_col_element(expr: Expr | None, alias: str, cols: dict[str, str]) -> str
         local = cols.get(column)
         if local is None:
             local = cols[column] = f"_col{len(cols)}"
-        return f"{local}[_i]"
-    if isinstance(expr, Arith):
-        left = emit_col_element(expr.left, alias, cols)
-        right = emit_col_element(expr.right, alias, cols)
-        return f"({left} {expr.op} {right})"
+        return local + element
+    if isinstance(expr, (Arith, Comparison, And)):
+        left = emit_col_element(expr.left, alias, cols, element)
+        right = emit_col_element(expr.right, alias, cols, element)
+        return f"({left} {_py_op(expr)} {right})"
     raise UnsupportedQueryError(f"cannot emit column expression {expr!r}")
 
 
-def peel_constant_scale(expr: Expr) -> tuple[float, Expr]:
-    """Strip ``c *`` / ``* c`` / ``/ c`` wrappers around an aggregate."""
-    scale = 1.0
+#: constant wrappers around an aggregate, ``(op, constant)`` innermost first
+Scale = tuple[tuple[str, Any], ...]
+
+
+def peel_constant_scale(expr: Expr) -> tuple[Scale, Expr]:
+    """Strip ``c *`` / ``* c`` / ``/ c`` wrappers around an aggregate.
+
+    The wrappers are kept as written, not folded into one factor:
+    ``x * (1 / 7.0)`` differs from ``x / 7.0`` in the last place for
+    about a third of the integers.  Apply them with :func:`emit_scaled`
+    or :func:`apply_scale`."""
+    steps: list[tuple[str, Any]] = []
     while isinstance(expr, Arith):
         if expr.op == "*" and isinstance(expr.left, Const):
-            scale *= expr.left.value  # type: ignore[arg-type]
+            steps.append(("*", expr.left.value))
             expr = expr.right
-        elif expr.op == "*" and isinstance(expr.right, Const):
-            scale *= expr.right.value  # type: ignore[arg-type]
-            expr = expr.left
-        elif expr.op == "/" and isinstance(expr.right, Const):
-            scale /= expr.right.value  # type: ignore[arg-type]
+        elif expr.op in ("*", "/") and isinstance(expr.right, Const):
+            steps.append((expr.op, expr.right.value))
             expr = expr.left
         else:
             break
-    return scale, expr
+    return tuple(reversed(steps)), expr
+
+
+def emit_scaled(scale: Scale, value: str) -> str:
+    """Source of ``value`` (made a float) under ``scale``, innermost
+    wrapper first — the naive interpreter's evaluation order."""
+    value = f"(1.0 * {value})"
+    for op, constant in scale:
+        value = f"({value} {op} {constant!r})"
+    return value
+
+
+def apply_scale(scale: Scale, value: Any) -> float:
+    """:func:`emit_scaled`, evaluated."""
+    value = 1.0 * value
+    for op, constant in scale:
+        value = value * constant if op == "*" else value / constant
+    return value
 
 
 class MaintainedAggregate:

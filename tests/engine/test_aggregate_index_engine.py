@@ -1,14 +1,17 @@
-"""The one aggregate-index engine across its four plan shapes.
+"""The one aggregate-index engine across its plan shapes.
 
 EQ (one point side), VWAP (one shifted side), grouped VWAP (one shifted
-side fanned over GROUP BY keys) and MST (two two-column shifted sides)
-all run through :class:`~repro.engine.aggr_index.AggregateIndexEngine`
-and the one emitter.  Every shape × trigger flavor (per event, batched,
-columnar frames) × trigger mode (compiled, ``set_codegen(False)``) must
-be bit-identical to the naive engine, before and after a pickle
-round-trip mid-stream; and what only one of the replaced classes had —
-bulk-load ``warm_start``, the generated ``on_frame`` — must hold for
-all four.
+side fanned over GROUP BY keys), MST (two two-column shifted sides),
+PSP (two two-column threshold sides) and TPC-H Q17 (one grouped
+threshold side) all run through
+:class:`~repro.engine.aggr_index.AggregateIndexEngine` and the one
+emitter.  Every shape × trigger flavor (per event, batched, columnar
+frames) × trigger mode (compiled, ``set_codegen(False)``) must be
+bit-identical to the naive engine, before and after a pickle round-trip
+mid-stream; and what only one of the replaced classes had — bulk-load
+``warm_start``, the generated ``on_frame`` — must hold for all of them.
+VWAP divided by 7.0 pins the result scale as written: ``x / 7.0`` is
+not ``x * (1 / 7.0)``.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from repro.storage import schema as schemas
 from repro.storage.colbatch import ColumnarFrame
 from repro.storage.stream import Event, Stream
 from repro.workloads import get_query
+from repro.workloads.tpch import Q17_BRAND, Q17_CONTAINER
 
 from tests.conftest import random_bid_stream
 from tests.engine.test_columns import FLAVORS, book, drive
@@ -57,12 +61,50 @@ def pairs(count: int, seed: int) -> list:
     return events
 
 
+def parts_and_lineitems(count: int, seed: int) -> list:
+    """Q17's relations over four parts, with retractions: parts arrive
+    after their lineitems, leave, come back, now and then twice over,
+    and quantities straddle a fifth of their part's average."""
+    rng = random.Random(seed)
+    events, live = [], []
+    while len(events) < count:
+        if live and rng.random() < 0.3:
+            events.append(Event(*live.pop(rng.randrange(len(live))), -1))
+            continue
+        if rng.random() < 0.2:
+            hit = rng.random() < 0.7
+            row = {
+                "partkey": rng.randint(1, 4),
+                "brand": Q17_BRAND if hit else "Brand#11",
+                "container": Q17_CONTAINER if hit else "SM BOX",
+            }
+            live.append(("part", row))
+        else:
+            quantity = rng.choice((1, 2, 10, 40))
+            row = {
+                "orderkey": 1,
+                "partkey": rng.randint(1, 4),
+                "quantity": quantity,
+                "extendedprice": quantity * 7,
+            }
+            live.append(("lineitem", row))
+        events.append(Event(*live[-1], +1))
+    return events
+
+
+VWAP_SEVENTHS = get_query("VWAP").sql.replace(
+    "SUM(b.price * b.volume)", "SUM(b.price * b.volume) / 7.0"
+)
+
 #: shape -> (query AST, naive schema map, event list factory)
 SHAPES = {
     "EQ": (get_query("EQ").ast, get_query("EQ").schema_map(), pairs),
     "VWAP": (get_query("VWAP").ast, get_query("VWAP").schema_map(), bids),
+    "VWAP/7.0": (parse_query(VWAP_SEVENTHS), {"bids": schemas.BIDS}, bids),
     "grouped": (parse_query(GROUPED_VWAP), {"bids": schemas.BIDS}, bids),
     "MST": (get_query("MST").ast, get_query("MST").schema_map(), book),
+    "PSP": (get_query("PSP").ast, get_query("PSP").schema_map(), book),
+    "Q17": (get_query("Q17").ast, get_query("Q17").schema_map(), parts_and_lineitems),
 }
 SHAPE = pytest.mark.parametrize("shape", SHAPES)
 

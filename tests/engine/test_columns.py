@@ -88,10 +88,10 @@ def registry_engine(name: str, compiled: bool):
 
 
 class TestAgainstNaive:
-    # PSP is a hand-written trigger class: no emitter, one mode.
     @pytest.mark.parametrize(
-        "name, compiled", [("MST", True), ("MST", False), ("PSP", False)],
-        ids=["MST-compiled", "MST-interpreted", "PSP"],
+        "name, compiled",
+        [("MST", True), ("MST", False), ("PSP", True), ("PSP", False)],
+        ids=["MST-compiled", "MST-interpreted", "PSP", "PSP-interpreted"],
     )
     @pytest.mark.parametrize("flavor", FLAVORS)
     def test_registry_engine_matches_naive(self, name, compiled, flavor):

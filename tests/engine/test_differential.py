@@ -3,9 +3,9 @@ produce *exactly* the naive interpreter's result after *every* event of
 a random insert/delete stream.
 
 Workloads use integer prices/volumes, so results are exact and the
-comparison is equality (floats appear only through fixed scale factors
-like 0.75, which are exact binary fractions, and Q17's division, which
-both sides compute identically — compared with a tolerance there).
+comparison is equality: floats appear only through fixed scale factors
+and Q17's ``/ 7.0``, which every engine applies to the same exact sum
+as written.
 """
 
 import pytest
@@ -59,18 +59,11 @@ CASES = {
     "Q18": lambda: generate_tpch(TPCHConfig(scale_factor=0.002, seed=15)),
 }
 
-APPROXIMATE = {"Q17"}  # divides by 7.0 / averages: compare with tolerance
-
 
 def assert_results_equal(name: str, index: int, expected, actual) -> None:
-    if name in APPROXIMATE:
-        assert actual == pytest.approx(expected, abs=1e-6), (
-            f"{name} diverged at event {index}: naive={expected} got={actual}"
-        )
-    else:
-        assert actual == expected, (
-            f"{name} diverged at event {index}: naive={expected} got={actual}"
-        )
+    assert actual == expected, (
+        f"{name} diverged at event {index}: naive={expected} got={actual}"
+    )
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import pickle
 import random
+import shutil
 import sys
 import types
 from pathlib import Path
@@ -29,7 +30,6 @@ from repro import obs
 from repro.engine.aggr_index import AggregateIndexEngine
 from repro.engine.base import Quarantine
 from repro.engine.queries.common import ShiftedSide
-from repro.engine.queries.psp import _ColumnSide
 from repro.engine.registry import attach_validation, build_engine, build_sharded_engine
 from repro.engine.supervision import DurableEngine, recover_result
 from repro.errors import EngineStateError, QuarantineOverflowError, ShardWorkerError
@@ -41,9 +41,9 @@ from repro.faults import (
     FaultPlan,
     KillSpec,
 )
+from repro.query.planner import classify
 from repro.storage.stream import Event, Stream
 from repro.storage.wal import WriteAheadLog
-from repro.trees.treemap import TreeMap
 from repro.workloads import (
     OrderBookConfig,
     TPCHConfig,
@@ -499,7 +499,7 @@ class _StalePerClassState:
     def __init__(self, engine) -> None:
         (side,) = engine.sides
         self.state = {
-            "plan": engine._plan,
+            "plan": classify(engine.query),
             "index_cls": engine._index_cls,
             "name": engine.name,
             "fixed_scalars": {sub: sc.aggregate for sub, sc in engine._scalars.items()},
@@ -511,27 +511,6 @@ class _StalePerClassState:
 
     def __reduce__(self):
         return (object.__new__, (AggregateIndexEngine,), self.state)
-
-
-class _StaleColumnSide:
-    """Pickles as a PSP ``_ColumnSide`` whose slots are the previous
-    layout's (``price_sum``/``count`` maps instead of ``index``)."""
-
-    def __init__(self, side) -> None:
-        rows = list(side.index.rows())
-        self.slots = {
-            "price_sum": TreeMap.bulk_load([(k, p) for k, p, _ in rows], prune_zeros=True),
-            "count": TreeMap.bulk_load([(k, c) for k, _, c in rows], prune_zeros=True),
-            "total_volume": side.total_volume,
-        }
-
-    def __reduce__(self):
-        return (object.__new__, (_ColumnSide,), (None, self.slots))
-
-
-def stale_psp_sides(engine):
-    engine.sides = {name: _StaleColumnSide(side) for name, side in engine.sides.items()}
-    return engine
 
 
 def plant_stale_layout_snapshot(directory, engine, make_stale) -> None:
@@ -556,7 +535,6 @@ class TestUnloadableSnapshot:
             ("EQ", _StalePerClassState),
             ("VWAP", _StalePerClassState),
             ("MST", stale_shifted_sides),
-            ("PSP", stale_psp_sides),
         ],
     )
     def test_stale_state_layout_falls_back_to_the_log(self, tmp_path, query, make_stale):
@@ -633,6 +611,39 @@ class TestUnloadableSnapshot:
         assert recovered == expected
         assert counters["wal.snapshot_unloadable"] == 1
         assert stats["per_shard"][0]["snapshot_seq"] is None
+
+    @pytest.mark.parametrize(
+        "query, stream",
+        [
+            ("PSP", lambda: Stream(list(generate_order_book(OrderBookConfig(
+                events=350, price_levels=30, volume_max=9, seed=17, delete_ratio=0.3,
+            ))))),
+            ("Q17", lambda: generate_tpch(TPCHConfig(scale_factor=0.004, seed=17))),
+        ],
+        ids=["PSP", "Q17"],
+    )
+    def test_log_written_by_a_deleted_hand_written_class(self, tmp_path, query, stream):
+        """``data/<query>-handwritten/`` is this very run's durable log,
+        checkpoints included, as written when the query ran through a
+        hand-written engine class that no longer exists.  The snapshot
+        passes its CRC and fails to unpickle: recovery counts it,
+        rebuilds the engine from the query's plan and replays the whole
+        log to the clean result."""
+        source = Path(__file__).parent / "data" / f"{query.lower()}-handwritten"
+        shutil.copytree(source, tmp_path / "wal")
+        expected = clean_result(query, stream())
+        obs.enable()
+        obs.reset()
+        try:
+            recovered, stats = recover_result(query, "rpai", tmp_path / "wal")
+            counters = obs.snapshot()["counters"]
+        finally:
+            obs.disable()
+        assert recovered == expected
+        assert counters["wal.snapshot_unloadable"] == 1
+        shard = stats["per_shard"][0]
+        assert shard["snapshot_seq"] is None
+        assert shard["records_replayed"] == shard["head_seq"] > 0
 
     def test_recover_result_replays_from_zero(self, tmp_path):
         stream = stream_for("SQ1")

@@ -163,13 +163,21 @@ def test_traceback_shows_the_generated_recompute_line():
 # trip mid-stream.  MIN/MAX range over the correlation attribute itself
 # (the only correlated extreme the engine takes).
 _INNER = {
-    "SUM": ("SUM(b2.volume)", "0.1 * (SELECT SUM(b1.volume) FROM bids b1) <"),
-    "COUNT": ("COUNT(*)", "1 <="),
-    "AVG": ("AVG(b2.volume)", "0.2 * (SELECT AVG(b1.volume) FROM bids b1) <"),
-    "MIN": ("MIN(b2.price)", "0.05 * b.price <="),
-    "MAX": ("MAX(b2.price)", "0.05 * b.price <="),
+    "SUM": ("SUM(b2.volume)", "0.1 * (SELECT SUM(b1.volume) FROM bids b1)", "<"),
+    "COUNT": ("COUNT(*)", "1", "<="),
+    "AVG": ("AVG(b2.volume)", "0.2 * (SELECT AVG(b1.volume) FROM bids b1)", "<"),
+    "MIN": ("MIN(b2.price)", "0.05 * b.price", "<="),
+    "MAX": ("MAX(b2.price)", "0.05 * b.price", "<="),
 }
-_SCALES = {"unscaled": "{}", "half": "0.5 * {}", "quarter": "{} / 4"}
+#: scale -> (the subquery's select, the predicate's other side).  A
+#: seventh is no power of two, so ``x / 7.0`` is not ``x * (1 / 7.0)``;
+#: the other side takes it too, or the predicate would never flip.
+_SCALES = {
+    "unscaled": ("{}", "{}"),
+    "half": ("0.5 * {}", "{}"),
+    "quarter": ("{} / 4", "{}"),
+    "seventh": ("{} / 7.0", "{} / 7.0"),
+}
 
 
 def _assert_matches_naive_in_every_shape(query, seed=5, count=60):
@@ -197,10 +205,11 @@ def _assert_matches_naive_in_every_shape(query, seed=5, count=60):
 @pytest.mark.parametrize("func", _INNER)
 @pytest.mark.parametrize("theta", ["<", "<=", "=", "<>", ">=", ">"])
 def test_theta_by_inner_aggregate_by_scale(theta, func, scale):
-    call, left = _INNER[func]
+    call, fixed, op = _INNER[func]
+    call_scale, fixed_scale = _SCALES[scale]
     query = parse_query(
-        f"SELECT SUM(b.volume) FROM bids b WHERE {left} "
-        f"(SELECT {_SCALES[scale].format(call)} FROM bids b2 "
+        f"SELECT SUM(b.volume) FROM bids b WHERE {fixed_scale.format(fixed)} {op} "
+        f"(SELECT {call_scale.format(call)} FROM bids b2 "
         f"WHERE b2.price {theta} b.price)"
     )
     trace = _assert_matches_naive_in_every_shape(query)
@@ -213,6 +222,7 @@ def test_theta_by_inner_aggregate_by_scale(theta, func, scale):
         ("SUM(b.price)", "SUM(b2.volume) / 2"),
         ("SUM(b.price)", "2 * (0.25 * SUM(b2.volume))"),
         ("SUM(b.price) / 4", "SUM(b2.volume)"),
+        ("SUM(b.price * b.volume) / 7.0", "SUM(b2.volume)"),
         ("COUNT(*) / 2", "0.5 * SUM(b2.volume)"),
     ],
 )

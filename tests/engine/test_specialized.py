@@ -1,12 +1,14 @@
-"""Behavioural tests for the specialized per-query RPAI engines."""
+"""Behavioural tests for the RPAI engines of single queries: the sides
+by hand, the hand-written classes, and PSP and Q17 through the registry."""
 
 import pytest
 
+from repro.engine.aggr_index import AggregateIndexEngine
 from repro.engine.queries.common import ShiftedSide, probe_index
 from repro.engine.queries.mst import MSTRpaiEngine
 from repro.engine.queries.nq import NQ1RpaiEngine, NQ2RpaiEngine
-from repro.engine.queries.psp import PSPRpaiEngine
-from repro.engine.queries.tpch import Q17RpaiEngine, Q18RpaiEngine
+from repro.engine.queries.tpch import Q18RpaiEngine
+from repro.engine.registry import build_engine
 from repro.core.rpai import RPAITree
 from repro.errors import UnsupportedQueryError
 from repro.storage.stream import Event
@@ -111,14 +113,15 @@ class TestMST:
 
 class TestPSP:
     def test_qualifying_threshold(self):
-        engine = PSPRpaiEngine()
+        engine = build_engine("PSP", "rpai")
+        assert isinstance(engine, AggregateIndexEngine)
         engine.on_event(Event("bids", make_bid(5, 100)))
         engine.on_event(Event("asks", make_bid(9, 100)))
         # thresholds are 0.01; both volumes (100) qualify
         assert engine.result() == 9 - 5
 
     def test_insert_then_delete_roundtrip(self):
-        engine = PSPRpaiEngine()
+        engine = build_engine("PSP", "rpai")
         e1 = Event("bids", make_bid(5, 100))
         e2 = Event("asks", make_bid(9, 100))
         engine.on_event(e1)
@@ -185,36 +188,47 @@ class TestQ17:
         )
 
     def test_non_qualifying_part_contributes_nothing(self):
-        engine = Q17RpaiEngine()
+        engine = build_engine("Q17", "rpai")
         engine.on_event(Event("part", self.OTHER))
         engine.on_event(self.line(2, 1))
         assert engine.result() == 0
 
     def test_threshold_math(self):
-        engine = Q17RpaiEngine()
+        engine = build_engine("Q17", "rpai")
         engine.on_event(Event("part", self.PART))
         for quantity in (1, 10, 10, 10):
             engine.on_event(self.line(1, quantity, price=quantity * 100))
         # avg = 7.75, threshold 1.55, only quantity 1 (price 100)
-        assert engine.result() == pytest.approx(100 / 7.0)
+        assert engine.result() == 100 / 7.0
 
     def test_part_arriving_after_lineitems(self):
-        engine = Q17RpaiEngine()
+        engine = build_engine("Q17", "rpai")
         engine.on_event(self.line(1, 1, price=100))
         engine.on_event(self.line(1, 10, price=1000))
         assert engine.result() == 0
         engine.on_event(Event("part", self.PART))
         # avg 5.5, threshold 1.1 -> quantity 1 qualifies
-        assert engine.result() == pytest.approx(100 / 7.0)
+        assert engine.result() == 100 / 7.0
 
     def test_part_deletion_removes_contribution(self):
-        engine = Q17RpaiEngine()
+        engine = build_engine("Q17", "rpai")
         engine.on_event(Event("part", self.PART))
         engine.on_event(self.line(1, 1, price=100))
         engine.on_event(self.line(1, 10, price=1000))
         assert engine.result() != 0
         engine.on_event(Event("part", self.PART, -1))
         assert engine.result() == 0
+        # ...and the part's group keeps its lineitems, not its index
+        (group,) = engine.sides[0].bound_map.values()
+        assert group.index is None and group.count == 2
+
+    def test_a_part_row_twice_joins_every_lineitem_twice(self):
+        engine = build_engine("Q17", "rpai")
+        engine.on_event(self.line(1, 1, price=100))
+        engine.on_event(self.line(1, 10, price=1000))
+        engine.on_event(Event("part", self.PART))
+        engine.on_event(Event("part", self.PART))
+        assert engine.result() == 200 / 7.0
 
 
 class TestQ18:

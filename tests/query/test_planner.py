@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import UnsupportedQueryError
+from repro.query.ast import ColumnRef
 from repro.query.parser import parse_query
 from repro.query.planner import Strategy, asymptotic_cost, classify
 from repro.workloads.queries import QUERIES
@@ -11,7 +12,7 @@ EXPECTED = {
     "EQ": Strategy.PAI_EQUALITY,
     "VWAP": Strategy.RPAI_INEQUALITY,
     "MST": Strategy.RPAI_CONJUNCTIVE,
-    "PSP": Strategy.UNCORRELATED,
+    "PSP": Strategy.RPAI_CONJUNCTIVE,
     "SQ1": Strategy.GENERAL,
     "SQ2": Strategy.GENERAL,
     "NQ1": Strategy.GENERAL_NESTED,
@@ -35,6 +36,27 @@ class TestBenchmarkClassification:
     def test_describe_mentions_strategy(self):
         plan = classify(QUERIES["VWAP"].ast)
         assert "rpai-inequality" in plan.describe()
+
+
+#: The paper's Table 1, our system's per-update column (EXPERIMENTS.md
+#: "Table 1"); EQ is Example 2.1's O(1) PAI map.
+TABLE_1 = {
+    "EQ": "O(1)",
+    "VWAP": "O(log n)",
+    "MST": "O(log n)",
+    "PSP": "O(log n)",
+    "SQ1": "O(n)",
+    "SQ2": "O(n)",
+    "NQ1": "O(log n)",
+    "NQ2": "O(n log n)",
+    "Q17": "O(log n)",
+    "Q18": "O(1)",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_1))
+def test_cost_is_the_papers_table_1_column(name):
+    assert asymptotic_cost(classify(QUERIES[name].ast)) == TABLE_1[name]
 
 
 class TestVWAPPlanDetails:
@@ -101,6 +123,20 @@ class TestShapeRejections:
         assert classify(q).strategy is Strategy.GENERAL
 
 
+class TestPSPPlanDetails:
+    def test_each_side_is_keyed_by_its_volume_column(self):
+        plan = classify(QUERIES["PSP"].ast)
+        for spec, alias in zip(plan.index_specs, ("b", "a")):
+            assert spec.key_col == ColumnRef(alias, "volume")
+            assert spec.outer_op == "<"  # 0.0001 * total < volume
+            assert spec.inner_func is None
+            assert "0.0001 *" in str(spec.fixed_expr)
+
+    def test_a_constant_filter_is_not_a_threshold(self):
+        plan = classify(parse_query("SELECT SUM(r.A) FROM R r WHERE r.A > 1"))
+        assert plan.strategy is Strategy.UNCORRELATED
+
+
 class TestGroupedThresholdShape:
     def test_q17_spec(self):
         plan = classify(QUERIES["Q17"].ast)
@@ -109,7 +145,13 @@ class TestGroupedThresholdShape:
         assert spec.inner_func == "AVG"
         assert spec.inner_op == "="
         assert spec.inner_col.column == "partkey"
-        assert spec.outer_op == "<"
+        assert spec.key_col == ColumnRef("l", "quantity")
+        assert spec.outer_op == ">"  # 0.2 * avg > l.quantity
+        assert len(spec.filters) == 3  # the join and the two part filters
+
+    def test_describe_keeps_the_whole_probe(self):
+        described = classify(QUERIES["Q17"].ast).describe()
+        assert "probe (0.2 * AVG(l2.quantity)) > l.quantity" in described
 
     def test_two_correlated_conjuncts_reject_grouped_shape(self):
         q = parse_query(

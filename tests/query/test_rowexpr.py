@@ -26,11 +26,13 @@ from repro.errors import UnsupportedQueryError
 from repro.query.ast import Arith, ColumnRef, Const, SubqueryExpr, walk_expr
 from repro.query.parser import parse_query
 from repro.query.rowexpr import (
+    apply_scale,
     compile_col_expr,
     compile_predicate_side,
     compile_row_expr,
     emit_col_element,
     emit_row_expr,
+    emit_scaled,
     peel_constant_scale,
 )
 from repro.storage import schema as schemas
@@ -187,5 +189,14 @@ def test_a_missing_column_points_at_the_generated_line():
 def test_peel_constant_scale():
     column = ColumnRef(ALIAS, "a")
     expr = Arith("/", Arith("*", Const(3), Arith("*", column, Const(2))), Const(4))
-    assert peel_constant_scale(expr) == (1.5, column)
-    assert peel_constant_scale(column) == (1.0, column)
+    scale = (("*", 2), ("*", 3), ("/", 4))  # innermost first
+    assert peel_constant_scale(expr) == (scale, column)
+    assert peel_constant_scale(column) == ((), column)
+    # applied as written, in the naive interpreter's order
+    for value in range(1, 200):
+        expected = _eval_expr(expr, {ALIAS: {"a": value}}, {})
+        assert apply_scale(scale, value) == expected
+        assert eval(emit_scaled(scale, "value")) == expected
+    # a seventh is not a multiplication by its reciprocal
+    (seventh, _call) = peel_constant_scale(Arith("/", column, Const(7.0)))
+    assert apply_scale(seventh, 10) == 10 / 7.0 != 10 * (1 / 7.0)
