@@ -153,7 +153,7 @@ def _source_section(source: str, trigger: str) -> str | None:
 
 
 #: ``repro codegen`` detail for engines :func:`codegen.specialize`
-#: declines: the hand-written per-query classes (NQ1, NQ2, Q18) are
+#: declines: the hand-written per-query classes (NQ1, NQ2) are
 #: their own single definition (the DBToaster/naive baselines likewise).
 _NO_EMITTER = "hand-written trigger (no emitter)"
 _GENERAL = "general algorithm — loops generated at construction"

@@ -16,7 +16,10 @@ result is read off the indexes with one probe per side.  A conjunct
 ``column θ v`` is the same construction with the column as the key
 and ``v`` as the probe (PSP); with ``v`` a subquery correlated by
 equality through a join (``RPAI_GROUPED``, TPC-H Q17) there is one
-such index per correlation group, each probed by its own aggregate.
+such index per correlation group, each probed by its own aggregate.  An
+uncorrelated ``x.k IN (… GROUP BY … HAVING …)`` semijoin (TPC-H Q18)
+needs no index: its side keeps per-key and per-group sums and the
+grouped result itself.
 
 The qualifying set of each relation is independent of the others, so
 the SUM over the qualifying cross product decomposes into per-relation
@@ -61,7 +64,7 @@ from typing import Any, Iterable, Type
 from repro.core.rpai import RPAITree
 from repro.engine.base import IncrementalEngine, Result
 from repro.engine.mergeable import merge_counts, merge_grouped, merge_sums
-from repro.engine.queries.common import PointSide, ShiftedSide, ThresholdSide
+from repro.engine.queries.common import MembershipSide, PointSide, ShiftedSide, ThresholdSide
 from repro.errors import EngineStateError, UnsupportedQueryError
 from repro.obs import SINK as _SINK
 from repro.query.analysis import column_refs, is_correlated
@@ -215,6 +218,21 @@ class SidePlan:
         return self.threshold and self.spec.inner_col is not None
 
     @property
+    def shifted(self) -> bool:
+        """Inequality correlation: range shifts."""
+        return not (self.point or self.threshold or self.membership)
+
+    @property
+    def membership(self) -> bool:
+        """``x.k IN (… GROUP BY … HAVING …)``: keeps the grouped result."""
+        return self.spec.inner_op == "IN"
+
+    @property
+    def tuplewise(self) -> bool:
+        """Fed tuple by tuple: the side's own dicts are the netting."""
+        return self.grouped_threshold or self.membership
+
+    @property
     def columns(self) -> int:
         return len(self.factors) + self.counted
 
@@ -222,11 +240,12 @@ class SidePlan:
 @dataclass(frozen=True)
 class SideLayout:
     """:func:`plan_sides` output: the sides plus the result recombination
-    ``scale(Σ_terms coef · Π_i sums_i[column_i])``."""
+    ``scale(Σ_terms coef · Π_i sums_i[column_i])`` (``terms`` None: the
+    one side keeps the result itself, a membership side)."""
 
     scale: Scale
     sides: tuple[SidePlan, ...]
-    terms: tuple[tuple[float, tuple[int, ...]], ...]
+    terms: tuple[tuple[float, tuple[int, ...]], ...] | None
 
     @property
     def group_by(self) -> tuple[str, ...]:
@@ -234,6 +253,7 @@ class SideLayout:
 
 
 _STRATEGIES = (
+    Strategy.UNCORRELATED,
     Strategy.PAI_EQUALITY,
     Strategy.RPAI_INEQUALITY,
     Strategy.RPAI_CONJUNCTIVE,
@@ -254,6 +274,19 @@ def _feeds(
     spec: IndexSpec, deltas: tuple, group_by: tuple[str, ...], alias_to_name: dict
 ) -> tuple[Feed, ...]:
     alias = spec.outer_alias
+    if spec.inner_op == "IN":
+        # Per key the result delta, then the HAVING aggregate's argument
+        # and count; the link relation's rows per group, and the group
+        # relation's rows under no key (every shard's).
+        (link, group_join), nothing = spec.filters, (Const(0),) * 3
+        if spec.inner_col.column != link.right.column:
+            raise UnsupportedQueryError("a membership side sums the HAVING relation, joined on its key")
+        x, g = link.left.relation, group_join.left.relation
+        return (
+            Feed(spec.relation, alias, (link.right,), Const(0), deltas + (_on(alias, spec.inner_arg), None)),
+            Feed(alias_to_name[x], x, (link.left,), Const(1), nothing, (group_join.right,)),
+            Feed(alias_to_name[g], g, (), Const(1), nothing, (group_join.left,)),
+        )
     if spec.key_col is None:
         key = tuple(ColumnRef(alias, outer.column) for _inner, outer in spec.column_pairs())
         group = tuple(ColumnRef(alias, column) for column in group_by)
@@ -284,16 +317,21 @@ def _feeds(
     )
 
 
+def _nothing(_row: Any) -> None:
+    return None
+
+
 def plan_sides(plan: QueryPlan) -> SideLayout:
     """Derive the side descriptions and the term plan from ``plan``.
 
     Raises:
         UnsupportedQueryError: when the plan is not one of the four
-            aggregate-index strategies, or uses a shape the sides cannot
+            aggregate-index strategies or an ``UNCORRELATED`` plan with
+            a membership spec, or uses a shape the sides cannot
             maintain (non-SUM aggregates, asymmetric correlation
             attributes, ``GROUP BY`` over an equality or a join).
     """
-    if plan.strategy not in _STRATEGIES:
+    if plan.strategy not in _STRATEGIES or not plan.index_specs:
         raise UnsupportedQueryError(
             f"no aggregate-index engine for strategy {plan.strategy}: {plan.reason}"
         )
@@ -323,7 +361,9 @@ def plan_sides(plan: QueryPlan) -> SideLayout:
     else:
         terms = decompose_product_sum(call.arg)
 
-    group_by = tuple(col.column for col in query.group_by)
+    membership = plan.index_specs[0].inner_op == "IN"
+    # a membership side groups its result itself
+    group_by = () if membership else tuple(col.column for col in query.group_by)
     if group_by:
         (spec, *rest) = plan.index_specs
         if rest or spec.inner_op == "=" or spec.key_col is not None:
@@ -374,7 +414,7 @@ def plan_sides(plan: QueryPlan) -> SideLayout:
         deltas = tuple(factors[alias]) + (None,) * counted[alias]
         feeds = _feeds(spec, deltas, group_by, alias_to_name)
         side = SidePlan(spec, tuple(factors[alias]), counted[alias], group_by, feeds)
-        if (side.point or side.grouped_threshold) and side.columns != 1:
+        if (side.point or side.tuplewise) and side.columns != 1:
             raise UnsupportedQueryError(
                 "an equality-correlated relation carries one required sum"
             )
@@ -390,6 +430,10 @@ def plan_sides(plan: QueryPlan) -> SideLayout:
         )
         for coef, entry in picks
     )
+    if membership:
+        if scale or term_plan != ((1.0, (0,)),):
+            raise UnsupportedQueryError("a membership side keeps the bare SUM of its relation")
+        term_plan = None
     return SideLayout(scale, tuple(sides), term_plan)
 
 
@@ -400,7 +444,9 @@ class AggregateIndexEngine(IncrementalEngine):
     relation — O(1) with a PAI map under an equality correlation,
     O(log n) with an RPAI tree under an inequality, O(G · log n) with
     ``GROUP BY`` over G live groups; one add (and, grouped, one probe of
-    the tuple's group) on a threshold side — then one probe per side.
+    the tuple's group) on a threshold side — then one probe per side.  A
+    membership side costs O(1) plus the links of the tuple's key, and
+    its result is a copy.
 
     Grouped results are ``{group key: aggregate}`` with groups whose
     qualifying set is empty omitted (matching the interpreter for the
@@ -418,7 +464,7 @@ class AggregateIndexEngine(IncrementalEngine):
         if name is not None:
             self.name = name
 
-        self.sides: list[PointSide | ShiftedSide | ThresholdSide] = []
+        self.sides: list[PointSide | ShiftedSide | ThresholdSide | MembershipSide] = []
         self._scalars: dict[AggrQuery, UncorrelatedScalar] = {}
         #: relation -> [(side position, the feed's (key, weight, deltas,
         #: group, where) row functions)]
@@ -429,15 +475,16 @@ class AggregateIndexEngine(IncrementalEngine):
             self.sides.append(self._new_side(side))
             for feed in side.feeds:
                 self._feeds.setdefault(feed.relation, []).append((position, (
-                    itemgetter(*(ref.column for ref in feed.key)),
+                    itemgetter(*(ref.column for ref in feed.key)) if feed.key else _nothing,
                     compile_row_expr(feed.weight, feed.alias),
                     [compile_row_expr(delta, feed.alias) for delta in feed.deltas],
                     itemgetter(*(ref.column for ref in feed.group)) if feed.group else None,
                     None if feed.where is None else compile_row_expr(feed.where, feed.alias),
                 )))
-            if side.grouped_threshold:
-                # each group probes with its own aggregate, inside the side
-                self._fixed.append(lambda _row: None)
+            if side.tuplewise:
+                # the side probes (each group with its own aggregate) or
+                # keeps the result itself
+                self._fixed.append(_nothing)
                 continue
             # Fixed probe side: uncorrelated scalars + arithmetic.
             for node in walk_expr(spec.fixed_expr):
@@ -457,16 +504,17 @@ class AggregateIndexEngine(IncrementalEngine):
         # need their own partition; an ungrouped threshold's probe reads
         # every key), routed by each feed's netting key.
         (side, *others) = layout.sides
-        if not others and (side.point or side.grouped_threshold or not side.threshold):
-            ranged = not (side.point or side.threshold)
-            self.shard_mode = "range" if ranged else "hash"
+        if not others and (side.point or side.tuplewise or not side.threshold):
+            self.shard_mode = "range" if side.shifted else "hash"
             # (stored-key sign, pin): an event that only feeds the fixed
             # side is pinned to one replica (range: below every data
             # key, i.e. the lowest).
-            self._routing = (self.sides[0].key_sign, float("-inf")) if ranged else (None, 0)
+            self._routing = (self.sides[0].key_sign, float("-inf")) if side.shifted else (None, 0)
 
-    def _new_side(self, side: SidePlan) -> PointSide | ShiftedSide | ThresholdSide:
+    def _new_side(self, side: SidePlan) -> PointSide | ShiftedSide | ThresholdSide | MembershipSide:
         spec, index_cls = side.spec, self._index_cls
+        if side.membership:
+            return MembershipSide(spec.outer_op, spec.fixed_expr.value)
         if side.point:
             return PointSide(index_cls)
         if not side.threshold:
@@ -565,7 +613,7 @@ class AggregateIndexEngine(IncrementalEngine):
         for event in events:
             self._update_scalars(event)
             for position, key, weight, deltas, group in self._deltas(event):
-                if self.layout.sides[position].grouped_threshold:
+                if self.layout.sides[position].tuplewise:
                     # its groups' dicts net already: tuple by tuple
                     self.sides[position].apply(key, weight, {group: deltas})
                     continue
@@ -615,6 +663,8 @@ class AggregateIndexEngine(IncrementalEngine):
         return self.result()
 
     def result(self) -> Result:
+        if self.layout.terms is None:  # the one side keeps the result
+            return dict(self.sides[0].result)
         return self._finish(
             [
                 side.qualifying(side_plan.spec.outer_op, fixed({}))
@@ -685,7 +735,9 @@ class AggregateIndexEngine(IncrementalEngine):
         spec: dict = {"*": ("pin", pin)}
         for feed in self.layout.sides[0].feeds:
             columns = tuple(ref.column for ref in feed.key)
-            if sign is not None:
+            if not columns:
+                spec[feed.relation] = ("broadcast",)
+            elif sign is not None:
                 spec[feed.relation] = ("scaled_column", columns[0], sign)
             elif len(columns) == 1:
                 spec[feed.relation] = ("column", columns[0])
@@ -693,7 +745,16 @@ class AggregateIndexEngine(IncrementalEngine):
                 spec[feed.relation] = ("columns", columns)
         return spec
 
+    @property
+    def _local(self) -> bool:
+        """No global quantity (no scalar, no range offset): a replica's
+        probe answer is final, so its partial is that answer and the
+        probe round is skipped."""
+        return not self._scalars and self.shard_mode == "hash"
+
     def shard_partial(self) -> Any:
+        if self._local:
+            return self.shard_probe(self._fixed[0]({}))
         components = []
         for scalar in self._scalars.values():
             aggregate = scalar.aggregate
@@ -704,9 +765,11 @@ class AggregateIndexEngine(IncrementalEngine):
         volume = self.sides[0].bound_map.total_sum() if self.shard_mode == "range" else 0
         return (tuple(components), volume)
 
-    def shard_contexts(self, partials) -> list[Any]:
+    def shard_contexts(self, partials) -> list[Any] | None:
         from repro.core.minmax import MinMaxView
 
+        if self._local:
+            return None
         partials = list(partials)
         for index, scalar in enumerate(self._scalars.values()):
             aggregate = scalar.aggregate
@@ -731,13 +794,16 @@ class AggregateIndexEngine(IncrementalEngine):
         return contexts
 
     def shard_probe(self, context: Any) -> dict[Any, float]:
+        if self.layout.terms is None:
+            return self.result()
         by_group = self.sides[0].qualifying(self.layout.sides[0].spec.outer_op, context)
         return {group: sums[0] for group, sums in by_group.items()}
 
     def shard_combine(self, partials, probes) -> Result:
-        return self._finish(
-            [{group: (raw,) for group, raw in merge_grouped(probes).items()}]
-        )
+        answers = merge_grouped(partials if probes is None else probes)
+        if self.layout.terms is None:
+            return answers
+        return self._finish([{group: (raw,) for group, raw in answers.items()}])
 
 
 def build_single_index_engine(
@@ -747,8 +813,9 @@ def build_single_index_engine(
 
     Raises:
         UnsupportedQueryError: when the plan is not PAI_EQUALITY,
-            RPAI_INEQUALITY, RPAI_CONJUNCTIVE or RPAI_GROUPED (use the
-            registry for the other strategies).
+            RPAI_INEQUALITY, RPAI_CONJUNCTIVE, RPAI_GROUPED or a
+            membership ``UNCORRELATED`` plan (use the registry for the
+            other strategies).
     """
     return AggregateIndexEngine(classify(query), index_cls, name=name)
 
@@ -764,7 +831,8 @@ def describe_backends(engine: Any) -> str | None:
     """One-line backend report for ``repro stats``.
 
     Returns the live index class of each side — ``"paimap"``,
-    ``"rpai"``, ``"rpai (2 columns)"``, ``"rpai x12 groups"`` — for the
+    ``"rpai"``, ``"rpai (2 columns)"``, ``"rpai x12 groups"``, ``"dicts
+    x40 keys x12 groups"`` (a membership side) — for the
     aggregate-index engine, ``None`` for engines whose substrates are
     hand-specialized (their triggers hard-code them).
     """
@@ -772,7 +840,9 @@ def describe_backends(engine: Any) -> str | None:
         return None
     descriptions = set()
     for side in engine.sides:
-        if side.grouped:
+        if isinstance(side, MembershipSide):
+            descriptions.add(f"dicts x{len(side.bound_map)} keys x{len(side.result)} groups")
+        elif side.grouped:
             indexes = side.indexes()
             sample = indexes[0] if indexes else side._new_index()
             descriptions.add(f"{_describe_index(sample)} x{len(indexes)} groups")

@@ -10,7 +10,7 @@ from repro.engine.dbtoaster.finance import (
     SQ2DbtEngine,
     VWAPDbtEngine,
 )
-from repro.engine.dbtoaster.tpch import Q17DbtEngine, Q18DbtEngine
+from repro.engine.dbtoaster.tpch import Q17DbtEngine
 
 __all__ = [
     "EQDbtEngine",
@@ -22,5 +22,4 @@ __all__ = [
     "NQ1DbtEngine",
     "NQ2DbtEngine",
     "Q17DbtEngine",
-    "Q18DbtEngine",
 ]

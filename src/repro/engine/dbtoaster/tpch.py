@@ -1,4 +1,4 @@
-"""DBToaster-style baselines for TPC-H Q17 and Q18.
+"""DBToaster-style baseline for TPC-H Q17.
 
 **Q17** uses the *domain extraction* optimization of [Nikolic et al.,
 SIGMOD 2016] as the paper describes in Section 5.2.2: a multi-level
@@ -11,17 +11,17 @@ the loop degrades toward O(n) — the Q17 vs Q17* experiment.
 
 **Q18**'s nested aggregate is uncorrelated, so DBToaster fully
 incrementalizes it in O(1), same as our engine (the parity column of
-Figure 7).
+Figure 7): the registry builds its baseline from Q18's plan, the
+aggregate-index engine under the name ``dbtoaster``.
 """
 
 from __future__ import annotations
 
 from repro.engine.base import IncrementalEngine, Result
-from repro.engine.queries.tpch import Q18RpaiEngine
 from repro.storage.stream import Event
 from repro.workloads.tpch import Q17_BRAND, Q17_CONTAINER
 
-__all__ = ["Q17DbtEngine", "Q18DbtEngine"]
+__all__ = ["Q17DbtEngine"]
 
 
 class Q17DbtEngine(IncrementalEngine):
@@ -93,9 +93,3 @@ class Q17DbtEngine(IncrementalEngine):
     def result(self) -> Result:
         return self._total / 7.0
 
-
-class Q18DbtEngine(Q18RpaiEngine):
-    """Q18 is fully incrementalizable by DBToaster too: identical O(1)
-    maintenance (the paper includes it precisely to show parity)."""
-
-    name = "dbtoaster"

@@ -18,6 +18,9 @@ correlation's θ:
 * :class:`ThresholdSide` — the conjunct compares an outer *column* with
   a maintained scalar (PSP, TPC-H Q17): the index is keyed by the
   column, so keys never move, and the probe does.
+* :class:`MembershipSide` — the conjunct is ``x.k IN (SELECT … GROUP BY
+  … HAVING …)`` (TPC-H Q18): no index at all, per-key and per-group
+  sums whose ``HAVING`` crossings flip a key's membership.
 
 :class:`~repro.engine.aggr_index.AggregateIndexEngine` builds its sides
 from the planner's output; the hand-derived
@@ -27,6 +30,7 @@ from the planner's output; the hand-derived
 
 from __future__ import annotations
 
+from operator import eq, ge, gt, le, lt, ne
 from typing import Any, Mapping, Sequence
 
 from repro.core.pai_map import PAIMap
@@ -36,7 +40,7 @@ from repro.obs import SINK as _SINK
 from repro.query.rowexpr import MaintainedAggregate, Scale, apply_scale
 from repro.trees.treemap import TreeMap
 
-__all__ = ["PointSide", "ShiftedSide", "ThresholdSide", "probe_index"]
+__all__ = ["PointSide", "ShiftedSide", "ThresholdSide", "MembershipSide", "probe_index"]
 
 #: ``{GROUP BY key: result deltas, one per column}`` — ungrouped sides
 #: use the single key ``None``.
@@ -59,6 +63,13 @@ def probe_index(index, op: str, probe: float, columns: int = 1) -> Any:
             return index.total_sum() - index.get_sum(probe, inclusive=op == "<")
         return index.suffix_sum(probe, inclusive=op == "<=")
     raise UnsupportedQueryError(f"unsupported probe operator {op!r}")
+
+
+def _bump(counts: dict, key: Any, delta: float) -> None:
+    """``counts[key] += delta``, the entry dropped at zero."""
+    held = counts.pop(key, 0) + delta
+    if held:
+        counts[key] = held
 
 
 class PointSide:
@@ -356,9 +367,7 @@ class ThresholdSide:
         group.count += count
         domain = group.domain
         if delta:
-            held = domain.pop(value, 0) + delta
-            if held:
-                domain[value] = held
+            _bump(domain, value, delta)
             if group.index is not None:
                 group.index.add(value, delta)
         # A group that joins nothing contributes nothing, before and after.
@@ -388,3 +397,91 @@ class ThresholdSide:
             return {None: (self.total,)}
         sums = probe_index(self.index, op, probe, self.columns)
         return {None: (sums,) if self.columns == 1 else sums}
+
+
+#: a membership side's ``HAVING`` comparison
+_THETA = {"=": eq, "<>": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
+
+
+class _Key:
+    """A membership side's key: its ``HAVING`` sum and row count, the
+    summed argument ``s``, ``f`` (``s`` while a member, else 0) and its
+    links ``{group: rows}``."""
+
+    __slots__ = ("total", "count", "s", "f", "links")
+
+    def __init__(self, total: float = 0, count: int = 0, s: float = 0, f: float = 0,
+                 links: dict | None = None) -> None:
+        self.total, self.count, self.s, self.f = total, count, s, f
+        self.links = {} if links is None else links
+
+    def __reduce__(self) -> tuple:
+        # positional fields: a snapshot holds one per key
+        return _Key, (self.total, self.count, self.s, self.f, self.links)
+
+
+class MembershipSide:
+    """``x.k IN (SELECT s.k FROM S GROUP BY s.k HAVING SUM(s.a) θ
+    bound)`` with ``x`` joined to the summed relation and to the one
+    carrying the outer ``GROUP BY`` key (TPC-H Q18).
+
+    Per key ``k``: ``H(k)`` and its row count, the sum ``S(k)``, ``f(k)
+    = [count(k) > 0 and H(k) θ bound] · S(k)`` and the links ``O(k) =
+    {group: rows}``; per group ``c``: its rows ``C(c)`` and ``A(c) = Σ_k
+    O(k)[c] · f(k)``; and the result ``{c: C(c) · A(c)}``.  Every entry
+    is dropped at zero, and rows count with multiplicity.  An event costs
+    O(1) plus the links of its key when ``f(k)`` moves.
+    """
+
+    def __init__(self, op: str, bound: float) -> None:
+        self.theta, self.bound = _THETA[op], bound
+        self.bound_map: dict[Any, _Key] = {}
+        self.rows: dict[Any, int] = {}
+        self.linked: dict[Any, float] = {}
+        self.result: dict[Any, float] = {}
+
+    def indexes(self) -> list:
+        # no index: the group rows are the state no key holds
+        return [self.rows]
+
+    def apply(self, key: Any, weight: float, placements: Placements) -> None:
+        for group, deltas in placements.items():
+            self.move(key, weight, group, *deltas)
+
+    load = ThresholdSide.load
+
+    def move(self, key: Any, weight: int, group: Any, delta: float, arg: float, count: int) -> None:
+        """One tuple: without a ``group``, a row of ``key`` adding
+        ``delta`` to S and ``arg`` and ``count`` to H; with ``key``
+        None, ``weight`` rows of ``group``; else ``weight`` rows linking
+        ``key`` to ``group``."""
+        if key is None:
+            _bump(self.rows, group, weight)
+            return self._settle(group, 0)
+        entry = self.bound_map.get(key)
+        if entry is None:
+            entry = self.bound_map[key] = _Key()
+        if group is None:
+            entry.s += delta
+            entry.total += arg
+            entry.count += count
+            change = (entry.s if entry.count and self.theta(entry.total, self.bound) else 0) - entry.f
+            if change:
+                entry.f += change
+                for linked, rows in entry.links.items():
+                    self._settle(linked, rows * change)
+        else:
+            _bump(entry.links, group, weight)
+            if entry.f:
+                self._settle(group, weight * entry.f)
+        if not (entry.count or entry.total or entry.s or entry.links):
+            del self.bound_map[key]
+
+    def _settle(self, group: Any, change: float) -> None:
+        """``A(group) += change``, then the group's result."""
+        _bump(self.linked, group, change)
+        value = self.rows.get(group, 0) * self.linked.get(group, 0)
+        if value:
+            self.result[group] = value
+        else:
+            self.result.pop(group, None)

@@ -57,12 +57,23 @@ STREAMABLE_AGGREGATES = frozenset({"SUM", "COUNT", "AVG"})
 COMPARISON_OPS = frozenset({"=", "<>", "<", "<=", ">", ">="})
 
 
+class _Node:
+    """Pickles as its constructor call with the fields in order, not as
+    a dict of field names: a checkpoint carries every engine's query."""
+
+    __slots__ = ()
+
+    def __reduce__(self) -> tuple:
+        # a frozen dataclass's __init__ sets its fields in order
+        return type(self), tuple(self.__dict__.values())
+
+
 # ---------------------------------------------------------------------------
 # Value expressions
 # ---------------------------------------------------------------------------
 
 
-class Expr:
+class Expr(_Node):
     """Base class for value expressions (the grammar's ``Value``)."""
 
     __slots__ = ()
@@ -142,7 +153,7 @@ class SubqueryExpr(Expr):
 # ---------------------------------------------------------------------------
 
 
-class Predicate:
+class Predicate(_Node):
     """Base class for boolean predicates."""
 
     __slots__ = ()
@@ -204,7 +215,7 @@ class InSubquery(Predicate):
 
 
 @dataclass(frozen=True)
-class RelationRef:
+class RelationRef(_Node):
     """A base relation in a FROM clause with its alias."""
 
     name: str
@@ -215,7 +226,7 @@ class RelationRef:
 
 
 @dataclass(frozen=True)
-class SelectItem:
+class SelectItem(_Node):
     """One projected expression, optionally named."""
 
     expr: Expr
@@ -226,7 +237,7 @@ class SelectItem:
 
 
 @dataclass(frozen=True)
-class AggrQuery:
+class AggrQuery(_Node):
     """An aggregate query: the grammar's ``AggrQ``.
 
     Attributes:

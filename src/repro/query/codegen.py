@@ -9,7 +9,7 @@ query's trigger; this module does that for the engine that is built
 from a plan:
 
 * :class:`~repro.engine.aggr_index.AggregateIndexEngine` (Algorithm 4:
-  EQ, VWAP, grouped VWAP, MST, PSP, Q17, …) — **one emitter** over the
+  EQ, VWAP, grouped VWAP, MST, PSP, Q17, Q18, …) — **one emitter** over the
   engine's side descriptions (:func:`~repro.engine.aggr_index.plan_sides`).
   Scalar updates, per-row extraction (each side's feeds, filters
   included), netting and ``result`` are written once; ``apply`` /
@@ -17,16 +17,17 @@ from a plan:
   per-side *apply fragments* (point move, range shift, grouped fan-out,
   column-keyed add), and ``warm_start`` is the batch shape's netting
   with the sides' bulk loads in place of the fragments.  A grouped
-  threshold side (Q17) is called, not inlined: its fragment is the
-  side's own ``apply`` and ``result`` reads its maintained total, so
-  its per-group logic exists once.  The obs +
+  threshold side (Q17) and a membership side (Q18) are called, not
+  inlined: the fragment is the side's own ``move``, and ``result``
+  reads the threshold side's maintained total or copies the membership
+  side's result, so their per-group logic exists once.  The obs +
   quarantine prologue is not generated: the compiled functions are the
   engine's two steps, and ``IncrementalEngine.on_event`` /
   ``on_batch`` / ``on_frame`` wrap them as they wrap every engine's.
 
 Everything else is its own single definition and has no emitter here —
 :func:`specialize` returns False for it: the hand-written per-query
-classes (NQ1, NQ2, Q18), and the general algorithm
+classes (NQ1, NQ2), and the general algorithm
 (:class:`~repro.engine.general.GeneralAlgorithmEngine`: SQ1, SQ2), which
 generates its two O(live groups) loops itself at construction, codegen
 switch or no switch (:func:`generated_source` still returns them).
@@ -183,7 +184,7 @@ def _probe_src(op: str, index: str, probe: str, columns: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# AggregateIndexEngine (Algorithm 4 — EQ, VWAP, grouped VWAP, MST, PSP, Q17)
+# AggregateIndexEngine (Algorithm 4 — EQ, VWAP, grouped VWAP, MST, PSP, Q17, Q18)
 # ---------------------------------------------------------------------------
 # One emitter over the engine's side descriptions.  Per side the source
 # names are fixed: ``_s{k}`` is the side object (bound as a global at
@@ -209,8 +210,8 @@ class _SideSrc:
         self.k = k
         self.plan = plan
         self.grouped = bool(plan.group_by)
-        self.negated = not (plan.point or plan.threshold) and side.key_sign == -1
-        self.inclusive = not (plan.point or plan.threshold) and side.inclusive
+        self.negated = plan.shifted and side.key_sign == -1
+        self.inclusive = plan.shifted and side.inclusive
         #: delta names once netted (every column is a ``_d{j}``)
         self.netted = [f"_d{j}" for j in range(plan.columns)]
 
@@ -218,8 +219,8 @@ class _SideSrc:
         """Read the side's structures into locals (without ``maps``,
         only the indexes the result probes read)."""
         k, plan = self.k, self.plan
-        if plan.grouped_threshold:
-            return  # its own ``move`` and ``total``
+        if plan.tuplewise:
+            return  # its own ``move``, and ``total`` or ``result``
         if maps and not plan.threshold:
             lines.append(f"    _bm{k} = _s{k}.bound_map")
             if plan.point:
@@ -236,20 +237,28 @@ class _SideSrc:
     ) -> tuple[str, list[str]]:
         """One tuple's deltas, from a row or from column elements, under
         the feed's filter; returns the indent inside it and the delta
-        names."""
+        names (a tuple-by-tuple side: its ``move`` arguments)."""
         if feed.where is not None:
             lines.append(f"{indent}if {src(feed.where, feed.alias)}:")
             indent += "    "
 
         def cells(refs: tuple[ColumnRef, ...]) -> str:
-            # one column's value, or the tuple of several
+            # no key, one column's value, or the tuple of several
             values = [src(ref, feed.alias) for ref in refs]
-            return values[0] if len(values) == 1 else "(" + ", ".join(values) + ")"
+            if len(values) < 2:
+                return values[0] if values else "None"
+            return "(" + ", ".join(values) + ")"
 
         def times_w(expr: Expr | None) -> str:
+            if expr is None or expr == Const(1):
+                return "_w"
             return "0" if expr == Const(0) else f"({src(expr, feed.alias)}) * _w"
 
         key = cells(feed.key)
+        if self.plan.tuplewise:
+            # the arguments of the side's ``move``, as values
+            deltas = [times_w(delta) for delta in feed.deltas]
+            return indent, [key, times_w(feed.weight), cells(feed.group), *deltas]
         lines.append(f"{indent}_key = {'-' + key if self.negated else key}")
         lines.append(f"{indent}_wgt = {times_w(feed.weight)}")
         fresh = []
@@ -259,8 +268,8 @@ class _SideSrc:
             else:
                 lines.append(f"{indent}_d{j} = {times_w(delta)}")
                 fresh.append(f"_d{j}")
-        if self.grouped or self.plan.grouped_threshold:
-            lines.append(f"{indent}_grp = {cells(feed.group) if feed.group else None}")
+        if self.grouped:
+            lines.append(f"{indent}_grp = {cells(feed.group)}")
         return indent, fresh
 
     def net(self, lines: list[str], indent: str, fresh: list[str]) -> None:
@@ -284,10 +293,11 @@ class _SideSrc:
     def apply(self, lines: list[str], indent: str, deltas: list[str]) -> None:
         """The side's apply fragment for the deltas at ``_key``:
         ``deltas`` names one local per column (under GROUP BY the
-        fragment reads the per-group dict ``_pg`` instead)."""
+        fragment reads the per-group dict ``_pg`` instead; a
+        tuple-by-tuple side takes its ``move`` arguments)."""
         plan = self.plan
-        if plan.grouped_threshold:
-            lines.append(f"{indent}_s{self.k}.move(_key, _wgt, _grp, {', '.join(deltas)})")
+        if plan.tuplewise:
+            lines.append(f"{indent}_s{self.k}.move({', '.join(deltas)})")
         elif plan.threshold:
             lines.append(f"{indent}if {' or '.join(f'{d} != 0' for d in deltas)}:")
             lines.append(f"{indent}    _ix{self.k}.add(_key, {', '.join(deltas)})")
@@ -386,9 +396,9 @@ def _aggr_emit(engine: AggregateIndexEngine) -> str:
     for side in sides:
         for feed in side.plan.feeds:
             by_relation.setdefault(feed.relation, []).append((side, feed))
-    probed = [side for side in sides if not side.plan.grouped_threshold]
+    probed = [side for side in sides if not side.plan.tuplewise]
     grouped = bool(layout.group_by)
-    #: the plan's one side is a grouped threshold: tuple by tuple
+    #: the plan's one side is a grouped threshold or a membership side
     tuplewise = not probed
 
     def bind_sides(lines: list[str]) -> None:
@@ -539,6 +549,9 @@ def _aggr_emit(engine: AggregateIndexEngine) -> str:
     # every column (a grouped threshold side keeps its sum current), then
     # the term recombination (per group under GROUP BY)
     lines.append("def result(self):")
+    if layout.terms is None:  # the one side keeps the result
+        lines.append("    return dict(_s0.result)")
+        return "\n".join(lines) + "\n"
     for side in sides:
         side.bind(lines, maps=False)
     if probed and not grouped:

@@ -5,9 +5,10 @@ shapes the paper's optimizations require and returns a
 :class:`QueryPlan` saying *how* it should be incrementalized:
 
 * ``UNCORRELATED`` — no correlated nested aggregates and no conjunct an
-  aggregate index can key (TPC-H Q18's ``IN … HAVING`` semijoin): every
-  subquery is independently maintainable and the outer result follows
-  by point updates.
+  aggregate index can key: every subquery is independently maintainable
+  and the outer result follows by point updates.  TPC-H Q18's ``IN …
+  HAVING`` semijoin carries a *membership* spec the aggregate-index
+  engine builds from; other queries of this class build no engine.
 * ``PAI_EQUALITY`` — Section 2.1.3 / Algorithm 4 ``"="`` case: a single
   aggregate index with point key moves; O(1) per update (Example 2.1).
 * ``RPAI_INEQUALITY`` — Section 2.2.3 / Algorithm 4 ``"<="`` case: a
@@ -53,6 +54,7 @@ from repro.query.ast import (
     AggrQuery,
     ColumnRef,
     Comparison,
+    Const,
     Expr,
     InSubquery,
     SubqueryExpr,
@@ -88,7 +90,11 @@ class IndexSpec:
     agg(inner_arg) FROM R x WHERE inner_col θ' outer_col)``, or — a
     *threshold* spec — the column ``key_col``, whose probe
     ``fixed_expr`` is then an uncorrelated scalar or (``RPAI_GROUPED``)
-    the select expression of a subquery correlated by equality.
+    the select expression of a subquery correlated by equality.  A
+    *membership* spec (``inner_op`` ``"IN"``, Q18) is ``outer_col IN
+    (SELECT inner_col FROM relation GROUP BY inner_col HAVING
+    inner_func(inner_arg) outer_op fixed_expr)``, summed on
+    ``outer_alias``.
 
     Attributes:
         relation: base relation the index's tuples come from.
@@ -108,7 +114,8 @@ class IndexSpec:
             (results in a single point update)").
         key_col: the column a threshold spec's index is keyed by.
         filters: a grouped threshold's other conjuncts (the join and
-            the joined relation's filters).
+            the joined relation's filters); a membership spec's two
+            joins, ``outer_col = r.k`` and ``group column = x.c``.
     """
 
     relation: str
@@ -143,17 +150,23 @@ class QueryPlan:
         if self.reason:
             lines.append(f"reason: {self.reason}")
         for spec in self.index_specs:
-            if spec.key_col is None:
+            if spec.inner_op == "IN":
+                having = Comparison(spec.outer_op, AggrCall(spec.inner_func, spec.inner_arg), spec.fixed_expr)
+                lines.append(
+                    f"  membership of {spec.outer_col} in {spec.relation} "
+                    f"GROUP BY {spec.inner_col} HAVING {having}, summed on {spec.outer_alias}"
+                )
+            elif spec.key_col is None:
                 lines.append(
                     f"  index on {spec.relation}: {spec.inner_func} keyed by "
                     f"{spec.inner_col} {spec.inner_op} {spec.outer_col}, "
                     f"probe {spec.outer_op} {spec.fixed_expr}"
                 )
-                continue
-            line = f"  index on {spec.relation} keyed by {spec.key_col}"
-            if spec.inner_col is not None:
-                line += f" per {spec.inner_col} {spec.inner_op} {spec.outer_col}"
-            lines.append(f"{line}, probe {spec.fixed_expr} {spec.outer_op} {spec.key_col}")
+            else:
+                line = f"  index on {spec.relation} keyed by {spec.key_col}"
+                if spec.inner_col is not None:
+                    line += f" per {spec.inner_col} {spec.inner_op} {spec.outer_col}"
+                lines.append(f"{line}, probe {spec.fixed_expr} {spec.outer_op} {spec.key_col}")
             if spec.filters:
                 lines.append("    joined where " + " AND ".join(map(str, spec.filters)))
         return "\n".join(lines)
@@ -216,9 +229,11 @@ def classify(query: AggrQuery) -> QueryPlan:
         )
 
     if not correlated:
+        membership = _match_membership(query)
         return QueryPlan(
             Strategy.UNCORRELATED,
             query,
+            index_specs=() if membership is None else (membership,),
             reason="no correlated nested aggregates; every view is "
             "independently maintainable",
         )
@@ -414,6 +429,46 @@ def _match_grouped_threshold(query: AggrQuery) -> IndexSpec | None:
         outer_col=outer_col,
         key_col=key,
         filters=tuple(conjunct for conjunct in conjuncts if conjunct is not found),
+    )
+
+
+def _match_membership(query: AggrQuery) -> IndexSpec | None:
+    """Match the TPC-H Q18 shape: ``x.k IN (SELECT s.k FROM S s GROUP BY
+    s.k HAVING SUM(s.a) θ const)`` and two equi-joins, ``x.k = r.k'`` to
+    the relation ``r`` the result reads and ``g.c = x.c'`` to the
+    relation ``g`` whose ``g.c`` is the one ``GROUP BY`` key.  The spec
+    is ``r``'s; its ``filters`` are those two joins, oriented so."""
+    conjuncts = query.conjuncts()
+    members = [c for c in conjuncts if isinstance(c, InSubquery)]
+    joins = [c for c in conjuncts if isinstance(c, Comparison) and c.op == "="]
+    if len(members) != 1 or len(joins) != 2 or len(conjuncts) != 3 or len(query.group_by) != 1:
+        return None
+    needle, sub, (group_col,) = members[0].expr, members[0].query, query.group_by
+    having = sub.having
+    if not isinstance(needle, ColumnRef) or not isinstance(having, Comparison) or sub.where is not None:
+        return None
+    if len(sub.relations) != 1 or len(sub.group_by) != 1 or [i.expr for i in sub.select] != list(sub.group_by):
+        return None
+    if isinstance(having.right, AggrCall):
+        having = having.flipped()
+    agg, bound = having.left, having.right
+    if not (isinstance(agg, AggrCall) and agg.func == "SUM" and isinstance(bound, Const)):
+        return None
+    link = group_join = None
+    for join in joins:
+        for ref, other in ((join.left, join.right), (join.right, join.left)):
+            if isinstance(other, ColumnRef) and ref == needle:
+                link = Comparison("=", needle, other)
+            elif isinstance(other, ColumnRef) and ref == group_col:
+                group_join = Comparison("=", group_col, other)
+    if link is None or group_join is None or group_join.right.relation != needle.relation:
+        return None
+    aliases = {needle.relation, link.right.relation, group_col.relation}
+    if len(aliases) != 3 or aliases != set(query.aliases):
+        return None
+    return IndexSpec(
+        sub.relations[0].name, link.right.relation, having.op, bound, agg.func, agg.arg,
+        "IN", sub.group_by[0], needle, filters=(link, group_join),
     )
 
 

@@ -2,8 +2,8 @@
 
 EQ (one point side), VWAP (one shifted side), grouped VWAP (one shifted
 side fanned over GROUP BY keys), MST (two two-column shifted sides),
-PSP (two two-column threshold sides) and TPC-H Q17 (one grouped
-threshold side) all run through
+PSP (two two-column threshold sides), TPC-H Q17 (one grouped
+threshold side) and TPC-H Q18 (one membership side) all run through
 :class:`~repro.engine.aggr_index.AggregateIndexEngine` and the one
 emitter.  Every shape × trigger flavor (per event, batched, columnar
 frames) × trigger mode (compiled, ``set_codegen(False)``) must be
@@ -22,7 +22,7 @@ import pytest
 
 from repro.engine.aggr_index import AggregateIndexEngine, build_single_index_engine
 from repro.engine.naive import NaiveEngine
-from repro.errors import EngineStateError
+from repro.errors import EngineStateError, QueryParseError
 from repro.query import codegen
 from repro.query.parser import parse_query
 from repro.storage import schema as schemas
@@ -92,6 +92,31 @@ def parts_and_lineitems(count: int, seed: int) -> list:
     return events
 
 
+def customers_orders_lineitems(count: int, seed: int) -> list:
+    """Q18's relations over three customers and four orderkeys, with
+    retractions: nothing is unique, so rows repeat, an orderkey links
+    several customers, and per-order quantity sums cross 300 both ways."""
+    rng = random.Random(seed)
+    events, live = [], []
+    while len(events) < count:
+        if live and rng.random() < 0.3:
+            events.append(Event(*live.pop(rng.randrange(len(live))), -1))
+            continue
+        pick = rng.random()
+        if pick < 0.15:
+            live.append(("customer", {"custkey": rng.randint(1, 3), "name": "c"}))
+        elif pick < 0.35:
+            row = {"orderkey": rng.randint(1, 4), "custkey": rng.randint(1, 3),
+                   "orderdate": 0, "totalprice": 0}
+            live.append(("orders", row))
+        else:
+            row = {"orderkey": rng.randint(1, 4), "partkey": 1,
+                   "quantity": rng.choice((20, 90, 150)), "extendedprice": 7}
+            live.append(("lineitem", row))
+        events.append(Event(*live[-1], +1))
+    return events
+
+
 VWAP_SEVENTHS = get_query("VWAP").sql.replace(
     "SUM(b.price * b.volume)", "SUM(b.price * b.volume) / 7.0"
 )
@@ -105,6 +130,7 @@ SHAPES = {
     "MST": (get_query("MST").ast, get_query("MST").schema_map(), book),
     "PSP": (get_query("PSP").ast, get_query("PSP").schema_map(), book),
     "Q17": (get_query("Q17").ast, get_query("Q17").schema_map(), parts_and_lineitems),
+    "Q18": (get_query("Q18").ast, get_query("Q18").schema_map(), customers_orders_lineitems),
 }
 SHAPE = pytest.mark.parametrize("shape", SHAPES)
 
@@ -185,6 +211,14 @@ class TestWarmStart:
         with pytest.raises(EngineStateError):
             engine.warm_start(Stream(events[20:]))
 
+    @MODES
+    def test_refuses_an_engine_that_has_seen_only_group_rows(self, compiled):
+        """Customer rows reach no Q18 key, only the side's group rows."""
+        engine = build("Q18", compiled)
+        engine.on_event(Event("customer", {"custkey": 1, "name": "c"}))
+        with pytest.raises(EngineStateError):
+            engine.warm_start(Stream(customers_orders_lineitems(20, 84)))
+
     def test_mst_bulk_load_builds_both_sides_without_a_shift(self):
         from repro import obs
 
@@ -221,3 +255,36 @@ class TestFrames:
         assert frame.fallback
         by_frame, by_batch = build("MST", True), build("MST", True)
         assert identical(by_frame.on_frame(frame), by_batch.on_batch(events))
+
+
+class TestQueriesWhoseTextDoesNotParseBack:
+    """A query's text is for reading: ``0.00001`` prints as ``1e-05``
+    and an apostrophe unescaped, and neither parses.  A snapshot pickles
+    the query tree, so such queries build, pickle and restore."""
+
+    Q17_SQL = get_query("Q17").sql
+    CASES = {
+        "PSP-0.00001": (get_query("PSP").sql.replace("0.0001", "0.00001"), "PSP", book),
+        "Q17-apostrophe": (
+            Q17_SQL.replace(f"'{Q17_CONTAINER}'", "'O''Brien'"), "Q17", parts_and_lineitems,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    @MODES
+    def test_build_pickle_restore(self, case, compiled):
+        sql, shape, stream = self.CASES[case]
+        query = parse_query(sql)
+        with pytest.raises(QueryParseError):
+            parse_query(str(query))
+        renamed = {Q17_CONTAINER: "O'Brien"}
+        events = [
+            Event(e.relation, {k: renamed.get(v, v) for k, v in e.row.items()}, e.weight)
+            for e in stream(160, 87)
+        ]
+        expected = drive(NaiveEngine(query, SHAPES[shape][1]), events, "batch")
+        assert any(expected)
+        codegen.set_codegen(compiled)
+        engine = build_single_index_engine(query)
+        codegen.maybe_specialize(engine)
+        assert drive(engine, events, "batch", restore_at=4) == expected

@@ -33,7 +33,7 @@ ALL_QUERIES = sorted(CASES)
 # The aggregate-index engine has an emitter; the general algorithm
 # generates its two loops itself, whatever the switch says; the
 # hand-written trigger classes are their own single definition.
-COMPILED = ("EQ", "MST", "PSP", "Q17", "VWAP")
+COMPILED = ("EQ", "MST", "PSP", "Q17", "Q18", "VWAP")
 GENERAL = ("SQ1", "SQ2")
 SWITCHED = COMPILED + GENERAL
 HANDWRITTEN = tuple(name for name in ALL_QUERIES if name not in SWITCHED)

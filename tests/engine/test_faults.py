@@ -619,8 +619,9 @@ class TestUnloadableSnapshot:
                 events=350, price_levels=30, volume_max=9, seed=17, delete_ratio=0.3,
             ))))),
             ("Q17", lambda: generate_tpch(TPCHConfig(scale_factor=0.004, seed=17))),
+            ("Q18", lambda: generate_tpch(TPCHConfig(scale_factor=0.004, seed=17))),
         ],
-        ids=["PSP", "Q17"],
+        ids=["PSP", "Q17", "Q18"],
     )
     def test_log_written_by_a_deleted_hand_written_class(self, tmp_path, query, stream):
         """``data/<query>-handwritten/`` is this very run's durable log,

@@ -41,9 +41,23 @@ class TestBuildDispatch:
             build_single_index_engine(QUERIES["SQ1"].ast)
 
     def test_other_strategies_rejected(self):
-        for name in ("SQ1", "NQ1", "Q18"):
+        for name in ("SQ1", "NQ1"):
             with pytest.raises(UnsupportedQueryError):
                 AggregateIndexEngine(classify(QUERIES[name].ast))
+
+    def test_uncorrelated_without_a_membership_shape_rejected(self):
+        """Q18 grouped by the orders column itself: no relation carries
+        the GROUP BY key apart from the link, so no membership spec."""
+        query = parse_query(
+            "SELECT o.custkey, SUM(l.quantity) FROM orders o, lineitem l "
+            "WHERE o.orderkey IN (SELECT l2.orderkey FROM lineitem l2 "
+            "GROUP BY l2.orderkey HAVING SUM(l2.quantity) > 300) "
+            "AND o.orderkey = l.orderkey GROUP BY o.custkey"
+        )
+        plan = classify(query)
+        assert plan.strategy.value == "uncorrelated" and plan.index_specs == ()
+        with pytest.raises(UnsupportedQueryError, match="UNCORRELATED"):
+            AggregateIndexEngine(plan)
 
 
 class TestVWAPTriggerEdgeCases:

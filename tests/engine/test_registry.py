@@ -84,9 +84,9 @@ class TestTwoBackends:
 
     RUNTIME_INDEXES = (PAIMap, RPAITree, TreeMap)
     TRIGGER_MODES = {
-        **dict.fromkeys(("EQ", "VWAP", "MST", "PSP", "Q17"), "compiled"),
+        **dict.fromkeys(("EQ", "VWAP", "MST", "PSP", "Q17", "Q18"), "compiled"),
         **dict.fromkeys(("SQ1", "SQ2"), "generated-loops"),
-        **dict.fromkeys(("NQ1", "NQ2", "Q18"), "interpreted"),
+        **dict.fromkeys(("NQ1", "NQ2"), "interpreted"),
     }
 
     @pytest.mark.parametrize("name", query_names())

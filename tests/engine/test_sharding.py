@@ -277,6 +277,25 @@ class TestShardTransportBytes:
         assert pickled_bytes / frame_bytes >= 5.0, (pickled_bytes, frame_bytes)
 
 
+class TestQ18Routing:
+    def test_hash_on_orderkey_with_customers_broadcast(self):
+        """Q18's routing, column form and per event: orders and
+        lineitems by ``orderkey``, customers to every shard, anything
+        else pinned to shard 0."""
+        template = build_engine("Q18", "rpai")
+        assert template.shard_mode == "hash"
+        assert template.shard_routing_spec() == {
+            "customer": ("broadcast",),
+            "orders": ("column", "orderkey"),
+            "lineitem": ("column", "orderkey"),
+            "*": ("pin", 0),
+        }
+        customer = Event("customer", {"custkey": 3, "name": "c"})
+        order = Event("orders", {"orderkey": 9, "custkey": 3, "orderdate": 0, "totalprice": 0})
+        part = Event("part", {"partkey": 1, "brand": "b", "container": "c"})
+        assert [template.shard_routing_key(e) for e in (customer, order, part)] == [None, 9, 0]
+
+
 class TestShardObservability:
     def test_serial_executor_records_shard_counters(self):
         from repro import obs

@@ -1,5 +1,6 @@
 """Behavioural tests for the RPAI engines of single queries: the sides
-by hand, the hand-written classes, and PSP and Q17 through the registry."""
+by hand, the hand-written classes, and PSP, Q17 and Q18 through the
+registry."""
 
 import pytest
 
@@ -7,7 +8,6 @@ from repro.engine.aggr_index import AggregateIndexEngine
 from repro.engine.queries.common import ShiftedSide, probe_index
 from repro.engine.queries.mst import MSTRpaiEngine
 from repro.engine.queries.nq import NQ1RpaiEngine, NQ2RpaiEngine
-from repro.engine.queries.tpch import Q18RpaiEngine
 from repro.engine.registry import build_engine
 from repro.core.rpai import RPAITree
 from repro.errors import UnsupportedQueryError
@@ -233,7 +233,7 @@ class TestQ17:
 
 class TestQ18:
     def test_order_crossing_threshold_toggles(self):
-        engine = Q18RpaiEngine()
+        engine = build_engine("Q18", "rpai")
         engine.on_event(Event("customer", {"custkey": 1, "name": "c"}))
         engine.on_event(
             Event("orders", {"orderkey": 5, "custkey": 1, "orderdate": 0, "totalprice": 0})
@@ -249,7 +249,7 @@ class TestQ18:
         assert engine.result() == {}
 
     def test_customer_arriving_late_materializes_result(self):
-        engine = Q18RpaiEngine()
+        engine = build_engine("Q18", "rpai")
         engine.on_event(
             Event("orders", {"orderkey": 5, "custkey": 1, "orderdate": 0, "totalprice": 0})
         )
@@ -261,7 +261,7 @@ class TestQ18:
         assert engine.result() == {1: 400}
 
     def test_two_qualifying_orders_same_customer_sum(self):
-        engine = Q18RpaiEngine()
+        engine = build_engine("Q18", "rpai")
         engine.on_event(Event("customer", {"custkey": 1, "name": "c"}))
         for orderkey in (5, 6):
             engine.on_event(
@@ -273,7 +273,7 @@ class TestQ18:
         assert engine.result() == {1: 800}
 
     def test_result_is_a_copy(self):
-        engine = Q18RpaiEngine()
+        engine = build_engine("Q18", "rpai")
         first = engine.result()
         first["tampered"] = 1
         assert engine.result() == {}

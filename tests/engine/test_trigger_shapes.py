@@ -342,6 +342,67 @@ def test_one_result_per_trigger_call(query, shape):
         assert snap["stats"]["engine.batch_size"]["total"] == len(events)
 
 
+# ---------------------------------------------------------------------------
+# Q18 under bag semantics
+# ---------------------------------------------------------------------------
+
+
+def _customer(custkey: int, weight: int = 1) -> Event:
+    return Event("customer", {"custkey": custkey, "name": f"cust{custkey}"}, weight)
+
+
+def _order(orderkey: int, custkey: int, weight: int = 1) -> Event:
+    row = {"orderkey": orderkey, "custkey": custkey, "orderdate": 0, "totalprice": 0}
+    return Event("orders", row, weight)
+
+
+def _line(orderkey: int, quantity: int, weight: int = 1) -> Event:
+    row = {"orderkey": orderkey, "partkey": 1, "quantity": quantity, "extendedprice": 7}
+    return Event("lineitem", row, weight)
+
+
+#: nothing makes ``custkey`` or ``orderkey`` unique: duplicate rows
+#: multiply the join, and one orderkey may link several customers
+Q18_BAG_STREAMS = {
+    "duplicate-customer": [_customer(1), _customer(1), _order(5, 1), _line(5, 301)],
+    "delete-one-duplicate": [
+        _customer(1), _customer(1), _order(5, 1), _line(5, 301), _customer(1, -1),
+    ],
+    "duplicate-order": [
+        _customer(1), _order(5, 1), _order(5, 1), _line(5, 301), _line(5, 20),
+        _order(5, 1, -1),
+    ],
+    "orderkey-under-two-customers": [
+        _customer(1), _customer(2), _order(5, 1), _order(5, 2), _line(5, 301),
+    ],
+    "emptied-and-refilled": [
+        _customer(1), _order(5, 1), _line(5, 200), _line(5, 200), _line(5, 200, -1),
+        _line(5, 200, -1), _line(5, 301), _order(5, 1, -1), _order(5, 1), _customer(1, -1),
+        _customer(1),
+    ],
+}
+
+
+def _by_key(results: list) -> list:
+    return [dict(sorted(result.items())) for result in results]
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "interpreted"])
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("strategy", ["rpai", "dbtoaster"])
+@pytest.mark.parametrize("stream", Q18_BAG_STREAMS)
+def test_q18_bag_semantics_match_naive(stream, strategy, shape, compiled):
+    """Every trace equals the naive re-evaluation's, value types
+    included, in every call shape, with a pickle restore mid-stream."""
+    events = Q18_BAG_STREAMS[stream]
+    chunks = [events[i : i + 2] for i in range(0, len(events), 2)]
+    expected, _ = drive(build_engine("Q18", "recompute"), chunks, "batch")
+    codegen.set_codegen(compiled)
+    engine = build_engine("Q18", strategy)
+    got, _ = drive(engine, chunks, shape, restore_at=len(chunks) // 2)
+    assert identical(_by_key(got), _by_key(expected))
+
+
 @pytest.mark.parametrize("query", ["EQ", "VWAP", "MST"])
 def test_guarded_compiled_on_frame_admits_by_block(query, monkeypatch):
     """A compiled ``on_frame`` with a quarantine attached admits a clean

@@ -161,3 +161,45 @@ class TestGroupedThresholdShape:
         )
         plan = classify(q)
         assert plan.strategy is not Strategy.RPAI_GROUPED
+
+
+class TestMembershipShape:
+    """TPC-H Q18's ``IN (… GROUP BY … HAVING …)`` semijoin stays
+    ``UNCORRELATED`` / O(1) and carries the spec its engine builds from."""
+
+    def test_q18_spec(self):
+        plan = classify(QUERIES["Q18"].ast)
+        assert plan.strategy is Strategy.UNCORRELATED
+        assert asymptotic_cost(plan) == "O(1)"
+        (spec,) = plan.index_specs
+        assert (spec.relation, spec.outer_alias, spec.inner_op) == ("lineitem", "l", "IN")
+        assert spec.outer_col == ColumnRef("o", "orderkey")
+        assert spec.inner_col == ColumnRef("l2", "orderkey")
+        assert (spec.inner_func, spec.inner_arg) == ("SUM", ColumnRef("l2", "quantity"))
+        assert (spec.outer_op, spec.fixed_expr.value) == (">", 300)
+
+    def test_describe_prints_key_having_and_the_two_joins(self):
+        described = classify(QUERIES["Q18"].ast).describe()
+        assert (
+            "membership of o.orderkey in lineitem GROUP BY l2.orderkey "
+            "HAVING SUM(l2.quantity) > 300, summed on l"
+        ) in described
+        assert "joined where o.orderkey = l.orderkey AND c.custkey = o.custkey" in described
+
+    def test_a_flipped_having_and_join_give_the_same_spec(self):
+        flipped = parse_query(
+            "SELECT c.custkey, SUM(l.quantity) FROM customer c, orders o, lineitem l "
+            "WHERE o.orderkey IN (SELECT l2.orderkey FROM lineitem l2 "
+            "GROUP BY l2.orderkey HAVING 300 < SUM(l2.quantity)) "
+            "AND o.custkey = c.custkey AND l.orderkey = o.orderkey GROUP BY c.custkey"
+        )
+        assert classify(flipped).index_specs == classify(QUERIES["Q18"].ast).index_specs
+
+    def test_a_having_other_than_sum_gives_no_spec(self):
+        """The side keeps a ``HAVING`` sum; COUNT/AVG build nothing."""
+        counted = parse_query(
+            QUERIES["Q18"].sql.replace("HAVING SUM(l2.quantity) > 300", "HAVING COUNT(*) > 3")
+        )
+        assert "COUNT(*)" in str(counted)
+        plan = classify(counted)
+        assert plan.strategy is Strategy.UNCORRELATED and plan.index_specs == ()

@@ -1,5 +1,5 @@
 """Property test: randomly generated AggrQ ASTs survive a print→parse
-round trip unchanged.
+round trip, and a pickle round trip, unchanged.
 
 The generator produces queries within the Section 4.1 grammar —
 arithmetic operands, aggregate calls, correlated scalar subqueries,
@@ -9,6 +9,8 @@ queries.
 """
 
 from __future__ import annotations
+
+import pickle
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -138,3 +140,17 @@ def test_print_parse_roundtrip(query: AggrQuery):
 def test_notation_renders_without_error(query: AggrQuery):
     text = query.to_aggrq_notation()
     assert text.startswith("Agg[")
+
+
+@given(query=_queries())
+@settings(max_examples=200, deadline=None)
+def test_pickle_roundtrip(query: AggrQuery):
+    assert pickle.loads(pickle.dumps(query)) == query
+
+
+def test_pickle_keeps_constants_the_text_cannot():
+    """Positional pickles hold the values, not their printed form."""
+    query = parse_query(
+        "SELECT SUM(t.price) FROM T t WHERE t.qty > 0.00001 AND t.name = 'O''Brien'"
+    )
+    assert pickle.loads(pickle.dumps(query)) == query

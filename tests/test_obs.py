@@ -253,8 +253,9 @@ class TestEngineCounters:
         assert obs.derived_metrics(snap).get("rotations_per_update") is not None
 
     def test_subclassed_engine_counts_events_once(self):
-        """Engines that inherit on_event (e.g. the Q18 DBToaster variant
-        subclasses the RPAI one) must not double-count."""
+        """Engines that inherit on_event (e.g. the Q18 DBToaster
+        baseline, the plan-built engine under another name) must not
+        double-count."""
         obs.enable()
         from repro.workloads import TPCHConfig, generate_tpch
 
