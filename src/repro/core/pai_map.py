@@ -197,6 +197,29 @@ class PAIMap:
         order does not matter (e.g. DBToaster-style loops)."""
         yield from self._data.items()
 
+    # -- as source, for a caller that emits its own statements --------------
+
+    @staticmethod
+    def emit_data(index: str) -> str:
+        """Source of ``index``'s dict while ``index`` is a pruning map
+        and self-checks are off (so :meth:`emit_add` may update it in
+        place), else ``None``.  It reads :data:`EMIT_GLOBALS`."""
+        inline = f"type({index}) is _PAIMap and {index}.prune_zeros and not _SELF.enabled"
+        return f"{index}._data if {inline} else None"
+
+    @staticmethod
+    def emit_add(data: str, index: str, key: str, delta: str) -> list[str]:
+        """:meth:`add` as statements on ``data``, the dict
+        :meth:`emit_data` read off ``index``."""
+        return [
+            f"_h = {data}.get({key}, 0) + {delta}",
+            f"{index}._total += {delta}",
+            "if _h == 0:",
+            f"    {data}.pop({key}, None)",
+            "else:",
+            f"    {data}[{key}] = _h",
+        ]
+
     def __len__(self) -> int:
         return len(self._data)
 
@@ -231,3 +254,7 @@ class PAIMap:
         if self.prune_zeros:
             dead = [k for k, v in self._data.items() if v == 0]
             assert not dead, f"prune_zeros map holds zero-valued keys {dead}"
+
+
+#: what :meth:`PAIMap.emit_data` and :meth:`PAIMap.emit_add` read
+EMIT_GLOBALS = {"_PAIMap": PAIMap, "_SELF": _SELF}

@@ -568,18 +568,6 @@ class AggregateIndexEngine(IncrementalEngine):
             if scalar.relation == event.relation:
                 scalar.on_row(event.row, event.weight)
 
-    def scalar_column_updates(self, block: Any) -> list[tuple]:
-        """Pure pre-computation for the generated columnar trigger: the
-        ``(scalar, per-row values, weights)`` updates one
-        :class:`~repro.storage.colbatch.ColumnBlock` implies.  Raises
-        (KeyError/TypeError) *before* any state changes when the block
-        does not fit a scalar's compiled column shape."""
-        return [
-            (scalar, scalar.column_values(block), block.weights)
-            for scalar in self._scalars.values()
-            if scalar.relation == block.relation
-        ]
-
     def _deltas(self, event: Event) -> Iterable[tuple]:
         """Per side the event feeds: (side position, netting key,
         weight delta, per-column deltas, placement key)."""

@@ -41,7 +41,9 @@ class Q17DbtEngine(IncrementalEngine):
         self._prices: dict[int, dict[int, float]] = {}
         self._quantity_sum: dict[int, float] = {}
         self._count: dict[int, int] = {}
-        self._qualifying: set[int] = set()
+        # partkey -> live part rows passing the filters (a bag: each
+        # one joins every lineitem of the part)
+        self._qualifying: dict[int, int] = {}
         # partkey -> contribution currently reflected in the total
         self._contribution: dict[int, float] = {}
         self._total: float = 0
@@ -51,7 +53,8 @@ class Q17DbtEngine(IncrementalEngine):
         quantities, re-evaluating the predicate per quantity value."""
         old = self._contribution.pop(partkey, 0)
         self._total -= old
-        if partkey not in self._qualifying:
+        rows = self._qualifying.get(partkey, 0)
+        if not rows:
             return
         count = self._count.get(partkey, 0)
         if count == 0:
@@ -62,6 +65,7 @@ class Q17DbtEngine(IncrementalEngine):
             if quantity < threshold:
                 contribution += price_sum
         if contribution:
+            contribution *= rows
             self._contribution[partkey] = contribution
             self._total += contribution
 
@@ -70,10 +74,9 @@ class Q17DbtEngine(IncrementalEngine):
         if event.relation == "part":
             if row["brand"] == self.brand and row["container"] == self.container:
                 partkey = row["partkey"]
-                if x == 1:
-                    self._qualifying.add(partkey)
-                else:
-                    self._qualifying.discard(partkey)
+                rows = self._qualifying.pop(partkey, 0) + x
+                if rows:
+                    self._qualifying[partkey] = rows
                 self._reevaluate(partkey)
         elif event.relation == "lineitem":
             partkey = row["partkey"]

@@ -14,13 +14,14 @@ from a plan:
   Scalar updates, per-row extraction (each side's feeds, filters
   included), netting and ``result`` are written once; ``apply`` /
   ``apply_batch`` / ``apply_frame`` are three loop shapes around the
-  per-side *apply fragments* (point move, range shift, grouped fan-out,
-  column-keyed add), and ``warm_start`` is the batch shape's netting
-  with the sides' bulk loads in place of the fragments.  A grouped
-  threshold side (Q17) and a membership side (Q18) are called, not
-  inlined: the fragment is the side's own ``move``, and ``result``
-  reads the threshold side's maintained total or copies the membership
-  side's result, so their per-group logic exists once.  The obs +
+  per-side *apply fragments*, and ``warm_start`` is the batch shape's
+  netting with the sides' bulk loads in place of the fragments.  Each
+  side writes its own fragments (``emit_bind`` / ``emit_move`` in
+  :mod:`repro.engine.queries.common`; its interpreted ``apply`` is the
+  same statements compiled), so the loops splice them in, no row or
+  netted key costs a Python call into a side, and ``result`` reads a
+  grouped threshold side's maintained total or copies a membership
+  side's result.  The obs +
   quarantine prologue is not generated: the compiled functions are the
   engine's two steps, and ``IncrementalEngine.on_event`` /
   ``on_batch`` / ``on_frame`` wrap them as they wrap every engine's.
@@ -65,6 +66,7 @@ import types
 from typing import Any, Callable
 
 from repro.engine.aggr_index import AggregateIndexEngine, Feed, SidePlan
+from repro.engine.queries.common import FRAGMENT_GLOBALS, probe_src
 from repro.errors import UnsupportedQueryError
 from repro.obs import SINK as _SINK
 from repro.query.ast import AggrQuery, ColumnRef, Const, Expr
@@ -169,28 +171,15 @@ def _emit_scalar_updates(
             lines.append(f"{indent}    _sc{i}.on_row(_row, _w)")
 
 
-def _probe_src(op: str, index: str, probe: str, columns: int) -> str:
-    """Monomorphized ``probe_index`` (repro.engine.queries.common)."""
-    if op == "=":
-        zero = "0" if columns == 1 else repr((0,) * columns)
-        return f"{index}.get({probe}, {zero})"
-    if op in (">", ">="):
-        return f"{index}.get_sum({probe}, inclusive={op == '>='})"
-    if op in ("<", "<="):
-        if columns == 1:
-            return f"({index}.total_sum() - {index}.get_sum({probe}, inclusive={op == '<'}))"
-        return f"{index}.suffix_sum({probe}, inclusive={op == '<='})"
-    raise UnsupportedQueryError(f"unsupported probe operator {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # AggregateIndexEngine (Algorithm 4 — EQ, VWAP, grouped VWAP, MST, PSP, Q17, Q18)
 # ---------------------------------------------------------------------------
 # One emitter over the engine's side descriptions.  Per side the source
 # names are fixed: ``_s{k}`` is the side object (bound as a global at
 # install time), ``_n{k}`` its net dict, ``_bm{k}``/``_rm{k}``/
-# ``_ix{k}``/``_gi{k}`` its structures read off the side once per call
-# (warm_start replaces them, so they are not bound at install time).
+# ``_ix{k}``/``_gi{k}``/… its structures, read off the side once per
+# call by the side's ``emit_bind`` (warm_start replaces them, so they are
+# not bound at install time).
 # A tuple's deltas, per feed (``Feed``), are ``_key`` (netting key, a
 # stored correlation key with its sign applied), ``_wgt``
 # (inner-aggregate or joined-row delta), one ``_d{j}`` per placement
@@ -209,28 +198,16 @@ class _SideSrc:
     def __init__(self, k: int, plan: SidePlan, side: Any) -> None:
         self.k = k
         self.plan = plan
+        self.side = side
         self.grouped = bool(plan.group_by)
         self.negated = plan.shifted and side.key_sign == -1
-        self.inclusive = plan.shifted and side.inclusive
         #: delta names once netted (every column is a ``_d{j}``)
         self.netted = [f"_d{j}" for j in range(plan.columns)]
 
     def bind(self, lines: list[str], *, maps: bool = True) -> None:
         """Read the side's structures into locals (without ``maps``,
         only the indexes the result probes read)."""
-        k, plan = self.k, self.plan
-        if plan.tuplewise:
-            return  # its own ``move``, and ``total`` or ``result``
-        if maps and not plan.threshold:
-            lines.append(f"    _bm{k} = _s{k}.bound_map")
-            if plan.point:
-                lines.append(f"    _rm{k} = _s{k}.res_map")
-        if plan.point or plan.threshold:
-            lines.append(f"    _ix{k} = _s{k}.index")
-        elif plan.group_by:
-            lines.append(f"    _gi{k} = _s{k}.group_indexes")
-        else:
-            lines.append(f"    _ix{k} = _s{k}.group_indexes[None]")
+        lines.extend("    " + line for line in self.side.emit_bind(self.k, maps))
 
     def extract(
         self, lines: list[str], indent: str, src: _ExprSrc, feed: Feed
@@ -294,68 +271,8 @@ class _SideSrc:
         """The side's apply fragment for the deltas at ``_key``:
         ``deltas`` names one local per column (under GROUP BY the
         fragment reads the per-group dict ``_pg`` instead; a
-        tuple-by-tuple side takes its ``move`` arguments)."""
-        plan = self.plan
-        if plan.tuplewise:
-            lines.append(f"{indent}_s{self.k}.move({', '.join(deltas)})")
-        elif plan.threshold:
-            lines.append(f"{indent}if {' or '.join(f'{d} != 0' for d in deltas)}:")
-            lines.append(f"{indent}    _ix{self.k}.add(_key, {', '.join(deltas)})")
-        elif plan.point:
-            self._point_move(lines, indent, deltas[0])
-        else:
-            self._range_shift(lines, indent, deltas)
-
-    def _point_move(self, lines: list[str], indent: str, res: str) -> None:
-        # PointSide.apply, line for line.
-        k = self.k
-        lines.append(f"{indent}if _S.enabled:")
-        lines.append(f"{indent}    _S.inc('engine.point_applies')")
-        lines.append(f"{indent}_old_rhs = _bm{k}.get(_key, 0)")
-        lines.append(f"{indent}_old_res = _rm{k}.get(_key, 0)")
-        lines.append(f"{indent}_new_res = _old_res + {res}")
-        lines.append(f"{indent}if _old_res != 0:")
-        lines.append(f"{indent}    _ix{k}.add(_old_rhs, -_old_res)")
-        lines.append(f"{indent}if _new_res != 0:")
-        lines.append(f"{indent}    _ix{k}.add(_old_rhs + _wgt, _new_res)")
-        lines.append(f"{indent}_bm{k}.add(_key, _wgt)")
-        lines.append(f"{indent}_rm{k}.add(_key, {res})")
-
-    def _range_shift(self, lines: list[str], indent: str, deltas: list[str]) -> None:
-        # ShiftedSide.apply with the inclusive/strict inner-θ branch
-        # resolved at compile time: the bound-map update (whose descent
-        # yields the boundary), the range shift over every live index,
-        # one point update per placement.  Under GROUP BY the shift and
-        # the placements are loops over ``_gi{k}`` / ``_pg``.
-        k = self.k
-        lines.append(f"{indent}if _S.enabled:")
-        lines.append(f"{indent}    _S.inc('engine.range_applies')")
-        if self.grouped:
-            lines.append(f"{indent}    _S.observe('engine.grouped_fanout', len(_gi{k}))")
-        lines.append(f"{indent}_old, _pfx = _bm{k}.fetch_add(_key, _wgt)")
-        new = "_pfx + _old + _wgt" if self.inclusive else "_pfx"
-        inclusive = "False" if self.inclusive else "_old == 0"
-        target, shift_indent, add_indent = f"_ix{k}", indent, indent + "    "
-        if self.grouped:
-            if self.inclusive:
-                lines.append(f"{indent}_new = {new}")
-                new = "_new"
-            lines.append(f"{indent}for _ix in _gi{k}.values():")
-            target, shift_indent, deltas = "_ix", add_indent, ["_d"]
-        lines.append(f"{shift_indent}{target}.shift_keys(_pfx, _wgt, inclusive={inclusive})")
-        if self.grouped:
-            lines.append(f"{indent}for _grp, _d in _pg.items():")
-            lines.append(f"{indent}    if _d == 0:")
-            lines.append(f"{indent}        continue")
-            lines.append(f"{indent}    _ix = _gi{k}.get(_grp)")
-            lines.append(f"{indent}    if _ix is None:")
-            lines.append(f"{indent}        _ix = _gi{k}[_grp] = _s{k}._new_index()")
-        else:
-            lines.append(f"{indent}if {' or '.join(f'{d} != 0' for d in deltas)}:")
-        lines.append(f"{add_indent}{target}.add({new}, {', '.join(deltas)})")
-        if self.grouped:
-            lines.append(f"{indent}    if not len(_ix):")
-            lines.append(f"{indent}        del _gi{k}[_grp]")
+        tuple-by-tuple side takes one tuple's arguments as source)."""
+        lines.extend(indent + line for line in self.side.emit_move(self.k, deltas))
 
     def load(self, lines: list[str]) -> None:
         """Bulk-load the side from ``_n{k}``, re-laid per key the way
@@ -383,6 +300,15 @@ class _SideSrc:
             lines.append(f"        if {' and '.join(f'{n} == 0' for n in names)}:")
         lines.append("            continue")
         self.apply(lines, "        ", self.netted)
+
+
+def _column_loop(cols: dict[str, str]) -> str:
+    """The ``for`` header walking ``_blk``'s weights and the columns
+    ``cols`` names (column -> local) in step."""
+    if not cols:
+        return "for _w in _blk.weights:"
+    fetch = ", ".join(f"_blk.column({column!r})" for column in cols)
+    return f"for {', '.join(['_w', *cols.values()])} in zip(_blk.weights, {fetch}):"
 
 
 def _aggr_emit(engine: AggregateIndexEngine) -> str:
@@ -424,7 +350,7 @@ def _aggr_emit(engine: AggregateIndexEngine) -> str:
     def probe(side: _SideSrc, index: str) -> str:
         columns = side.plan.columns
         targets = ", ".join(f"_q{side.k}_{j}" for j in range(columns))
-        return f"{targets} = {_probe_src(side.plan.spec.outer_op, index, f'_p{side.k}', columns)}"
+        return f"{targets} = {probe_src(side.plan.spec.outer_op, index, f'_p{side.k}', columns)}"
 
     lines: list[str] = []
 
@@ -452,6 +378,8 @@ def _aggr_emit(engine: AggregateIndexEngine) -> str:
     def net_loop(source: str) -> None:
         for side in sides if not tuplewise else ():
             lines.append(f"    _n{side.k} = {{}}")
+        if tuplewise:
+            bind_sides(lines)
         lines.append(f"    for event in {source}:")
         _emit_event_unpack(lines, "        ")
         _emit_scalar_updates(lines, "        ", scalars)
@@ -462,9 +390,10 @@ def _aggr_emit(engine: AggregateIndexEngine) -> str:
         lines.append(f"    if _S.enabled and {counted}:")
         nets = " + ".join(f"len(_n{side.k})" for side in sides if not tuplewise) or "0"
         lines.append(f"        _S.observe('engine.batch_coalesced_keys', {nets})")
-        bind_sides(lines)
-        for side in sides if not tuplewise else ():
-            side.drain(lines)
+        if not tuplewise:
+            bind_sides(lines)
+            for side in sides:
+                side.drain(lines)
 
     lines.append("def apply_batch(self, events):")
     net_loop("events")
@@ -482,17 +411,18 @@ def _aggr_emit(engine: AggregateIndexEngine) -> str:
 
     if tuplewise:
         # -- frame shape, tuple by tuple: per relation a row function of
-        # its columns, which ``ColumnarFrame.feed`` calls in event order
-        # (a block that lacks a column raises KeyError before any call).
+        # its columns (extraction, then the side's move statements), which
+        # ``ColumnarFrame.feed`` calls in event order (a block that lacks
+        # a column raises KeyError before any call).
         rows = []
         for n, (relation, members) in enumerate(by_relation.items()):
             cols: dict[str, str] = {}
             src = lambda expr, alias: emit_col_element(expr, alias, cols, "")  # noqa: E731
             body: list[str] = []
             for side, feed in members:
-                indent, fresh = side.extract(body, "    ", src, feed)
-                side.apply(body, indent, fresh)
+                side.apply(body, *side.extract(body, "    ", src, feed))
             lines.append(f"def _row{n}(self, _w, {', '.join(cols.values())}):")
+            bind_sides(lines)
             lines.extend(body)
             rows.append(f"{relation!r}: (_row{n}, {tuple(cols)!r})")
         lines.append(f"_ROWS = {{{', '.join(rows)}}}")
@@ -508,40 +438,52 @@ def _aggr_emit(engine: AggregateIndexEngine) -> str:
         # does not fit the compiled column shape (missing column, value
         # the expression arithmetic rejects) raises KeyError/TypeError
         # *before* any engine state changes, so the decoded event path
-        # governs.  The scalar updates are precomputed per block
-        # (``scalar_column_updates`` is pure) and applied only after the
-        # whole frame scanned clean.  A frame holds at most one block per
-        # relation with its rows in event order, so each net dict's
-        # insertion order matches the event loop's.
+        # governs.  A SUM/COUNT/AVG scalar folds into locals, a MIN/MAX
+        # one (an ordered multiset) collects its (value, weight) pairs,
+        # and either reaches its aggregate only after the whole frame
+        # scanned clean.  A frame holds at most one block per relation
+        # with its rows in event order, so each net dict's insertion
+        # order (and each scalar's updates) matches the event loop's.
         lines.append("def apply_frame(self, frame):")
         lines.append("    if frame.fallback:")
         lines.append("        return self.apply_batch(frame.events())")
         for side in sides:
             lines.append(f"    _n{side.k} = {{}}")
-        lines.append("    _fx = []")
+        folded = [scalar.aggregate.func in ("SUM", "COUNT", "AVG") for scalar in scalars.values()]
+        for i, fold in enumerate(folded):
+            lines.append(f"    _a{i} = _sc{i}.aggregate")
+            held = f"_t{i}, _k{i} = _a{i}.total, _a{i}.count" if fold else f"_v{i} = []"
+            lines.append(f"    {held}")
         lines.append("    try:")
         lines.append("        for _blk in frame.blocks:")
-        lines.append("            _fx.extend(self.scalar_column_updates(_blk))")
         lines.append("            _rel = _blk.relation")
+        relations = dict.fromkeys([*by_relation, *(sc.relation for sc in scalars.values())])
         branch = "if"
-        for relation, members in by_relation.items():
+        for relation in relations:
             cols = {}
-            src = lambda expr, alias: emit_col_element(expr, alias, cols)  # noqa: E731
+            src = lambda expr, alias: emit_col_element(expr, alias, cols, "")  # noqa: E731
             body = []
-            for side, feed in members:
+            for i, (sub, scalar) in enumerate(scalars.items()):
+                if scalar.relation == relation:
+                    arg = src(sub.select[0].expr.arg, sub.relations[0].alias)
+                    if folded[i]:
+                        body += [f"_t{i} += ({arg}) * _w", f"_k{i} += _w"]
+                    else:
+                        body.append(f"_v{i}.append((({arg}), _w))")
+            for side, feed in by_relation.get(relation, ()):
                 side.net(body, *side.extract(body, "", src, feed))
             lines.append(f"            {branch} _rel == {relation!r}:")
             branch = "elif"
-            for column, local in cols.items():
-                lines.append(f"                {local} = _blk.column({column!r})")
-            lines.append("                _wts = _blk.weights")
-            lines.append("                for _i in range(len(_wts)):")
-            lines.append("                    _w = _wts[_i]")
+            lines.append(f"                {_column_loop(cols)}")
             lines.extend("                    " + line for line in body)
         lines.append("    except (KeyError, TypeError):")
         lines.append("        return self.apply_batch(frame.events())")
-        lines.append("    for _fsc, _fvals, _fwts in _fx:")
-        lines.append("        _fsc.apply_columns(_fvals, _fwts)")
+        for i, fold in enumerate(folded):
+            if fold:
+                lines.append(f"    _a{i}.total, _a{i}.count = _t{i}, _k{i}")
+            else:
+                lines.append(f"    for _x, _xw in _v{i}:")
+                lines.append(f"        _a{i}.update(_x, _xw)")
         drain("len(frame)")
         lines.append("")
 
@@ -631,7 +573,9 @@ def specialize(engine) -> bool:
     else:
         if _SINK.enabled:
             _SINK.inc("codegen.cache_hits")
-    namespace: dict[str, Any] = {"_S": _SINK, **subquery_bindings(engine._scalars, {})}
+    namespace: dict[str, Any] = {
+        "_S": _SINK, **FRAGMENT_GLOBALS, **subquery_bindings(engine._scalars, {})
+    }
     namespace.update({f"_s{k}": side for k, side in enumerate(engine.sides)})
     exec(entry.code, namespace)
     for attr in _TRIGGER_ATTRS:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import linecache
 import zlib
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping
 
 from repro.errors import UnsupportedQueryError
 from repro.query.ast import (
@@ -246,9 +246,6 @@ class UncorrelatedScalar:
             self.aggregate = MaintainedAggregate(call.func)
         self.relation = query.relations[0].name
         self.arg = compile_row_expr(call.arg, alias)
-        #: per-row arg values of a :class:`ColumnBlock` (pure — no
-        #: state change)
-        self.column_values = compile_col_expr(call.arg, alias)
 
     def value_src(self, name: str) -> str:
         """Inline read of :meth:`value` for a scalar bound as ``name`` —
@@ -268,13 +265,6 @@ class UncorrelatedScalar:
 
     def on_row(self, row: Row, weight: int) -> None:
         self.aggregate.update(self.arg(row), weight)
-
-    def apply_columns(self, values: list, weights: Sequence[int]) -> None:
-        """Fold precomputed :meth:`column_values` into the accumulator
-        in row order — exactly the per-event :meth:`on_row` sequence."""
-        update = self.aggregate.update
-        for value, weight in zip(values, weights):
-            update(value, weight)
 
     def value(self) -> float:
         return self.aggregate.value()

@@ -326,6 +326,11 @@ class ColumnarFrame:
         and the map is drained in one go; otherwise the maps are
         advanced in ``_seq`` order.  A block that lacks a declared
         column raises ``KeyError`` before any call.
+
+        Callers: the hand-written classes' ``row_handlers``, and the
+        compiled ``apply_frame`` of an aggregate-index engine whose side
+        takes tuples one by one (Q17, Q18): its row functions are the
+        side's own move statements.
         """
         readers: list[Iterator | None] = []
         for block in self.blocks:

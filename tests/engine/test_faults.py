@@ -646,6 +646,42 @@ class TestUnloadableSnapshot:
         assert shard["snapshot_seq"] is None
         assert shard["records_replayed"] == shard["head_seq"] > 0
 
+    def test_log_written_before_the_point_side_held_dicts(self, tmp_path):
+        """``data/eq-pr30/`` is this very run's durable log (batch and
+        frame records, checkpoints at 8 and 12 of 14 records), written
+        while a point side's bound and result maps were ``PAIMap``\\s.
+        The checkpoint still loads, migrated by ``PointSide.__setstate__``,
+        and its tail replays to the clean result bit for bit."""
+        rng = random.Random(30)
+        events, live = [], []
+        while len(events) < 320:
+            if live and rng.random() < 0.15:
+                events.append(Event("R", live.pop(rng.randrange(len(live))), -1))
+            else:
+                row = {"A": rng.randint(1, 40), "B": rng.randint(1, 6)}
+                live.append(row)
+                events.append(Event("R", row, +1))
+        # one new group holding half the total B: the result is non-zero
+        total = sum(row["B"] for row in live)
+        while total:
+            events.append(Event("R", {"A": 99, "B": min(6, total)}, +1))
+            total -= min(6, total)
+        expected = clean_result("EQ", Stream(events))
+        assert expected == 99.0 * sum(e.row["B"] for e in events if e.row["A"] == 99)
+        shutil.copytree(Path(__file__).parent / "data" / "eq-pr30", tmp_path / "wal")
+        obs.enable()
+        obs.reset()
+        try:
+            recovered, stats = recover_result("EQ", "rpai", tmp_path / "wal")
+            counters = obs.snapshot()["counters"]
+        finally:
+            obs.disable()
+        assert recovered == expected
+        assert counters.get("wal.snapshot_unloadable", 0) == 0
+        shard = stats["per_shard"][0]
+        assert (shard["snapshot_seq"], shard["head_seq"]) == (12, 14)
+        assert shard["records_replayed"] == 2
+
     def test_recover_result_replays_from_zero(self, tmp_path):
         stream = stream_for("SQ1")
         expected = clean_result("SQ1", stream)

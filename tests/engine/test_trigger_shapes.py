@@ -22,7 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.engine.aggr_index import AggregateIndexEngine
 from repro.engine.base import IncrementalEngine
+from repro.engine.naive import NaiveEngine
 from repro.engine.registry import (
     STRATEGIES,
     attach_validation,
@@ -33,6 +35,9 @@ from repro.engine.sharding import ShardedExecutor, plan_router
 from repro.engine.supervision import DurableEngine
 from repro.errors import EngineStateError
 from repro.query import codegen
+from repro.query.parser import parse_query
+from repro.query.planner import classify
+from repro.storage import schema as schemas
 from repro.storage.colbatch import ColumnarFrame
 from repro.storage.stream import Event, Stream
 from repro.workloads import TPCHConfig, generate_tpch, query_names
@@ -401,6 +406,63 @@ def test_q18_bag_semantics_match_naive(stream, strategy, shape, compiled):
     engine = build_engine("Q18", strategy)
     got, _ = drive(engine, chunks, shape, restore_at=len(chunks) // 2)
     assert identical(_by_key(got), _by_key(expected))
+
+
+def _part(partkey: int, weight: int = 1) -> Event:
+    row = {"partkey": partkey, "brand": Q17_BRAND, "container": Q17_CONTAINER}
+    return Event("part", row, weight)
+
+
+def _q17_line(quantity: int, price: int) -> Event:
+    row = {"orderkey": 1, "partkey": 1, "quantity": quantity, "extendedprice": price}
+    return Event("lineitem", row, 1)
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "interpreted"])
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("strategy", ["rpai", "dbtoaster"])
+def test_q17_duplicate_part_rows_match_naive(strategy, shape, compiled):
+    """A part row inserted twice joins each lineitem twice: 200 / 7,
+    then 100 / 7 once one copy is deleted."""
+    events = [_part(1), _part(1), _q17_line(1, 100), _q17_line(100, 5), _part(1, -1)]
+    chunks = [events[i : i + 2] for i in range(0, len(events), 2)]
+    expected, _ = drive(build_engine("Q17", "recompute"), chunks, "batch")
+    assert expected[1:] == [200.0 / 7.0, 100.0 / 7.0]
+    codegen.set_codegen(compiled)
+    got, _ = drive(build_engine("Q17", strategy), chunks, shape, restore_at=1)
+    assert identical(got, expected)
+
+
+MAX_THRESHOLD_SQL = {
+    "one-relation": """
+        SELECT SUM(b.price * b.volume) FROM bids b
+        WHERE b.volume > 0.5 * (SELECT MAX(b1.volume) FROM bids b1)
+    """,
+    "two-relation": """
+        SELECT SUM(a.price - b.price) FROM bids b, asks a
+        WHERE b.volume >= (SELECT MAX(b1.volume) FROM bids b1)
+          AND a.volume > 0.5 * (SELECT MIN(a1.volume) FROM asks a1)
+    """,
+}
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "interpreted"])
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("name", MAX_THRESHOLD_SQL)
+def test_min_max_threshold_matches_naive(name, shape, compiled):
+    """A column threshold probed by an uncorrelated MIN/MAX scalar (an
+    ordered-multiset view, not a SUM/COUNT/AVG accumulator) plans to the
+    aggregate-index engine; every call shape folds the scalar in event
+    order."""
+    query = parse_query(MAX_THRESHOLD_SQL[name])
+    events = two_sided(random_bid_stream(240, volume_max=6, seed=31))
+    chunks = chunked(random.Random(31), events)
+    expected, _ = drive(NaiveEngine(query, {"bids": schemas.BIDS, "asks": schemas.ASKS}), chunks, "batch")
+    codegen.set_codegen(compiled)
+    engine = AggregateIndexEngine(classify(query))
+    assert codegen.maybe_specialize(engine) is compiled
+    got, _ = drive(engine, chunks, shape, restore_at=len(chunks) // 2)
+    assert got == expected
 
 
 @pytest.mark.parametrize("query", ["EQ", "VWAP", "MST"])
