@@ -74,16 +74,27 @@ def tpch(events: int, seed: int = 1) -> list[Event]:
     return list(generate_tpch(config))[:events]
 
 
+#: query -> its stream
+STREAMS: dict[str, Callable[[int], list[Event]]] = {
+    "EQ": relation_ab,
+    "VWAP": order_book,
+    "MST": order_book,
+    "PSP": order_book,
+    "Q17": tpch,
+    "Q18": tpch,
+}
+
+#: call shape -> cell suffix: one ``on_event`` per event, one
+#: ``on_batch`` / ``on_frame`` per 64 events, one ``warm_start`` of the stream
+SHAPES = {"event": "event", "batch": f"batch{FRAME}", "frame": f"frame{FRAME}", "warm": "warm"}
+
 #: cell name -> (query, stream, call shape)
 CELLS: dict[str, tuple[str, Callable[[int], list[Event]], str]] = {
-    "EQ/frame64": ("EQ", relation_ab, "frame"),
-    "Q17/frame64": ("Q17", tpch, "frame"),
-    "Q18/frame64": ("Q18", tpch, "frame"),
-    "VWAP/event": ("VWAP", order_book, "event"),
-    "MST/event": ("MST", order_book, "event"),
-    "PSP/event": ("PSP", order_book, "event"),
-    "NQ1/event": ("NQ1", order_book, "event"),
+    f"{query}/{suffix}": (query, stream, shape)
+    for query, stream in STREAMS.items()
+    for shape, suffix in SHAPES.items()
 }
+CELLS["NQ1/event"] = ("NQ1", order_book, "event")
 
 
 def measure(cell: str) -> dict[str, float]:
@@ -98,11 +109,13 @@ def measure(cell: str) -> dict[str, float]:
         engine = build_engine(query, "rpai")
     finally:
         codegen.set_codegen(enabled)
+    chunks = [events[i : i + FRAME] for i in range(0, len(events), FRAME)]
     if shape == "frame":
-        call = engine.on_frame
-        items = [
-            ColumnarFrame.from_events(events[i : i + FRAME]) for i in range(0, len(events), FRAME)
-        ]
+        call, items = engine.on_frame, [ColumnarFrame.from_events(chunk) for chunk in chunks]
+    elif shape == "batch":
+        call, items = engine.on_batch, chunks
+    elif shape == "warm":
+        call, items = engine.warm_start, [events]
     else:
         call, items = engine.on_event, events
     for pool in (treemap._POOL, *POOLS.values()):

@@ -124,6 +124,21 @@ def test_stats_reports_column_count_of_a_conjunctive_index(capsys):
     assert json.loads(capsys.readouterr().out)["backend"] == "rpai (2 columns)"
 
 
+@pytest.mark.parametrize(
+    "query, pattern",
+    [
+        ("PSP", r"rpai \(2 columns\)"),
+        ("Q17", r"treemap x\d+ groups"),
+        ("Q18", r"dicts x\d+ keys x\d+ groups"),
+    ],
+)
+def test_stats_reports_the_backend_of_every_side_kind(capsys, query, pattern):
+    import json
+
+    assert main(["stats", query, "--events", "150", "--json"]) == 0
+    assert re.fullmatch(pattern, json.loads(capsys.readouterr().out)["backend"])
+
+
 def test_run_reports_auto_batch_note(capsys):
     assert main(["run", "EQ", "--events", "150"]) == 0
     assert "batch    : 64 (auto)" in capsys.readouterr().out
