@@ -36,16 +36,28 @@ which side it multiplies.  VWAP is the n = 1, one-column case.  Both
 consumers read the same description — this module interprets it, and
 :mod:`repro.query.codegen` emits specialized triggers from it.
 
+Each side is one implementation of the side contract
+(:class:`~repro.engine.queries.common.Side`), its kind picked once from
+the plan: the engine asks no side what kind it is.  The result is the
+sides' answers recombined, and both are emitted source
+(:meth:`~repro.engine.queries.common.Side.emit_answer`,
+:meth:`SideLayout.emit_result`): ``result``, ``shard_probe`` and
+``shard_combine`` are compiled from them once per distinct source, and
+the compiled triggers of :mod:`repro.query.codegen` splice the same
+statements.
+
 The index class of single-column sides is pluggable, which realises the
-paper's Section 2→3 progression and powers the ablation benchmark:
+paper's Section 2→3 progression:
 :class:`~repro.core.pai_map.PAIMap` (O(1) point ops, O(n) range ops),
 :class:`~repro.trees.treemap.TreeMap` (O(log n) ``get_sum``, O(n)
 ``shift_keys``), :class:`~repro.core.rpai.RPAITree` (O(log n)
 everything).  When no ``index_cls`` is passed, the class is picked by
 the static rule :func:`~repro.query.planner.choose_backend`.  Any class
 conforming to :class:`~repro.core.interfaces.AggregateIndex` can be
-substituted (the conformance suite runs the §6 comparators through this
-engine).
+substituted: the backend conformance suite
+(``tests/trees/test_backend_conformance.py``) and the index-engine
+tests pass ``index_cls`` to run every backend, the §6 comparators
+included, through this engine.
 
 Precondition inherited from the paper's setting: the inner aggregate's
 per-tuple contributions are strictly positive (volumes, quantities,
@@ -57,39 +69,34 @@ range shift unambiguous (see the tie analysis in DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from operator import itemgetter
 from typing import Any, Iterable, Type
 
-from repro.core.rpai import RPAITree
 from repro.engine.base import IncrementalEngine, Result
 from repro.engine.mergeable import merge_counts, merge_grouped, merge_sums
-from repro.engine.queries.common import MembershipSide, PointSide, ShiftedSide, ThresholdSide
+from repro.engine.queries.common import (
+    FRAGMENT_GLOBALS,
+    Answer,
+    Feed,
+    Side,
+    emit_recombination,
+    side_class,
+)
 from repro.errors import EngineStateError, UnsupportedQueryError
 from repro.obs import SINK as _SINK
-from repro.query.analysis import column_refs, is_correlated
-from repro.query.ast import (
-    AggrCall,
-    AggrQuery,
-    And,
-    Arith,
-    ColumnRef,
-    Comparison,
-    Const,
-    Expr,
-    Predicate,
-    SubqueryExpr,
-    walk_expr,
-)
+from repro.query.analysis import is_correlated
+from repro.query.ast import AggrCall, AggrQuery, Arith, ColumnRef, Const, Expr, SubqueryExpr, walk_expr
 from repro.query.planner import IndexSpec, QueryPlan, Strategy, choose_backend, classify
 from repro.query.rowexpr import (
     MaintainedAggregate,
     Scale,
     UncorrelatedScalar,
-    apply_scale,
-    compile_predicate_side,
     compile_row_expr,
+    compile_source,
+    emit_predicate_side,
+    emit_scaled,
     peel_constant_scale,
+    subquery_bindings,
 )
 from repro.storage.stream import Event
 
@@ -162,28 +169,13 @@ def _cross_multiply(left: list[Term], right: list[Term]) -> list[Term]:
 
 
 @dataclass(frozen=True)
-class Feed:
-    """How one relation's tuples reach a side, as row expressions over
-    ``alias``: the netting ``key``, the ``weight`` (inner-aggregate or
-    joined-row delta), one placement delta per column (``None``: the
-    tuple's multiplicity, a count) and the placement ``group`` (empty:
-    ``None``).  A tuple failing ``where`` reaches nothing."""
-
-    relation: str
-    alias: str
-    key: tuple[ColumnRef, ...]
-    weight: Expr | None
-    deltas: tuple[Expr | None, ...]
-    group: tuple[ColumnRef, ...] = ()
-    where: Predicate | None = None
-
-
-@dataclass(frozen=True)
 class SidePlan:
     """Static description of one relation's side, derived from the plan.
 
     Attributes:
         spec: the planner's predicate for this relation.
+        kind: the side class that maintains it
+            (:func:`~repro.engine.queries.common.side_class`).
         factors: the distinct single-relation factor expressions of the
             result terms — one index column each.
         counted: some term multiplies by ``|Qi|``, so a count column
@@ -193,6 +185,7 @@ class SidePlan:
     """
 
     spec: IndexSpec
+    kind: type[Side]
     factors: tuple[Expr, ...]
     counted: bool
     group_by: tuple[str, ...] = ()
@@ -203,36 +196,6 @@ class SidePlan:
         return self.spec.outer_alias
 
     @property
-    def threshold(self) -> bool:
-        """Keyed by a column, probed by a maintained scalar."""
-        return self.spec.key_col is not None
-
-    @property
-    def point(self) -> bool:
-        """Equality correlation: point moves instead of range shifts."""
-        return self.spec.inner_op == "=" and not self.threshold
-
-    @property
-    def grouped_threshold(self) -> bool:
-        """A threshold side with one index per correlation group."""
-        return self.threshold and self.spec.inner_col is not None
-
-    @property
-    def shifted(self) -> bool:
-        """Inequality correlation: range shifts."""
-        return not (self.point or self.threshold or self.membership)
-
-    @property
-    def membership(self) -> bool:
-        """``x.k IN (… GROUP BY … HAVING …)``: keeps the grouped result."""
-        return self.spec.inner_op == "IN"
-
-    @property
-    def tuplewise(self) -> bool:
-        """Fed tuple by tuple: the side's own dicts are the netting."""
-        return self.grouped_threshold or self.membership
-
-    @property
     def columns(self) -> int:
         return len(self.factors) + self.counted
 
@@ -240,16 +203,26 @@ class SidePlan:
 @dataclass(frozen=True)
 class SideLayout:
     """:func:`plan_sides` output: the sides plus the result recombination
-    ``scale(Σ_terms coef · Π_i sums_i[column_i])`` (``terms`` None: the
-    one side keeps the result itself, a membership side)."""
+    ``scale(Σ_terms coef · Π_i sums_i[column_i])``."""
 
     scale: Scale
     sides: tuple[SidePlan, ...]
-    terms: tuple[tuple[float, tuple[int, ...]], ...] | None
+    terms: tuple[tuple[float, tuple[int, ...]], ...]
 
-    @property
-    def group_by(self) -> tuple[str, ...]:
-        return self.sides[0].group_by
+    def emit_result(self, answers: list[Answer], probes: dict) -> list[str]:
+        """Statements returning the result from the sides' answers (and
+        ``probes``, the source of each probed answer's probe value): the
+        terms under the scale, per entry of a grouped answer.  The one
+        place a side that keeps the result is told apart: under the
+        identity recombination its entries are copied as they are."""
+        if self.terms == ((1.0, (0,)),) and not self.scale and all(a.final for a in answers):
+            return emit_recombination(answers, probes)
+        terms = [
+            "(" + " * ".join([repr(coef)] + [f"_q{k}_{c}" for k, c in enumerate(columns)]) + ")"
+            for coef, columns in self.terms
+        ]
+        value = emit_scaled(self.scale, f"({' + '.join(['0.0'] + terms)})")
+        return emit_recombination(answers, probes, value)
 
 
 _STRATEGIES = (
@@ -261,64 +234,16 @@ _STRATEGIES = (
 )
 
 
-def _on(alias: str, expr: Expr | None) -> Expr | None:
-    """``expr`` with its columns read off ``alias`` (the same relation)."""
-    if isinstance(expr, ColumnRef):
-        return ColumnRef(alias, expr.column)
-    if isinstance(expr, Arith):
-        return Arith(expr.op, _on(alias, expr.left), _on(alias, expr.right))
-    return expr
-
-
-def _feeds(
-    spec: IndexSpec, deltas: tuple, group_by: tuple[str, ...], alias_to_name: dict
-) -> tuple[Feed, ...]:
-    alias = spec.outer_alias
-    if spec.inner_op == "IN":
-        # Per key the result delta, then the HAVING aggregate's argument
-        # and count; the link relation's rows per group, and the group
-        # relation's rows under no key (every shard's).
-        (link, group_join), nothing = spec.filters, (Const(0),) * 3
-        if spec.inner_col.column != link.right.column:
-            raise UnsupportedQueryError("a membership side sums the HAVING relation, joined on its key")
-        x, g = link.left.relation, group_join.left.relation
-        return (
-            Feed(spec.relation, alias, (link.right,), Const(0), deltas + (_on(alias, spec.inner_arg), None)),
-            Feed(alias_to_name[x], x, (link.left,), Const(1), nothing, (group_join.right,)),
-            Feed(alias_to_name[g], g, (), Const(1), nothing, (group_join.left,)),
-        )
-    if spec.key_col is None:
-        key = tuple(ColumnRef(alias, outer.column) for _inner, outer in spec.column_pairs())
-        group = tuple(ColumnRef(alias, column) for column in group_by)
-        return (Feed(spec.relation, alias, key, _on(alias, spec.inner_arg), deltas, group),)
-    if spec.inner_col is None:
-        return (Feed(spec.relation, alias, (spec.key_col,), Const(0), deltas),)
-    # Grouped threshold: the tuples carry their result delta, then the
-    # probe aggregate's argument and count; the joined relation carries
-    # the group's weight.
-    group = ColumnRef(alias, spec.inner_col.column)
-    other = spec.outer_col.relation
-    join = Comparison("=", spec.outer_col, group)
-    where = [f for f in spec.filters if f not in (join, join.flipped())]
-    if len(where) == len(spec.filters) or len(alias_to_name) != 2 or any(
-        ref.relation != other for f in where for side in (f.left, f.right) for ref in column_refs(side)
-    ):
-        raise UnsupportedQueryError(
-            "a grouped threshold needs the join on its correlation column "
-            "and constant filters on the joined relation"
-        )
-    probe_deltas = (_on(alias, spec.inner_arg), None)
-    return (
-        Feed(spec.relation, alias, (group,), Const(0), deltas + probe_deltas, (spec.key_col,)),
-        Feed(
-            alias_to_name[other], other, (spec.outer_col,), Const(1), (Const(0),) * 3,
-            where=reduce(And, where) if where else None,
-        ),
-    )
-
-
 def _nothing(_row: Any) -> None:
     return None
+
+
+def _indented(lines: list[str]) -> list[str]:
+    return ["    " + line for line in lines]
+
+
+#: reads source -> its code object, compiled once
+_READS: dict[str, Any] = {}
 
 
 def plan_sides(plan: QueryPlan) -> SideLayout:
@@ -361,17 +286,8 @@ def plan_sides(plan: QueryPlan) -> SideLayout:
     else:
         terms = decompose_product_sum(call.arg)
 
-    membership = plan.index_specs[0].inner_op == "IN"
-    # a membership side groups its result itself
-    group_by = () if membership else tuple(col.column for col in query.group_by)
-    if group_by:
-        (spec, *rest) = plan.index_specs
-        if rest or spec.inner_op == "=" or spec.key_col is not None:
-            raise UnsupportedQueryError(
-                "GROUP BY needs a single-relation inequality correlation"
-            )
-        if any(col.relation != spec.outer_alias for col in query.group_by):
-            raise UnsupportedQueryError("GROUP BY must use outer-relation columns")
+    if query.group_by and len(plan.index_specs) != 1:
+        raise UnsupportedQueryError("GROUP BY needs a single-relation inequality correlation")
 
     aliases = [spec.outer_alias for spec in plan.index_specs]
     if any(alias not in aliases for _coef, by_alias in terms for alias in by_alias):
@@ -400,25 +316,11 @@ def plan_sides(plan: QueryPlan) -> SideLayout:
             raise UnsupportedQueryError(
                 "the correlated subquery must range over the outer relation"
             )
-        if spec.key_col is None and spec.inner_func != "SUM":
-            raise UnsupportedQueryError(
-                "the aggregate-index engine supports SUM inner aggregates"
-            )
-        if spec.key_col is None and any(
-            inner.column != outer.column for inner, outer in spec.column_pairs()
-        ):
-            raise UnsupportedQueryError(
-                "key moves need the same attribute on both sides of each "
-                "correlated predicate"
-            )
+        kind = side_class(spec)
         deltas = tuple(factors[alias]) + (None,) * counted[alias]
-        feeds = _feeds(spec, deltas, group_by, alias_to_name)
-        side = SidePlan(spec, tuple(factors[alias]), counted[alias], group_by, feeds)
-        if (side.point or side.tuplewise) and side.columns != 1:
-            raise UnsupportedQueryError(
-                "an equality-correlated relation carries one required sum"
-            )
-        sides.append(side)
+        feeds = kind.feeds(spec, deltas, query.group_by, alias_to_name)
+        group_by = tuple(column.column for column in query.group_by)
+        sides.append(SidePlan(spec, kind, tuple(factors[alias]), counted[alias], group_by, feeds))
     # The count column follows the factor columns of its side.
     term_plan = tuple(
         (
@@ -430,10 +332,6 @@ def plan_sides(plan: QueryPlan) -> SideLayout:
         )
         for coef, entry in picks
     )
-    if membership:
-        if scale or term_plan != ((1.0, (0,)),):
-            raise UnsupportedQueryError("a membership side keeps the bare SUM of its relation")
-        term_plan = None
     return SideLayout(scale, tuple(sides), term_plan)
 
 
@@ -464,15 +362,19 @@ class AggregateIndexEngine(IncrementalEngine):
         if name is not None:
             self.name = name
 
-        self.sides: list[PointSide | ShiftedSide | ThresholdSide | MembershipSide] = []
+        self.sides: list[Side] = []
         self._scalars: dict[AggrQuery, UncorrelatedScalar] = {}
         #: relation -> [(side position, the feed's (key, weight, deltas,
         #: group, where) row functions)]
         self._feeds: dict[str, list[tuple[int, tuple]]] = {}
-        self._fixed: list[Any] = []
+        #: per side, its answer to the result's probe; per probed side,
+        #: the probe value as source (uncorrelated scalars + arithmetic)
+        self._answers: list[Answer] = []
+        self._probes: dict[int, str] = {}
         for position, side in enumerate(layout.sides):
             spec = side.spec
-            self.sides.append(self._new_side(side))
+            self.sides.append(side.kind.build(side, self._index_cls))
+            self._answers.append(self.sides[-1].emit_answer(position, spec.outer_op))
             for feed in side.feeds:
                 self._feeds.setdefault(feed.relation, []).append((position, (
                     itemgetter(*(ref.column for ref in feed.key)) if feed.key else _nothing,
@@ -481,12 +383,8 @@ class AggregateIndexEngine(IncrementalEngine):
                     itemgetter(*(ref.column for ref in feed.group)) if feed.group else None,
                     None if feed.where is None else compile_row_expr(feed.where, feed.alias),
                 )))
-            if side.tuplewise:
-                # the side probes (each group with its own aggregate) or
-                # keeps the result itself
-                self._fixed.append(_nothing)
+            if not self._answers[-1].probed:
                 continue
-            # Fixed probe side: uncorrelated scalars + arithmetic.
             for node in walk_expr(spec.fixed_expr):
                 if isinstance(node, SubqueryExpr) and node.query not in self._scalars:
                     sub = node.query
@@ -496,34 +394,55 @@ class AggregateIndexEngine(IncrementalEngine):
                             "subqueries only"
                         )
                     self._scalars[sub] = UncorrelatedScalar(sub, sub.relations[0].alias)
-            self._fixed.append(
-                compile_predicate_side(spec.fixed_expr, side.alias, self._scalars, {})
-            )
+            self._probes[position] = emit_predicate_side(spec.fixed_expr, side.alias, self._scalars, {})
 
         # Sharding partitions one side's keys (a join's sides would each
-        # need their own partition; an ungrouped threshold's probe reads
-        # every key), routed by each feed's netting key.
-        (side, *others) = layout.sides
-        if not others and (side.point or side.tuplewise or not side.threshold):
-            self.shard_mode = "range" if side.shifted else "hash"
+        # need their own partition), routed by each feed's netting key.
+        (side, *others) = self.sides
+        if not others and side.shard_mode:
+            self.shard_mode = side.shard_mode
             # (stored-key sign, pin): an event that only feeds the fixed
             # side is pinned to one replica (range: below every data
             # key, i.e. the lowest).
-            self._routing = (self.sides[0].key_sign, float("-inf")) if side.shifted else (None, 0)
+            self._routing = (side.key_sign, float("-inf")) if self.shard_mode == "range" else (None, 0)
+        self._bind_reads()
 
-    def _new_side(self, side: SidePlan) -> PointSide | ShiftedSide | ThresholdSide | MembershipSide:
-        spec, index_cls = side.spec, self._index_cls
-        if side.membership:
-            return MembershipSide(spec.outer_op, spec.fixed_expr.value)
-        if side.point:
-            return PointSide(index_cls)
-        if not side.threshold:
-            return ShiftedSide(spec.inner_op, side.columns, index_cls, bool(side.group_by))
-        scale, call = peel_constant_scale(spec.fixed_expr)
-        if side.grouped_threshold and not isinstance(call, AggrCall):
-            raise UnsupportedQueryError("a grouped threshold probes with a scaled aggregate")
-        grouped = side.grouped_threshold
-        return ThresholdSide(side.columns, index_cls, grouped, spec.outer_op, spec.inner_func, scale)
+    def bindings(self) -> dict[str, Any]:
+        """The globals emitted source reads: the sides as ``_s{k}``, the
+        scalars as ``_sc{i}``, the obs sink as ``_S``."""
+        names = {"_S": _SINK, **FRAGMENT_GLOBALS, **subquery_bindings(self._scalars, {})}
+        names.update({f"_s{k}": side for k, side in enumerate(self.sides)})
+        return names
+
+    def result_source(self) -> list[str]:
+        """``def result(self)``: per side its structures and its answer at
+        its probe value, then the layout's recombination."""
+        binds = [line for k, side in enumerate(self.sides) for line in side.emit_bind(k, False)]
+        recombined = self.layout.emit_result(self._answers, self._probes)
+        return ["def result(self):", *_indented(binds + recombined)]
+
+    def _bind_reads(self) -> None:
+        """Compile ``result`` (and, sharded, the side's probe value, its
+        raw answer ``shard_probe`` and ``shard_combine``) once per
+        distinct source, bound to this engine's sides."""
+        lines = self.result_source()
+        names = ["result"]
+        if self.shard_mode:
+            (answer,) = self._answers
+            binds = self.sides[0].emit_bind(0, False)
+            lines += ["def shard_value(self):", f"    return {self._probes.get(0)}"]
+            lines += ["def shard_probe(self, _p0):"]
+            lines += _indented(binds + emit_recombination([answer], {0: "_p0"}, keyed=True))
+            lines += ["def shard_combine(self, _m):"]
+            lines += _indented(self.layout.emit_result([answer.merged("_m")], {}))
+            names += ["shard_value", "shard_probe", "shard_combine"]
+        source = "\n".join(lines) + "\n"
+        code = _READS.get(source)
+        if code is None:
+            code = _READS[source] = compile_source(source, "reads")
+        namespace = self.bindings()
+        exec(code, namespace)
+        self._reads = {name: namespace[name] for name in names}
 
     # -- checkpointing ----------------------------------------------------
 
@@ -552,6 +471,7 @@ class AggregateIndexEngine(IncrementalEngine):
         plan = state["plan"] if "plan" in state else classify(state["query"])
         self.__init__(plan, state["index_cls"], name=state["name"])  # type: ignore[misc]
         self.sides = state["sides"]
+        self._bind_reads()
         for sub, aggregate in state["scalars"].items():
             self._scalars[sub].aggregate = aggregate
         if "quarantine" in state:
@@ -601,8 +521,7 @@ class AggregateIndexEngine(IncrementalEngine):
         for event in events:
             self._update_scalars(event)
             for position, key, weight, deltas, group in self._deltas(event):
-                if self.layout.sides[position].tuplewise:
-                    # its groups' dicts net already: tuple by tuple
+                if not self.sides[position].nets:
                     self.sides[position].apply(key, weight, {group: deltas})
                     continue
                 entry = nets[position].get(key)
@@ -651,37 +570,7 @@ class AggregateIndexEngine(IncrementalEngine):
         return self.result()
 
     def result(self) -> Result:
-        if self.layout.terms is None:  # the one side keeps the result
-            return dict(self.sides[0].result)
-        return self._finish(
-            [
-                side.qualifying(side_plan.spec.outer_op, fixed({}))
-                for side, side_plan, fixed in zip(
-                    self.sides, self.layout.sides, self._fixed
-                )
-            ]
-        )
-
-    def _finish(self, probes: list[dict]) -> Result:
-        """Recombine the sides' qualifying sums (one ``{group: sums}``
-        per side) into the result."""
-        if not self.layout.group_by:
-            return self._combine([by_group[None] for by_group in probes])
-        out: dict[Any, float] = {}
-        for group, sums in probes[0].items():
-            value = self._combine([sums])
-            if value != 0:
-                out[group] = value
-        return out
-
-    def _combine(self, sums: list[tuple]) -> float:
-        total = 0.0
-        for coef, columns in self.layout.terms:
-            product = coef
-            for side_sums, column in zip(sums, columns):
-                product *= side_sums[column]
-            total += product
-        return apply_scale(self.layout.scale, total)
+        return self._reads["result"](self)
 
     # -- sharded execution (single-side plans) -----------------------------
     # Equality correlation partitions by *hash*: a replica owns the
@@ -742,7 +631,7 @@ class AggregateIndexEngine(IncrementalEngine):
 
     def shard_partial(self) -> Any:
         if self._local:
-            return self.shard_probe(self._fixed[0]({}))
+            return self.shard_probe(self._reads["shard_value"](self))
         components = []
         for scalar in self._scalars.values():
             aggregate = scalar.aggregate
@@ -771,7 +660,7 @@ class AggregateIndexEngine(IncrementalEngine):
                     for value, count in part[1]:
                         merged.update(value, count)
                 scalar.aggregate = merged
-        probe = self._fixed[0]({})
+        probe = self._reads["shard_value"](self)
         if self.shard_mode == "hash":
             return [probe] * len(partials)
         contexts = []
@@ -782,16 +671,12 @@ class AggregateIndexEngine(IncrementalEngine):
         return contexts
 
     def shard_probe(self, context: Any) -> dict[Any, float]:
-        if self.layout.terms is None:
-            return self.result()
-        by_group = self.sides[0].qualifying(self.layout.sides[0].spec.outer_op, context)
-        return {group: sums[0] for group, sums in by_group.items()}
+        """The side's raw answer at ``context``: ``{group: first sum}``."""
+        return self._reads["shard_probe"](self, context)
 
     def shard_combine(self, partials, probes) -> Result:
-        answers = merge_grouped(partials if probes is None else probes)
-        if self.layout.terms is None:
-            return answers
-        return self._finish([{group: (raw,) for group, raw in answers.items()}])
+        """The merged raw answers, recombined as ``result`` recombines."""
+        return self._reads["shard_combine"](self, merge_grouped(partials if probes is None else probes))
 
 
 def build_single_index_engine(
@@ -808,32 +693,15 @@ def build_single_index_engine(
     return AggregateIndexEngine(classify(query), index_cls, name=name)
 
 
-def _describe_index(index: Any) -> str:
-    """Human-readable backend identity of one live aggregate index."""
-    if isinstance(index, RPAITree):
-        return "rpai" if index.columns == 1 else f"rpai ({index.columns} columns)"
-    return type(index).__name__.lower()
-
-
 def describe_backends(engine: Any) -> str | None:
     """One-line backend report for ``repro stats``.
 
-    Returns the live index class of each side — ``"paimap"``,
-    ``"rpai"``, ``"rpai (2 columns)"``, ``"rpai x12 groups"``, ``"dicts
-    x40 keys x12 groups"`` (a membership side) — for the
-    aggregate-index engine, ``None`` for engines whose substrates are
-    hand-specialized (their triggers hard-code them).
+    Returns each side's :meth:`~repro.engine.queries.common.Side.describe`
+    — ``"paimap"``, ``"rpai"``, ``"rpai (2 columns)"``, ``"rpai x12
+    groups"``, ``"dicts x40 keys x12 groups"`` (a membership side) — for
+    the aggregate-index engine, ``None`` for engines whose substrates
+    are hand-specialized (their triggers hard-code them).
     """
     if not isinstance(engine, AggregateIndexEngine):
         return None
-    descriptions = set()
-    for side in engine.sides:
-        if isinstance(side, MembershipSide):
-            descriptions.add(f"dicts x{len(side.bound_map)} keys x{len(side.result)} groups")
-        elif side.grouped:
-            indexes = side.indexes()
-            sample = indexes[0] if indexes else side._new_index()
-            descriptions.add(f"{_describe_index(sample)} x{len(indexes)} groups")
-        else:
-            descriptions.add(_describe_index(side.index))
-    return ", ".join(sorted(descriptions))
+    return ", ".join(sorted({side.describe() for side in engine.sides}))

@@ -18,10 +18,13 @@ from a plan:
   netting with the sides' bulk loads in place of the fragments.  Each
   side writes its own fragments (``emit_bind`` / ``emit_move`` in
   :mod:`repro.engine.queries.common`; its interpreted ``apply`` is the
-  same statements compiled), so the loops splice them in, no row or
-  netted key costs a Python call into a side, and ``result`` reads a
-  grouped threshold side's maintained total or copies a membership
-  side's result.  The obs +
+  same statements compiled), so the loops splice them in and no row or
+  netted key costs a Python call into a side.  The emitter asks a side
+  only what the side contract says: whether it nets (``nets``) and its
+  key's sign.  ``result`` is the engine's own
+  (:meth:`~repro.engine.aggr_index.AggregateIndexEngine.result_source`:
+  the sides' answers and the layout's recombination), which both modes
+  run.  The obs +
   quarantine prologue is not generated: the compiled functions are the
   engine's two steps, and ``IncrementalEngine.on_event`` /
   ``on_batch`` / ``on_frame`` wrap them as they wrap every engine's.
@@ -65,20 +68,12 @@ import time
 import types
 from typing import Any, Callable
 
-from repro.engine.aggr_index import AggregateIndexEngine, Feed, SidePlan
-from repro.engine.queries.common import FRAGMENT_GLOBALS, probe_src
+from repro.engine.aggr_index import AggregateIndexEngine, SidePlan
+from repro.engine.queries.common import Feed
 from repro.errors import UnsupportedQueryError
 from repro.obs import SINK as _SINK
 from repro.query.ast import AggrQuery, ColumnRef, Const, Expr
-from repro.query.rowexpr import (
-    UncorrelatedScalar,
-    compile_source,
-    emit_col_element,
-    emit_predicate_side,
-    emit_row_expr,
-    emit_scaled,
-    subquery_bindings,
-)
+from repro.query.rowexpr import UncorrelatedScalar, compile_source, emit_col_element, emit_row_expr
 
 __all__ = [
     "COMPILED",
@@ -199,15 +194,15 @@ class _SideSrc:
         self.k = k
         self.plan = plan
         self.side = side
-        self.grouped = bool(plan.group_by)
-        self.negated = plan.shifted and side.key_sign == -1
+        #: placements netted per GROUP BY key
+        self.grouped = bool(plan.group_by) and side.nets
+        self.negated = side.key_sign == -1
         #: delta names once netted (every column is a ``_d{j}``)
         self.netted = [f"_d{j}" for j in range(plan.columns)]
 
-    def bind(self, lines: list[str], *, maps: bool = True) -> None:
-        """Read the side's structures into locals (without ``maps``,
-        only the indexes the result probes read)."""
-        lines.extend("    " + line for line in self.side.emit_bind(self.k, maps))
+    def bind(self, lines: list[str]) -> None:
+        """Read the side's structures into locals."""
+        lines.extend("    " + line for line in self.side.emit_bind(self.k, True))
 
     def extract(
         self, lines: list[str], indent: str, src: _ExprSrc, feed: Feed
@@ -232,7 +227,7 @@ class _SideSrc:
             return "0" if expr == Const(0) else f"({src(expr, feed.alias)}) * _w"
 
         key = cells(feed.key)
-        if self.plan.tuplewise:
+        if not self.side.nets:
             # the arguments of the side's ``move``, as values
             deltas = [times_w(delta) for delta in feed.deltas]
             return indent, [key, times_w(feed.weight), cells(feed.group), *deltas]
@@ -322,10 +317,8 @@ def _aggr_emit(engine: AggregateIndexEngine) -> str:
     for side in sides:
         for feed in side.plan.feeds:
             by_relation.setdefault(feed.relation, []).append((side, feed))
-    probed = [side for side in sides if not side.plan.tuplewise]
-    grouped = bool(layout.group_by)
-    #: the plan's one side is a grouped threshold or a membership side
-    tuplewise = not probed
+    #: the plan's one side nets a batch in its own dicts
+    tuplewise = not any(side.side.nets for side in sides)
 
     def bind_sides(lines: list[str]) -> None:
         for side in sides:
@@ -338,19 +331,6 @@ def _aggr_emit(engine: AggregateIndexEngine) -> str:
             branch = "elif"
             for side, feed in members:
                 body(side, *side.extract(lines, indent + "    ", emit_row_expr, feed))
-
-    def combine_src() -> str:
-        # AggregateIndexEngine._combine as one flat expression.
-        terms = [
-            "(" + " * ".join([repr(coef)] + [f"_q{k}_{c}" for k, c in enumerate(columns)]) + ")"
-            for coef, columns in layout.terms
-        ]
-        return emit_scaled(layout.scale, f"({' + '.join(['0.0'] + terms)})")
-
-    def probe(side: _SideSrc, index: str) -> str:
-        columns = side.plan.columns
-        targets = ", ".join(f"_q{side.k}_{j}" for j in range(columns))
-        return f"{targets} = {probe_src(side.plan.spec.outer_op, index, f'_p{side.k}', columns)}"
 
     lines: list[str] = []
 
@@ -487,38 +467,7 @@ def _aggr_emit(engine: AggregateIndexEngine) -> str:
         drain("len(frame)")
         lines.append("")
 
-    # -- result: per side the fixed probe value then one probe returning
-    # every column (a grouped threshold side keeps its sum current), then
-    # the term recombination (per group under GROUP BY)
-    lines.append("def result(self):")
-    if layout.terms is None:  # the one side keeps the result
-        lines.append("    return dict(_s0.result)")
-        return "\n".join(lines) + "\n"
-    for side in sides:
-        side.bind(lines, maps=False)
-    if probed and not grouped:
-        lines.append("    if _S.enabled:")
-        lines.append(f"        _S.inc('engine.result_probes', {len(probed)})")
-    for side in sides:
-        if side.plan.grouped_threshold:
-            lines.append(f"    _q{side.k}_0 = _s{side.k}.total")
-            continue
-        fixed = emit_predicate_side(side.plan.spec.fixed_expr, side.plan.alias, scalars, {})
-        lines.append(f"    _p{side.k} = {fixed}")
-        if not grouped:
-            lines.append("    " + probe(side, f"_ix{side.k}"))
-    if grouped:
-        lines.append("    _out = {}")
-        lines.append("    for _grp, _ix in _gi0.items():")
-        lines.append("        if _S.enabled:")
-        lines.append("            _S.inc('engine.result_probes')")
-        lines.append("        " + probe(sides[0], "_ix"))
-        lines.append(f"        _val = {combine_src()}")
-        lines.append("        if _val != 0:")
-        lines.append("            _out[_grp] = _val")
-        lines.append("    return _out")
-    else:
-        lines.append(f"    return {combine_src()}")
+    lines += engine.result_source()
     return "\n".join(lines) + "\n"
 
 
@@ -573,10 +522,7 @@ def specialize(engine) -> bool:
     else:
         if _SINK.enabled:
             _SINK.inc("codegen.cache_hits")
-    namespace: dict[str, Any] = {
-        "_S": _SINK, **FRAGMENT_GLOBALS, **subquery_bindings(engine._scalars, {})
-    }
-    namespace.update({f"_s{k}": side for k, side in enumerate(engine.sides)})
+    namespace = engine.bindings()
     exec(entry.code, namespace)
     for attr in _TRIGGER_ATTRS:
         setattr(engine, attr, types.MethodType(namespace[attr], engine))

@@ -49,14 +49,12 @@ __all__ = [
     "compile_source",
     "compile_row_expr",
     "compile_col_expr",
-    "compile_predicate_side",
     "emit_row_expr",
     "emit_col_element",
     "emit_predicate_side",
     "subquery_bindings",
     "peel_constant_scale",
     "emit_scaled",
-    "apply_scale",
     "MaintainedAggregate",
     "UncorrelatedScalar",
 ]
@@ -80,9 +78,8 @@ def compile_source(source: str, label: str, mode: str = "exec") -> Any:
     return compile(source, filename, mode)
 
 
-def _lambda(params: str, body: str, namespace: dict[str, Any] | None = None) -> Callable:
-    code = compile_source(f"lambda {params}: {body}\n", "rowexpr", "eval")
-    return eval(code, {} if namespace is None else namespace)
+def _lambda(params: str, body: str) -> Callable:
+    return eval(compile_source(f"lambda {params}: {body}\n", "rowexpr", "eval"), {})
 
 
 def compile_row_expr(expr: Expr | None, alias: str) -> RowFn:
@@ -165,8 +162,7 @@ def peel_constant_scale(expr: Expr) -> tuple[Scale, Expr]:
 
     The wrappers are kept as written, not folded into one factor:
     ``x * (1 / 7.0)`` differs from ``x / 7.0`` in the last place for
-    about a third of the integers.  Apply them with :func:`emit_scaled`
-    or :func:`apply_scale`."""
+    about a third of the integers.  Apply them with :func:`emit_scaled`."""
     steps: list[tuple[str, Any]] = []
     while isinstance(expr, Arith):
         if expr.op == "*" and isinstance(expr.left, Const):
@@ -186,14 +182,6 @@ def emit_scaled(scale: Scale, value: str) -> str:
     value = f"(1.0 * {value})"
     for op, constant in scale:
         value = f"({value} {op} {constant!r})"
-    return value
-
-
-def apply_scale(scale: Scale, value: Any) -> float:
-    """:func:`emit_scaled`, evaluated."""
-    value = 1.0 * value
-    for op, constant in scale:
-        value = value * constant if op == "*" else value / constant
     return value
 
 
@@ -308,15 +296,3 @@ def emit_predicate_side(
     raise UnsupportedQueryError(f"unsupported predicate operand {expr!r}")
 
 
-def compile_predicate_side(
-    expr: Expr,
-    outer_alias: str,
-    scalars: Mapping[AggrQuery, UncorrelatedScalar],
-    correlated: Mapping[AggrQuery, Any],
-) -> RowFn:
-    """:func:`emit_predicate_side` as a function of the outer row."""
-    return _lambda(
-        "_row",
-        emit_predicate_side(expr, outer_alias, scalars, correlated),
-        subquery_bindings(scalars, correlated),
-    )

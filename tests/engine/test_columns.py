@@ -15,7 +15,6 @@ from repro import obs
 from repro.core.rpai import RPAITree
 from repro.engine.aggr_index import AggregateIndexEngine
 from repro.engine.naive import NaiveEngine
-from repro.engine.queries.mst import MSTRpaiEngine
 from repro.engine.registry import build_engine
 from repro.query import codegen
 from repro.query.parser import parse_query
@@ -23,6 +22,8 @@ from repro.query.planner import classify
 from repro.storage import schema as schemas
 from repro.storage.colbatch import ColumnarFrame
 from repro.workloads import OrderBookConfig, generate_order_book, get_query
+
+from tests.engine.mst_reference import MSTRpaiEngine
 
 FLAVORS = ("event", "batch", "frame")
 CHUNK = 16

@@ -6,13 +6,14 @@ import pytest
 
 from repro.engine.aggr_index import AggregateIndexEngine, decompose_product_sum
 from repro.engine.naive import NaiveEngine
-from repro.engine.queries.mst import MSTRpaiEngine
 from repro.errors import UnsupportedQueryError
 from repro.query.ast import Arith, ColumnRef, Const
 from repro.query.parser import parse_query
 from repro.query.planner import classify
 from repro.storage import schema as schemas
 from repro.workloads import OrderBookConfig, generate_order_book, get_query
+
+from tests.engine.mst_reference import MSTRpaiEngine
 
 
 class TestDecomposer:

@@ -26,14 +26,14 @@ from repro.errors import UnsupportedQueryError
 from repro.query.ast import Arith, ColumnRef, Const, SubqueryExpr, walk_expr
 from repro.query.parser import parse_query
 from repro.query.rowexpr import (
-    apply_scale,
     compile_col_expr,
-    compile_predicate_side,
     compile_row_expr,
     emit_col_element,
+    emit_predicate_side,
     emit_row_expr,
     emit_scaled,
     peel_constant_scale,
+    subquery_bindings,
 )
 from repro.storage import schema as schemas
 from repro.storage.colbatch import ColumnBlock
@@ -145,7 +145,8 @@ def test_predicate_side_with_scalar_and_correlated_operands(expr, seed, count):
     for event in random_bid_stream(count, seed=seed, price_levels=8, volume_max=5):
         engine.apply(event)
         oracle.apply(event)
-    side = compile_predicate_side(expr, "b", engine._scalars, engine._correlated)
+    source = emit_predicate_side(expr, "b", engine._scalars, engine._correlated)
+    side = eval(f"lambda _row: {source}", subquery_bindings(engine._scalars, engine._correlated))
 
     def value(thunk):
         # ``==``, not ``repr``: a maintained subquery reads as
@@ -166,7 +167,7 @@ def test_foreign_alias_rejected_by_every_compiler():
     for compiler in (
         lambda: compile_row_expr(foreign, ALIAS),
         lambda: compile_col_expr(foreign, ALIAS),
-        lambda: compile_predicate_side(foreign, ALIAS, {}, {}),
+        lambda: emit_predicate_side(foreign, ALIAS, {}, {}),
         lambda: emit_row_expr(foreign, ALIAS),
         lambda: emit_col_element(foreign, ALIAS, {}),
     ):
@@ -195,8 +196,7 @@ def test_peel_constant_scale():
     # applied as written, in the naive interpreter's order
     for value in range(1, 200):
         expected = _eval_expr(expr, {ALIAS: {"a": value}}, {})
-        assert apply_scale(scale, value) == expected
         assert eval(emit_scaled(scale, "value")) == expected
     # a seventh is not a multiplication by its reciprocal
     (seventh, _call) = peel_constant_scale(Arith("/", column, Const(7.0)))
-    assert apply_scale(seventh, 10) == 10 / 7.0 != 10 * (1 / 7.0)
+    assert eval(emit_scaled(seventh, "10")) == 10 / 7.0 != 10 * (1 / 7.0)
