@@ -32,19 +32,19 @@ loop::
 :func:`plan_sides` derives that decomposition from the plan once: per
 side the distinct factor expressions (one index column each, plus a
 count column when some term uses ``|Qi|``) and per term which column of
-which side it multiplies.  VWAP is the n = 1, one-column case.  Both
-consumers read the same description — this module interprets it, and
-:mod:`repro.query.codegen` emits specialized triggers from it.
+which side it multiplies.  VWAP is the n = 1, one-column case.
+:mod:`repro.query.codegen` emits the engine's triggers from that
+description: Algorithm 4's one trigger per relation, in the event,
+batch, frame and bulk-load shapes, with no interpreted twin.
 
 Each side is one implementation of the side contract
 (:class:`~repro.engine.queries.common.Side`), its kind picked once from
 the plan: the engine asks no side what kind it is.  The result is the
 sides' answers recombined, and both are emitted source
 (:meth:`~repro.engine.queries.common.Side.emit_answer`,
-:meth:`SideLayout.emit_result`): ``result``, ``shard_probe`` and
-``shard_combine`` are compiled from them once per distinct source, and
-the compiled triggers of :mod:`repro.query.codegen` splice the same
-statements.
+:meth:`SideLayout.emit_result`): :meth:`AggregateIndexEngine.reads_source`
+writes ``result`` (and, sharded, ``shard_probe`` / ``shard_combine``)
+from them, into the same emitted module as the triggers.
 
 The index class of single-column sides is pluggable, which realises the
 paper's Section 2→3 progression:
@@ -70,9 +70,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Iterable, Type
+from typing import Any, Type
 
-from repro.engine.base import IncrementalEngine, Result
+from repro.engine.base import IncrementalEngine
 from repro.engine.mergeable import merge_counts, merge_grouped, merge_sums
 from repro.engine.queries.common import (
     FRAGMENT_GLOBALS,
@@ -91,8 +91,6 @@ from repro.query.rowexpr import (
     MaintainedAggregate,
     Scale,
     UncorrelatedScalar,
-    compile_row_expr,
-    compile_source,
     emit_predicate_side,
     emit_scaled,
     peel_constant_scale,
@@ -234,16 +232,8 @@ _STRATEGIES = (
 )
 
 
-def _nothing(_row: Any) -> None:
-    return None
-
-
 def _indented(lines: list[str]) -> list[str]:
     return ["    " + line for line in lines]
-
-
-#: reads source -> its code object, compiled once
-_READS: dict[str, Any] = {}
 
 
 def plan_sides(plan: QueryPlan) -> SideLayout:
@@ -346,6 +336,12 @@ class AggregateIndexEngine(IncrementalEngine):
     membership side costs O(1) plus the links of the tuple's key, and
     its result is a copy.
 
+    The engine has one trigger path: ``apply``, ``apply_batch``,
+    ``apply_frame``, ``warm_start``, ``result`` and, sharded,
+    ``shard_value`` / ``shard_probe`` / ``shard_combine`` are emitted
+    per query by :mod:`repro.query.codegen` and bound to each instance's
+    sides when it is built or restored.
+
     Grouped results are ``{group key: aggregate}`` with groups whose
     qualifying set is empty omitted (matching the interpreter for the
     positive result arguments the workloads use).
@@ -353,9 +349,23 @@ class AggregateIndexEngine(IncrementalEngine):
 
     name = "rpai"
 
+    #: the one trigger path, whoever builds or restores the engine
+    trigger_mode = "compiled"
+
+    #: bound per instance to the emitted ``result``
+    result = None  # type: ignore[assignment]
+
     def __init__(
         self, plan: QueryPlan, index_cls: Type | None = None, name: str | None = None
     ) -> None:
+        self._build(plan, index_cls, name)
+        from repro.query import codegen
+
+        codegen.specialize(self)
+
+    def _build(self, plan: QueryPlan, index_cls: Type | None, name: str | None) -> None:
+        """Everything but the emitted functions: the layout, fresh
+        sides, the scalars and each probed side's probe source."""
         self.layout = layout = plan_sides(plan)
         self.query = plan.query
         self._index_cls = index_cls if index_cls is not None else choose_backend(plan)
@@ -364,9 +374,6 @@ class AggregateIndexEngine(IncrementalEngine):
 
         self.sides: list[Side] = []
         self._scalars: dict[AggrQuery, UncorrelatedScalar] = {}
-        #: relation -> [(side position, the feed's (key, weight, deltas,
-        #: group, where) row functions)]
-        self._feeds: dict[str, list[tuple[int, tuple]]] = {}
         #: per side, its answer to the result's probe; per probed side,
         #: the probe value as source (uncorrelated scalars + arithmetic)
         self._answers: list[Answer] = []
@@ -375,14 +382,6 @@ class AggregateIndexEngine(IncrementalEngine):
             spec = side.spec
             self.sides.append(side.kind.build(side, self._index_cls))
             self._answers.append(self.sides[-1].emit_answer(position, spec.outer_op))
-            for feed in side.feeds:
-                self._feeds.setdefault(feed.relation, []).append((position, (
-                    itemgetter(*(ref.column for ref in feed.key)) if feed.key else _nothing,
-                    compile_row_expr(feed.weight, feed.alias),
-                    [compile_row_expr(delta, feed.alias) for delta in feed.deltas],
-                    itemgetter(*(ref.column for ref in feed.group)) if feed.group else None,
-                    None if feed.where is None else compile_row_expr(feed.where, feed.alias),
-                )))
             if not self._answers[-1].probed:
                 continue
             for node in walk_expr(spec.fixed_expr):
@@ -405,50 +404,44 @@ class AggregateIndexEngine(IncrementalEngine):
             # side is pinned to one replica (range: below every data
             # key, i.e. the lowest).
             self._routing = (side.key_sign, float("-inf")) if self.shard_mode == "range" else (None, 0)
-        self._bind_reads()
+            #: relation -> its first feed's netting-key getter (None: no key)
+            self._keys: dict[str, Any] = {}
+            for feed in layout.sides[0].feeds:
+                columns = [ref.column for ref in feed.key]
+                self._keys.setdefault(feed.relation, itemgetter(*columns) if columns else None)
 
     def bindings(self) -> dict[str, Any]:
         """The globals emitted source reads: the sides as ``_s{k}``, the
         scalars as ``_sc{i}``, the obs sink as ``_S``."""
-        names = {"_S": _SINK, **FRAGMENT_GLOBALS, **subquery_bindings(self._scalars, {})}
+        names = {"_S": _SINK, "_merge_grouped": merge_grouped, **FRAGMENT_GLOBALS}
+        names.update(subquery_bindings(self._scalars, {}))
         names.update({f"_s{k}": side for k, side in enumerate(self.sides)})
         return names
 
-    def result_source(self) -> list[str]:
+    def reads_source(self) -> list[str]:
         """``def result(self)``: per side its structures and its answer at
-        its probe value, then the layout's recombination."""
+        its probe value, then the layout's recombination; sharded, also
+        the side's probe value ``shard_value``, its raw answer
+        ``shard_probe`` and ``shard_combine``, the merged raw answers
+        recombined as ``result`` recombines them."""
         binds = [line for k, side in enumerate(self.sides) for line in side.emit_bind(k, False)]
         recombined = self.layout.emit_result(self._answers, self._probes)
-        return ["def result(self):", *_indented(binds + recombined)]
-
-    def _bind_reads(self) -> None:
-        """Compile ``result`` (and, sharded, the side's probe value, its
-        raw answer ``shard_probe`` and ``shard_combine``) once per
-        distinct source, bound to this engine's sides."""
-        lines = self.result_source()
-        names = ["result"]
+        lines = ["def result(self):", *_indented(binds + recombined)]
         if self.shard_mode:
             (answer,) = self._answers
-            binds = self.sides[0].emit_bind(0, False)
             lines += ["def shard_value(self):", f"    return {self._probes.get(0)}"]
             lines += ["def shard_probe(self, _p0):"]
             lines += _indented(binds + emit_recombination([answer], {0: "_p0"}, keyed=True))
-            lines += ["def shard_combine(self, _m):"]
-            lines += _indented(self.layout.emit_result([answer.merged("_m")], {}))
-            names += ["shard_value", "shard_probe", "shard_combine"]
-        source = "\n".join(lines) + "\n"
-        code = _READS.get(source)
-        if code is None:
-            code = _READS[source] = compile_source(source, "reads")
-        namespace = self.bindings()
-        exec(code, namespace)
-        self._reads = {name: namespace[name] for name in names}
+            lines += ["def shard_combine(self, _parts, _probes):"]
+            merged = ["_m = _merge_grouped(_parts if _probes is None else _probes)"]
+            lines += _indented(merged + self.layout.emit_result([answer.merged("_m")], {}))
+        return lines
 
     # -- checkpointing ----------------------------------------------------
 
     def __getstate__(self) -> dict:
-        """The compiled closures (and any installed compiled triggers)
-        are rebuilt from the plan on restore; everything else is data."""
+        """The emitted functions are rebuilt from the plan on restore;
+        everything else is data."""
         state = {
             "query": self.query,
             "index_cls": self._index_cls,
@@ -469,108 +462,23 @@ class AggregateIndexEngine(IncrementalEngine):
                 "engine state predates the one-engine side layout"
             )
         plan = state["plan"] if "plan" in state else classify(state["query"])
-        self.__init__(plan, state["index_cls"], name=state["name"])  # type: ignore[misc]
+        self._build(plan, state["index_cls"], state["name"])
         self.sides = state["sides"]
-        self._bind_reads()
         for sub, aggregate in state["scalars"].items():
             self._scalars[sub].aggregate = aggregate
         if "quarantine" in state:
             self._quarantine = state["quarantine"]
-        # Compiled triggers bind the restored sides as globals.
+        # The emitted functions bind the restored sides as globals.
         from repro.query import codegen
 
-        codegen.maybe_specialize(self)
-
-    # -- trigger -----------------------------------------------------------
-
-    def _update_scalars(self, event: Event) -> None:
-        for scalar in self._scalars.values():
-            if scalar.relation == event.relation:
-                scalar.on_row(event.row, event.weight)
-
-    def _deltas(self, event: Event) -> Iterable[tuple]:
-        """Per side the event feeds: (side position, netting key,
-        weight delta, per-column deltas, placement key)."""
-        row, x = event.row, event.weight
-        for position, (key_fn, weight_fn, delta_fns, group_fn, where) in self._feeds.get(
-            event.relation, ()
-        ):
-            if where is None or where(row):
-                yield (
-                    position,
-                    key_fn(row),
-                    weight_fn(row) * x,
-                    [fn(row) * x for fn in delta_fns],
-                    group_fn(row) if group_fn is not None else None,
-                )
-
-    def apply(self, event: Event) -> None:
-        self._update_scalars(event)
-        for position, key, weight, deltas, group in self._deltas(event):
-            self.sides[position].apply(key, weight, {group: deltas})
-
-    def _net(self, events: Iterable[Event]) -> list[dict]:
-        """Per side, ``{correlation key: [net weight, {group: net result
-        deltas}]}``.  Updates at one key telescope: a point side's old
-        key → new key moves compose, and a shifted side's boundary (the
-        prefix sum of *strictly lower* keys) is unchanged by updates at
-        the key itself while result entries placed by earlier same-key
-        events ride along later same-key shifts — so one net application
-        per distinct key reproduces the per-event sequence exactly."""
-        nets: list[dict] = [{} for _ in self.sides]
-        for event in events:
-            self._update_scalars(event)
-            for position, key, weight, deltas, group in self._deltas(event):
-                if not self.sides[position].nets:
-                    self.sides[position].apply(key, weight, {group: deltas})
-                    continue
-                entry = nets[position].get(key)
-                if entry is None:
-                    nets[position][key] = [weight, {group: deltas}]
-                    continue
-                entry[0] += weight
-                held = entry[1].get(group)
-                if held is None:
-                    entry[1][group] = deltas
-                else:
-                    for column, delta in enumerate(deltas):
-                        held[column] += delta
-        return nets
-
-    def apply_batch(self, events) -> None:
-        """Batched trigger: each live key is touched once per chunk
-        (keys whose net deltas cancel — an insert retracted within the
-        chunk — never touch an index)."""
-        nets = self._net(events)
-        if _SINK.enabled and events:
-            _SINK.observe("engine.batch_coalesced_keys", sum(map(len, nets)))
-        for side, net in zip(self.sides, nets):
-            for key, (weight, placements) in net.items():
-                if weight == 0 and not any(map(any, placements.values())):
-                    continue
-                side.apply(key, weight, placements)
-
-    # The columnar netting fast path for frames is *generated*, not
-    # hand-written: repro.query.codegen emits an ``apply_frame``
-    # alongside the compiled ``apply``/``apply_batch``.  Interpreted
-    # engines take the base class's decode-to-apply_batch default.
+        codegen.specialize(self)
 
     def _require_fresh(self) -> None:
+        """The emitted ``warm_start`` bulk-loads fresh sides only."""
         if any(
             len(side.bound_map) or any(map(len, side.indexes())) for side in self.sides
         ):
             raise EngineStateError("warm_start requires a fresh engine")
-
-    def warm_start(self, stream) -> Result:
-        """Initial load via ``bulk_load``: net the whole stream per key
-        offline, then build every side's structures directly."""
-        self._require_fresh()
-        for side, net in zip(self.sides, self._net(stream)):
-            side.load(net)
-        return self.result()
-
-    def result(self) -> Result:
-        return self._reads["result"](self)
 
     # -- sharded execution (single-side plans) -----------------------------
     # Equality correlation partitions by *hash*: a replica owns the
@@ -601,10 +509,10 @@ class AggregateIndexEngine(IncrementalEngine):
 
     def shard_routing_key(self, event: Event) -> Any:
         sign, pin = self._routing
-        feeds = self._feeds.get(event.relation)
-        if feeds is None:
+        if event.relation not in self._keys:
             return pin
-        key = feeds[0][1][0](event.row)
+        get = self._keys[event.relation]
+        key = None if get is None else get(event.row)
         return key if sign is None else sign * key
 
     def shard_routing_spec(self) -> dict:
@@ -631,7 +539,7 @@ class AggregateIndexEngine(IncrementalEngine):
 
     def shard_partial(self) -> Any:
         if self._local:
-            return self.shard_probe(self._reads["shard_value"](self))
+            return self.shard_probe(self.shard_value())
         components = []
         for scalar in self._scalars.values():
             aggregate = scalar.aggregate
@@ -660,7 +568,7 @@ class AggregateIndexEngine(IncrementalEngine):
                     for value, count in part[1]:
                         merged.update(value, count)
                 scalar.aggregate = merged
-        probe = self._reads["shard_value"](self)
+        probe = self.shard_value()
         if self.shard_mode == "hash":
             return [probe] * len(partials)
         contexts = []
@@ -669,14 +577,6 @@ class AggregateIndexEngine(IncrementalEngine):
             contexts.append(probe - offset)
             offset += shard_volume
         return contexts
-
-    def shard_probe(self, context: Any) -> dict[Any, float]:
-        """The side's raw answer at ``context``: ``{group: first sum}``."""
-        return self._reads["shard_probe"](self, context)
-
-    def shard_combine(self, partials, probes) -> Result:
-        """The merged raw answers, recombined as ``result`` recombines."""
-        return self._reads["shard_combine"](self, merge_grouped(partials if probes is None else probes))
 
 
 def build_single_index_engine(

@@ -16,7 +16,7 @@ batching lever) — and enumerates **once**, at the chunk boundary;
 ``on_frame`` does the same over ``apply_frame``, which reads a
 :class:`~repro.storage.colbatch.ColumnarFrame`'s typed columns without
 building events.  The per-event shape is the correctness oracle for the
-other two.  No engine overrides an ``on_*`` method — not the compiled
+other two.  No engine overrides an ``on_*`` method — not the emitted
 triggers, not the composites that drive other engines — so the obs
 counters and the quarantine run once per outer call.
 
@@ -189,9 +189,9 @@ class IncrementalEngine(abc.ABC):
     obs + quarantine + an ``apply*`` + one :meth:`result`.  An engine
     that can do better than the event loop for a chunk overrides
     :meth:`apply_batch` (net per key, apply once) or :meth:`apply_frame`;
-    no engine overrides an ``on_*`` method.  Compiled triggers are
-    ``apply*`` + ``result`` installed per instance
-    (:mod:`repro.query.codegen`), and composites — ``DurableEngine``,
+    no engine overrides an ``on_*`` method.  The aggregate-index
+    engine's emitted triggers are ``apply*`` + ``result`` bound per
+    instance (:mod:`repro.query.codegen`), and composites — ``DurableEngine``,
     the sharded executors — implement ``apply*`` by calling the
     ``apply*`` of the engines they drive, so the prologue runs once, at
     the outermost engine, and the quarantine belongs there too.
@@ -204,12 +204,12 @@ class IncrementalEngine(abc.ABC):
     #: human-readable strategy name used in benchmark output
     name: str = "engine"
 
-    #: how this engine's triggers execute: ``"interpreted"`` (the class
-    #: methods below), ``"compiled"`` (specialized instance triggers
-    #: installed by :mod:`repro.query.codegen`; an instance attribute
-    #: shadows the class default while they are installed) or the
-    #: general algorithm's constant ``"generated-loops"``.
-    trigger_mode: str = "interpreted"
+    #: how this class's triggers execute, a class constant:
+    #: ``"interpreted"`` (hand-written methods: the baselines, NQ1/NQ2),
+    #: ``"compiled"`` (the aggregate-index engine's triggers, emitted by
+    #: :mod:`repro.query.codegen` and bound per instance) or the general
+    #: algorithm's ``"generated-loops"``.
+    trigger_mode: ClassVar[str] = "interpreted"
 
     #: optional input-validation boundary (see :class:`Quarantine`);
     #: ``None`` (the default) keeps the trigger path unguarded.

@@ -229,6 +229,15 @@ def _function(name: str, params: str, body: list[str]) -> Any:
     return function
 
 
+def _check_width(columns: int, index_cls: type) -> None:
+    """Only the multi-column :class:`~repro.core.rpai.RPAITree` carries
+    more than one required sum per key."""
+    if columns != 1 and not issubclass(index_cls, RPAITree):
+        raise UnsupportedQueryError(
+            f"a side with {columns} columns needs RPAITree, not {index_cls.__name__}"
+        )
+
+
 def _describe_index(index: Any) -> str:
     """Human-readable backend identity of one live aggregate index."""
     if isinstance(index, RPAITree):
@@ -438,6 +447,7 @@ class ShiftedSide(Side):
             raise UnsupportedQueryError(
                 f"ShiftedSide requires an inequality correlation, got {inner_op!r}"
             )
+        _check_width(columns, index_cls)
         self.inclusive = inner_op == "<="
         self.columns = columns
         self.grouped = grouped
@@ -621,6 +631,7 @@ class ThresholdSide(Side):
         func: str = "SUM",
         scale: Scale = (),
     ) -> None:
+        _check_width(columns, index_cls)
         self.columns, self.grouped, self._index_cls = columns, grouped, index_cls
         self.op, self.func, self.scale = op, func, scale
         #: grouped: correlation group -> its :class:`_Group`

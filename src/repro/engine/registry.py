@@ -10,8 +10,8 @@ benchmark query can be run under three execution strategies —
 
 For queries whose shape the generic compilers cover the ``rpai`` engine
 is *compiled from the AST*: EQ, VWAP, MST, PSP, Q17 and Q18 via the
-planner and the one aggregate-index engine, for which the codegen stage
-then installs per-query compiled triggers; SQ1/SQ2 via the general
+planner and the one aggregate-index engine, which installs its
+per-query emitted triggers as it is built; SQ1/SQ2 via the general
 algorithm, which generates its own two loops at construction.  NQ1 and
 NQ2 still use hand-written trigger classes: their strategy
 (``GENERAL_NESTED``) builds no engine from a plan yet.  Q18's
@@ -127,16 +127,9 @@ def build_engine(query_name: str, strategy: str) -> IncrementalEngine:
     else:
         raise KeyError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     try:
-        engine = table[name]()
+        return table[name]()
     except KeyError:
         raise KeyError(f"{missing} for {name!r}") from None
-    # Codegen stage of the pipeline: swap the aggregate-index engine's
-    # interpreted triggers for per-query compiled ones (every other
-    # class has no emitter and stays as it is).
-    from repro.query import codegen
-
-    codegen.maybe_specialize(engine)
-    return engine
 
 
 def validation_schemas(query_name: str) -> dict:

@@ -120,11 +120,13 @@ Counter naming convention (``<structure or layer>.<operation>``):
 ``serve.tenant_failures``               tenants isolated after an engine crash
 ``serve.tenant_restarts``               tenants recovered from their WAL
 ``selfcheck.validations``               invariant walks performed
-``codegen.cache_hits/.cache_misses``    specialized-trigger source served from
-                                        / compiled past the per-query cache
-``codegen.installed``                   compiled triggers bound onto engines
-``codegen.unsupported``                 engines with no emitter left
-                                        interpreted (counted no-op)
+``codegen.cache_hits/.cache_misses``    emitted source served from /
+                                        compiled past the per-query cache
+``codegen.installed``                   emitted functions bound onto an
+                                        aggregate-index engine (at build,
+                                        restore or ``specialize``)
+``codegen.unsupported``                 ``specialize`` called on an engine
+                                        with no emitter (counted no-op)
 ======================================  =======================================
 
 Value distributions (count/total/min/max, via :meth:`ObsSink.observe`):

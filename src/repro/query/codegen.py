@@ -1,136 +1,93 @@
-"""Per-query trigger codegen: compile the aggregate-index engine's
-query to specialized Python triggers.
+"""Per-query trigger codegen: the aggregate-index engine's triggers.
 
-The interpreted aggregate-index engine pays a per-event tax that has
-nothing to do with the index kernels: per-column extractor calls,
-generic netting and side dispatch.  DBToaster's lesson (PAPERS.md) is
-that an IVM system earns its constant factors by *compiling* each
-query's trigger; this module does that for the engine that is built
-from a plan:
+DBToaster's lesson (PAPERS.md) is that an IVM system earns its constant
+factors by *compiling* each query's trigger, with no interpreted
+fallback; this module does that for the engine that is built from a
+plan:
 
 * :class:`~repro.engine.aggr_index.AggregateIndexEngine` (Algorithm 4:
   EQ, VWAP, grouped VWAP, MST, PSP, Q17, Q18, …) — **one emitter** over the
   engine's side descriptions (:func:`~repro.engine.aggr_index.plan_sides`).
   Scalar updates, per-row extraction (each side's feeds, filters
-  included), netting and ``result`` are written once; ``apply`` /
-  ``apply_batch`` / ``apply_frame`` are three loop shapes around the
-  per-side *apply fragments*, and ``warm_start`` is the batch shape's
-  netting with the sides' bulk loads in place of the fragments.  Each
-  side writes its own fragments (``emit_bind`` / ``emit_move`` in
-  :mod:`repro.engine.queries.common`; its interpreted ``apply`` is the
-  same statements compiled), so the loops splice them in and no row or
-  netted key costs a Python call into a side.  The emitter asks a side
-  only what the side contract says: whether it nets (``nets``) and its
-  key's sign.  ``result`` is the engine's own
-  (:meth:`~repro.engine.aggr_index.AggregateIndexEngine.result_source`:
-  the sides' answers and the layout's recombination), which both modes
-  run.  The obs +
-  quarantine prologue is not generated: the compiled functions are the
-  engine's two steps, and ``IncrementalEngine.on_event`` /
-  ``on_batch`` / ``on_frame`` wrap them as they wrap every engine's.
+  included) and netting are written once; ``apply`` / ``apply_batch``
+  / ``apply_frame`` are three loop shapes around the per-side *apply
+  fragments*, and ``warm_start`` is the batch shape's netting with the
+  sides' bulk loads in place of the fragments.  Each side writes its
+  own fragments (``emit_bind`` / ``emit_move`` in
+  :mod:`repro.engine.queries.common`), so the loops splice them in and
+  no row or netted key costs a Python call into a side.  The emitter
+  asks a side only what the side contract says: whether it nets
+  (``nets``) and its key's sign.  ``result`` and, sharded, the shard
+  functions are the engine's own source
+  (:meth:`~repro.engine.aggr_index.AggregateIndexEngine.reads_source`:
+  the sides' answers and the layout's recombination), appended to the
+  same module.  The obs + quarantine prologue is not generated: the
+  emitted functions are the engine's two steps, and
+  ``IncrementalEngine.on_event`` / ``on_batch`` / ``on_frame`` wrap
+  them as they wrap every engine's.
 
-Everything else is its own single definition and has no emitter here —
-:func:`specialize` returns False for it: the hand-written per-query
-classes (NQ1, NQ2), and the general algorithm
-(:class:`~repro.engine.general.GeneralAlgorithmEngine`: SQ1, SQ2), which
-generates its two O(live groups) loops itself at construction, codegen
-switch or no switch (:func:`generated_source` still returns them).
-Expression source comes from :mod:`repro.query.rowexpr`, the one
-statement of row-expression semantics.
+The engine installs its emitted functions itself, whenever it is built
+or restored (:func:`specialize`), so it has one trigger path; an
+emitter failure raises :class:`~repro.errors.UnsupportedQueryError` at
+build, where the plan is.  Everything else is its own single definition
+and has no emitter here — :func:`specialize` returns False for it: the
+hand-written per-query classes (NQ1, NQ2), the baselines, and the
+general algorithm (:class:`~repro.engine.general.GeneralAlgorithmEngine`:
+SQ1, SQ2), which generates its two O(live groups) loops itself at
+construction (:func:`generated_source` returns them).  Expression
+source comes from :mod:`repro.query.rowexpr`, the one statement of
+row-expression semantics.
 
 Generated source is compiled once
 (:func:`~repro.query.rowexpr.compile_source`: registered with
 ``linecache``, so tracebacks and ``pdb`` show generated lines) and cached
 per query AST — the AST nodes are frozen dataclasses, so the key is
 hashable and exact; the source never depends on the aggregate-index
-class, which the sides hold as a plain attribute.
-Installation binds the compiled functions as *instance* attributes
-(``engine.apply`` / ``apply_batch`` / ``apply_frame`` / ``result`` /
-``warm_start``); the class-level interpreted methods remain untouched
-(``--no-codegen`` and :func:`uninstall` fall back to them).  The
-generated bodies replicate the interpreted methods' operation order and
-obs-counter sites: the differential suite asserts identical result
-traces *and* identical counters in all three flavors, and the
-chaos/sharding harnesses run unchanged because the composites call
-``apply*`` (instance attributes are looked up per call) and the
-``shard_*`` class methods are preserved.
-
-Engines pickle through their explicit ``__getstate__`` (pure data), so
-compiled triggers never enter a snapshot; ``__setstate__`` re-installs
-them, which is how codegen'd triggers survive the multiprocess workers'
-``pickle.loads`` restore path.
+class, which the sides hold as a plain attribute.  Installation binds
+the compiled functions as *instance* attributes (``engine.apply`` /
+``apply_batch`` / ``apply_frame`` / ``warm_start`` / ``result``, plus
+``shard_value`` / ``shard_probe`` / ``shard_combine`` on a sharded
+engine); the composites call ``apply*`` and ``shard_*``, which are
+looked up per call.  Engines pickle through their explicit
+``__getstate__`` (pure data), so emitted functions never enter a
+snapshot; ``__setstate__`` re-installs them, which is how they survive
+the multiprocess workers' ``pickle.loads`` restore path.
 """
 
 from __future__ import annotations
 
-import os
 import time
 import types
 from typing import Any, Callable
 
 from repro.engine.aggr_index import AggregateIndexEngine, SidePlan
 from repro.engine.queries.common import Feed
-from repro.errors import UnsupportedQueryError
 from repro.obs import SINK as _SINK
 from repro.query.ast import AggrQuery, ColumnRef, Const, Expr
 from repro.query.rowexpr import UncorrelatedScalar, compile_source, emit_col_element, emit_row_expr
 
 __all__ = [
-    "COMPILED",
-    "codegen_enabled",
     "set_codegen",
-    "maybe_specialize",
     "specialize",
-    "uninstall",
     "generated_source",
     "clear_cache",
 ]
 
-#: The trigger mode compiled engines report (``IncrementalEngine.trigger_mode``).
-COMPILED = "compiled"
-
 #: what the emitter defines and :func:`specialize` installs
 _TRIGGER_ATTRS = ("apply", "apply_batch", "apply_frame", "result", "warm_start")
-
-
-def _env_default() -> bool:
-    return os.environ.get("REPRO_CODEGEN", "1").strip().lower() not in (
-        "",
-        "0",
-        "false",
-        "no",
-    )
-
-
-#: Process-wide default for the aggregate-index engine (the only one
-#: with an emitter), initialized from ``REPRO_CODEGEN`` (on unless
-#: explicitly disabled).  Multiprocess shard workers inherit it via
-#: fork, and the CLI's ``--no-codegen`` flips it (plus the env var, for
-#: spawn-started children).
-_ENABLED = _env_default()
-
-
-def codegen_enabled() -> bool:
-    return _ENABLED
+#: and, on a sharded engine, also
+_SHARD_ATTRS = ("shard_value", "shard_probe", "shard_combine")
 
 
 def set_codegen(flag: bool) -> None:
-    """Flip the process-wide codegen default (the CLI escape hatch)."""
-    global _ENABLED
-    _ENABLED = bool(flag)
+    """Has no effect: the aggregate-index engine always runs its emitted
+    triggers, and every other engine has one definition.  Kept only for
+    the layered benchmark's probes, which still call it; it goes when
+    they stop."""
 
 
-class _Entry:
-    __slots__ = ("source", "code")
-
-    def __init__(self, source: str, code: Any) -> None:
-        self.source = source
-        self.code = code
-
-
-#: key -> _Entry (or the _UNSUPPORTED sentinel for negative caching).
-_CACHE: dict[tuple, Any] = {}
-_UNSUPPORTED = object()
+#: query -> (source, code object)
+_CACHE: dict[AggrQuery, tuple[str, Any]] = {}
 
 
 def clear_cache() -> None:
@@ -152,9 +109,9 @@ def _emit_event_unpack(lines: list[str], indent: str) -> None:
 def _emit_scalar_updates(
     lines: list[str], indent: str, scalars: dict[AggrQuery, UncorrelatedScalar]
 ) -> None:
-    """Per-event scalar routing, streamed exactly like the interpreted
-    loop over the scalars (value computed, then ``update``); a scalar
-    is the ``_sc{i}`` of :func:`~repro.query.rowexpr.subquery_bindings`."""
+    """Per-event scalar routing, in the scalars' order (value computed,
+    then folded in); a scalar is the ``_sc{i}`` of
+    :func:`~repro.query.rowexpr.subquery_bindings`."""
     for i, (sub, scalar) in enumerate(scalars.items()):
         lines.append(f"{indent}if _rel == {scalar.relation!r}:")
         if scalar.aggregate.func in ("SUM", "COUNT", "AVG"):
@@ -245,8 +202,14 @@ class _SideSrc:
         return indent, fresh
 
     def net(self, lines: list[str], indent: str, fresh: list[str]) -> None:
-        """Coalesce the extracted deltas into ``_n{k}`` (mirrors
-        ``AggregateIndexEngine._net``)."""
+        """Coalesce the extracted deltas into ``_n{k}``: per correlation
+        key ``[net weight, net deltas…]`` (grouped: ``[net weight, {group:
+        net delta}]``).  Updates at one key telescope: a point side's old
+        key → new key moves compose, and a shifted side's boundary (the
+        prefix sum of *strictly lower* keys) is unchanged by updates at
+        the key itself while result entries placed by earlier same-key
+        events ride along later same-key shifts — so one net application
+        per distinct key reproduces the per-event sequence exactly."""
         k = self.k
         lines.append(f"{indent}_e = _n{k}.get(_key)")
         lines.append(f"{indent}if _e is None:")
@@ -270,9 +233,9 @@ class _SideSrc:
         lines.extend(indent + line for line in self.side.emit_move(self.k, deltas))
 
     def load(self, lines: list[str]) -> None:
-        """Bulk-load the side from ``_n{k}``, re-laid per key the way
-        ``AggregateIndexEngine._net`` lays its entries (keyed by the
-        correlation attribute itself, not the stored key)."""
+        """Bulk-load the side from ``_n{k}``, re-laid per key as
+        ``Side.load`` takes it: ``{correlation attribute (not the stored
+        key): (net weight, {group: net deltas})}``."""
         k = self.k
         attr = "-_key" if self.negated else "_key"
         placements = (
@@ -467,7 +430,7 @@ def _aggr_emit(engine: AggregateIndexEngine) -> str:
         drain("len(frame)")
         lines.append("")
 
-    lines += engine.result_source()
+    lines += engine.reads_source()
     return "\n".join(lines) + "\n"
 
 
@@ -476,81 +439,44 @@ def _aggr_emit(engine: AggregateIndexEngine) -> str:
 # ---------------------------------------------------------------------------
 
 
-def maybe_specialize(engine) -> bool:
-    """Install a compiled trigger when the process-wide default says so
-    (the registry/restore entry point)."""
-    if not _ENABLED:
-        return False
-    return specialize(engine)
-
-
 def specialize(engine) -> bool:
-    """Compile-and-install the specialized trigger for ``engine``.
+    """Compile (once per query) and install the emitted functions on
+    ``engine``, bound to its sides; the aggregate-index engine calls it
+    when it is built or restored, and a further call re-installs.
 
-    Returns True when compiled triggers were installed; False (with the
-    ``codegen.unsupported`` counter bumped) when the engine is not the
-    aggregate-index engine or its query shape cannot be emitted.
-    Installation is idempotent: the compiled code object is cached per
-    query, so further engines of the same shape only pay a dict lookup
-    and an ``exec`` of the cached code object.
+    Returns True when installed; False (with the ``codegen.unsupported``
+    counter bumped) when the engine has no emitter.
+
+    Raises:
+        UnsupportedQueryError: when the emitter cannot write the plan.
     """
     if type(engine) is not AggregateIndexEngine:
         if _SINK.enabled:
             _SINK.inc("codegen.unsupported")
         return False
-    key = ("aggregate-index", engine.query)
-    entry = _CACHE.get(key)
-    if entry is _UNSUPPORTED:
-        if _SINK.enabled:
-            _SINK.inc("codegen.unsupported")
-        return False
+    entry = _CACHE.get(engine.query)
     if entry is None:
         if _SINK.enabled:
             _SINK.inc("codegen.cache_misses")
         start = time.perf_counter()
-        try:
-            source = _aggr_emit(engine)
-        except UnsupportedQueryError:
-            _CACHE[key] = _UNSUPPORTED
-            if _SINK.enabled:
-                _SINK.inc("codegen.unsupported")
-            return False
-        code = compile_source(source, "codegen")
-        entry = _CACHE[key] = _Entry(source, code)
+        source = _aggr_emit(engine)
+        entry = _CACHE[engine.query] = (source, compile_source(source, "codegen"))
         if _SINK.enabled:
             _SINK.observe("codegen.compile_seconds", time.perf_counter() - start)
-    else:
-        if _SINK.enabled:
-            _SINK.inc("codegen.cache_hits")
+    elif _SINK.enabled:
+        _SINK.inc("codegen.cache_hits")
     namespace = engine.bindings()
-    exec(entry.code, namespace)
-    for attr in _TRIGGER_ATTRS:
+    exec(entry[1], namespace)
+    for attr in _TRIGGER_ATTRS + (_SHARD_ATTRS if engine.shard_mode else ()):
         setattr(engine, attr, types.MethodType(namespace[attr], engine))
-    engine.trigger_mode = COMPILED
-    engine._codegen_key = key
+    engine.generated_source = entry[0]
     if _SINK.enabled:
         _SINK.inc("codegen.installed")
     return True
 
 
-def uninstall(engine) -> None:
-    """Remove compiled triggers from ``engine`` (interpreted mode)."""
-    engine_dict = engine.__dict__
-    for attr in _TRIGGER_ATTRS:
-        engine_dict.pop(attr, None)
-    engine_dict.pop("_codegen_key", None)
-    engine_dict.pop("trigger_mode", None)  # fall back to the class default
-
-
 def generated_source(engine) -> str | None:
-    """The source generated for ``engine``: the triggers compiled here,
-    or what an engine that generates its own loops at construction (the
-    general algorithm) publishes as ``generated_source``; None when the
-    engine runs hand-written or interpreted code only."""
-    key = getattr(engine, "_codegen_key", None)
-    if key is None:
-        return getattr(engine, "generated_source", None)
-    entry = _CACHE.get(key)
-    if entry is None or entry is _UNSUPPORTED:
-        return None
-    return entry.source
+    """The source generated for ``engine``: the aggregate-index engine's
+    emitted module, or the general algorithm's two loops; None when the
+    engine runs hand-written code only."""
+    return getattr(engine, "generated_source", None)

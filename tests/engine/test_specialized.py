@@ -288,7 +288,7 @@ class TestQ18:
         bare SUM; under a constant scale each group is recombined."""
         sql = get_query("Q18").sql.replace("SUM(l.quantity)", "SUM(l.quantity) / 2", 1)
         engine = build_single_index_engine(parse_query(sql))
-        if compiled:
+        if compiled:  # re-installed; ``interpreted``: as built, the same path
             assert codegen.specialize(engine)
         engine.on_event(Event("customer", {"custkey": 1, "name": "c"}))
         engine.on_event(Event("orders", {"orderkey": 5, "custkey": 1, "orderdate": 0, "totalprice": 0}))

@@ -248,11 +248,11 @@ GROUPED_VWAP = """
 class TestEngineFramePath:
     """on_frame(frame) == on_batch(events), state and results.
 
-    The columnar netting fast path only exists as *generated* code, so
-    the compiled variants exercise it while the interpreted ones pin
-    the base class's decode-to-on_batch fallback.  The row-path
-    reference engine always runs interpreted: compiled-frame against
-    interpreted-batch is the strongest form of the identity.
+    The columnar netting fast path only exists as *generated* code, and
+    every aggregate-index engine runs it: the ``compiled`` variants
+    re-install it first (``codegen.specialize``), the ``interpreted``
+    ones run it as built.  The row-path reference runs the emitted
+    ``apply_batch``: frame netting against event netting.
     """
 
     def _sql(self, query: str) -> str:
@@ -275,7 +275,7 @@ class TestEngineFramePath:
             ]
         by_rows = build_single_index_engine(parse_query(self._sql(query)))
         by_cols = build_single_index_engine(parse_query(self._sql(query)))
-        if compiled:
+        if compiled:  # re-installed; ``interpreted``: as built, the same path
             from repro.query import codegen
 
             assert codegen.specialize(by_cols)
