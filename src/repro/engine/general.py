@@ -295,7 +295,7 @@ class GeneralAlgorithmEngine(IncrementalEngine):
     name = "general-algorithm"
 
     #: one definition: plain-Python ``apply*`` around two O(live groups)
-    #: loops generated at construction, whatever the codegen default says
+    #: loops generated at construction
     trigger_mode = "generated-loops"
 
     def __init__(self, query: AggrQuery) -> None:
