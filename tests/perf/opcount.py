@@ -94,6 +94,8 @@ CELLS: dict[str, tuple[str, Callable[[int], list[Event]], str]] = {
     for shape, suffix in SHAPES.items()
 }
 CELLS["NQ1/event"] = ("NQ1", order_book, "event")
+CELLS["NQ1/warm"] = ("NQ1", order_book, "warm")
+CELLS["NQ2/warm"] = ("NQ2", order_book, "warm")
 # The general algorithm and the hand-written NQ2: per event and batched.
 for _query in ("SQ1", "SQ2", "NQ2"):
     CELLS[f"{_query}/event"] = (_query, order_book, "event")
