@@ -41,14 +41,34 @@ aggregate index serves all outer groups: the engine falls back to the
 general algorithm at the outer level, with every per-group probe an
 O(log n) boundary search — O(n log n) per update versus DBToaster's
 three nested loops (Table 1).
+
+**Warm start.**  Both engines stand up over an existing book in one
+sorted pass instead of replaying it event by event.  A netting pass
+reads each ``bids`` row once (other relations are skipped) and keeps
+the net volume per price; ``total`` is their sum and a price's result
+is ``price·volume``, both exact in integers.  The nonzero levels,
+sorted by price, bulk-load ``price_vol`` (O(n)), and ``p*`` is read
+off it with the same ``_boundary`` the trigger uses.  NQ1's eligible
+view is the suffix of levels at or above ``p*``, bulk-loaded into
+``elig_vol``; walking the levels in price order with a running sum of
+that suffix gives every group's composite key ``elig_sum(p)·M + p``
+already strictly increasing, so the aggregate index is one more bulk
+load with no second sort.  NQ2 keeps its maps and enumerates once, in
+the ``result()`` that ends the warm start.  The bulk build equals the
+replay to the type only on the documented domain — ``int`` prices and
+volumes, no price's net volume ever negative — so a stream outside it,
+or an engine with a validation boundary attached, takes the replay.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 from repro.core.rpai import RPAITree
 from repro.engine.base import IncrementalEngine, Result
+from repro.errors import EngineStateError
+from repro.storage.stream import Event, Stream
 from repro.trees.treemap import TreeMap
 
 __all__ = ["NQ1RpaiEngine", "NQ2RpaiEngine"]
@@ -58,16 +78,70 @@ __all__ = ["NQ1RpaiEngine", "NQ2RpaiEngine"]
 _M = 1 << 45
 
 
-class NQ1RpaiEngine(IncrementalEngine):
+def _net_bids(events: list[Event]) -> dict[int, int] | None:
+    """The warm start's netting pass: net volume per price, in stream
+    order, from one read of each ``bids`` row.
+
+    ``None`` when the stream leaves the domain on which the bulk build
+    is the replay bit for bit: a price that is not an ``int``, a volume
+    that is not (its price's net turns non-``int`` and stays so), or a
+    price whose net volume goes negative mid-stream (the replay keeps
+    its eligible view a suffix of the book only while every level is
+    non-negative)."""
+    net: dict[int, int] = {}
+    get = net.get
+    for event in events:
+        if event.relation == "bids":
+            row = event.row
+            price = row["price"]
+            if type(price) is not int:
+                return None
+            volume = get(price, 0) + event.weight * row["volume"]
+            if volume < 0:
+                return None
+            net[price] = volume
+    if any(type(volume) is not int for volume in net.values()):
+        return None
+    return net
+
+
+class _BidBook(IncrementalEngine):
+    """The book NQ1 and NQ2 both keep — volume per price, its total and
+    each price's Σ price·volume — and the bulk warm start over it."""
+
+    def __init__(self) -> None:
+        self.price_vol = TreeMap(prune_zeros=True)  # all volume by price
+        self.total: float = 0
+        self.res_map: dict[int, float] = {}  # price -> Σ price·volume
+
+    def warm_start(self, stream: Stream) -> Result:
+        """One netting pass and bulk loads; the replay off the domain."""
+        if self.res_map or len(self.price_vol):
+            raise EngineStateError("warm_start requires a fresh engine")
+        events = list(stream)
+        net = None if self._quarantine is not None else _net_bids(events)
+        if net is None:
+            return super().warm_start(events)
+        levels = sorted((price, volume) for price, volume in net.items() if volume)
+        self.price_vol = TreeMap.bulk_load(levels, prune_zeros=True)
+        self.total = sum(volume for _price, volume in levels)
+        self.res_map = {price: price * volume for price, volume in levels if price}
+        self._load(levels)
+        return self.result()
+
+    def _load(self, levels: list[tuple[int, int]]) -> None:
+        """Build what the engine keeps beyond the book, from its nonzero
+        ``(price, volume)`` levels in price order."""
+
+
+class NQ1RpaiEngine(_BidBook):
     """O(log n + crossings·log n) per update (amortized logarithmic)."""
 
     name = "rpai"
 
     def __init__(self) -> None:
-        self.price_vol = TreeMap(prune_zeros=True)  # all volume by price
-        self.total: float = 0
+        super().__init__()
         self.elig_vol = TreeMap(prune_zeros=True)  # the maintained view V
-        self.res_map: dict[int, float] = {}  # price -> Σ price·volume
         self.aggr = RPAITree(prune_zeros=True)  # rhs·M + price -> group res
 
     def _boundary(self) -> int | None:
@@ -128,6 +202,19 @@ class NQ1RpaiEngine(IncrementalEngine):
 
     row_handlers = {"bids": (_bids, ("price", "volume"))}
 
+    def _load(self, levels: list[tuple[int, int]]) -> None:
+        star = self._boundary()
+        cut = len(levels) if star is None else bisect_left(levels, (star,))
+        eligible = levels[cut:]
+        self.elig_vol = TreeMap.bulk_load(eligible, prune_zeros=True)
+        # Below p* elig_sum is 0, so a group's key is its price.
+        rows = [(price, price * volume) for price, volume in levels[:cut]]
+        elig_sum = 0
+        for price, volume in eligible:
+            elig_sum += volume
+            rows.append((elig_sum * _M + price, price * volume))
+        self.aggr = RPAITree.bulk_load(rows, prune_zeros=True)
+
     def result(self) -> Result:
         # Outer predicate: 0.75 * total < rhs  (strict).
         lhs = 0.75 * self.total
@@ -135,15 +222,13 @@ class NQ1RpaiEngine(IncrementalEngine):
         return self.aggr.total_sum() - self.aggr.get_sum(floor_key)
 
 
-class NQ2RpaiEngine(IncrementalEngine):
+class NQ2RpaiEngine(_BidBook):
     """General algorithm at the outer level: O(n log n) per update."""
 
     name = "rpai"
 
     def __init__(self) -> None:
-        self.price_vol = TreeMap(prune_zeros=True)
-        self.total: float = 0
-        self.res_map: dict[int, float] = {}  # price -> Σ price·volume
+        super().__init__()
         self._result: float = 0
 
     #: ``_result`` is stale: the maps moved since it was enumerated.
@@ -160,6 +245,9 @@ class NQ2RpaiEngine(IncrementalEngine):
         self._dirty = True
 
     row_handlers = {"bids": (_bids, ("price", "volume"))}
+
+    def _load(self, levels: list[tuple[int, int]]) -> None:
+        self._dirty = True
 
     def _recompute(self) -> float:
         """Iterate outer groups; each probe is two O(log n) searches."""
