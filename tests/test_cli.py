@@ -2,11 +2,13 @@
 
 import argparse
 import re
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.__main__ import __doc__ as cli_doc
-from repro.__main__ import build_parser, main
+from repro.__main__ import build_parser, engines_agree, main
 
 
 def test_list_prints_all_queries(capsys):
@@ -93,6 +95,44 @@ def test_compare_engines_agree(capsys):
     out = capsys.readouterr().out
     assert "rpai" in out and "dbtoaster" in out and "recompute" in out
     assert "WARNING" not in out
+
+
+def test_compare_counts_the_naive_baseline(capsys):
+    """With the naive run inside the cap, its int result meets the
+    incremental engines' float one."""
+    assert main(["compare", "VWAP", "--events", "150"]) == 0
+    assert "WARNING" not in capsys.readouterr().out
+
+
+def test_engines_agree_compares_values():
+    assert engines_agree({"rpai": 20146.0, "dbtoaster": 20146.0, "recompute": 20146})
+    assert engines_agree({"rpai": {1: 312, 2: 1099}, "recompute": {2: 1099, 1: 312}})
+    assert not engines_agree({"rpai": 20146.0, "recompute": 20147})
+    assert not engines_agree({"rpai": {1: 312}, "recompute": {1: 312, 2: 1099}})
+
+
+def test_compare_fails_when_engines_disagree(monkeypatch, capsys):
+    import repro.__main__ as cli
+
+    build = cli.build_engine
+
+    def build_wrong(query, strategy):
+        # The dbtoaster run answers another query over the same book.
+        return build("PSP" if strategy == "dbtoaster" else query, strategy)
+
+    monkeypatch.setattr(cli, "build_engine", build_wrong)
+    assert main(["compare", "VWAP", "--events", "150", "--recompute-cap", "80"]) == 1
+    assert "WARNING: engines disagree!" in capsys.readouterr().out
+
+
+def test_library_errors_print_one_line(tmp_path, capsys):
+    """A checkpoint with no log is an error line and exit 2, not a
+    traceback."""
+    wal_dir = tmp_path / "vwap"
+    shutil.copytree(Path(__file__).parent / "engine" / "data" / "vwap-pr15", wal_dir)
+    assert main(["recover", "VWAP", "--wal-dir", str(wal_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: no WAL data under {wal_dir}\n"
 
 
 def test_stats_reports_backend_and_auto_batch(capsys):
