@@ -688,12 +688,12 @@ class TestUnloadableSnapshot:
             (query, lambda: Stream(list(generate_order_book(OrderBookConfig(
                 events=350, price_levels=30, volume_max=9, seed=17, delete_ratio=0.3,
             )))))
-            for query in ("VWAP", "MST", "PSP")
+            for query in ("VWAP", "MST", "PSP", "NQ1")
         ] + [
             (query, lambda: Stream(list(generate_tpch(TPCHConfig(scale_factor=0.004, seed=17)))))
             for query in ("Q17", "Q18")
         ],
-        ids=["VWAP", "MST", "PSP", "Q17", "Q18"],
+        ids=["VWAP", "MST", "PSP", "NQ1", "Q17", "Q18"],
     )
     def test_every_side_kind_loads_a_checkpoint_written_before_the_side_contract(
         self, tmp_path, query, stream
@@ -703,8 +703,11 @@ class TestUnloadableSnapshot:
         32 events alternating, checkpoints two and four records before
         the head, no final checkpoint.  Each side's pickled state from
         then must still load: recovery adopts the last checkpoint and
-        replays only the two-record tail, to the clean result."""
-        shutil.copytree(Path(__file__).parent / "data" / f"{query.lower()}-pr31", tmp_path / "wal")
+        replays only the two-record tail, to the clean result.
+        ``data/nq1-pr35/`` is the same recipe for NQ1's hand class, from
+        while it kept its eligible view in a map of its own."""
+        fixture = "nq1-pr35" if query == "NQ1" else f"{query.lower()}-pr31"
+        shutil.copytree(Path(__file__).parent / "data" / fixture, tmp_path / "wal")
         expected = clean_result(query, stream())
         obs.enable()
         obs.reset()
