@@ -14,19 +14,24 @@ Per the paper (Section 5.2.1): "NQ1 is handled by computing the delta
 of the new subquery independent of the outer query.  Once we compute
 the delta, the rest of the computation is the same as VWAP".  The
 middle level defines an *eligible-volume view* V(p) = vol(p) when the
-cumulative volume at p exceeds a quarter of the total (a suffix of
-prices, located with one ``first_key_with_prefix_above``).  Every
-update is turned into a small set of per-price deltas to V — the
-arriving tuple itself plus the prices whose eligibility toggled — and
-each delta drives one VWAP-style range shift of the outer aggregate
-index.
+cumulative volume at p exceeds a quarter of the total: the suffix of
+prices from p*, located with one descent of the book.  The view is
+derived from the book, not stored — its prefix below an eligible p is
+the book's prefix below p minus the book's prefix below p* — and p* is
+kept from one event to the next.  Every update is turned into a small
+set of per-price deltas to V — the arriving tuple itself plus the
+levels p* crossed — and each delta drives one VWAP-style range shift
+of the outer aggregate index.  The shift moves the tuple's own group
+with the rest, so the group's value changes in place, once, at its new
+key.  ``result()`` is cached until the book moves.
 
 Tie-safety: unlike VWAP, V(p) can be zero for live outer groups, so
 distinct groups can share an rhs value.  The aggregate index therefore
 uses **composite integer keys** ``rhs * M + price`` (M larger than any
 price), which are strictly increasing across groups; every shift
 boundary and probe becomes exact integer arithmetic.  This requires
-integer prices and volumes, which the workloads guarantee.
+integer prices and volumes, which the workloads guarantee, and
+``0 <= price < M``, which the trigger checks (``KeyUniverseError``).
 
 **NQ2** correlates the *lowest* level with the outermost query::
 
@@ -48,16 +53,16 @@ reads each ``bids`` row once (other relations are skipped) and keeps
 the net volume per price; ``total`` is their sum and a price's result
 is ``price·volume``, both exact in integers.  The nonzero levels,
 sorted by price, bulk-load ``price_vol`` (O(n)), and ``p*`` is read
-off it with the same ``_boundary`` the trigger uses.  NQ1's eligible
-view is the suffix of levels at or above ``p*``, bulk-loaded into
-``elig_vol``; walking the levels in price order with a running sum of
-that suffix gives every group's composite key ``elig_sum(p)·M + p``
-already strictly increasing, so the aggregate index is one more bulk
-load with no second sort.  NQ2 keeps its maps and enumerates once, in
-the ``result()`` that ends the warm start.  The bulk build equals the
-replay to the type only on the documented domain — ``int`` prices and
-volumes, no price's net volume ever negative — so a stream outside it,
-or an engine with a validation boundary attached, takes the replay.
+off it (NQ1 keeps it).  NQ1's eligible view is the suffix of levels
+at or above ``p*``; walking the levels in price order with a running
+sum of that suffix gives every group's composite key
+``elig_sum(p)·M + p`` already strictly increasing, so the aggregate
+index is one more bulk load with no second sort.  NQ2 keeps its maps
+and enumerates once, in the ``result()`` that ends the warm start.
+The bulk build equals the replay to the type only on the documented
+domain — ``int`` prices and volumes, every price in ``0 <= price < M``,
+no price's net volume ever negative — so a stream outside it, or an
+engine with a validation boundary attached, takes the replay.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ from bisect import bisect_left
 
 from repro.core.rpai import RPAITree
 from repro.engine.base import IncrementalEngine, Result
-from repro.errors import EngineStateError
+from repro.errors import EngineStateError, KeyUniverseError
 from repro.storage.stream import Event, Stream
 from repro.trees.treemap import TreeMap
 
@@ -84,10 +89,11 @@ def _net_bids(events: list[Event]) -> dict[int, int] | None:
 
     ``None`` when the stream leaves the domain on which the bulk build
     is the replay bit for bit: a price that is not an ``int``, a volume
-    that is not (its price's net turns non-``int`` and stays so), or a
+    that is not (its price's net turns non-``int`` and stays so), a
     price whose net volume goes negative mid-stream (the replay keeps
     its eligible view a suffix of the book only while every level is
-    non-negative)."""
+    non-negative), or a price outside ``0 <= price < _M`` (which NQ1's
+    trigger rejects)."""
     net: dict[int, int] = {}
     get = net.get
     for event in events:
@@ -101,6 +107,8 @@ def _net_bids(events: list[Event]) -> dict[int, int] | None:
                 return None
             net[price] = volume
     if any(type(volume) is not int for volume in net.values()):
+        return None
+    if net and not 0 <= min(net) <= max(net) < _M:
         return None
     return net
 
@@ -141,8 +149,20 @@ class NQ1RpaiEngine(_BidBook):
 
     def __init__(self) -> None:
         super().__init__()
-        self.elig_vol = TreeMap(prune_zeros=True)  # the maintained view V
         self.aggr = RPAITree(prune_zeros=True)  # rhs·M + price -> group res
+        self._star: int | None = None  # p* of the current book
+
+    #: ``_result`` is stale: the book moved since ``result()`` last ran
+    #: (class-level, so a checkpoint that predates the cache recomputes).
+    _dirty = True
+
+    def __setstate__(self, state: dict) -> None:
+        # A checkpoint from before the view was derived from the book
+        # carries the view's own map and no p*.
+        stale = state.pop("elig_vol", None) is not None
+        self.__dict__.update(state)
+        if stale:
+            self._star = self._boundary()
 
     def _boundary(self) -> int | None:
         """p*: smallest price whose cumulative volume exceeds total/4
@@ -154,72 +174,76 @@ class NQ1RpaiEngine(_BidBook):
     # -- trigger ------------------------------------------------------------------
 
     def _bids(self, x, price, volume) -> None:
-        price_vol, elig_vol, aggr = self.price_vol, self.elig_vol, self.aggr
-        # Composite aggregate-index key of the group at price p under the
-        # *current* view: elig_sum(p) * M + p.
-        elig_sum = elig_vol.get_sum
-
-        star_old = self._boundary()
-
-        # 1. Detach the arriving tuple's own group (its result value and
-        #    rhs both change non-uniformly).
+        if not 0 <= price < _M:
+            raise KeyUniverseError(f"NQ1 needs 0 <= price < 2**45, got {price!r}")
+        price_vol, dv = self.price_vol, x * volume
+        # 1. Apply the tuple to the book; the descent also yields the
+        #    book's prefix below the price.
+        old_vol, below = price_vol.fetch_add(price, dv)
+        new_vol = old_vol + dv
+        self.total += dv
         old_res = self.res_map.get(price, 0)
-        if old_res != 0:
-            aggr.add(elig_sum(price) * _M + price, -old_res)
-
-        # 2. Apply the tuple to the base view.
-        price_vol.add(price, x * volume)
-        self.total += x * volume
-        new_res = old_res + x * price * volume
+        new_res = old_res + price * dv
         if new_res:
             self.res_map[price] = new_res
         else:
             self.res_map.pop(price, None)
 
-        # 3. Delta the eligible view: candidates are the tuple's price
-        #    plus every price whose eligibility toggled when the
-        #    boundary moved.  Each view delta drives the outer VWAP
-        #    machinery once: groups at prices >= p shift by the delta
-        #    (composite).
-        star_new = self._boundary()
-        candidates: dict[int, None] = {price: None}
-        if star_old is not None and star_new is not None and star_old != star_new:
-            lo, hi = min(star_old, star_new), max(star_old, star_new)
-            for p, _v in price_vol.range_items(lo, hi, lo_inclusive=True, hi_inclusive=False):
-                candidates[int(p)] = None
-        for p in sorted(candidates):
-            eligible = star_new is not None and p >= star_new
-            target = price_vol.get(p, 0) if eligible else 0
-            delta = target - elig_vol.get(p, 0)
-            if delta == 0:
-                continue
-            aggr.shift_keys(elig_sum(p, inclusive=False) * _M + (p - 1), delta * _M)
-            elig_vol.add(p, delta)
+        # 2. Move p*.  The view is V(p) = vol(p) for p >= p*, else 0, so
+        #    its prefix below an eligible p is the book's prefix below p
+        #    minus the book's prefix below p*.
+        star_old = self._star
+        found = price_vol.first_key_and_prefix_above(self.total / 4)
+        star, star_below = found if found is not None else (None, 0)
+        self._star = star
+        cut_old = math.inf if star_old is None else star_old
+        cut = math.inf if star is None else star
 
-        # 4. Re-attach the tuple's group at its new composite key.
-        if new_res != 0:
-            aggr.add(elig_sum(price) * _M + price, new_res)
+        # 3. Delta the view at the tuple's price and at every level whose
+        #    eligibility toggled, in price order: each delta shifts the
+        #    groups at prices >= p (the tuple's own group among them).
+        moves = [(price, old_vol, new_vol, below)]
+        if star_old is not None and star is not None and star_old != star:
+            lo, hi = (star_old, star) if star_old < star else (star, star_old)
+            prefix = price_vol.get_sum(lo, inclusive=False)
+            for p, vol in price_vol.range_items(lo, hi, lo_inclusive=True, hi_inclusive=False):
+                if p != price:
+                    moves.append((p, vol, vol, prefix))
+                prefix += vol
+            moves.sort()
+        shift = self.aggr.shift_keys
+        for p, vol_old, vol_new, p_below in moves:
+            delta = (vol_new if p >= cut else 0) - (vol_old if p >= cut_old else 0)
+            if delta:
+                shift((p_below - star_below if p >= cut else 0) * _M + (p - 1), delta * _M)
+
+        # 4. The tuple's group changes its value in place, at its new key.
+        if new_res != old_res:
+            rhs = below - star_below + new_vol if price >= cut else 0
+            self.aggr.add(rhs * _M + price, new_res - old_res)
+        self._dirty = True
 
     row_handlers = {"bids": (_bids, ("price", "volume"))}
 
     def _load(self, levels: list[tuple[int, int]]) -> None:
-        star = self._boundary()
+        self._star = star = self._boundary()
         cut = len(levels) if star is None else bisect_left(levels, (star,))
-        eligible = levels[cut:]
-        self.elig_vol = TreeMap.bulk_load(eligible, prune_zeros=True)
         # Below p* elig_sum is 0, so a group's key is its price.
         rows = [(price, price * volume) for price, volume in levels[:cut]]
         elig_sum = 0
-        for price, volume in eligible:
+        for price, volume in levels[cut:]:
             elig_sum += volume
             rows.append((elig_sum * _M + price, price * volume))
         self.aggr = RPAITree.bulk_load(rows, prune_zeros=True)
+        self._dirty = True
 
     def result(self) -> Result:
-        # Outer predicate: 0.75 * total < rhs  (strict).
-        lhs = 0.75 * self.total
-        floor_key = math.floor(lhs) * _M + (_M - 1)
-        return self.aggr.total_sum() - self.aggr.get_sum(floor_key)
+        if self._dirty:
+            # Outer predicate: 0.75 * total < rhs  (strict).
+            floor_key = math.floor(0.75 * self.total) * _M + (_M - 1)
+            self._result = self.aggr.total_sum() - self.aggr.get_sum(floor_key)
+            self._dirty = False
+        return self._result
 
 
 class NQ2RpaiEngine(_BidBook):

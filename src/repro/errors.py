@@ -119,6 +119,8 @@ class KeyUniverseError(ReproError, IndexError):
     they cannot index — negative or non-integer keys, or shifts that
     would move an entry below zero.  Keys *above* the current capacity
     are not errors: those backends grow their universe by doubling.
+    NQ1's engine raises it for a price its composite keys cannot hold
+    (outside ``0 <= price < 2**45``), before the event changes anything.
 
     Subclasses :class:`IndexError` so pre-existing callers that caught
     the bare built-in keep working.

@@ -414,6 +414,28 @@ class TreeMap:
             node = node.right
         return None  # pragma: no cover
 
+    def first_key_and_prefix_above(self, threshold: float) -> tuple[float, float] | None:
+        """:meth:`first_key_with_prefix_above` together with the sum of
+        the values over keys below that key — ``(key, get_sum(key,
+        inclusive=False))`` — from the same descent; ``None`` where the
+        other returns ``None``."""
+        node = self._root
+        if node is None or node.sum <= threshold:
+            return None
+        remaining = threshold
+        below: float = 0
+        while node is not None:
+            left_sum = node.left.sum if node.left is not None else 0
+            if node.left is not None and left_sum > remaining:
+                node = node.left
+                continue
+            if left_sum + node.value > remaining:
+                return node.key, below + left_sum
+            remaining -= left_sum + node.value
+            below += left_sum + node.value
+            node = node.right
+        return None  # pragma: no cover
+
     def range_items(
         self,
         lo: float,

@@ -157,7 +157,7 @@ class TestNQ1:
             engine.on_event(event.inverted())
         assert engine.result() == 0
         assert len(engine.aggr) == 0
-        assert len(engine.elig_vol) == 0
+        assert engine._star is None
         assert len(engine.price_vol) == 0
 
     def test_composite_keys_distinct_per_group(self):

@@ -104,6 +104,21 @@ def test_compare_counts_the_naive_baseline(capsys):
     assert "WARNING" not in capsys.readouterr().out
 
 
+def test_compare_skips_the_naive_baseline_above_the_cap(monkeypatch, capsys):
+    import repro.__main__ as cli
+
+    build = cli.build_engine
+
+    def build_no_naive(query, strategy):
+        assert strategy != "recompute", "the naive baseline ran"
+        return build(query, strategy)
+
+    monkeypatch.setattr(cli, "build_engine", build_no_naive)
+    assert main(["compare", "NQ2", "--events", "300", "--recompute-cap", "200"]) == 0
+    row = next(line for line in capsys.readouterr().out.splitlines() if "recompute" in line)
+    assert "skipped: --events > --recompute-cap 200" in row
+
+
 def test_engines_agree_compares_values():
     assert engines_agree({"rpai": 20146.0, "dbtoaster": 20146.0, "recompute": 20146})
     assert engines_agree({"rpai": {1: 312, 2: 1099}, "recompute": {2: 1099, 1: 312}})

@@ -209,3 +209,31 @@ class TestFetchAdd:
             assert fused.fetch_add(key, delta) == self.three_walks(plain, key, delta)
             fused.check_invariants()
             assert list(fused.items()) == list(plain.items())
+
+
+class TestFirstKeyAndPrefixAbove:
+    """``first_key_and_prefix_above`` ≡ ``first_key_with_prefix_above``
+    + ``get_sum(key, inclusive=False)``, from one descent."""
+
+    def test_fixed(self):
+        tree = build([(10, 1), (20, 2), (30, 4)])
+        assert tree.first_key_and_prefix_above(0) == (10, 0)
+        assert tree.first_key_and_prefix_above(2) == (20, 1)
+        assert tree.first_key_and_prefix_above(3) == (30, 3)
+        assert tree.first_key_and_prefix_above(7) is None
+        assert TreeMap().first_key_and_prefix_above(0) is None
+
+    @given(
+        entries=st.dictionaries(KEYS, st.integers(min_value=0, max_value=9), max_size=40),
+        threshold=st.integers(min_value=-2, max_value=200) | st.floats(0, 200),
+    )
+    @settings(max_examples=250, deadline=None)
+    def test_matches_two_walks(self, entries, threshold):
+        tree = build(sorted(entries.items()))
+        key = tree.first_key_with_prefix_above(threshold)
+        found = tree.first_key_and_prefix_above(threshold)
+        if key is None:
+            assert found is None
+        else:
+            below = tree.get_sum(key, inclusive=False)
+            assert (found, type(found[1])) == ((key, below), type(below))
