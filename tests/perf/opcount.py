@@ -1,9 +1,10 @@
 """Interpreter cost per event, counted instead of timed.
 
 Each *cell* drives one registry query's compiled ``rpai`` engine over
-1,000 generated events in one call shape and counts, with
-``sys.settrace`` and ``frame.f_trace_opcodes``, the bytecodes the
-interpreter executes and the Python function calls it makes, per event.
+1,000 generated events (4,000 in the ``event4k`` cells) in one call
+shape and counts, with ``sys.settrace`` and ``frame.f_trace_opcodes``,
+the bytecodes the interpreter executes and the Python function calls it
+makes, per event.
 The counts do not depend on the host's load, so a change of a few
 percent in a trigger's work shows where ten timed pairs cannot.  C-level
 work (a ``dict`` resize, a ``sort``) is one opcode whatever it costs.
@@ -67,6 +68,12 @@ def order_book(events: int, seed: int = 1) -> list[Event]:
     return list(generate_order_book(config))
 
 
+def order_book_4k(events: int, seed: int = 1) -> list[Event]:
+    """The order book four times as long: deeper trees, so a cell shows
+    how a trigger's per-level work grows with depth."""
+    return order_book(4 * events, seed)
+
+
 def tpch(events: int, seed: int = 1) -> list[Event]:
     """Reference tables, then lineitems: the first ``events`` of them."""
     config = TPCHConfig(scale_factor=1.5 * events / _TPCH_EVENTS_PER_SF, seed=seed)
@@ -96,6 +103,9 @@ CELLS: dict[str, tuple[str, Callable[[int], list[Event]], str]] = {
 CELLS["NQ1/event"] = ("NQ1", order_book, "event")
 CELLS["NQ1/warm"] = ("NQ1", order_book, "warm")
 CELLS["NQ2/warm"] = ("NQ2", order_book, "warm")
+# The shifted-side queries once more on a 4,000-event book.
+for _query in ("VWAP", "MST", "NQ1"):
+    CELLS[f"{_query}/event4k"] = (_query, order_book_4k, "event")
 # The general algorithm and the hand-written NQ2: per event and batched.
 for _query in ("SQ1", "SQ2", "NQ2"):
     CELLS[f"{_query}/event"] = (_query, order_book, "event")
