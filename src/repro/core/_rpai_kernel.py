@@ -555,18 +555,97 @@ class METHODS:
             i -= 1
         return ({{, |value$}})
 
-    def _shift_root(self, key, delta, inclusive):
-        """Algorithm 1 / 2 as one iterative pass.
+    def shift_add(self, pivot, delta, inclusive, at, {{, |value$=0}}):
+        """``shift_keys(pivot, delta, inclusive=inclusive)`` then ``add(at,
+        values...)`` (``at`` None: nothing to place).  A positive shift
+        is one top-down pass (docs/rpai_internals.md §4): a stored key
+        moves only where the path turns, the offset facing the path on
+        the way down — moved back on the last run of equal turns — and
+        the values land on the node visited at the entry's key before
+        the shift, its ancestors taking them into their sums.  A pass
+        that misses that node, or would zero it under ``prune_zeros``,
+        takes those sums back along ``trail`` (the turns) and adds after
+        the pass, as an ``at`` in the gap the shift opens and a shift
+        that is not positive do."""
+        if delta <= 0:
+            self.shift_keys(pivot, delta, inclusive=inclusive)
+            if {{ or |value$}}:
+                self.add(at, {{, |value$}})
+            return
+        if not ({{ or |value$}}):
+            at = None
+        shifted = at is not None and (at >= pivot if inclusive else at > pivot)
+        target = at - delta if shifted else at
+        if shifted and (target < pivot if inclusive else target <= pivot):
+            target = None  # in the gap the shift opens
+        if _SINK.enabled:
+            _SINK.inc("rpai.shift_keys.pos")
+            _SINK.observe("rpai.shift_magnitude", delta)
+            if at is not None:
+                _SINK.inc("rpai.add")
+        node = self._root
+        remaining = pivot
+        seek = target is not None
+        trail = 1
+        moved = False  # the node above on the path qualified
+        run = node  # first node of the current run of equal turns
+        prune = self.prune_zeros
+        while node is not None:
+            stored = node.key
+            qualifies = stored >= remaining if inclusive else stored > remaining
+            if seek:
+                if stored == target:
+                    seek = False
+                    new$ = node.value$ + value$
+                    if not (prune and {{ and |new$ == 0}}):
+                        node.value$ = new$
+                        node.sum$ += value$
+                        at = None
+                elif (stored > target) is qualifies:
+                    node.sum$ += value$
+                    target -= stored
+                    trail += trail + qualifies
+                else:
+                    seek = False
+            remaining -= stored
+            if qualifies:
+                if not moved:
+                    node.key = stored + delta
+                    moved = True
+                    run = node
+                node.min_off -= delta
+                node = node.left
+            else:
+                if moved:
+                    node.key = stored - delta
+                    moved = False
+                    run = node
+                node.max_off += delta
+                node = node.right
+        while run is not None:  # the last run of equal turns
+            if moved:
+                run.min_off = run.min_off + delta if run.left is not None else 0
+                run = run.left
+            else:
+                run.max_off = run.max_off - delta if run.right is not None else 0
+                run = run.right
+        if at is not None:
+            node = self._root
+            depth = trail.bit_length() - 1
+            while depth:
+                depth -= 1
+                node.sum$ -= value$
+                node = node.left if trail >> depth & 1 else node.right
+            self._put_root(at, {{, |value$}}, replace=False)
+        if _SELF.enabled:
+            self.check_invariants()
 
-        The descent is single-path: a qualifying node shifts (itself and
-        implicitly its whole right subtree) and recurses only into its
-        left subtree; a non-qualifying node recurses only right.  The
-        structure, sums and heights are untouched unless a negative
-        shift pushes a key across a neighbour, so the unwind patches
-        stored keys and the one offset facing the visited child.  For
-        ``delta < 0`` (Algorithm 2) each level also checks that offset
-        for a BST violation; from the first violating level up, the
-        unwind re-derives every field, runs the fixTree extraction where
+    def _shift_root(self, key, delta, inclusive):
+        """Algorithm 2 (``delta < 0``): Algorithm 1's descent, stacked,
+        then an unwind that patches stored keys and the offset facing
+        the visited child while that offset shows no BST violation (a
+        key pushed across a neighbour); from the first violating level
+        up it re-derives every field, runs the fixTree extraction where
         needed and repairs heights.
         """
         node = self._root
@@ -582,21 +661,6 @@ class METHODS:
             quals.append(qualifies)
             node = node.left if qualifies else node.right
         i = len(stack) - 1
-        if delta > 0:
-            while i >= 0:
-                current = stack[i]
-                if quals[i]:
-                    current.key += delta
-                    left = current.left
-                    if left is not None:
-                        left.key -= delta
-                        current.min_off = left.key + left.min_off
-                else:
-                    right = current.right
-                    if right is not None:
-                        current.max_off = right.key + right.max_off
-                i -= 1
-            return
         while i >= 0:
             current = stack[i]
             if quals[i]:

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from typing import Iterator, Protocol, runtime_checkable
 
-__all__ = ["AggregateIndex", "Number"]
+__all__ = ["AggregateIndex", "Number", "shift_then_add"]
 
 # Keys and values are numbers.  The engines in this package only ever
 # store exact (int / Fraction) keys so that shifted keys land exactly on
@@ -108,3 +108,11 @@ class AggregateIndex(Protocol):
 
     def __contains__(self, key: float) -> bool:
         ...
+
+
+def shift_then_add(self, pivot: float, delta: float, inclusive: bool, at: float, value: float = 0) -> None:
+    """``shift_add``, a shifted side's move, as its two operations: for
+    the indexes without :class:`RPAITree`'s one-pass form."""
+    self.shift_keys(pivot, delta, inclusive=inclusive)
+    if value != 0:
+        self.add(at, value)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator
 
+from repro.core.interfaces import shift_then_add
 from repro.obs import SELFCHECK as _SELF
 from repro.obs import SINK as _SINK
 
@@ -125,6 +126,8 @@ class PAIMap:
 
     def total_sum(self) -> float:
         return self._total
+
+    shift_add = shift_then_add
 
     def shift_keys(self, key: float, delta: float, *, inclusive: bool = False) -> None:
         """O(n) rebuild shifting qualifying keys; collisions merge by +."""

@@ -14,6 +14,8 @@ from __future__ import annotations
 import bisect
 from typing import Iterator
 
+from repro.core.interfaces import shift_then_add
+
 __all__ = ["ReferenceIndex"]
 
 
@@ -68,6 +70,8 @@ class ReferenceIndex:
 
     def total_sum(self) -> float:
         return sum(self._values)
+
+    shift_add = shift_then_add
 
     def shift_keys(self, key: float, delta: float, *, inclusive: bool = False) -> None:
         """Shift qualifying keys by ``delta``, merging collisions by +."""

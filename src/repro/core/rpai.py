@@ -224,33 +224,30 @@ class RPAITree:
     def shift_keys(self, key: float, delta: float, *, inclusive: bool = False) -> None:
         """Shift every key ``> key`` (``>= key`` if ``inclusive``) by ``delta``.
 
-        Positive offsets follow Algorithm 1 exactly and touch O(log n)
-        nodes.  Negative offsets follow Algorithm 2: the same descent,
-        plus a BST-violation check against the subtree min/max offsets
-        at every step of the way back up; violating entries are
-        extracted and re-inserted (merging equal keys by addition),
-        which is the Section 3.2.4 behaviour the engines rely on for
-        tuple deletions.
+        Positive offsets follow Algorithm 1 and touch O(log n) nodes, in
+        :meth:`shift_add`'s top-down pass.  Negative offsets follow
+        Algorithm 2: the same descent, plus a BST-violation check against
+        the subtree min/max offsets at every step of the way back up;
+        violating entries are extracted and re-inserted (merging equal
+        keys by addition), the Section 3.2.4 behaviour.
         """
-        if delta == 0:
+        if delta >= 0:
+            if delta:
+                self.shift_add(key, delta, inclusive, None)
             return
         if _SINK.enabled:
-            _SINK.inc("rpai.shift_keys.pos" if delta > 0 else "rpai.shift_keys.neg")
-            _SINK.observe("rpai.shift_magnitude", abs(delta))
-            if delta < 0:
-                # Violators-per-negative-shift is the paper's ``v``
-                # (Section 3.2.4, expected <= 1 in aggregate usage):
-                # delta the global violators counter across this shift.
-                before = _SINK.counters.get("rpai.violations", 0)
-                self._shift_root(key, delta, inclusive)
-                _SINK.observe(
-                    "rpai.neg_shift_violations",
-                    _SINK.counters.get("rpai.violations", 0) - before,
-                )
-                if _SELF.enabled:
-                    self.check_invariants()
-                return
-        self._shift_root(key, delta, inclusive)
+            _SINK.inc("rpai.shift_keys.neg")
+            _SINK.observe("rpai.shift_magnitude", -delta)
+            # Violators-per-negative-shift is the paper's ``v`` (Section
+            # 3.2.4, expected <= 1 in aggregate usage): delta the global
+            # violators counter across this shift.
+            before = _SINK.counters.get("rpai.violations", 0)
+            self._shift_root(key, delta, inclusive)
+            _SINK.observe(
+                "rpai.neg_shift_violations", _SINK.counters.get("rpai.violations", 0) - before
+            )
+        else:
+            self._shift_root(key, delta, inclusive)
         if _SELF.enabled:
             self.check_invariants()
 

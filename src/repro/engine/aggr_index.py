@@ -207,12 +207,13 @@ class SideLayout:
     sides: tuple[SidePlan, ...]
     terms: tuple[tuple[float, tuple[int, ...]], ...]
 
-    def emit_result(self, answers: list[Answer], probes: dict) -> list[str]:
+    def emit_result(self, answers: list[Answer], probes: dict, keep: bool = False) -> list[str]:
         """Statements returning the result from the sides' answers (and
         ``probes``, the source of each probed answer's probe value): the
         terms under the scale, per entry of a grouped answer.  The one
         place a side that keeps the result is told apart: under the
-        identity recombination its entries are copied as they are."""
+        identity recombination its entries are copied as they are;
+        ``keep``: see :func:`emit_recombination`."""
         if self.terms == ((1.0, (0,)),) and not self.scale and all(a.final for a in answers):
             return emit_recombination(answers, probes)
         terms = [
@@ -220,7 +221,7 @@ class SideLayout:
             for coef, columns in self.terms
         ]
         value = emit_scaled(self.scale, f"({' + '.join(['0.0'] + terms)})")
-        return emit_recombination(answers, probes, value)
+        return emit_recombination(answers, probes, value, keep=keep)
 
 
 _STRATEGIES = (
@@ -418,6 +419,10 @@ class AggregateIndexEngine(IncrementalEngine):
         names.update({f"_s{k}": side for k, side in enumerate(self.sides)})
         return names
 
+    def kept(self) -> list[int]:
+        """The sides whose answers ``result`` keeps until they move."""
+        return [k for k, answer in enumerate(self._answers) if answer.kept]
+
     def reads_source(self) -> list[str]:
         """``def result(self)``: per side its structures and its answer at
         its probe value, then the layout's recombination; sharded, also
@@ -425,8 +430,10 @@ class AggregateIndexEngine(IncrementalEngine):
         ``shard_probe`` and ``shard_combine``, the merged raw answers
         recombined as ``result`` recombines them."""
         binds = [line for k, side in enumerate(self.sides) for line in side.emit_bind(k, False)]
-        recombined = self.layout.emit_result(self._answers, self._probes)
-        lines = ["def result(self):", *_indented(binds + recombined)]
+        recombined = self.layout.emit_result(self._answers, self._probes, keep=True)
+        kept = [f"_k{x}{k}" for k in self.kept() for x in "pa"]
+        lines = ["def result(self):", *(["    global " + ", ".join(kept)] if kept else [])]
+        lines += _indented(binds + recombined)
         if self.shard_mode:
             (answer,) = self._answers
             lines += ["def shard_value(self):", f"    return {self._probes.get(0)}"]

@@ -31,7 +31,7 @@ hold.
 from __future__ import annotations
 
 import types
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from operator import eq, ge, gt, le, lt, ne
 from typing import Any, Mapping, Sequence
@@ -161,7 +161,8 @@ class Answer:
     """Side ``_s{k}``'s answer to the result's probe, as source: ``lines``
     bind its sums ``_q{k}_0``, ``_q{k}_1``, … once, or per entry ``_grp:
     item`` of the dict ``over``.  ``probed``: they probe an index at
-    ``_p{k}``.  ``final``: the entries are the result, none zero."""
+    ``_p{k}``.  ``final``: the entries are the result, none zero.
+    ``kept``: the one probe may be kept from one result to the next."""
 
     k: int | str
     lines: tuple[str, ...]
@@ -169,6 +170,7 @@ class Answer:
     over: str | None = None
     item: str = ""
     final: bool = False
+    kept: bool = False
 
     def merged(self, name: str) -> "Answer":
         """The answer read off ``name``, the shards' merged raw answers."""
@@ -178,21 +180,30 @@ class Answer:
 
 
 def emit_recombination(
-    answers: Sequence[Answer], probes: Mapping, value: str | None = None, keyed: bool = False
+    answers: Sequence[Answer], probes: Mapping, value: str | None = None, keyed: bool = False,
+    keep: bool = False,
 ) -> list[str]:
     """Statements returning ``value`` (source over the answers' sums)
     once, or per entry of the one answer with entries, leaving out the
     entries whose value is 0.  ``probes``: each probed answer's probe
     value, as source.  No ``value``: the one answer's first sums as they
     are, every entry kept (the dict copied when its entries are the
-    sums).  ``keyed``: a value computed once returns as ``{None: value}``."""
+    sums).  ``keyed``: a value computed once returns as ``{None: value}``.
+    ``keep``: a kept answer probes only when its probe value differs
+    from the global ``_kp{k}`` (None once its side moved), into ``_ka{k}``."""
     once = [answer for answer in answers if answer.over is None]
-    counted = sum(answer.probed for answer in once)
+    counted = sum(answer.probed and not (keep and answer.kept) for answer in once)
     out = ["if _S.enabled:", f"    _S.inc('engine.result_probes', {counted})"] if counted else []
     for answer in answers:
-        if answer.probed and probes[answer.k] != f"_p{answer.k}":
-            out.append(f"_p{answer.k} = {probes[answer.k]}")
-        out += answer.lines if answer.over is None else ()
+        k = answer.k
+        if answer.probed and probes[k] != f"_p{k}":
+            out.append(f"_p{k} = {probes[k]}")
+        if keep and answer.kept:
+            sums, _, probe = answer.lines[0].partition(" = ")
+            again = ["if _S.enabled:", "    _S.inc('engine.result_probes')", f"_ka{k} = {probe}"]
+            out += [f"if _kp{k} != _p{k}:", *_indented(again), f"    _kp{k} = _p{k}", f"{sums} = _ka{k}"]
+        elif answer.over is None:
+            out += answer.lines
     raw = f"_q{answers[0].k}_0"
     if len(once) == len(answers):
         return out + [f"return {{None: {value or raw}}}" if keyed else f"return {value or raw}"]
@@ -509,36 +520,51 @@ class ShiftedSide(Side):
         stored key ``_key`` (``_wgt``: their ± inner-aggregate volume,
         ``deltas``: their result deltas; grouped, ``_pg`` holds them per
         group), the inner θ resolved here: one bound-map walk yielding
-        the volume at the key and below it, one range shift per live
-        index, one point update per placement.  Strict ``<`` leaves the
+        the volume at the key and below it, one ``shift_add`` (range
+        shift and point update) per live index.  Strict ``<`` leaves the
         group at the key in place, and shifts keys equal to the boundary
-        when that group is new (DESIGN.md's tie analysis)."""
+        when that group is new (DESIGN.md's tie analysis).  A delete that
+        empties its key places first, before the shift can collide."""
         out = ["if _S.enabled:", "    _S.inc('engine.range_applies')"]
         if self.grouped:
             out.append(f"    _S.observe('engine.grouped_fanout', len(_gi{k}))")
         out.append(f"_old, _pfx = _bm{k}.fetch_add(_key, _wgt)")
-        new = "_pfx + _old + _wgt" if self.inclusive else "_pfx"
+        before = "_pfx + _old" if self.inclusive else "_pfx"
+        after = "_pfx + _old + _wgt" if self.inclusive else "_pfx"
         inclusive = "False" if self.inclusive else "_old == 0"
+        emptied = "if _old + _wgt == 0 and _old > 0:"
         if not self.grouped:
+            values = ", ".join(deltas)
             return out + [
-                f"_ix{k}.shift_keys(_pfx, _wgt, inclusive={inclusive})",
-                f"if {' or '.join(f'{d} != 0' for d in deltas)}:",
-                f"    _ix{k}.add({new}, {', '.join(deltas)})",
+                emptied,
+                f"    if {' or '.join(f'{d} != 0' for d in deltas)}:",
+                f"        _ix{k}.add({before}, {values})",
+                f"    _ix{k}.shift_add(_pfx, _wgt, False, _pfx)",
+                "else:",
+                f"    _ix{k}.shift_add(_pfx, _wgt, {inclusive}, {after}, {values})",
             ]
         if self.inclusive:
-            out.append(f"_new = {new}")
-            new = "_new"
+            out.append(f"_new = {after}")
+            after = "_new"
         return out + [
-            f"for _ix in _gi{k}.values():",
-            f"    _ix.shift_keys(_pfx, _wgt, inclusive={inclusive})",
+            emptied,
+            "    for _grp, _d in _pg.items():",
+            "        if _d == 0:",
+            "            continue",
+            f"        _ix = _gi{k}.get(_grp)",
+            "        if _ix is None:",
+            f"            _ix = _gi{k}[_grp] = _s{k}._new_index()",
+            f"        _ix.add({before}, _d)",
+            "        if not len(_ix):",
+            f"            del _gi{k}[_grp]",
+            "    _pg = {}",
             "for _grp, _d in _pg.items():",
-            "    if _d == 0:",
-            "        continue",
-            f"    _ix = _gi{k}.get(_grp)",
-            "    if _ix is None:",
-            f"        _ix = _gi{k}[_grp] = _s{k}._new_index()",
-            f"    _ix.add({new}, _d)",
-            "    if not len(_ix):",
+            f"    if _d != 0 and _grp not in _gi{k}:",
+            f"        _gi{k}[_grp] = _s{k}._new_index()",
+            f"for _grp, _ix in _gi{k}.items():",
+            f"    _ix.shift_add(_pfx, _wgt, {inclusive}, {after}, _pg.get(_grp, 0))",
+            "for _grp, _d in _pg.items():",
+            f"    if _d != 0 and not len(_gi{k}[_grp]):",
             f"        del _gi{k}[_grp]",
         ]
 
@@ -586,10 +612,10 @@ class ShiftedSide(Side):
                 self.group_indexes[group] = index
 
     def emit_answer(self, k: int | str, op: str) -> Answer:
-        """Grouped: one probe per group's index."""
+        """Grouped: one probe per group's index; ungrouped, a kept one."""
         if self.grouped:
             return _probe_answer(k, op, "_ix", self.columns, f"_gi{k}")
-        return super().emit_answer(k, op)
+        return replace(super().emit_answer(k, op), kept=True)
 
 
 class _Group(MaintainedAggregate):
@@ -761,7 +787,7 @@ class ThresholdSide(Side):
         probes its own index as it moves)."""
         if self.grouped:
             return Answer(k, (f"_q{k}_0 = _s{k}.total",))
-        return super().emit_answer(k, op)
+        return replace(super().emit_answer(k, op), kept=True)
 
 
 #: a membership side's ``HAVING`` comparison

@@ -174,8 +174,8 @@ class NQ1RpaiEngine(_BidBook):
     # -- trigger ------------------------------------------------------------------
 
     def _bids(self, x, price, volume) -> None:
-        if not 0 <= price < _M:
-            raise KeyUniverseError(f"NQ1 needs 0 <= price < 2**45, got {price!r}")
+        if type(price) is not int or not 0 <= price < _M:
+            raise KeyUniverseError(f"NQ1 needs an int price in 0 <= price < 2**45, got {price!r}")
         price_vol, dv = self.price_vol, x * volume
         # 1. Apply the tuple to the book; the descent also yields the
         #    book's prefix below the price.
@@ -211,16 +211,22 @@ class NQ1RpaiEngine(_BidBook):
                     moves.append((p, vol, vol, prefix))
                 prefix += vol
             moves.sort()
-        shift = self.aggr.shift_keys
+        # 4. The tuple's group changes its value in place, at its new key:
+        #    in the pass of its own shift, unless it is new or a level
+        #    above it shifts later.
+        change = new_res - old_res
+        at = (below - star_below + new_vol if price >= cut else 0) * _M + price
+        fuse = old_res != 0 and moves[-1][0] == price
+        aggr = self.aggr
         for p, vol_old, vol_new, p_below in moves:
             delta = (vol_new if p >= cut else 0) - (vol_old if p >= cut_old else 0)
             if delta:
-                shift((p_below - star_below if p >= cut else 0) * _M + (p - 1), delta * _M)
-
-        # 4. The tuple's group changes its value in place, at its new key.
-        if new_res != old_res:
-            rhs = below - star_below + new_vol if price >= cut else 0
-            self.aggr.add(rhs * _M + price, new_res - old_res)
+                place = change if fuse and p == price else 0
+                aggr.shift_add((p_below - star_below if p >= cut else 0) * _M + (p - 1), delta * _M,
+                               False, at, place)
+                change -= place
+        if change:
+            aggr.add(at, change)
         self._dirty = True
 
     row_handlers = {"bids": (_bids, ("price", "volume"))}

@@ -147,10 +147,12 @@ _ExprSrc = Callable[[Expr | None, str], str]
 class _SideSrc:
     """Source fragments of one side (the emitter's view of a SidePlan)."""
 
-    def __init__(self, k: int, plan: SidePlan, side: Any) -> None:
+    def __init__(self, k: int, plan: SidePlan, side: Any, kept: bool) -> None:
         self.k = k
         self.plan = plan
         self.side = side
+        #: ``result`` keeps the side's answer until a move marks it stale
+        self.kept = kept
         #: placements netted per GROUP BY key
         self.grouped = bool(plan.group_by) and side.nets
         self.negated = side.key_sign == -1
@@ -232,6 +234,11 @@ class _SideSrc:
         tuple-by-tuple side takes one tuple's arguments as source)."""
         lines.extend(indent + line for line in self.side.emit_move(self.k, deltas))
 
+    def mark(self, lines: list[str], indent: str) -> None:
+        """The side moved: its kept answer is stale."""
+        if self.kept:
+            lines.append(f"{indent}_kp{self.k} = None")
+
     def load(self, lines: list[str]) -> None:
         """Bulk-load the side from ``_n{k}``, re-laid per key as
         ``Side.load`` takes it: ``{correlation attribute (not the stored
@@ -247,7 +254,8 @@ class _SideSrc:
 
     def drain(self, lines: list[str]) -> None:
         """Apply ``_n{k}``: one fragment per live key, keys whose net
-        deltas cancel skipped."""
+        deltas cancel skipped; a kept answer is marked stale once, if
+        any key reached the side."""
         k = self.k
         if self.grouped:
             lines.append(f"    for _key, (_wgt, _pg) in _n{k}.items():")
@@ -258,6 +266,9 @@ class _SideSrc:
             lines.append(f"        if {' and '.join(f'{n} == 0' for n in names)}:")
         lines.append("            continue")
         self.apply(lines, "        ", self.netted)
+        if self.kept:
+            lines.append(f"    if _n{k}:")
+            self.mark(lines, "        ")
 
 
 def _column_loop(cols: dict[str, str]) -> str:
@@ -272,8 +283,9 @@ def _column_loop(cols: dict[str, str]) -> str:
 def _aggr_emit(engine: AggregateIndexEngine) -> str:
     layout = engine.layout
     scalars = engine._scalars
+    kept = engine.kept()
     sides = [
-        _SideSrc(k, plan, side)
+        _SideSrc(k, plan, side, k in kept)
         for k, (plan, side) in enumerate(zip(layout.sides, engine.sides))
     ]
     by_relation: dict[str, list[tuple[_SideSrc, Feed]]] = {}
@@ -295,10 +307,16 @@ def _aggr_emit(engine: AggregateIndexEngine) -> str:
             for side, feed in members:
                 body(side, *side.extract(lines, indent + "    ", emit_row_expr, feed))
 
-    lines: list[str] = []
+    lines: list[str] = [f"_kp{k} = None" for k in kept]
+
+    def define(header: str) -> None:
+        # a function that may mark a kept answer stale
+        lines.append(header)
+        if kept:
+            lines.append("    global " + ", ".join(f"_kp{k}" for k in kept))
 
     # -- event shape: extract, apply ---------------------------------------
-    lines.append("def apply(self, event):")
+    define("def apply(self, event):")
     _emit_event_unpack(lines, "    ")
     bind_sides(lines)
     _emit_scalar_updates(lines, "    ", scalars)
@@ -307,6 +325,7 @@ def _aggr_emit(engine: AggregateIndexEngine) -> str:
         if side.grouped:
             lines.append(f"{indent}_pg = {{_grp: {fresh[0]}}}")
         side.apply(lines, indent, fresh)
+        side.mark(lines, indent)
 
     per_relation(lines, "    ", event_body)
     lines.append("")
@@ -338,17 +357,18 @@ def _aggr_emit(engine: AggregateIndexEngine) -> str:
             for side in sides:
                 side.drain(lines)
 
-    lines.append("def apply_batch(self, events):")
+    define("def apply_batch(self, events):")
     net_loop("events")
     drain("events")
     lines.append("")
 
     # -- warm shape: the batch shape's netting, then bulk loads ------------
-    lines.append("def warm_start(self, stream):")
+    define("def warm_start(self, stream):")
     lines.append("    self._require_fresh()")
     net_loop("stream")
     for side in sides if not tuplewise else ():
         side.load(lines)
+        side.mark(lines, "    ")
     lines.append("    return self.result()")
     lines.append("")
 
@@ -387,7 +407,7 @@ def _aggr_emit(engine: AggregateIndexEngine) -> str:
         # scanned clean.  A frame holds at most one block per relation
         # with its rows in event order, so each net dict's insertion
         # order (and each scalar's updates) matches the event loop's.
-        lines.append("def apply_frame(self, frame):")
+        define("def apply_frame(self, frame):")
         lines.append("    if frame.fallback:")
         lines.append("        return self.apply_batch(frame.events())")
         for side in sides:

@@ -32,6 +32,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+from repro.core.interfaces import shift_then_add
+
 __all__ = ["FenwickTree"]
 
 
@@ -220,6 +222,8 @@ class FenwickTree:
     def suffix_sum(self, key: int, *, inclusive: bool = False) -> float:
         """Sum of values over entries with key ``> key`` (``>= key``)."""
         return self.total_sum() - self.get_sum(key, inclusive=not inclusive)
+
+    shift_add = shift_then_add
 
     def shift_keys(self, key: int, delta: int, *, inclusive: bool = False) -> None:
         """O(capacity): Fenwick trees cannot shift keys structurally, so

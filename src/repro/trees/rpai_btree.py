@@ -30,6 +30,7 @@ from __future__ import annotations
 import bisect
 from typing import Iterable, Iterator
 
+from repro.core.interfaces import shift_then_add
 from repro.obs import SELFCHECK as _SELF
 from repro.obs import SINK as _SINK
 
@@ -205,6 +206,8 @@ class RPAIBTree:
 
     def suffix_sum(self, key: float, *, inclusive: bool = False) -> float:
         return self.total_sum() - self.get_sum(key, inclusive=not inclusive)
+
+    shift_add = shift_then_add
 
     def shift_keys(self, key: float, delta: float, *, inclusive: bool = False) -> None:
         """Shift qualifying keys by ``delta``.

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+from repro.core.interfaces import shift_then_add
 from repro.errors import KeyUniverseError
 from repro.obs import SELFCHECK as _SELF
 from repro.obs import SINK as _SINK
@@ -235,6 +236,8 @@ class SegmentTree:
     def suffix_sum(self, key: int, *, inclusive: bool = False) -> float:
         """Sum of values over entries with key ``> key`` (``>= key``)."""
         return self.total_sum() - self.get_sum(key, inclusive=not inclusive)
+
+    shift_add = shift_then_add
 
     def shift_keys(self, key: int, delta: int, *, inclusive: bool = False) -> None:
         """O(capacity): like the Fenwick backend, a positional structure

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator
 
+from repro.core.interfaces import shift_then_add
 from repro.obs import SELFCHECK as _SELF
 from repro.obs import SINK as _SINK
 from repro.trees._avl import flatten, link, preorder, unflatten
@@ -314,6 +315,8 @@ class TreeMap:
 
     def suffix_sum(self, key: float, *, inclusive: bool = False) -> float:
         return self.total_sum() - self.get_sum(key, inclusive=not inclusive)
+
+    shift_add = shift_then_add
 
     def shift_keys(self, key: float, delta: float, *, inclusive: bool = False) -> None:
         """O(n): collect entries, shift the qualifying keys, rebuild.

@@ -1,13 +1,15 @@
 """The three unwinds (insert, delete, negative shift) stop doing full
 ``_update``/rebalance work where the tree stops changing and finish
-with sum/offset patches.  After each, every node's ``height``/``sum``/
-``min_off``/``max_off`` must equal a from-scratch recomputation from
-its children — which is exactly what ``check_invariants`` asserts — in
-each of the situations that take a different way through the unwind.
+with sum/offset patches, and the positive shift has no unwind: it runs
+top down.  After each, every node's ``height``/``sum``/``min_off``/
+``max_off`` must equal a from-scratch recomputation from its children —
+which is exactly what ``check_invariants`` asserts — in each of the
+situations that take a different way through the unwind or the pass.
 """
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -15,6 +17,8 @@ import pytest
 from repro import obs
 from repro.core.rpai import RPAITree
 from repro.trees.treemap import TreeMap
+
+from tests.engine.shift_reference import bottom_up_shift
 
 
 def ladder(n: int = 64, *, columns: int = 1, step: int = 10) -> RPAITree:
@@ -149,3 +153,85 @@ class TestRandomizedUnwinds:
                 assert tree.pop(key) == shadow.pop(key, None)
             tree.check_invariants()
         assert list(tree.items()) == sorted(shadow.items())
+
+
+def reference_move(tree: RPAITree, pivot, delta, inclusive, at, *values) -> RPAITree:
+    """A copy of ``tree`` after the stacked shift, then the add."""
+    copy = pickle.loads(pickle.dumps(tree))
+    bottom_up_shift(copy, pivot, delta, inclusive)
+    if any(values):
+        copy.add(at, *values)
+    return copy
+
+
+class TestTopDownShift:
+    """One case per way through ``shift_add``'s pass: each leaves the nodes the
+    stacked shift and a separate add leave, and places in the pass
+    exactly when no ``_put_root`` follows it."""
+
+    @pytest.fixture
+    def put_calls(self, monkeypatch):
+        calls = []
+        put = RPAITree._put_root
+
+        def counted(self, *args, **kwargs):
+            calls.append(args[0])
+            return put(self, *args, **kwargs)
+
+        monkeypatch.setattr(RPAITree, "_put_root", counted)
+        return calls
+
+    def move(self, tree, *args, puts, calls):
+        expected = reference_move(tree, *args)
+        calls.clear()
+        tree.shift_add(*args)
+        tree.check_invariants()
+        assert tree._dump() == expected._dump()
+        assert len(calls) == puts
+
+    @pytest.mark.parametrize("pivot", [305, -5, 700], ids=["turns", "all-shift", "none-shift"])
+    def test_a_shift_alone_ends_on_either_kind_of_run(self, put_calls, pivot):
+        tree = ladder()
+        expected = reference_move(tree, pivot, 5, False, 0)
+        tree.shift_keys(pivot, 5)
+        tree.check_invariants()
+        assert tree._dump() == expected._dump() and not put_calls
+
+    def test_the_strict_sides_match_is_placed_in_the_pass(self, put_calls):
+        self.move(ladder(), 300, 5, False, 300, 7, puts=0, calls=put_calls)
+
+    def test_the_first_shifted_entry_is_placed_in_the_pass(self, put_calls):
+        self.move(ladder(), 305, 5, False, 315, 7, puts=0, calls=put_calls)
+
+    def test_an_inclusive_pivot_on_a_key_places_it_shifted(self, put_calls):
+        self.move(ladder(), 300, 5, True, 305, 7, puts=0, calls=put_calls)
+
+    def test_a_key_in_the_opened_gap_is_an_insert_after_the_pass(self, put_calls):
+        tree = ladder()
+        self.move(tree, 305, 5, False, 308, 7, puts=1, calls=put_calls)
+        assert tree.get(308) == 7
+
+    def test_an_absent_entry_takes_its_sums_back(self, put_calls):
+        tree = ladder()
+        self.move(tree, 305, 5, False, 303, 7, puts=1, calls=put_calls)
+        assert tree.get(303) == 7
+
+    def test_an_entry_off_the_path_is_added_after_the_pass(self, put_calls):
+        tree = ladder()
+        self.move(tree, 305, 5, False, 100, 7, puts=1, calls=put_calls)
+        assert tree.get(100) == 8
+
+    def test_a_placement_that_zeroes_its_entry_splices_it(self, put_calls):
+        tree = RPAITree.bulk_load([(k * 10, 1) for k in range(64)], prune_zeros=True)
+        self.move(tree, 300, 5, False, 300, -1, puts=1, calls=put_calls)
+        assert 300 not in tree and len(tree) == 63
+
+    @pytest.mark.parametrize("delta, values", [(-5, (7,)), (0, (7,)), (5, (0,))])
+    def test_no_positive_shift_or_nothing_to_place_takes_two_operations(self, put_calls, delta, values):
+        tree = ladder()
+        self.move(tree, 305, delta, False, 305, *values, puts=int(any(values)), calls=put_calls)
+
+    def test_an_empty_tree_takes_the_entry(self, put_calls):
+        tree = RPAITree()
+        self.move(tree, 0, 5, False, 3, 1, puts=1, calls=put_calls)
+        assert list(tree.items()) == [(3, 1)]

@@ -249,6 +249,16 @@ class TestBookWarmStart:
 
         events = [odd, *random_bid_stream(80, price_levels=12, seed=51)]
         assert nq._net_bids(events) is None
+        if name == "NQ1" and type(odd.row["price"]) is not int:
+            # NQ1's composite keys need int prices: the replay refuses
+            # the row, so the warm start it is sent to refuses it too.
+            from repro.errors import KeyUniverseError
+
+            with pytest.raises(KeyUniverseError):
+                build_engine(name, "rpai").on_event(odd)
+            with pytest.raises(KeyUniverseError):
+                build_engine(name, "rpai").warm_start(Stream(events))
+            return
         for cut in (1, 40, len(events)):
             _assert_warm_is_replay(name, events, cut)
 

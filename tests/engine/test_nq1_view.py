@@ -154,6 +154,21 @@ class TestPriceDomain:
         assert pickle.dumps(engine) == before
         assert engine.result() == expected
 
+    def test_a_price_that_is_not_an_int_is_refused_before_any_change(self):
+        """The pivot ``elig_below·M + (p − 1)`` separates groups only for
+        int prices: this book read 13.5 where the query's answer is 2.5."""
+        book = [make_bid(price, volume, ts=i, bid_id=i)
+                for i, (price, volume) in enumerate([(2.2, 5), (2.5, 1), (1, 1)])]
+        engine = build_engine("NQ1", "rpai")
+        engine.on_event(Event("bids", book[2], +1))
+        before = pickle.dumps(engine)
+        for row in book[:2]:
+            with pytest.raises(KeyUniverseError, match="int price"):
+                engine.on_event(Event("bids", row, +1))
+            assert pickle.dumps(engine) == before
+        with pytest.raises(KeyUniverseError):
+            build_engine("NQ1", "rpai").warm_start(Stream([Event("bids", row, +1) for row in book]))
+
     def test_the_warm_start_refuses_it_too(self):
         from repro.engine.queries import nq
 
