@@ -431,9 +431,7 @@ class AggregateIndexEngine(IncrementalEngine):
         recombined as ``result`` recombines them."""
         binds = [line for k, side in enumerate(self.sides) for line in side.emit_bind(k, False)]
         recombined = self.layout.emit_result(self._answers, self._probes, keep=True)
-        kept = [f"_k{x}{k}" for k in self.kept() for x in "pa"]
-        lines = ["def result(self):", *(["    global " + ", ".join(kept)] if kept else [])]
-        lines += _indented(binds + recombined)
+        lines = ["def result(self):", *_indented(binds + recombined)]
         if self.shard_mode:
             (answer,) = self._answers
             lines += ["def shard_value(self):", f"    return {self._probes.get(0)}"]

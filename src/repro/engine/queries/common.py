@@ -194,6 +194,8 @@ def emit_recombination(
     once = [answer for answer in answers if answer.over is None]
     counted = sum(answer.probed and not (keep and answer.kept) for answer in once)
     out = ["if _S.enabled:", f"    _S.inc('engine.result_probes', {counted})"] if counted else []
+    kept = [f"_k{x}{a.k}" for a in answers if keep and a.kept for x in "pa"]
+    out[:0] = ["global " + ", ".join(kept)] if kept else []
     for answer in answers:
         k = answer.k
         if answer.probed and probes[k] != f"_p{k}":
