@@ -106,10 +106,13 @@ CELLS["NQ2/warm"] = ("NQ2", order_book, "warm")
 # The shifted-side queries once more on a 4,000-event book.
 for _query in ("VWAP", "MST", "NQ1"):
     CELLS[f"{_query}/event4k"] = (_query, order_book_4k, "event")
-# The general algorithm and the hand-written NQ2: per event and batched.
+# The general algorithm and the hand-written NQ2: per event and batched;
+# the general algorithm also per frame.
 for _query in ("SQ1", "SQ2", "NQ2"):
     CELLS[f"{_query}/event"] = (_query, order_book, "event")
     CELLS[f"{_query}/batch{FRAME}"] = (_query, order_book, "batch")
+for _query in ("SQ1", "SQ2"):
+    CELLS[f"{_query}/frame{FRAME}"] = (_query, order_book, "frame")
 
 
 def measure(cell: str) -> dict[str, float]:
