@@ -24,8 +24,8 @@ Package layout (see DESIGN.md for the full inventory):
 * :mod:`repro.trees` — TreeMap / Fenwick / segment-tree substrates;
 * :mod:`repro.query` — AggrQ grammar, SQL parser, analysis, planner;
 * :mod:`repro.storage` — schemas, multiset relations, update streams;
-* :mod:`repro.engine` — naive / DBToaster-style / general-algorithm /
-  aggregate-index execution engines;
+* :mod:`repro.engine` — naive / DBToaster-style / aggregate-index
+  execution engines;
 * :mod:`repro.workloads` — order-book and mini-TPC-H generators plus
   the ten benchmark queries;
 * :mod:`repro.bench` — measurement harness.
@@ -33,7 +33,6 @@ Package layout (see DESIGN.md for the full inventory):
 
 from repro.core import PAIMap, ReferenceIndex, RPAITree
 from repro.engine import (
-    GeneralAlgorithmEngine,
     IncrementalEngine,
     NaiveEngine,
     available_strategies,
@@ -68,7 +67,6 @@ __all__ = [
     "Stream",
     "IncrementalEngine",
     "NaiveEngine",
-    "GeneralAlgorithmEngine",
     "build_engine",
     "build_single_index_engine",
     "available_strategies",

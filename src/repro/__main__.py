@@ -10,9 +10,8 @@ Commands:
 ``codegen [<query>] [--engine E] [--flavor F]``
     Print what is generated for the query: the triggers the code
     generator emits for the aggregate-index engine (EQ, VWAP, MST, PSP,
-    Q17, Q18), the two loops the general algorithm generates at
-    construction (SQ1, SQ2), or the reason the engine runs hand-written
-    code; without a query, the support table.
+    Q17, Q18, and SQ1 and SQ2 on its free-map side), or the reason the
+    engine runs hand-written code; without a query, the support table.
 ``run <query> [--engine E] [--events N] [--seed S] [--shards K] [--workers N]
              [--wal-dir D] [--max-respawns R] [--fsync]``
     Stream a synthetic workload through an engine and report result,
@@ -123,17 +122,10 @@ def _default_stream(query_name: str, events: int, seed: int) -> Stream:
     return generate_bids_only(config)
 
 
-def _source_section(source: str, trigger: str) -> str | None:
-    """The top-level ``def <trigger>(`` block of a generated source, or
-    None when the emitter did not define that trigger."""
+def _source_section(source: str, trigger: str) -> str:
+    """The top-level ``def <trigger>(`` block of a generated source."""
     lines = source.splitlines()
-    start = None
-    for index, line in enumerate(lines):
-        if line.startswith(f"def {trigger}("):
-            start = index
-            break
-    if start is None:
-        return None
+    start = next(index for index, line in enumerate(lines) if line.startswith(f"def {trigger}("))
     end = len(lines)
     for index in range(start + 1, len(lines)):
         if lines[index].startswith("def "):
@@ -146,16 +138,13 @@ def _source_section(source: str, trigger: str) -> str | None:
 #: declines: the hand-written per-query classes (NQ1, NQ2) are
 #: their own single definition (the DBToaster/naive baselines likewise).
 _NO_EMITTER = "hand-written trigger (no emitter)"
-_GENERAL = "general algorithm — loops generated at construction"
 
 #: ``repro codegen --flavor`` -> the generated function of that call shape
 _FLAVOR_TRIGGERS = {"event": "apply", "batch": "apply_batch", "frame": "apply_frame"}
 
 
 def _codegen_detail(engine) -> str:
-    if engine.trigger_mode == "compiled":
-        return "aggregate-index emitter"
-    return _GENERAL if hasattr(engine, "generated_source") else _NO_EMITTER
+    return "aggregate-index emitter" if engine.trigger_mode == "compiled" else _NO_EMITTER
 
 
 def cmd_codegen(args: argparse.Namespace) -> int:
@@ -189,12 +178,7 @@ def cmd_codegen(args: argparse.Namespace) -> int:
     if args.flavor == "all":
         print(source)
         return 0
-    trigger = _FLAVOR_TRIGGERS[args.flavor]
-    section = _source_section(source, trigger)
-    if section is None:
-        print(f"(no generated {trigger}: this engine's apply* and result are plain Python)")
-        return 0
-    print(section)
+    print(_source_section(source, _FLAVOR_TRIGGERS[args.flavor]))
     print(_source_section(source, "result"))
     return 0
 

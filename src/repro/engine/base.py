@@ -205,10 +205,9 @@ class IncrementalEngine(abc.ABC):
     name: str = "engine"
 
     #: how this class's triggers execute, a class constant:
-    #: ``"interpreted"`` (hand-written methods: the baselines, NQ1/NQ2),
-    #: ``"compiled"`` (the aggregate-index engine's triggers, emitted by
-    #: :mod:`repro.query.codegen` and bound per instance) or the general
-    #: algorithm's ``"generated-loops"``.
+    #: ``"interpreted"`` (hand-written methods: the baselines, NQ1/NQ2)
+    #: or ``"compiled"`` (the aggregate-index engine's triggers, emitted
+    #: by :mod:`repro.query.codegen` and bound per instance).
     trigger_mode: ClassVar[str] = "interpreted"
 
     #: optional input-validation boundary (see :class:`Quarantine`);

@@ -9,11 +9,11 @@ benchmark query can be run under three execution strategies —
 * ``"rpai"`` — our fully incremental engines (Sections 2.1.3/2.2.3, 4).
 
 For queries whose shape the generic compilers cover the ``rpai`` engine
-is *compiled from the AST*: EQ, VWAP, MST, PSP, Q17 and Q18 via the
-planner and the one aggregate-index engine, which installs its
-per-query emitted triggers as it is built; SQ1/SQ2 via the general
-algorithm, which generates its own two loops at construction.  NQ1 and
-NQ2 still use hand-written trigger classes: their strategy
+is *compiled from the AST*: EQ, VWAP, MST, PSP, Q17, Q18, SQ1 and SQ2
+via the planner and the one aggregate-index engine, which installs its
+per-query emitted triggers as it is built (SQ1 and SQ2 on its free-map
+side, Section 4.2's general algorithm).  NQ1 and NQ2 still use
+hand-written trigger classes: their strategy
 (``GENERAL_NESTED``) builds no engine from a plan yet.  Q18's
 ``dbtoaster`` baseline is the same plan-built engine under its own name:
 DBToaster maintains that uncorrelated view in O(1) too (the parity
@@ -37,7 +37,6 @@ from repro.engine.dbtoaster.finance import (
     VWAPDbtEngine,
 )
 from repro.engine.dbtoaster.tpch import Q17DbtEngine
-from repro.engine.general import GeneralAlgorithmEngine
 from repro.engine.naive import NaiveEngine
 from repro.engine.queries.nq import NQ1RpaiEngine, NQ2RpaiEngine
 from repro.workloads.queries import get_query
@@ -71,15 +70,6 @@ def _compiled_index_factory(name: str, engine_name: str | None = None) -> Engine
     return build
 
 
-def _general_factory(name: str) -> EngineFactory:
-    def build() -> IncrementalEngine:
-        engine = GeneralAlgorithmEngine(get_query(name).ast)
-        engine.name = "rpai"  # GA is part of "our" system in the paper
-        return engine
-
-    return build
-
-
 _DBT: dict[str, EngineFactory] = {
     "EQ": EQDbtEngine,
     "VWAP": VWAPDbtEngine,
@@ -101,8 +91,8 @@ _RPAI: dict[str, EngineFactory] = {
     "PSP": _compiled_index_factory("PSP"),
     "Q17": _compiled_index_factory("Q17"),
     "Q18": _compiled_index_factory("Q18"),
-    "SQ1": _general_factory("SQ1"),
-    "SQ2": _general_factory("SQ2"),
+    "SQ1": _compiled_index_factory("SQ1"),
+    "SQ2": _compiled_index_factory("SQ2"),
     # Specialized triggers (multi-level nesting):
     "NQ1": NQ1RpaiEngine,
     "NQ2": NQ2RpaiEngine,

@@ -94,7 +94,9 @@ class IndexSpec:
     *membership* spec (``inner_op`` ``"IN"``, Q18) is ``outer_col IN
     (SELECT inner_col FROM relation GROUP BY inner_col HAVING
     inner_func(inner_arg) outer_op fixed_expr)``, summed on
-    ``outer_alias``.
+    ``outer_alias``.  A *free-map* spec (no ``inner_op``, no
+    ``key_col``), which a ``GENERAL`` plan's engine derives, has the
+    whole query as ``fixed_expr``: §4.2's free maps evaluate it.
 
     Attributes:
         relation: base relation the index's tuples come from.

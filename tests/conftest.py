@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+from repro.engine.aggr_index import AggregateIndexEngine
+from repro.query.planner import QueryPlan, Strategy
 from repro.storage.stream import Event, Stream
 
 
@@ -65,6 +67,12 @@ def two_sided(bids) -> list[Event]:
         Event("asks", event.row, event.weight) if event.row["id"] % 3 == 0 else event
         for event in bids
     ]
+
+
+def free_map_engine(query) -> AggregateIndexEngine:
+    """``query`` on the free-map side (Section 4.2's general algorithm),
+    whatever it classifies as: VWAP and EQ run there too."""
+    return AggregateIndexEngine(QueryPlan(Strategy.GENERAL, query))
 
 
 @pytest.fixture

@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.minmax import MinMaxView, OrderedMultiset
-from repro.engine.general import GeneralAlgorithmEngine
 from repro.engine.naive import NaiveEngine
 from repro.errors import EngineStateError
 from repro.query.parser import parse_query
 from repro.storage import schema as schemas
 
-from tests.conftest import random_bid_stream
+from tests.conftest import free_map_engine, random_bid_stream
 
 
 class TestOrderedMultiset:
@@ -129,7 +128,7 @@ class TestMinMaxInGeneralAlgorithm:
     )
 
     def test_matches_naive_with_deletions(self):
-        ga = GeneralAlgorithmEngine(self.QUERY)
+        ga = free_map_engine(self.QUERY)
         naive = NaiveEngine(self.QUERY, {"bids": schemas.BIDS})
         for index, event in enumerate(random_bid_stream(150, seed=55)):
             assert naive.on_event(event) == ga.on_event(event), index

@@ -10,9 +10,10 @@ must do exactly the algorithmic work the committed counter table
 (``tests/perf/counters.json``) records.  Any divergence is a
 correctness bug in the emitter, not noise.
 
-The general algorithm (SQ1, SQ2) generates its own loops and rides the
-same differentials.  ``codegen.set_codegen`` has no effect on any
-engine: the layered benchmark's probes still call it, and
+SQ1 and SQ2 (Section 4.2's general algorithm) are the same engine on
+its free-map side and ride the same differentials.
+``codegen.set_codegen`` has no effect on any engine: the layered
+benchmark's probes still call it, and
 ``test_general_algorithm_ignores_the_switch`` pins that.
 """
 
@@ -32,12 +33,12 @@ from tests.engine.test_sharding import stream_for
 from tests.perf.counters import load_table, measure
 
 ALL_QUERIES = sorted(CASES)
-# The aggregate-index engine has an emitter; the general algorithm
-# generates its two loops itself, whatever the switch says; the
+# Every plan-built query runs the aggregate-index engine's emitted
+# triggers, the general algorithm's on its free-map side; the
 # hand-written trigger classes are their own single definition.
-COMPILED = ("EQ", "MST", "PSP", "Q17", "Q18", "VWAP")
 GENERAL = ("SQ1", "SQ2")
-SWITCHED = COMPILED + GENERAL
+COMPILED = ("EQ", "MST", "PSP", "Q17", "Q18", "VWAP") + GENERAL
+SWITCHED = COMPILED
 HANDWRITTEN = tuple(name for name in ALL_QUERIES if name not in SWITCHED)
 FLAVORS = ("event", "batch", "frame")
 
@@ -67,8 +68,6 @@ def at_batches(trace: list, batch_size: int) -> list:
 
 def mode(name: str) -> str:
     """The ``trigger_mode`` a registry engine reports."""
-    if name in GENERAL:
-        return "generated-loops"
     return "compiled" if name in COMPILED else "interpreted"
 
 
@@ -198,8 +197,8 @@ class TestCache:
 
     def test_handwritten_engines_have_no_emitter(self):
         """The hand-written trigger classes are their own single
-        definition, and so is the general algorithm: ``specialize``
-        declines them and they keep their class's trigger mode."""
+        definition: ``specialize`` declines them and they keep their
+        class's trigger mode."""
         codegen.clear_cache()
         obs.enable()
         obs.reset()
@@ -216,25 +215,20 @@ class TestCache:
         finally:
             obs.disable()
         # each called directly; the engines with an emitter install as built
-        assert counters.get("codegen.unsupported") == len(HANDWRITTEN + GENERAL)
+        assert counters.get("codegen.unsupported") == len(HANDWRITTEN)
         assert counters.get("codegen.installed") == len(COMPILED)
 
-    @pytest.mark.parametrize("name", GENERAL + COMPILED)
+    @pytest.mark.parametrize("name", COMPILED)
     def test_general_algorithm_ignores_the_switch(self, name):
-        """One definition: the same object layout and the same generated
-        source under ``set_codegen(True)`` and ``set_codegen(False)`` —
-        the general algorithm's loops, the aggregate-index engine's
-        emitted module."""
+        """One definition: the same object layout and the same emitted
+        module under ``set_codegen(True)`` and ``set_codegen(False)``,
+        the general algorithm's free-map side included."""
         on, off = build(name, compiled=True), build(name, compiled=False)
         assert sorted(vars(on)) == sorted(vars(off))
         source = codegen.generated_source(on)
         assert source == codegen.generated_source(off)
-        if name in GENERAL:
-            assert "def _recompute(" in source and "def apply_delta(" in source
-            assert "def apply(" not in source
-        else:
-            assert off.trigger_mode == "compiled"
-            assert "def apply(" in source and "def result(" in source
+        assert off.trigger_mode == "compiled"
+        assert "def apply(" in source and "def result(" in source
 
     def test_generated_source_roundtrip(self):
         engine = build("VWAP")
@@ -416,7 +410,7 @@ class TestCLI:
         for name in COMPILED:
             assert "compiled" in rows[name]
         for name in GENERAL:
-            assert "general algorithm — loops generated at construction" in rows[name]
+            assert "AggregateIndexEngine" in rows[name]
         for name in HANDWRITTEN:
             assert "interpreted" in rows[name]
             assert "hand-written trigger (no emitter)" in rows[name]
@@ -424,10 +418,12 @@ class TestCLI:
     def test_codegen_subcommand_prints_the_general_algorithms_loops(self, capsys):
         from repro.__main__ import main
 
-        assert main(["codegen", "SQ1"]) == 0
+        assert main(["codegen", "SQ1", "--flavor", "frame"]) == 0
         out = capsys.readouterr().out
-        assert "trigger  : generated-loops" in out
-        assert "def _recompute(" in out and "def apply_delta(" in out
+        assert "trigger  : compiled" in out
+        assert "def apply_frame(self, frame):" in out and "def result(self):" in out
+        # Algorithm 3 lines 14–17, θ inlined, in the answer
+        assert "for _g in _fs0_1:" in out and "if _key <= _g:" in out
 
     def test_codegen_subcommand_handwritten_query(self, capsys):
         from repro.__main__ import main

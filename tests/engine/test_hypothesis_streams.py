@@ -13,13 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.aggr_index import build_single_index_engine
-from repro.engine.general import GeneralAlgorithmEngine
 from repro.engine.naive import NaiveEngine
 from repro.engine.queries.nq import NQ1RpaiEngine
 from repro.storage.stream import Event
 from repro.workloads.queries import QUERIES
 
-from tests.conftest import make_bid
+from tests.conftest import free_map_engine, make_bid
 
 
 @st.composite
@@ -66,19 +65,19 @@ class TestVWAPProperties:
     @given(events=bid_streams())
     @settings(max_examples=80, deadline=None)
     def test_general_algorithm(self, events):
-        _assert_trace_equal("VWAP", GeneralAlgorithmEngine(QUERIES["VWAP"].ast), events)
+        _assert_trace_equal("VWAP", free_map_engine(QUERIES["VWAP"].ast), events)
 
 
 class TestGeneralAlgorithmProperties:
     @given(events=bid_streams())
     @settings(max_examples=80, deadline=None)
     def test_sq1(self, events):
-        _assert_trace_equal("SQ1", GeneralAlgorithmEngine(QUERIES["SQ1"].ast), events)
+        _assert_trace_equal("SQ1", free_map_engine(QUERIES["SQ1"].ast), events)
 
     @given(events=bid_streams())
     @settings(max_examples=80, deadline=None)
     def test_sq2(self, events):
-        _assert_trace_equal("SQ2", GeneralAlgorithmEngine(QUERIES["SQ2"].ast), events)
+        _assert_trace_equal("SQ2", free_map_engine(QUERIES["SQ2"].ast), events)
 
 
 class TestNQ1Properties:

@@ -8,6 +8,7 @@ from repro.core.pai_map import PAIMap
 from repro.core.rpai import RPAITree
 from repro.engine.aggr_index import AggregateIndexEngine, build_single_index_engine
 from repro.engine.queries.common import PointSide, ShiftedSide
+from repro.engine.queries.free_map import FreeMapSide
 from repro.engine.naive import NaiveEngine
 from repro.errors import UnsupportedQueryError
 from repro.query.parser import parse_query
@@ -36,14 +37,14 @@ class TestBuildDispatch:
         (side,) = engine.sides
         assert isinstance(side, PointSide)
 
-    def test_general_shape_rejected(self):
-        with pytest.raises(UnsupportedQueryError):
-            build_single_index_engine(QUERIES["SQ1"].ast)
+    def test_general_shape_builds_one_free_map_side(self):
+        engine = build_single_index_engine(QUERIES["SQ1"].ast)
+        (side,) = engine.sides
+        assert isinstance(side, FreeMapSide)
 
     def test_other_strategies_rejected(self):
-        for name in ("SQ1", "NQ1"):
-            with pytest.raises(UnsupportedQueryError):
-                AggregateIndexEngine(classify(QUERIES[name].ast))
+        with pytest.raises(UnsupportedQueryError):
+            AggregateIndexEngine(classify(QUERIES["NQ1"].ast))
 
     def test_uncorrelated_without_a_membership_shape_rejected(self):
         """Q18 grouped by the orders column itself: no relation carries

@@ -9,13 +9,12 @@ behaviour against the naive interpreter for every θ.
 
 import pytest
 
-from repro.engine.general import GeneralAlgorithmEngine
 from repro.engine.naive import NaiveEngine
 from repro.errors import UnsupportedQueryError
 from repro.query.parser import parse_query
 from repro.storage import schema as schemas
 
-from tests.conftest import random_bid_stream
+from tests.conftest import free_map_engine, random_bid_stream
 
 
 def _query(func: str, theta: str):
@@ -32,7 +31,7 @@ def _query(func: str, theta: str):
 @pytest.mark.parametrize("theta", ["<", "<=", "<>", ">", ">="])
 def test_matches_naive_with_deletions(func, theta):
     query = _query(func, theta)
-    ga = GeneralAlgorithmEngine(query)
+    ga = free_map_engine(query)
     naive = NaiveEngine(query, {"bids": schemas.BIDS})
     stream = random_bid_stream(
         130, seed=sum(map(ord, func + theta)), delete_probability=0.35
@@ -43,7 +42,7 @@ def test_matches_naive_with_deletions(func, theta):
 
 def test_equality_theta():
     query = _query("MAX", "=")
-    ga = GeneralAlgorithmEngine(query)
+    ga = free_map_engine(query)
     naive = NaiveEngine(query, {"bids": schemas.BIDS})
     for index, event in enumerate(random_bid_stream(100, seed=77)):
         assert naive.on_event(event) == ga.on_event(event), index
@@ -60,7 +59,7 @@ def test_min_over_other_column_rejected():
         """
     )
     with pytest.raises(UnsupportedQueryError):
-        GeneralAlgorithmEngine(query)
+        free_map_engine(query)
 
 
 def test_delete_current_extreme_recovers():
@@ -70,7 +69,7 @@ def test_delete_current_extreme_recovers():
     from tests.conftest import make_bid
 
     query = _query("MAX", "<=")
-    ga = GeneralAlgorithmEngine(query)
+    ga = free_map_engine(query)
     naive = NaiveEngine(query, {"bids": schemas.BIDS})
     rows = [make_bid(10, 1, bid_id=1), make_bid(20, 2, bid_id=2), make_bid(30, 3, bid_id=3)]
     for row in rows:

@@ -77,15 +77,14 @@ class TestTwoBackends:
     """The static backend rule, as an invariant of the registry: no rpai
     engine holds an aggregate index that is not one of the two runtime
     backends (or the plain ordered map used for bound maps), and every
-    engine built from a plan runs generated code — compiled triggers
-    for the aggregate-index engine, the general algorithm's own loops —
-    before and after a snapshot restore.  The hand-written classes have
+    engine built from a plan runs the aggregate-index engine's compiled
+    triggers (the general algorithm's on its free-map side) before and
+    after a snapshot restore.  The hand-written classes have
     no emitter."""
 
     RUNTIME_INDEXES = (PAIMap, RPAITree, TreeMap)
     TRIGGER_MODES = {
-        **dict.fromkeys(("EQ", "VWAP", "MST", "PSP", "Q17", "Q18"), "compiled"),
-        **dict.fromkeys(("SQ1", "SQ2"), "generated-loops"),
+        **dict.fromkeys(("EQ", "VWAP", "MST", "PSP", "Q17", "Q18", "SQ1", "SQ2"), "compiled"),
         **dict.fromkeys(("NQ1", "NQ2"), "interpreted"),
     }
 

@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.general import GeneralAlgorithmEngine
 from repro.engine.naive import NaiveEngine, _eval_expr
 from repro.errors import UnsupportedQueryError
 from repro.query.ast import Arith, ColumnRef, Const, SubqueryExpr, walk_expr
@@ -38,7 +37,7 @@ from repro.query.rowexpr import (
 from repro.storage import schema as schemas
 from repro.storage.colbatch import ColumnBlock
 
-from tests.conftest import random_bid_stream
+from tests.conftest import free_map_engine, random_bid_stream
 
 ALIAS = "t"
 COLUMNS = ("a", "b", "c")
@@ -116,7 +115,7 @@ def test_absent_expression_is_the_count_style_one():
 
 # One side of an outer predicate: arithmetic over constants, outer
 # columns, an uncorrelated scalar and a correlated subquery.  The
-# maintained state is the general algorithm's own (fed a seeded stream),
+# maintained state is the free-map side's own (fed a seeded stream),
 # the oracle re-evaluates both subqueries from the stored relation.
 HOST = parse_query(
     """
@@ -140,13 +139,16 @@ sides = trees(
 @settings(max_examples=60, deadline=None)
 @given(expr=sides, seed=st.integers(0, 50), count=st.integers(0, 30))
 def test_predicate_side_with_scalar_and_correlated_operands(expr, seed, count):
-    engine = GeneralAlgorithmEngine(HOST)
+    engine = free_map_engine(HOST)
     oracle = NaiveEngine(HOST, {"bids": schemas.BIDS})
     for event in random_bid_stream(count, seed=seed, price_levels=8, volume_max=5):
         engine.apply(event)
         oracle.apply(event)
-    source = emit_predicate_side(expr, "b", engine._scalars, engine._correlated)
-    side = eval(f"lambda _row: {source}", subquery_bindings(engine._scalars, engine._correlated))
+    engine.result()  # the free-map pass runs when the answer is read
+    (maps,) = engine.sides
+    source = emit_predicate_side(expr, "b", engine._scalars, maps.readers(0))
+    names = {"_fs0_0": maps.free_sum[0], "_fc0_0": maps.free_count[0]}
+    side = eval(f"lambda _row: {source}", {**subquery_bindings(engine._scalars), **names})
 
     def value(thunk):
         # ``==``, not ``repr``: a maintained subquery reads as
@@ -156,7 +158,7 @@ def test_predicate_side_with_scalar_and_correlated_operands(expr, seed, count):
         except ArithmeticError as exc:
             return type(exc).__name__
 
-    for row in engine._res_repr.values():
+    for row in maps.res_repr.values():
         full = {"price": row["price"], "volume": 3}
         expected = value(lambda: _eval_expr(expr, {"b": full}, oracle.relations))
         assert value(lambda: side(full)) == expected
