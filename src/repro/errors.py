@@ -120,7 +120,9 @@ class KeyUniverseError(ReproError, IndexError):
     would move an entry below zero.  Keys *above* the current capacity
     are not errors: those backends grow their universe by doubling.
     NQ1's engine raises it for a price its composite keys cannot hold
-    (outside ``0 <= price < 2**45``), before the event changes anything.
+    (outside ``0 <= price < 2**45``), and a shifted side's triggers for a
+    tuple whose inner contribution is not above 0, before it changes
+    anything.
 
     Subclasses :class:`IndexError` so pre-existing callers that caught
     the bare built-in keep working.

@@ -5,15 +5,19 @@ until the side moves or its probe value changes.
 * Against the reference (:mod:`tests.engine.shift_reference`: the
   stacked shift, then a separate add; every side probed on every
   result): VWAP, MST, grouped VWAP and NQ1, per event, per batch and
-  per frame, on streams with stray deletes, zero and negative volumes,
-  duplicate rows and levels emptied at once, every result identical to
-  the type.  VWAP, MST and grouped VWAP also get float volumes, in
-  quarters: the two orders add the same numbers in another order, and
-  quarters keep every such sum exact (NQ1's composite keys need int
-  volumes, so its streams have none).
+  per frame, on streams with stray deletes, duplicate rows and levels
+  emptied at once, every result identical to the type.  NQ1's streams
+  also carry zero and negative volumes; a shifted side refuses those.
+  VWAP, MST and grouped VWAP also get float volumes, in quarters: the
+  two orders add the same numbers in another order, and quarters keep
+  every such sum exact (NQ1's composite keys need int volumes, so its
+  streams have none).
 * Kept answers: after events, batches, frames, a warm start, a pickle
   restore, a shard merge and a recovery after injected faults,
   ``result()`` equals a fresh replay's.
+* Non-positive contributions: a shifted side refuses a tuple whose
+  inner contribution is not above 0, in every call shape, before it
+  changes anything; a threshold side takes it.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from repro.engine.aggr_index import build_single_index_engine
 from repro.engine.queries.nq import NQ1RpaiEngine
 from repro.engine.registry import build_engine, build_sharded_engine
 from repro.engine.supervision import DurableEngine
+from repro.errors import KeyUniverseError
 from repro.query.parser import parse_query
 from repro.storage.colbatch import ColumnarFrame
 from repro.storage.stream import Event, Stream
@@ -36,7 +41,8 @@ from tests.conftest import make_bid
 from tests.engine.shift_reference import NQ1ShiftThenAddEngine, as_reference
 from tests.engine.test_grouped import GROUPED_VWAP
 
-INTS = (1, 2, 3, 5, 8, 0, -1, -2)
+POSITIVE = (1, 2, 3, 5, 8)
+INTS = POSITIVE + (0, -1, -2)
 QUARTERS = (0.25, 1.5, 2.75)
 
 
@@ -81,10 +87,10 @@ def typed(result):
 
 #: name -> (engine factory, relations, volumes)
 ENGINES = {
-    "VWAP": (lambda: build_engine("VWAP", "rpai"), ("bids",), INTS + QUARTERS),
-    "MST": (lambda: build_engine("MST", "rpai"), ("bids", "asks"), INTS + QUARTERS),
+    "VWAP": (lambda: build_engine("VWAP", "rpai"), ("bids",), POSITIVE + QUARTERS),
+    "MST": (lambda: build_engine("MST", "rpai"), ("bids", "asks"), POSITIVE + QUARTERS),
     "grouped-VWAP": (lambda: build_single_index_engine(parse_query(GROUPED_VWAP)), ("bids",),
-                     INTS + QUARTERS),
+                     POSITIVE + QUARTERS),
     "NQ1": (NQ1RpaiEngine, ("bids",), INTS),
 }
 
@@ -140,14 +146,13 @@ KEPT = ("VWAP", "MST", "PSP")
 
 def book(query: str, count: int = 240, seed: int = 3, zeros: bool = False) -> list[Event]:
     """An order book whose deletes retract live rows, so that a batch
-    and its events agree; ``zeros``: a zero-volume row every fifth
-    event, which moves a side (MST's and PSP's count column) and not
-    its probe value, so that only the stale mark makes ``result``
-    probe again (zero volumes leave the tie analysis's domain, where a
-    batch and its events may disagree)."""
+    and its events agree; ``zeros``, on PSP: a zero-volume row every
+    fifth event, which moves a side (its count column) and not its
+    probe value, so that only the stale mark makes ``result`` probe
+    again (a shifted side, VWAP's and MST's, refuses such a row)."""
     config = OrderBookConfig(events=count, price_levels=25, delete_ratio=0.3, seed=seed)
     events = list(generate_order_book(config))
-    for i in range(len(events) - 1, 0, -5) if zeros else ():
+    for i in range(len(events) - 1, 0, -5) if zeros and query == "PSP" else ():
         row = make_bid(1 + i % 25, 0, ts=i, bid_id=-i)
         events.insert(i, Event(("bids", "asks")[i % 2], row, +1))
     return events
@@ -258,3 +263,68 @@ class TestKeptAnswers:
 
         result, _counters, _engine = run_chaos(query, 2, seed=4, tmp_path=tmp_path)
         assert typed(result) == typed(clean_result(query, stream_for(query)))
+
+
+def changed_book(seed: int, change, count: int = 120) -> list[Event]:
+    """A ``count``-event order book in which every fifth inserted row,
+    and its later delete, carries ``change(volume)``."""
+    config = OrderBookConfig(events=count, price_levels=25, delete_ratio=0.3, seed=seed)
+    changed: dict = {}
+    inserts = 0
+    out = []
+    for event in generate_order_book(config):
+        key = (event.relation, event.row["id"])
+        if event.weight > 0:
+            inserts += 1
+            if inserts % 5 == 0:
+                changed[key] = {**event.row, "volume": change(event.row["volume"])}
+        out.append(Event(event.relation, changed.get(key, event.row), event.weight))
+    return out
+
+
+CHANGES = {"zero": lambda volume: 0, "negated": lambda volume: -volume}
+#: the relations each query's shifted sides read
+SHIFTED = {"VWAP": ("bids",), "MST": ("bids", "asks")}
+
+
+class TestNonPositiveContributions:
+    """On the books where every fifth row carries a zero or negated
+    volume, MST's and VWAP's results differed from naive on up to 330
+    of 360 and their call shapes from each other.  Such a row is now
+    refused, whatever the call shape, and the engine is left as it was."""
+
+    @pytest.mark.parametrize("shape", ["event", "batch", "frame", "warm"])
+    @pytest.mark.parametrize("change", CHANGES)
+    @pytest.mark.parametrize("query", SHIFTED)
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_a_shifted_side_refuses_them(self, seed, query, change, shape):
+        events = changed_book(seed, CHANGES[change])
+        bad = next(
+            i for i, event in enumerate(events)
+            if event.relation in SHIFTED[query] and event.row["volume"] <= 0
+        )
+        engine = build_engine(query, "rpai")
+        if shape == "warm":
+            before = pickle.dumps(engine)
+            with pytest.raises(KeyUniverseError):
+                engine.warm_start(Stream(events))
+            assert pickle.dumps(engine) == before
+            return
+        chunk = 1 if shape == "event" else 16
+        start = bad - bad % chunk  # the call that holds the refused row
+        drive(engine, events[:start], shape, chunk)
+        before = pickle.dumps(engine)
+        with pytest.raises(KeyUniverseError):
+            drive(engine, events[start : start + chunk], shape, chunk)
+        assert pickle.dumps(engine) == before
+        assert typed(engine.result()) == typed(replay(query, events[:start], "event"))
+
+    @pytest.mark.parametrize("change", CHANGES)
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_threshold_sides_take_them(self, seed, change):
+        """PSP keys its indexes by the volume itself and never shifts."""
+        events = changed_book(seed, CHANGES[change])
+        for shape in ("event", "batch", "frame"):
+            got = drive(build_engine("PSP", "rpai"), events, shape)
+            expected = drive(build_engine("PSP", "dbtoaster"), events, shape)
+            assert [typed(r) for r in got] == [typed(r) for r in expected]
