@@ -135,8 +135,8 @@ class TestTriggerModes:
     # EQ/VWAP/MST cover the aggregate-index emitter's point-move and
     # range-shift fragments (one side and two); the grouped fan-out
     # fragment has its own cell below — grouped queries are built
-    # directly, not through the registry.  The general algorithm has no
-    # trigger mode; its cells are TestGeneralAlgorithm's.
+    # directly, not through the registry.  The free-map side's cells
+    # (SQ1, SQ2) are TestGeneralAlgorithm's.
     QUERIES = ("EQ", "VWAP", "MST")
 
     @staticmethod
@@ -223,9 +223,8 @@ class TestTriggerModes:
 
 class TestGeneralAlgorithm:
     """The general algorithm's cells (§4.2: O(live groups) per update by
-    design): SQ1/SQ2 per event and in 64-event batches — the speed its
-    one definition (plain-Python ``apply*`` around two generated loops)
-    rests on; EXPERIMENTS.md "General algorithm, written once"."""
+    design): SQ1/SQ2 per event and in 64-event batches, on the
+    aggregate-index engine's free-map side."""
 
     EVENTS = 300
 
